@@ -244,13 +244,14 @@ def _per_pass(tracer: Tracer, pass_index: int, own: list[float],
     return m
 
 
-def layer_metrics(tracer: Tracer, samples_recorded: int | None) -> dict:
-    """Per-layer metrics of one pass, as the median over the traced passes
-    (counts repeat exactly from pass to pass), plus the set-up layers.
-    ``samples_recorded`` is the number of samples (all channels) one pass
-    reads; None means the samples the pass rendered."""
+def layer_metrics(tracer: Tracer, samples_recorded: int | None, full_passes: int) -> dict:
+    """Per-layer metrics of one pass, as the median over the first
+    ``full_passes`` traced passes, which ran every unit (counts repeat
+    exactly from pass to pass), plus the set-up layers. ``samples_recorded``
+    is the number of samples (all channels) one pass reads; None means the
+    samples the pass rendered."""
     own = tracer.self_times()
-    passes = sorted({rec[PASS] for rec in tracer.spans if rec[PASS] != SETUP_PASS})
+    passes = range(full_passes)
     rows = [_per_pass(tracer, p, own, samples_recorded) for p in passes]
     out = {key: float(np.median([row[key] for row in rows])) for key in rows[0]}
 

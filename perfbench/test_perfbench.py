@@ -4,6 +4,7 @@ the checkout with
     python3 -m pytest perfbench/test_perfbench.py
 """
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -64,21 +65,22 @@ def test_every_declared_metric_is_reported():
     assert all(m["value"] > 0 for m in last["metrics"].values())
 
 
-def test_long_quiet_input_equals_full_render():
-    base = workloads.scene.load_scenario(ROOT / workloads.CONFIG_FILES["long_quiet"])
-    fast = workloads.render(base, [base.pinger.position], base.record_duration,
-                            workloads.LONG_QUIET_RENDERED_S, base.seed)
-    assert np.array_equal(fast.channels, simulator.render_scene(base).channels)
+@pytest.mark.parametrize("workload", ["ping_train", "long_quiet"])
+def test_short_render_equals_full_render(workload):
+    base = workloads.scene.load_scenario(ROOT / workloads.CONFIG_FILES[workload])
+    silent = dataclasses.replace(base, noise=workloads.scene.NoiseSpec.silent())
+    segment = workloads._segment(base, base.pinger.position, base.record_duration)
+    assert np.array_equal(segment, simulator.render_scene(silent).channels)
 
 
-def test_ping_train_segments_change_direction_per_octant(scratch):
+def test_ping_train_changes_direction_every_ping(scratch):
     manifest = workloads.generate("ping_train", 9, ROOT, scratch)
     for entry in manifest["files"]:
-        octants = [p["true_octant"] for p in entry["pings"]]
-        per = workloads.PING_TRAIN_PINGS_PER_DIRECTION
-        assert len(octants) == entry["expected_pings"] == workloads.PING_TRAIN_PINGS
-        assert all(octants[i] == octants[i - i % per] for i in range(len(octants)))
-        assert len(set(octants)) == 8
+        pings = entry["pings"]
+        assert len(pings) == entry["expected_pings"] == workloads.PING_TRAIN_PINGS
+        assert len({tuple(p["position"]) for p in pings}) == len(pings)
+        for k in range(0, len(pings), 8):
+            assert len({p["true_octant"] for p in pings[k:k + 8]}) == 8
 
 
 @pytest.fixture

@@ -6,18 +6,25 @@ seed always gives byte-identical files; their sha256 is recorded.
 
 - ``ping_train``: scenario_quick geometry and noise, PING_TRAIN_PINGS
   repetitions 50 ms apart per file, PING_TRAIN_FILES files; the pinger
-  direction changes every PING_TRAIN_PINGS_PER_DIRECTION repetitions.
+  takes a new direction at every repetition.
 - ``long_quiet``: scenario_default (2 s, 1M samples per channel, one ping),
-  LONG_QUIET_FILES files, each with its own direction and noise seed.
-- ``montecarlo``: the eval_small grid, MC_EVALS evaluations per pass with
+  LONG_QUIET_FILES files, each with its own direction; every
+  LONG_QUIET_FILES_PER_NOISE files share a noise seed.
+- ``montecarlo``: the eval_small grid, MC_EVALS evaluations with
   MC_TRIALS trials per cell, each with its own grid seed.
 
 Pinger directions sit at the config's pinger range. They are stratified by
 octant: consecutive directions take distinct octants in a seeded order, and
 each direction is uniform within its octant, resampled until every
 coordinate is at least CLEARANCE_M from an octant boundary plane so the true
-octant is unambiguous. The solver's iteration count depends on the
-direction, so stratifying keeps the work of one seed close to another's.
+octant is unambiguous.
+
+The solver's iteration count varies with both the noise and the direction:
+per-ping counts range from about 150 to over 2000 (coefficient of variation
+about 0.65). A seed's solver work therefore evens out only over many pings,
+each with its own direction: over eight seeds, the quartile spread of the
+total iterations of ping_train's 160 pings was 0.05 with a direction per
+ping, and 0.12 when the files shared eight directions.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -33,24 +41,28 @@ from pingerloc import pipeline, recording, scene, simulator
 
 WORKLOADS = ("ping_train", "long_quiet", "montecarlo")
 
-PING_TRAIN_FILES = 3
+PING_TRAIN_FILES = 10
 PING_TRAIN_PINGS = 16
-# The pinger moves to the next direction every this many repetitions, so one
-# file visits all 8 octants; the solver's cost depends on the direction.
-PING_TRAIN_PINGS_PER_DIRECTION = 2
-LONG_QUIET_FILES = 6
-MC_EVALS = 4
+LONG_QUIET_FILES = 24
+MC_EVALS = 11
 MC_TRIALS = 1
 CLEARANCE_M = 1.0
 
 # Recordings are assembled from noiseless renders of short segments, each
-# with its own pinger position, zero-padded to the segment length, and the
-# scenario's noise added once over the whole file. The filtered bursts
-# underflow float32 to exactly zero well inside each rendered segment (checked
-# below), so no tail crosses a segment boundary; for a single segment this
-# equals render_scene(scenario) byte for byte, at a sixth of the cost for
-# long_quiet, which renders only its first LONG_QUIET_RENDERED_S seconds.
-LONG_QUIET_RENDERED_S = 0.05
+# with its own pinger position and zero-padded to the segment length, plus a
+# noise bed: the scenario's noise alone, from simulator.add_noise. The
+# filtered bursts underflow float32 to exactly zero well inside each rendered
+# segment (checked below), so a padded segment equals a noiseless render of
+# the whole segment byte for byte. Only the first RENDERED_S of a segment is
+# rendered: past it the filter's tail decays through subnormal floats, which
+# made rendering a whole 50 ms repetition seven times slower.
+RENDERED_S = 0.025
+# long_quiet files come in pairs that share a noise bed and differ in
+# direction: drawing the noise for 2 s on 8 channels takes about 0.8 s, most
+# of the generation time. Over eight seeds, the quartile spread of the
+# solver's total iterations was 0.21 for 12 files with their own noise and
+# 0.13 for 24 files in pairs.
+LONG_QUIET_FILES_PER_NOISE = 2
 
 CONFIG_FILES = {
     "ping_train": "configs/scenario_quick.json",
@@ -99,15 +111,14 @@ def _truth(array: scene.HydrophoneArray, position: scene.Vec3) -> dict:
             "true_octant": octant.as_string()}
 
 
-def _segment(base: scene.Scenario, position: scene.Vec3, duration: float,
-             rendered_s: float) -> np.ndarray:
+def _segment(base: scene.Scenario, position: scene.Vec3, duration: float) -> np.ndarray:
     """Noiseless channels for ``duration`` seconds with the pinger at
-    ``position``; only the first ``rendered_s`` seconds are rendered."""
-    pinger = dataclasses.replace(
-        base.pinger, position=position,
-        repetition_interval=min(base.pinger.repetition_interval, rendered_s))
+    ``position``; only the first RENDERED_S seconds are rendered."""
+    pinger = dataclasses.replace(base.pinger, position=position,
+                                 repetition_interval=min(base.pinger.repetition_interval,
+                                                         RENDERED_S))
     clean = simulator.render_scene(dataclasses.replace(
-        base, pinger=pinger, record_duration=rendered_s, noise=scene.NoiseSpec.silent())).channels
+        base, pinger=pinger, record_duration=RENDERED_S, noise=scene.NoiseSpec.silent())).channels
     if np.any(clean[:, clean.shape[1] * 4 // 5:]):
         raise RuntimeError("a burst tail reaches the end of its rendered segment")
     out = np.zeros((clean.shape[0], int(round(duration * base.sample_rate))), dtype=np.float32)
@@ -115,12 +126,11 @@ def _segment(base: scene.Scenario, position: scene.Vec3, duration: float,
     return out
 
 
-def render(base: scene.Scenario, positions: list[scene.Vec3], segment_s: float,
-           rendered_s: float, noise_seed: int) -> recording.MultiChannelRecording:
-    """One recording: a segment per position, then the base noise."""
-    clean = np.concatenate([_segment(base, p, segment_s, rendered_s) for p in positions], axis=1)
-    rec = recording.MultiChannelRecording(sample_rate=base.sample_rate, channels=clean)
-    return simulator.add_noise(rec, base.noise, noise_seed)
+def noise_bed(base: scene.Scenario, shape: tuple[int, int], seed: int) -> np.ndarray:
+    """The scenario's noise alone, as float32 channels of ``shape``."""
+    silent = recording.MultiChannelRecording(sample_rate=base.sample_rate,
+                                             channels=np.zeros(shape, dtype=np.float32))
+    return simulator.add_noise(silent, base.noise, seed).channels
 
 
 def _localize_inputs(workload: str, seed: int, root: Path, out_dir: Path) -> dict:
@@ -129,27 +139,31 @@ def _localize_inputs(workload: str, seed: int, root: Path, out_dir: Path) -> dic
     radius = float(np.linalg.norm(base.pinger.position.as_array()))
     period = base.pinger.repetition_interval
     if workload == "ping_train":
-        n_files, n_pings, per_direction = (PING_TRAIN_FILES, PING_TRAIN_PINGS,
-                                           PING_TRAIN_PINGS_PER_DIRECTION)
-        rendered_s = per_direction * period
+        n_files, n_pings, per_noise = PING_TRAIN_FILES, PING_TRAIN_PINGS, 1
     else:
-        n_files, n_pings, per_direction = LONG_QUIET_FILES, 1, 1
-        rendered_s = LONG_QUIET_RENDERED_S
+        n_files, n_pings, per_noise = LONG_QUIET_FILES, 1, LONG_QUIET_FILES_PER_NOISE
     rng = np.random.default_rng([seed, WORKLOADS.index(workload)])
-    positions = _directions(rng, radius, n_files * n_pings // per_direction)
-    per_file = n_pings // per_direction
+    positions = _directions(rng, radius, n_files * n_pings)
     files = []
     for k in range(n_files):
-        noise_seed = int(rng.integers(0, 2**31 - 1))
-        mine = positions[k * per_file:(k + 1) * per_file]
-        rec = render(base, mine, per_direction * period, rendered_s, noise_seed)
+        mine = positions[k * n_pings:(k + 1) * n_pings]
+        clean = np.concatenate([_segment(base, p, period) for p in mine], axis=1)
+        if k % per_noise == 0:
+            noise_seed = int(rng.integers(0, 2**31 - 1))
+            noise = noise_bed(base, clean.shape, noise_seed)
+        rec = recording.MultiChannelRecording(sample_rate=base.sample_rate,
+                                              channels=clean + noise)
         path = out_dir / f"{workload}_{k}.oogw"
         recording.write_recording(rec, path)
-        pings = [_truth(base.array, mine[i // per_direction]) for i in range(n_pings)]
+        # Write back now: on two cores, the kernel writing back hundreds of
+        # MB of dirty pages during the timed runs would slow them.
+        with open(path, "rb+") as fh:
+            os.fsync(fh.fileno())
         files.append({"path": str(path.relative_to(root)), "sha256": sha256_file(path),
                       "duration_s": rec.duration, "samples": int(rec.channels.size),
                       "bytes": path.stat().st_size, "expected_pings": n_pings,
-                      "noise_seed": noise_seed, "pings": pings})
+                      "noise_seed": noise_seed,
+                      "pings": [_truth(base.array, p) for p in mine]})
     return {"config": config, "files": files}
 
 
