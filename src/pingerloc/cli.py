@@ -14,6 +14,7 @@ not converge.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -43,8 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_loc.add_argument("--out", default=None, help="write NDJSON here instead of stdout")
     p_loc.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p_loc.add_argument("--timing", action="store_true",
-                       help="include per-stage milliseconds in each report "
-                            "(makes output non-reproducible)")
+                       help="include per-stage milliseconds in each report, with the "
+                            "recording's render and filter time on the first report "
+                            "only (makes output non-reproducible)")
     p_loc.add_argument("--debug-window", action="store_true",
                        help="dump window-search diagnostics as JSON to stderr")
 
@@ -63,9 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_scenario(path: str, seed_override: int | None) -> scene.Scenario:
     scenario = scene.load_scenario(path)
     if seed_override is not None:
-        doc = scene.scenario_to_dict(scenario)
-        doc["seed"] = seed_override
-        scenario = scene.scenario_from_dict(doc)
+        scenario = dataclasses.replace(scenario, seed=seed_override)
     return scenario
 
 
@@ -82,18 +82,17 @@ def _cmd_localize(args) -> int:
     scenario = _load_scenario(args.config, args.seed)
     loaded = rec.read_recording(args.recording) if args.recording else None
 
-    debug_sink: list | None = [] if args.debug_window else None
     out = open(args.out, "w") if args.out else sys.stdout
     emitted = 0
     all_converged = True
     try:
-        for report in pipeline.run_localization(scenario, recording=loaded,
-                                                debug_sink=debug_sink):
+        for report in pipeline.run_localization(scenario, recording=loaded):
             out.write(json.dumps(report.to_json_dict(include_timing=args.timing)) + "\n")
             emitted += 1
             all_converged = all_converged and report.converged
-            if debug_sink:
-                print(json.dumps(debug_sink.pop()), file=sys.stderr)
+            if args.debug_window:
+                print(json.dumps({"ping_index": report.ping_index, "window": list(report.window),
+                                  **report.diagnostics}), file=sys.stderr)
     except dsp.NoPingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PING

@@ -1,24 +1,28 @@
 """End-to-end localization: recording (simulated or loaded) -> bandpass ->
 stable-window TDOA -> octant guess -> gradient descent -> azimuth report
-stream, plus a Monte Carlo evaluation harness.
+stream, plus a Monte Carlo evaluation harness; both run each ping through
+``localize_ping``.
 
-Reports serialize as newline-delimited JSON. Per-stage timings are carried on
-each report but left out of the serialized stream unless asked for, so runs
-with the same seed are byte-identical.
+Reports serialize as newline-delimited JSON. Timings and window-search
+diagnostics ride on each report but stay out of the serialized stream unless
+asked for, so runs with the same seed are byte-identical. A recording's
+render and filter time is charged to its first report only (later ones carry
+0.0), so summing a stream counts each cost once.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from . import dsp, guess as guess_mod, simulator, solver
+from . import dsp, guess, simulator, solver
 from .recording import MultiChannelRecording
 from .scene import (
     ConfigError,
@@ -34,8 +38,10 @@ from .scene import (
 
 __all__ = [
     "AzimuthReport",
+    "PingOutcome",
     "MonteCarloConfig",
     "MonteCarloSummary",
+    "localize_ping",
     "run_localization",
     "monte_carlo",
     "write_monte_carlo_csv",
@@ -54,11 +60,15 @@ MC_CSV_COLUMNS = [
     "octant_true", "octant_guess", "converged", "objective", "iters",
 ]
 
+PING_ERRORS = (dsp.NoPingError, dsp.UnstableWindowError, guess.UnresolvableAxisError,
+               solver.SingularGeometryError, solver.DivergedError)
+
 
 @dataclass(frozen=True)
 class AzimuthReport:
     """One localized ping. ``window`` is (start sample, length) of the chosen
-    analysis window; ``timing`` holds per-stage milliseconds."""
+    analysis window; ``timing`` holds per-stage milliseconds; ``diagnostics``
+    the pair delays (us) and ``PingOutcome.window_search``."""
 
     ping_index: int
     azimuth: float
@@ -69,6 +79,7 @@ class AzimuthReport:
     converged: bool
     window: tuple[int, int]
     timing: dict[str, float]
+    diagnostics: dict
 
     def to_json_dict(self, include_timing: bool = False) -> dict:
         doc = {
@@ -86,17 +97,72 @@ class AzimuthReport:
         return doc
 
 
+@dataclass(frozen=True)
+class PingOutcome:
+    """One ping through window search -> octant guess -> solve. ``error`` is
+    the failure (one of PING_ERRORS) that stopped the chain; the stages before
+    it still fill their fields. ``window_search`` holds the search's candidate
+    starts, variance scores and chosen index; ``timing`` each finished stage's
+    milliseconds ("tdoa", "guess", "solve")."""
+
+    tdoa: dsp.TdoaSet | None
+    guess: guess.OctantGuess | None
+    result: solver.SolverResult | None
+    window_search: dict
+    timing: dict[str, float]
+    error: Exception | None
+
+
+def localize_ping(filtered: dict[int, np.ndarray], fs: float, scenario: Scenario,
+                  params: dsp.WindowParams, start_sample: int) -> PingOutcome:
+    """Localize the first ping at or after ``start_sample`` in the filtered
+    channels. Failures in PING_ERRORS are caught and recorded on the outcome;
+    anything else (a bad argument) raises."""
+    tdoa = octant = result = error = None
+    window_search: dict = {}
+    timing: dict[str, float] = {}
+    try:
+        t_stage = time.perf_counter()
+        tdoa = dsp.tdoa_from_filtered(filtered, fs, scenario.array, params,
+                                      start_sample=start_sample, diagnostics=window_search)
+        timing["tdoa"] = (time.perf_counter() - t_stage) * 1e3
+
+        t_stage = time.perf_counter()
+        arrivals = [tdoa.coarse_arrivals[ch] for ch in scenario.array.coarse_channels]
+        octant = guess.octant_guess(arrivals, list(scenario.array.coarse), scenario.sound_speed,
+                                    min_margin=2.0 / fs)
+        timing["guess"] = (time.perf_counter() - t_stage) * 1e3
+
+        t_stage = time.perf_counter()
+        result = solver.gradient_descent(octant.init, tdoa, scenario.array, scenario.sound_speed)
+        timing["solve"] = (time.perf_counter() - t_stage) * 1e3
+    except PING_ERRORS as exc:
+        # Drop its frames and its (suppressed) context's: they link back to the
+        # caller holding the outcome, and the cycle would keep the filtered
+        # channels alive until the garbage collector runs.
+        exc.__context__ = None
+        error = exc.with_traceback(None)
+    return PingOutcome(tdoa=tdoa, guess=octant, result=result, window_search=window_search,
+                       timing=timing, error=error)
+
+
+def _filter_channels(recording: MultiChannelRecording, scenario: Scenario) -> dict[int, np.ndarray]:
+    """Every channel through the scenario's front-end bandpass, by channel."""
+    fe = scenario.front_end
+    cascade = dsp.design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high,
+                                  recording.sample_rate)
+    return {ch: dsp.filter_signal(cascade, samples)
+            for ch, samples in enumerate(recording.channels)}
+
+
 def run_localization(scenario: Scenario, recording: MultiChannelRecording | None = None,
-                     window_params: dsp.WindowParams | None = None,
-                     solver_params: solver.SolverParams | None = None,
-                     init_range: float = guess_mod.DEFAULT_INIT_RANGE,
-                     debug_sink: list | None = None) -> Iterator[AzimuthReport]:
+                     window_params: dsp.WindowParams | None = None) -> Iterator[AzimuthReport]:
     """Yield one AzimuthReport per detected ping repetition, in time order.
 
     With ``recording`` None the scenario is rendered first; otherwise the
-    scenario only supplies geometry, sound speed, and filter band. Passing a
-    list as ``debug_sink`` collects one window-search diagnostic dict per
-    ping. Deterministic given the scenario seed.
+    scenario only supplies geometry, sound speed, and filter band. A ping
+    that fails raises its error, except that a missing ping after the first
+    ends the stream. Deterministic given the scenario seed.
     """
     report = validate_array(scenario.array, scenario.pinger.frequency, scenario.sound_speed)
     if not report.ok:
@@ -105,19 +171,15 @@ def run_localization(scenario: Scenario, recording: MultiChannelRecording | None
     t_start = time.perf_counter()
     if recording is None:
         recording = simulator.render_scene(scenario)
-    render_ms = (time.perf_counter() - t_start) * 1e3
+    recording_timing = {"render": (time.perf_counter() - t_start) * 1e3}
     if recording.channel_count != 8:
         raise ConfigError(f"expected an 8-channel recording, got {recording.channel_count}")
 
     fs = recording.sample_rate
-    fe = scenario.front_end
-    cascade = dsp.design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
     params = window_params or dsp.WindowParams(sound_speed=scenario.sound_speed)
-
     t_start = time.perf_counter()
-    filtered = {ch: dsp.filter_signal(cascade, recording.channels[ch])
-                for ch in range(recording.channel_count)}
-    filter_ms = (time.perf_counter() - t_start) * 1e3
+    filtered = _filter_channels(recording, scenario)
+    recording_timing["filter"] = (time.perf_counter() - t_start) * 1e3
 
     # After a ping is handled, resume the search just ahead of the next
     # repetition slot. Searching right after the burst instead would trip on
@@ -125,56 +187,33 @@ def run_localization(scenario: Scenario, recording: MultiChannelRecording | None
     span = (params.num_windows - 1) * params.hop + params.window_duration
     past_burst = max(scenario.pinger.ping_duration, span) + 2.5e-3
     skip = int(round(max(scenario.pinger.repetition_interval - 2e-3, past_burst) * fs))
-    min_margin = 2.0 / fs
-    coarse_positions = list(scenario.array.coarse)
 
     cursor = 0
     ping_index = 0
     while True:
-        diagnostics: dict | None = {} if debug_sink is not None else None
-        t_stage = time.perf_counter()
-        try:
-            tdoa = dsp.tdoa_from_filtered(filtered, fs, scenario.array, params,
-                                          start_sample=cursor, diagnostics=diagnostics)
-        except dsp.NoPingError:
-            if ping_index == 0:
-                raise
-            return
-        tdoa_ms = (time.perf_counter() - t_stage) * 1e3
-
-        t_stage = time.perf_counter()
-        arrivals = [tdoa.coarse_arrivals[ch] for ch in scenario.array.coarse_channels]
-        octant = guess_mod.octant_guess(arrivals, coarse_positions, scenario.sound_speed,
-                                        init_range=init_range, min_margin=min_margin)
-        guess_ms = (time.perf_counter() - t_stage) * 1e3
-
-        t_stage = time.perf_counter()
-        result = solver.gradient_descent(octant.init, tdoa, scenario.array,
-                                         scenario.sound_speed, solver_params)
-        solve_ms = (time.perf_counter() - t_stage) * 1e3
-
-        if debug_sink is not None:
-            debug_sink.append({
-                "ping_index": ping_index,
-                "window": list(tdoa.window),
-                "pair_delays_us": {f"{i}-{j}": est.delta_t * 1e6
-                                   for (i, j), est in
-                                   ((est.pair, est) for est in tdoa.pairwise)},
-                **(diagnostics or {}),
-            })
-
+        outcome = localize_ping(filtered, fs, scenario, params, cursor)
+        if outcome.error is not None:
+            if ping_index > 0 and isinstance(outcome.error, dsp.NoPingError):
+                return
+            raise outcome.error
+        tdoa, result = outcome.tdoa, outcome.result
         yield AzimuthReport(
             ping_index=ping_index,
             azimuth=result.azimuth,
             elevation=result.elevation,
             range=result.range,
-            octant_guess=octant.octant.as_string(),
+            octant_guess=outcome.guess.octant.as_string(),
             objective=result.objective,
             converged=result.converged,
             window=tdoa.window,
-            timing={"render": render_ms, "filter": filter_ms, "tdoa": tdoa_ms,
-                    "guess": guess_ms, "solve": solve_ms},
+            timing={**recording_timing, **outcome.timing},
+            diagnostics={
+                "pair_delays_us": {f"{est.pair[0]}-{est.pair[1]}": est.delta_t * 1e6
+                                   for est in tdoa.pairwise},
+                **outcome.window_search,
+            },
         )
+        recording_timing = {"render": 0.0, "filter": 0.0}
         ping_index += 1
         cursor = int(round(tdoa.onset_time_abs * fs)) + skip
 
@@ -236,12 +275,26 @@ class MonteCarloConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.ranges or not self.snr_db:
             raise ConfigError("ranges and snr_db must be non-empty")
+        # A placement at radius r clears every octant plane by ``clearance``
+        # only if r > sqrt(3) * clearance; the sampler would loop forever.
+        min_range = math.sqrt(3.0) * self.clearance
+        reach = max(np.linalg.norm(p.as_array()) for p in default_array().all_positions())
+        for radius in self.ranges:
+            if radius <= 0:
+                raise ConfigError(f"ranges must be > 0, got {radius}")
+            if radius <= min_range:
+                raise ConfigError(f"range {radius} m cannot clear every octant plane by "
+                                  f"{self.clearance} m (needs > {min_range:.4g} m)")
+            if (radius + reach) / self.sound_speed >= self.repetition_interval:
+                raise ConfigError(f"range {radius} m: the ping can arrive after the "
+                                  f"{self.repetition_interval} s repetition interval")
 
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
     trials: int
     success_count: int
+    success_fraction: float
     az_err_p50: float
     az_err_p90: float
     az_err_max: float
@@ -249,16 +302,7 @@ class MonteCarloSummary:
     cells: tuple[dict, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "success_count": self.success_count,
-            "success_fraction": self.success_count / self.trials,
-            "az_err_p50": self.az_err_p50,
-            "az_err_p90": self.az_err_p90,
-            "az_err_max": self.az_err_max,
-            "octant_accuracy": self.octant_accuracy,
-            "cells": list(self.cells),
-        }
+        return {**asdict(self), "cells": list(self.cells)}
 
 
 def monte_carlo_config_from_dict(doc: dict) -> MonteCarloConfig:
@@ -336,6 +380,9 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
     coarse_centroid = scenario.array.coarse_centroid().as_array()
     octant_true = octant_of(Vec3.from_array(position.as_array() - coarse_centroid))
 
+    outcome = localize_ping(_filter_channels(recording, scenario), recording.sample_rate,
+                            scenario, dsp.WindowParams(sound_speed=scenario.sound_speed), 0)
+
     row = {
         "trial": trial,
         "range_m": radius,
@@ -344,36 +391,35 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
         "est_az_deg": None,
         "az_err_deg": FAILED_TRIAL_AZ_ERROR,
         "octant_true": octant_true.as_string(),
-        "octant_guess": "",
+        "octant_guess": outcome.guess.octant.as_string() if outcome.guess else "",
         "converged": False,
         "objective": None,
         "iters": 0,
     }
-    # Run the stages directly (not via run_localization) so the solver's
-    # iteration count is available for the CSV.
-    fs = recording.sample_rate
-    fe = scenario.front_end
-    try:
-        cascade = dsp.design_bandpass(fe.analog_order, fe.analog_band_low,
-                                      fe.analog_band_high, fs)
-        params = dsp.WindowParams(sound_speed=scenario.sound_speed)
-        tdoa = dsp.select_stable_window(recording, cascade, scenario.array, params)
-        arrivals = [tdoa.coarse_arrivals[ch] for ch in scenario.array.coarse_channels]
-        octant = guess_mod.octant_guess(arrivals, list(scenario.array.coarse),
-                                        scenario.sound_speed, min_margin=2.0 / fs)
-        row["octant_guess"] = octant.octant.as_string()
-        result = solver.gradient_descent(octant.init, tdoa, scenario.array,
-                                         scenario.sound_speed)
-    except (dsp.NoPingError, dsp.UnstableWindowError, guess_mod.UnresolvableAxisError,
-            solver.SingularGeometryError, solver.DivergedError):
-        return row
-
-    row["est_az_deg"] = result.azimuth
-    row["az_err_deg"] = _azimuth_error_deg(result.azimuth, true_az)
-    row["converged"] = result.converged
-    row["objective"] = result.objective
-    row["iters"] = result.iterations
+    result = outcome.result
+    if result is not None:
+        row["est_az_deg"] = result.azimuth
+        row["az_err_deg"] = _azimuth_error_deg(result.azimuth, true_az)
+        row["converged"] = result.converged
+        row["objective"] = result.objective
+        row["iters"] = result.iterations
     return row
+
+
+def _aggregate(rows: list[dict], threshold: float) -> dict:
+    """Trials, successes (converged, azimuth error under ``threshold``) as
+    count and fraction, azimuth-error p50/p90/max and octant accuracy."""
+    errors = np.array([r["az_err_deg"] for r in rows])
+    successes = sum(1 for r in rows if r["converged"] and r["az_err_deg"] < threshold)
+    return {
+        "trials": len(rows),
+        "success_count": successes,
+        "success_fraction": successes / len(rows),
+        "az_err_p50": float(np.percentile(errors, 50)),
+        "az_err_p90": float(np.percentile(errors, 90)),
+        "az_err_max": float(errors.max()),
+        "octant_accuracy": sum(r["octant_guess"] == r["octant_true"] for r in rows) / len(rows),
+    }
 
 
 def monte_carlo(config: MonteCarloConfig) -> tuple[MonteCarloSummary, list[dict]]:
@@ -381,48 +427,16 @@ def monte_carlo(config: MonteCarloConfig) -> tuple[MonteCarloSummary, list[dict]
     config.seed."""
     rows: list[dict] = []
     cells: list[dict] = []
-    cell_index = 0
-    for radius in config.ranges:
-        for snr_db in config.snr_db:
-            cell_rows = [
-                _run_trial(config, cell_index, trial, radius, snr_db)
-                for trial in range(config.trials)
-            ]
-            rows.extend(cell_rows)
-            errors = np.array([r["az_err_deg"] for r in cell_rows])
-            successes = sum(
-                1 for r in cell_rows
-                if r["converged"] and r["az_err_deg"] < config.success_threshold_deg
-            )
-            octant_hits = sum(1 for r in cell_rows if r["octant_guess"] == r["octant_true"])
-            cells.append({
-                "range_m": radius,
-                "snr_db": snr_db,
-                "trials": config.trials,
-                "success_fraction": successes / config.trials,
-                "az_err_p50": float(np.percentile(errors, 50)),
-                "az_err_p90": float(np.percentile(errors, 90)),
-                "az_err_max": float(errors.max()),
-                "octant_accuracy": octant_hits / config.trials,
-            })
-            cell_index += 1
-
-    errors = np.array([r["az_err_deg"] for r in rows])
-    success_count = sum(
-        1 for r in rows
-        if r["converged"] and r["az_err_deg"] < config.success_threshold_deg
-    )
-    octant_hits = sum(1 for r in rows if r["octant_guess"] == r["octant_true"])
-    summary = MonteCarloSummary(
-        trials=len(rows),
-        success_count=success_count,
-        az_err_p50=float(np.percentile(errors, 50)),
-        az_err_p90=float(np.percentile(errors, 90)),
-        az_err_max=float(errors.max()),
-        octant_accuracy=octant_hits / len(rows),
-        cells=tuple(cells),
-    )
-    return summary, rows
+    for cell_index, (radius, snr_db) in enumerate(itertools.product(config.ranges,
+                                                                    config.snr_db)):
+        cell_rows = [_run_trial(config, cell_index, trial, radius, snr_db)
+                     for trial in range(config.trials)]
+        rows.extend(cell_rows)
+        stats = _aggregate(cell_rows, config.success_threshold_deg)
+        del stats["success_count"]
+        cells.append({"range_m": radius, "snr_db": snr_db, **stats})
+    return MonteCarloSummary(**_aggregate(rows, config.success_threshold_deg),
+                             cells=tuple(cells)), rows
 
 
 def _fmt(value) -> str:
@@ -441,27 +455,17 @@ def write_monte_carlo_csv(path: str | Path, summary: MonteCarloSummary, rows: li
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MC_CSV_COLUMNS)
+        # The trial column numbers rows across cells; row["trial"] restarts
+        # in every cell.
         for idx, row in enumerate(rows):
-            writer.writerow([
-                idx,
-                _fmt(row["range_m"]),
-                _fmt(row["snr_db"]),
-                _fmt(row["true_az_deg"]),
-                _fmt(row["est_az_deg"]),
-                _fmt(row["az_err_deg"]),
-                row["octant_true"],
-                row["octant_guess"],
-                _fmt(row["converged"]),
-                _fmt(row["objective"]),
-                _fmt(row["iters"]),
-            ])
+            writer.writerow([idx] + [_fmt(row[col]) for col in MC_CSV_COLUMNS[1:]])
         writer.writerow([
             "summary", "", "",
             "", "",
             _fmt(summary.az_err_p50),
             "",
             _fmt(summary.octant_accuracy),
-            _fmt(summary.success_count / summary.trials),
+            _fmt(summary.success_fraction),
             "",
             _fmt(summary.trials),
         ])

@@ -89,12 +89,14 @@ class MultiChannelRecording:
 
 
 def write_recording(recording: MultiChannelRecording, path: str | Path) -> None:
-    sample_rate = int(round(recording.sample_rate))
+    if not recording.sample_rate.is_integer():
+        raise ValueError(f"the file format stores whole Hz; sample rate {recording.sample_rate} "
+                         "is not an integer")
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
         recording.channel_count,
-        sample_rate,
+        int(recording.sample_rate),
         recording.samples_per_channel,
     )
     # Interleave frame by frame: sample 0 of every channel, then sample 1, ...
@@ -123,5 +125,8 @@ def read_recording(path: str | Path) -> MultiChannelRecording:
             f"{path}: header claims {n_samples} samples x {channel_count} channels "
             f"({expected} bytes), payload holds {len(payload)}"
         )
-    frames = np.frombuffer(payload[:expected], dtype="<f4").reshape(n_samples, channel_count)
+    if len(payload) > expected:
+        raise RecordingFormatError(f"{path}: {len(payload) - expected} bytes past the "
+                                   f"{expected}-byte payload the header claims")
+    frames = np.frombuffer(payload, dtype="<f4").reshape(n_samples, channel_count)
     return MultiChannelRecording(sample_rate=float(sample_rate), channels=frames.T.copy())

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pingerloc
 from pingerloc import read_recording, scenario_to_dict
 from pingerloc.cli import EXIT_CONFIG, EXIT_NO_PING, EXIT_OK, main
 from conftest import fast_scenario
@@ -122,3 +127,26 @@ def test_seed_override_changes_output(scenario_path, tmp_path):
     main(["simulate", "--config", str(noisy_path), "--out", str(a), "--seed", "1"])
     main(["simulate", "--config", str(noisy_path), "--out", str(b), "--seed", "2"])
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_negative_seed_override_is_config_error(scenario_path, capsys):
+    assert main(["localize", "--config", str(scenario_path), "--seed", "-1"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ranges", [[1.0], [80.0], [-5.0]],
+                         ids=["below-clearance", "arrives-late", "negative"])
+def test_infeasible_montecarlo_grid_fails_at_load(tmp_path, ranges):
+    # Run in a child process so that a grid which hangs fails on the timeout
+    # instead of stalling the suite.
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"ranges": ranges, "snr_db": [None], "trials": 1}))
+    src = str(Path(pingerloc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pingerloc.cli", "montecarlo",
+                           "--config", str(cfg), "--out", str(tmp_path / "mc.csv")],
+                          capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == EXIT_CONFIG
+    assert "config error" in proc.stderr
+    assert not (tmp_path / "mc.csv").exists()

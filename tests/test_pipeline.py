@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -5,20 +6,35 @@ import pytest
 
 from pingerloc import (
     ConfigError,
+    DivergedError,
     MonteCarloConfig,
     NoiseSpec,
+    NoPingError,
     Vec3,
+    WindowParams,
     monte_carlo,
     run_localization,
     true_azimuth_elevation,
     write_monte_carlo_csv,
 )
+from pingerloc import solver
 from pingerloc.pipeline import (
+    FAILED_TRIAL_AZ_ERROR,
+    _filter_channels,
+    localize_ping,
     measure_burst_rms,
     monte_carlo_config_from_dict,
     white_sigma_for_snr,
 )
 from conftest import FS, fast_scenario
+
+
+@pytest.fixture()
+def diverging_solver(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise DivergedError("diverged: forced")
+
+    monkeypatch.setattr(solver, "gradient_descent", diverge)
 
 
 class TestRunLocalization:
@@ -49,6 +65,14 @@ class TestRunLocalization:
         assert all(b > a for a, b in zip(starts, starts[1:]))
         azimuths = [r.azimuth for r in reports]
         assert max(azimuths) - min(azimuths) < 0.1
+        # Render and filter run once per recording and are charged once, to
+        # the first report; every report keeps the same keys.
+        first, *rest = [r.timing for r in reports]
+        assert first["render"] > 0.0 and first["filter"] > 0.0
+        for timing in rest:
+            assert set(timing) == set(first)
+            assert timing["render"] == timing["filter"] == 0.0
+            assert min(timing["tdoa"], timing["guess"], timing["solve"]) > 0.0
 
     def test_deterministic_given_seed(self, std_scenario):
         runs = []
@@ -65,13 +89,30 @@ class TestRunLocalization:
                             "octant_guess", "objective", "converged", "window"}
         assert "timing" in report.to_json_dict(include_timing=True)
 
-    def test_debug_sink_collects_window_search(self, std_scenario, std_recording):
-        sink = []
-        list(run_localization(std_scenario, recording=std_recording, debug_sink=sink))
-        assert len(sink) == 1
-        assert "variance_scores" in sink[0]
-        assert "pair_delays_us" in sink[0]
-        assert sink[0]["window"][1] > 0
+    def test_report_carries_window_search(self, std_scenario, std_recording):
+        report = next(run_localization(std_scenario, recording=std_recording))
+        diagnostics = report.diagnostics
+        assert len(diagnostics["pair_delays_us"]) == 6
+        assert len(diagnostics["variance_scores"]) == len(diagnostics["candidate_starts"])
+        chosen = diagnostics["candidate_starts"][diagnostics["chosen_candidate"]]
+        assert chosen == report.window[0]
+        assert "diagnostics" not in report.to_json_dict(include_timing=True)
+
+    def test_stream_end_leaves_no_reference_cycle(self, std_scenario, std_recording):
+        # The stream ends on a caught NoPingError. A cycle through its frames
+        # would hold every filtered channel until the garbage collector runs.
+        list(run_localization(std_scenario, recording=std_recording))
+        gc.collect()
+        gc.disable()
+        try:
+            list(run_localization(std_scenario, recording=std_recording))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_solver_failure_is_raised(self, std_scenario, std_recording, diverging_solver):
+        with pytest.raises(DivergedError):
+            next(run_localization(std_scenario, recording=std_recording))
 
     def test_invalid_array_is_config_error(self, std_scenario):
         from pingerloc import HydrophoneArray, Scenario
@@ -83,6 +124,34 @@ class TestRunLocalization:
                        record_duration=0.05, noise=NoiseSpec.silent(), seed=0)
         with pytest.raises(ConfigError, match="validation"):
             next(run_localization(bad))
+
+
+def localize_first(scenario, recording, start_sample=0):
+    return localize_ping(_filter_channels(recording, scenario), FS, scenario,
+                         WindowParams(sound_speed=scenario.sound_speed), start_sample)
+
+
+class TestLocalizePing:
+    def test_outcome_of_a_solved_ping(self, std_scenario, std_recording):
+        outcome = localize_first(std_scenario, std_recording)
+        assert outcome.error is None
+        assert outcome.result.converged
+        assert outcome.guess.octant.as_string() == "++-"
+        assert outcome.tdoa.window[0] in outcome.window_search["candidate_starts"]
+        assert set(outcome.timing) == {"tdoa", "guess", "solve"}
+
+    def test_failed_stage_keeps_earlier_stages(self, std_scenario, std_recording,
+                                               diverging_solver):
+        outcome = localize_first(std_scenario, std_recording)
+        assert isinstance(outcome.error, DivergedError)
+        assert outcome.tdoa is not None and outcome.guess is not None
+        assert outcome.result is None
+        assert set(outcome.timing) == {"tdoa", "guess"}
+
+    def test_no_ping_past_the_end(self, std_scenario, std_recording):
+        outcome = localize_first(std_scenario, std_recording, std_recording.samples_per_channel)
+        assert isinstance(outcome.error, NoPingError)
+        assert outcome.tdoa is None and outcome.guess is None and outcome.window_search == {}
 
 
 class TestSnrCalibration:
@@ -154,3 +223,32 @@ class TestMonteCarlo:
     def test_trials_must_be_positive(self):
         with pytest.raises(ConfigError):
             MonteCarloConfig(ranges=(10.0,), snr_db=(None,), trials=0)
+
+    @pytest.mark.parametrize("radius, match", [
+        (-5.0, "> 0"),
+        (0.0, "> 0"),
+        # No direction at 1 m clears every octant plane by the default 1 m.
+        (1.0, "clear"),
+        (np.sqrt(3.0), "clear"),
+        # The ping reaches the array after the 50 ms repetition interval.
+        (80.0, "repetition interval"),
+    ], ids=["negative", "zero", "below-clearance", "at-clearance", "arrives-late"])
+    def test_infeasible_range_rejected(self, radius, match):
+        with pytest.raises(ConfigError, match=match):
+            MonteCarloConfig(ranges=(10.0, radius), snr_db=(None,), trials=1)
+
+    def test_feasibility_follows_clearance_and_interval(self):
+        MonteCarloConfig(ranges=(1.0,), snr_db=(None,), trials=1, clearance=0.5)
+        MonteCarloConfig(ranges=(80.0,), snr_db=(None,), trials=1, repetition_interval=0.1)
+
+    def test_solver_failure_keeps_octant_guess(self, diverging_solver):
+        config = MonteCarloConfig(ranges=(10.0,), snr_db=(None,), trials=2, seed=11)
+        summary, rows = monte_carlo(config)
+        for row in rows:
+            assert row["octant_guess"] == row["octant_true"]
+            assert row["converged"] is False
+            assert row["az_err_deg"] == FAILED_TRIAL_AZ_ERROR
+            assert row["iters"] == 0
+            assert row["est_az_deg"] is None and row["objective"] is None
+        assert summary.success_count == 0
+        assert summary.octant_accuracy == 1.0

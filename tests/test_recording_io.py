@@ -6,6 +6,7 @@ import pytest
 from pingerloc import (
     BadMagicError,
     MultiChannelRecording,
+    RecordingFormatError,
     TruncatedPayloadError,
     VersionMismatchError,
     read_recording,
@@ -74,6 +75,23 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(header + payload)
     with pytest.raises(TruncatedPayloadError):
         read_recording(path)
+
+
+def test_trailing_payload_bytes(tmp_path):
+    path = tmp_path / "long.oogw"
+    write_recording(random_recording(), path)
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 4)
+    with pytest.raises(RecordingFormatError, match="past"):
+        read_recording(path)
+
+
+def test_non_integer_sample_rate_not_written(tmp_path):
+    rec = MultiChannelRecording(sample_rate=44_100.5, channels=np.zeros((2, 4), dtype=np.float32))
+    path = tmp_path / "r.oogw"
+    with pytest.raises(ValueError, match="integer"):
+        write_recording(rec, path)
+    assert not path.exists()
 
 
 def test_file_shorter_than_header(tmp_path):
