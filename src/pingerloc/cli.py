@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success (localize: every report converged), 1 configuration or
 usage error, 2 no ping found, 3 reports emitted but at least one solve did
-not converge.
+not converge, 4 a ping failed after detection (unstable window, unresolvable
+axis, singular geometry or divergence; reports already written stay).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 from . import dsp, pipeline, recording as rec, scene, simulator
 
@@ -25,6 +25,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_PING = 2
 EXIT_NOT_CONVERGED = 3
+EXIT_PING_FAILED = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,6 +97,9 @@ def _cmd_localize(args) -> int:
     except dsp.NoPingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PING
+    except pipeline.PING_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_PING_FAILED
     finally:
         if args.out:
             out.close()
@@ -106,13 +110,9 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise scene.ConfigError(f"cannot read eval config {args.config}: {exc}") from exc
+    config = scene.load_config(pipeline.MonteCarloConfig, args.config, "eval")
     if args.seed is not None:
-        doc["seed"] = args.seed
-    config = pipeline.monte_carlo_config_from_dict(doc)
+        config = dataclasses.replace(config, seed=args.seed)
     summary, rows = pipeline.monte_carlo(config)
     if args.out:
         pipeline.write_monte_carlo_csv(args.out, summary, rows)

@@ -30,6 +30,7 @@ from .scene import (
     PingerSource,
     Scenario,
     Vec3,
+    config_from_dict,
     default_array,
     octant_of,
     true_azimuth_elevation,
@@ -273,18 +274,22 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if not self.ranges or not self.snr_db:
             raise ConfigError("ranges and snr_db must be non-empty")
         # A placement at radius r clears every octant plane by ``clearance``
-        # only if r > sqrt(3) * clearance; the sampler would loop forever.
-        min_range = math.sqrt(3.0) * self.clearance
+        # only if r > sqrt(3) * clearance, and the rejection sampler slows
+        # without bound toward that limit: at 1.75 * clearance it accepts
+        # 1.6e-4 of the directions it draws, at 2 * clearance 2.6e-2.
+        min_range = 2.0 * self.clearance
         reach = max(np.linalg.norm(p.as_array()) for p in default_array().all_positions())
         for radius in self.ranges:
             if radius <= 0:
                 raise ConfigError(f"ranges must be > 0, got {radius}")
-            if radius <= min_range:
+            if radius < min_range:
                 raise ConfigError(f"range {radius} m cannot clear every octant plane by "
-                                  f"{self.clearance} m (needs > {min_range:.4g} m)")
+                                  f"{self.clearance} m (needs >= {min_range:.4g} m)")
             if (radius + reach) / self.sound_speed >= self.repetition_interval:
                 raise ConfigError(f"range {radius} m: the ping can arrive after the "
                                   f"{self.repetition_interval} s repetition interval")
@@ -306,24 +311,7 @@ class MonteCarloSummary:
 
 
 def monte_carlo_config_from_dict(doc: dict) -> MonteCarloConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("eval config must be a JSON object")
-    for key in ("ranges", "snr_db", "trials"):
-        if key not in doc:
-            raise ConfigError(f"eval config missing required field '{key}'")
-    kwargs = {}
-    for name in ("seed", "trials"):
-        if name in doc:
-            kwargs[name] = int(doc[name])
-    for name in ("success_threshold_deg", "clearance", "sample_rate", "sound_speed",
-                 "carrier_freq", "ping_duration", "repetition_interval"):
-        if name in doc:
-            kwargs[name] = float(doc[name])
-    return MonteCarloConfig(
-        ranges=tuple(float(r) for r in doc["ranges"]),
-        snr_db=tuple(None if s is None else float(s) for s in doc["snr_db"]),
-        **kwargs,
-    )
+    return config_from_dict(MonteCarloConfig, doc, "eval")
 
 
 def _azimuth_error_deg(est: float, true: float) -> float:
@@ -350,7 +338,6 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
     position = _sample_position(rng, radius, config.clearance)
 
     scenario = Scenario(
-        array=default_array(),
         pinger=PingerSource(position=position, frequency=config.carrier_freq,
                             ping_duration=config.ping_duration,
                             repetition_interval=config.repetition_interval),

@@ -10,8 +10,11 @@ plane, in degrees [-90, 90].
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -34,6 +37,8 @@ __all__ = [
     "octant_of",
     "default_array",
     "default_scenario",
+    "config_from_dict",
+    "load_config",
     "scenario_from_dict",
     "scenario_to_dict",
     "load_scenario",
@@ -236,11 +241,36 @@ class ChannelModel:
             raise ConfigError(f"analog_order must be even and >= 2, got {self.analog_order}")
 
 
+def default_array() -> HydrophoneArray:
+    """Stand-in geometry: the precise quad is a regular tetrahedron of edge
+    15 mm (all six pairs under the 40 kHz half-wavelength, and non-coplanar
+    so a single bearing fits the pairwise delays), centered forward and below
+    deck at (0.2, 0, -0.1). The coarse quad shares a corner and offsets one
+    axis at a time, so the widest pair along each axis differs on that axis
+    only and straddles the origin there.
+    """
+    s = 0.015 / (2.0 * math.sqrt(2.0))  # tetrahedron edge 15 mm
+    center = np.array([0.2, 0.0, -0.1])
+    tetra = np.array(
+        [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
+    ) * s + center
+    precise = tuple(Vec3.from_array(row) for row in tetra)
+    coarse = (
+        Vec3(0.3, 0.2, 0.15),
+        Vec3(-0.3, 0.2, 0.15),
+        Vec3(0.3, -0.2, 0.15),
+        Vec3(0.3, 0.2, -0.15),
+    )
+    return HydrophoneArray(precise=precise, coarse=coarse)
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Full description of one simulated capture."""
+    """Full description of one simulated capture. ``array`` is keyword-only
+    so that it can default while staying the first field (and first key of
+    the JSON document)."""
 
-    array: HydrophoneArray
+    array: HydrophoneArray = field(default_factory=default_array, kw_only=True)
     pinger: PingerSource
     sound_speed: float = DEFAULT_SOUND_SPEED
     sample_rate: float = DEFAULT_SAMPLE_RATE
@@ -345,156 +375,84 @@ def validate_array(array: HydrophoneArray, frequency: float, sound_speed: float)
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def default_array() -> HydrophoneArray:
-    """Stand-in geometry: the precise quad is a regular tetrahedron of edge
-    15 mm (all six pairs under the 40 kHz half-wavelength, and non-coplanar
-    so a single bearing fits the pairwise delays), centered forward and below
-    deck at (0.2, 0, -0.1). The coarse quad shares a corner and offsets one
-    axis at a time, so the widest pair along each axis differs on that axis
-    only and straddles the origin there.
-    """
-    s = 0.015 / (2.0 * math.sqrt(2.0))  # tetrahedron edge 15 mm
-    center = np.array([0.2, 0.0, -0.1])
-    tetra = np.array(
-        [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
-    ) * s + center
-    precise = tuple(Vec3.from_array(row) for row in tetra)
-    coarse = (
-        Vec3(0.3, 0.2, 0.15),
-        Vec3(-0.3, 0.2, 0.15),
-        Vec3(0.3, -0.2, 0.15),
-        Vec3(0.3, 0.2, -0.15),
-    )
-    return HydrophoneArray(precise=precise, coarse=coarse)
-
-
 def default_scenario(pinger_position: Vec3, **overrides) -> Scenario:
     """Scenario with the default array, carrier, and front end. Keyword
     overrides map onto Scenario fields; ``pinger`` overrides win over
     ``pinger_position``."""
     pinger = overrides.pop("pinger", PingerSource(position=pinger_position))
-    return Scenario(array=default_array(), pinger=pinger, **overrides)
+    return Scenario(pinger=pinger, **overrides)
 
 
 # --- JSON configuration -----------------------------------------------------
 #
-# A scenario serializes as one JSON document whose keys mirror the dataclass
-# fields. This file is the single input to the CLI.
+# A config file is one JSON document whose keys mirror the dataclass fields.
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"{context} missing required field '{key}'")
-    return mapping[key]
+def _decode(tp, value, path: str):
+    if dataclasses.is_dataclass(tp):
+        return config_from_dict(tp, value, path)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (inner,) = (a for a in args if a is not type(None))
+        return _decode(inner, value, path)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        return tuple(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if tp not in (int, float):
+        raise TypeError(f"{path}: no config decoding for {tp!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: number too large") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite, got {number!r}")
+    if tp is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return int(value)
 
 
-def _vec3_from_dict(d: dict, context: str) -> Vec3:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{context} must be an object with x, y, z")
-    return Vec3(
-        float(_require(d, "x", context)),
-        float(_require(d, "y", context)),
-        float(_require(d, "z", context)),
-    )
-
-
-def _vec3_to_dict(v: Vec3) -> dict:
-    return {"x": v.x, "y": v.y, "z": v.z}
-
-
-def _array_from_dict(d: dict) -> HydrophoneArray:
-    precise = [_vec3_from_dict(p, "array.precise entry") for p in _require(d, "precise", "array")]
-    coarse = [_vec3_from_dict(p, "array.coarse entry") for p in _require(d, "coarse", "array")]
-    labels = d.get("labels", list(range(8)))
-    return HydrophoneArray(precise=tuple(precise), coarse=tuple(coarse), labels=tuple(labels))
-
-
-def _pinger_from_dict(d: dict) -> PingerSource:
-    pos = _vec3_from_dict(_require(d, "position", "pinger"), "pinger.position")
+def config_from_dict(cls, doc, context: str):
+    """Build the config dataclass ``cls`` from a parsed JSON object, decoding
+    each field by its type annotation. Bad input raises ``ConfigError`` naming
+    the field's path under ``context``, e.g. ``scenario.array.precise[2].x``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context}: expected an object, got {type(doc).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(f"{context}.{key}: unknown field")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
-    for name in ("frequency", "ping_duration", "repetition_interval", "amplitude"):
-        if name in d:
-            kwargs[name] = float(d[name])
-    return PingerSource(position=pos, **kwargs)
+    for name, f in fields.items():
+        if name in doc:
+            kwargs[name] = _decode(hints[name], doc[name], f"{context}.{name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{context}.{name}: missing required field")
+    return cls(**kwargs)
 
 
-def _noise_from_dict(d: dict) -> NoiseSpec:
-    kwargs = {}
-    for name in ("white_sigma", "interferer_amp", "interferer_freq", "lowfreq_amp", "lowfreq_cutoff"):
-        if name in d:
-            kwargs[name] = float(d[name])
-    return NoiseSpec(**kwargs)
-
-
-def _front_end_from_dict(d: dict) -> ChannelModel:
-    kwargs = {}
-    for name in ("gain", "analog_band_low", "analog_band_high"):
-        if name in d:
-            kwargs[name] = float(d[name])
-    if "analog_order" in d:
-        kwargs["analog_order"] = int(d["analog_order"])
-    return ChannelModel(**kwargs)
+def load_config(cls, path: str | Path, context: str):
+    """``config_from_dict`` on the JSON file at ``path``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"cannot read {context} file {path}: {exc}") from exc
+    return config_from_dict(cls, doc, context)
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    if not isinstance(d, dict):
-        raise ConfigError("scenario must be a JSON object")
-    pinger = _pinger_from_dict(_require(d, "pinger", "scenario"))
-    array = _array_from_dict(d["array"]) if "array" in d else default_array()
-    kwargs = {}
-    for name in ("sound_speed", "sample_rate", "record_duration"):
-        if name in d:
-            kwargs[name] = float(d[name])
-    if "noise" in d:
-        kwargs["noise"] = _noise_from_dict(d["noise"])
-    if "front_end" in d:
-        kwargs["front_end"] = _front_end_from_dict(d["front_end"])
-    if "seed" in d:
-        kwargs["seed"] = int(d["seed"])
-    return Scenario(array=array, pinger=pinger, **kwargs)
+    return config_from_dict(Scenario, d, "scenario")
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "array": {
-            "precise": [_vec3_to_dict(p) for p in s.array.precise],
-            "coarse": [_vec3_to_dict(p) for p in s.array.coarse],
-            "labels": list(s.array.labels),
-        },
-        "pinger": {
-            "position": _vec3_to_dict(s.pinger.position),
-            "frequency": s.pinger.frequency,
-            "ping_duration": s.pinger.ping_duration,
-            "repetition_interval": s.pinger.repetition_interval,
-            "amplitude": s.pinger.amplitude,
-        },
-        "sound_speed": s.sound_speed,
-        "sample_rate": s.sample_rate,
-        "record_duration": s.record_duration,
-        "noise": {
-            "white_sigma": s.noise.white_sigma,
-            "interferer_amp": s.noise.interferer_amp,
-            "interferer_freq": s.noise.interferer_freq,
-            "lowfreq_amp": s.noise.lowfreq_amp,
-            "lowfreq_cutoff": s.noise.lowfreq_cutoff,
-        },
-        "front_end": {
-            "gain": s.front_end.gain,
-            "analog_band_low": s.front_end.analog_band_low,
-            "analog_band_high": s.front_end.analog_band_high,
-            "analog_order": s.front_end.analog_order,
-        },
-        "seed": s.seed,
-    }
+scenario_to_dict = dataclasses.asdict
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+    return load_config(Scenario, path, "scenario")

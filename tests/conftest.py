@@ -3,6 +3,7 @@ import pytest
 
 from pingerloc import (
     DelayEstimate,
+    DivergedError,
     NoiseSpec,
     PingerSource,
     Scenario,
@@ -10,6 +11,7 @@ from pingerloc import (
     Vec3,
     default_array,
     render_scene,
+    solver,
 )
 
 SOUND_SPEED = 1480.0
@@ -67,3 +69,11 @@ def std_scenario():
 @pytest.fixture(scope="session")
 def std_recording(std_scenario):
     return render_scene(std_scenario)
+
+
+@pytest.fixture()
+def diverging_solver(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise DivergedError("diverged: forced")
+
+    monkeypatch.setattr(solver, "gradient_descent", diverge)

@@ -9,7 +9,8 @@ import pytest
 
 import pingerloc
 from pingerloc import read_recording, scenario_to_dict
-from pingerloc.cli import EXIT_CONFIG, EXIT_NO_PING, EXIT_OK, main
+from pingerloc import solver
+from pingerloc.cli import EXIT_CONFIG, EXIT_NO_PING, EXIT_OK, EXIT_PING_FAILED, main
 from conftest import fast_scenario
 from pingerloc import MultiChannelRecording, Vec3, write_recording
 
@@ -71,6 +72,47 @@ def test_missing_pinger_field_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps({"sound_speed": 1480.0}))
     assert main(["localize", "--config", str(path)]) == EXIT_CONFIG
     assert "pinger" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("localize", {"pinger": {"position": {"x": 10.0, "y": 5.0, "z": -2.0}}, "noise": 5},
+     "scenario.noise"),
+    ("montecarlo", {"ranges": [10.0], "snr_db": [None], "trials": 1, "clearence": 3},
+     "eval.clearence"),
+], ids=["scenario-noise-number", "eval-unknown-key"])
+def test_malformed_config_is_config_error(tmp_path, capsys, command, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+
+
+def test_ping_failure_exit_code(scenario_path, capsys, diverging_solver):
+    assert main(["localize", "--config", str(scenario_path)]) == EXIT_PING_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: DivergedError: diverged: forced\n"
+
+
+def test_ping_failure_keeps_earlier_reports(tmp_path, monkeypatch):
+    scenario = fast_scenario(Vec3(10.0, 5.0, -2.0), record_duration=0.1,
+                             repetition_interval=0.05)
+    path = tmp_path / "two_pings.json"
+    path.write_text(json.dumps(scenario_to_dict(scenario)))
+    real = solver.gradient_descent
+    calls = []
+
+    def second_diverges(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise solver.DivergedError("diverged: forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "gradient_descent", second_diverges)
+    out = tmp_path / "reports.ndjson"
+    assert main(["localize", "--config", str(path), "--out", str(out)]) == EXIT_PING_FAILED
+    assert [json.loads(line)["ping_index"] for line in out.read_text().splitlines()] == [0]
 
 
 def test_no_ping_exit_code(scenario_path, tmp_path, capsys):

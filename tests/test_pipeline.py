@@ -17,7 +17,6 @@ from pingerloc import (
     true_azimuth_elevation,
     write_monte_carlo_csv,
 )
-from pingerloc import solver
 from pingerloc.pipeline import (
     FAILED_TRIAL_AZ_ERROR,
     _filter_channels,
@@ -27,14 +26,6 @@ from pingerloc.pipeline import (
     white_sigma_for_snr,
 )
 from conftest import FS, fast_scenario
-
-
-@pytest.fixture()
-def diverging_solver(monkeypatch):
-    def diverge(*args, **kwargs):
-        raise DivergedError("diverged: forced")
-
-    monkeypatch.setattr(solver, "gradient_descent", diverge)
 
 
 class TestRunLocalization:
@@ -230,9 +221,12 @@ class TestMonteCarlo:
         # No direction at 1 m clears every octant plane by the default 1 m.
         (1.0, "clear"),
         (np.sqrt(3.0), "clear"),
+        # Feasible, but the sampler would accept only ~1% of its draws.
+        (1.9, "clear"),
         # The ping reaches the array after the 50 ms repetition interval.
         (80.0, "repetition interval"),
-    ], ids=["negative", "zero", "below-clearance", "at-clearance", "arrives-late"])
+    ], ids=["negative", "zero", "below-clearance", "at-clearance", "below-twice-clearance",
+            "arrives-late"])
     def test_infeasible_range_rejected(self, radius, match):
         with pytest.raises(ConfigError, match=match):
             MonteCarloConfig(ranges=(10.0, radius), snr_db=(None,), trials=1)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from pingerloc import (
     ConfigError,
+    load_scenario,
     HydrophoneArray,
     NoiseSpec,
     OctantId,
@@ -21,6 +24,7 @@ from pingerloc import (
     true_azimuth_elevation,
     validate_array,
 )
+from pingerloc.pipeline import monte_carlo_config_from_dict
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -228,3 +232,89 @@ class TestJson:
             {"pinger": {"position": {"x": 10.0, "y": 0.0, "z": 0.0}}})
         assert scenario.array == default_array()
         assert scenario.sample_rate == 500_000.0
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+QUICK = json.loads((CONFIGS / "scenario_quick.json").read_text())
+EVAL = json.loads((CONFIGS / "eval_small.json").read_text())
+DELETE = object()
+
+
+def replaced(doc, path, value):
+    """Deep copy of ``doc`` with the value at ``path`` (keys and list indices)
+    replaced, or removed if ``value`` is DELETE."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def json_paths(doc, prefix=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
+
+
+MALFORMED = [
+    ("noise-number", scenario_from_dict, QUICK, ("noise",), 5, r"scenario\.noise"),
+    ("noise-string", scenario_from_dict, QUICK, ("noise",), "loud", r"scenario\.noise"),
+    ("misspelled-key", scenario_from_dict, QUICK, ("nosie",), {}, r"scenario\.nosie"),
+    ("null-number", scenario_from_dict, QUICK, ("sound_speed",), None, "sound_speed"),
+    ("huge-int", scenario_from_dict, QUICK, ("sound_speed",), 10**400, "sound_speed"),
+    ("nan", scenario_from_dict, QUICK, ("sound_speed",), float("nan"), "sound_speed"),
+    ("bool-number", scenario_from_dict, QUICK, ("sound_speed",), True, "sound_speed"),
+    ("fractional-seed", scenario_from_dict, QUICK, ("seed",), 2.7, "seed"),
+    ("number-list", scenario_from_dict, QUICK, ("array", "precise"), 3, r"array\.precise"),
+    ("nested-string", scenario_from_dict, QUICK, ("array", "precise", 2, "x"), "0.2",
+     r"scenario\.array\.precise\[2\]\.x"),
+    ("missing-nested", scenario_from_dict, QUICK, ("pinger", "position"), DELETE,
+     r"pinger\.position"),
+    ("eval-number-list", monte_carlo_config_from_dict, EVAL, ("ranges",), 5, "ranges"),
+    ("eval-misspelled-key", monte_carlo_config_from_dict, EVAL, ("clearence",), 3, "clearence"),
+    ("eval-fractional-trials", monte_carlo_config_from_dict, EVAL, ("trials",), 1.9, "trials"),
+    ("eval-missing", monte_carlo_config_from_dict, EVAL, ("trials",), DELETE, "trials"),
+    ("eval-negative-seed", monte_carlo_config_from_dict, EVAL, ("seed",), -1, "seed"),
+    ("eval-bool-in-list", monte_carlo_config_from_dict, EVAL, ("snr_db", 1), True,
+     r"snr_db\[1\]"),
+    ("eval-inf-in-list", monte_carlo_config_from_dict, EVAL, ("ranges", 0), float("inf"),
+     r"ranges\[0\]"),
+]
+
+
+class TestConfigCodec:
+    @pytest.mark.parametrize("case, decode, base, path, value, match", MALFORMED,
+                             ids=[m[0] for m in MALFORMED])
+    def test_malformed_document_names_field(self, case, decode, base, path, value, match):
+        with pytest.raises(ConfigError, match=match):
+            decode(replaced(base, path, value))
+
+    def test_integral_numbers_load_as_before(self):
+        scenario = scenario_from_dict(replaced(QUICK, ("seed",), 3.0))
+        assert scenario.seed == 3 and isinstance(scenario.seed, int)
+        assert scenario_from_dict(replaced(QUICK, ("sound_speed",), 1500)).sound_speed == 1500.0
+
+    @pytest.mark.parametrize("name", ["scenario_quick.json", "scenario_default.json"])
+    def test_config_file_round_trips_byte_for_byte(self, name):
+        text = (CONFIGS / name).read_text()
+        assert json.dumps(scenario_to_dict(load_scenario(CONFIGS / name)), indent=2) + "\n" == text
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                    max_size=4),
+        max_leaves=8)
+
+    @given(st.sampled_from(list(json_paths(QUICK))), json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_any_replaced_value_loads_or_is_config_error(self, path, value):
+        try:
+            assert isinstance(scenario_from_dict(replaced(QUICK, path, value)), Scenario)
+        except ConfigError:
+            pass
