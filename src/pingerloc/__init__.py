@@ -40,7 +40,6 @@ from .dsp import (
     NoPingError,
     TdoaSet,
     UnstableWindowError,
-    WindowParams,
     design_bandpass,
     detect_ping,
     estimate_delay,

@@ -7,9 +7,10 @@ Subcommands:
     validate    array geometry check against the carrier
 
 Exit codes: 0 success (localize: every report converged), 1 configuration or
-usage error, 2 no ping found, 3 reports emitted but at least one solve did
-not converge, 4 a ping failed after detection (unstable window, unresolvable
-axis, singular geometry or divergence; reports already written stay).
+usage error, or a file that cannot be read or written, 2 no ping found,
+3 reports emitted but at least one solve did not converge, 4 a ping failed
+after detection (unstable window, unresolvable axis, singular geometry or
+divergence; reports already written stay).
 """
 
 from __future__ import annotations
@@ -113,6 +114,9 @@ def _cmd_montecarlo(args) -> int:
     config = scene.load_config(pipeline.MonteCarloConfig, args.config, "eval")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    if args.out:
+        # Fail on an unwritable path now, not after the whole grid has run.
+        open(args.out, "w").close()
     summary, rows = pipeline.monte_carlo(config)
     if args.out:
         pipeline.write_monte_carlo_csv(args.out, summary, rows)
@@ -152,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     except scene.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (rec.RecordingFormatError, ValueError) as exc:
+    except (rec.RecordingFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -22,7 +22,6 @@ __all__ = [
     "BiquadCascade",
     "DelayEstimate",
     "TdoaSet",
-    "WindowParams",
     "NoPingError",
     "UnstableWindowError",
     "DegenerateSignalError",
@@ -32,6 +31,21 @@ __all__ = [
     "estimate_delay",
     "select_stable_window",
 ]
+
+# Stable-window search. Candidate windows start every WINDOW_HOP seconds from
+# the onset; each is split into NUM_SUBWINDOWS slices, and the summed variance
+# of the six pair delays across the slices scores it. A winning score above
+# (MAX_DELAY_SPREAD_SAMPLES / fs)^2 marks the ping as unstable.
+WINDOW_DURATION = 2e-3  # s
+WINDOW_HOP = 0.5e-3  # s
+NUM_WINDOWS = 8
+NUM_SUBWINDOWS = 4
+MAX_DELAY_SPREAD_SAMPLES = 0.5
+# Seconds from the onset to the end of the last candidate window.
+SEARCH_SPAN = (NUM_WINDOWS - 1) * WINDOW_HOP + WINDOW_DURATION
+
+# The six precise-quad pairs as (i, j) indices into the quad, i < j.
+_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 
 class NoPingError(RuntimeError):
@@ -109,26 +123,6 @@ class TdoaSet:
     pairwise: tuple[DelayEstimate, ...]
     coarse_arrivals: dict[int, float]
     window: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class WindowParams:
-    """Tuning for the stable-window search. ``max_variance`` is the cap on
-    the summed (over pairs) delay variance across sub-windows, in seconds
-    squared; None means half a sample period squared at the recording rate."""
-
-    window_duration: float = 2e-3
-    hop: float = 0.5e-3
-    num_windows: int = 8
-    num_subwindows: int = 4
-    k_threshold: float = 5.0
-    rms_window: float = 1e-3
-    max_variance: float | None = None
-    sound_speed: float = 1480.0
-    # Extra correlation lags beyond the physical bound. Keep at 0: with
-    # sub-half-wavelength spacing the physical bound excludes the correlation
-    # peaks one carrier cycle off; widening the search re-admits them.
-    lag_margin: int = 0
 
 
 def design_bandpass(order: int, f_lo: float, f_hi: float, fs: float) -> BiquadCascade:
@@ -215,37 +209,27 @@ def estimate_delay(a: np.ndarray, b: np.ndarray, fs: float, max_lag_samples: int
     return DelayEstimate(pair=(-1, -1), delta_t=lag / fs, peak_correlation=peak)
 
 
-def _pair_indices() -> list[tuple[int, int]]:
-    return [(i, j) for i in range(4) for j in range(i + 1, 4)]
-
-
-def _window_pair_delays(filtered: list[np.ndarray], start: int, length: int,
-                        fs: float, max_lag: int) -> np.ndarray | None:
-    """Delays (seconds) for all six precise pairs over one slice, or None if
-    any slice has no energy."""
-    slices = [ch[start : start + length] for ch in filtered]
-    delays = np.empty(6)
-    for idx, (i, j) in enumerate(_pair_indices()):
-        try:
-            delays[idx] = estimate_delay(slices[i], slices[j], fs, max_lag).delta_t
-        except DegenerateSignalError:
-            return None
-    return delays
+def _pair_delays(precise: list[np.ndarray], start: int, length: int, fs: float,
+                 max_lag: int) -> list[DelayEstimate]:
+    """estimate_delay over one slice of the precise quad, for each pair in
+    _PAIRS order. Raises DegenerateSignalError if a slice has no energy."""
+    slices = [ch[start : start + length] for ch in precise]
+    return [estimate_delay(slices[i], slices[j], fs, max_lag) for i, j in _PAIRS]
 
 
 def select_stable_window(recording: MultiChannelRecording, cascade: BiquadCascade,
-                         array: HydrophoneArray, params: WindowParams | None = None,
+                         array: HydrophoneArray, sound_speed: float,
                          start_sample: int = 0) -> TdoaSet:
     """Filter all channels, find the ping onset on the reference (first
     precise) channel, then slide overlapping candidate windows from the onset
     and keep the one whose six pairwise delays are most repeatable across
     sub-windows. Returns the TdoaSet measured over the winning window, plus
-    per-channel coarse onsets.
+    per-channel coarse onsets. ``sound_speed`` (m/s, the scenario's) bounds
+    every delay by the widest precise spacing over it.
 
     ``start_sample`` restricts the onset search to samples at or after it,
     which lets a caller step through successive ping repetitions.
     """
-    params = params or WindowParams()
     fs = recording.sample_rate
     if recording.channel_count != 8:
         raise ValueError(f"expected 8 channels, got {recording.channel_count}")
@@ -254,11 +238,11 @@ def select_stable_window(recording: MultiChannelRecording, cascade: BiquadCascad
         ch: filter_signal(cascade, recording.channels[ch])
         for ch in range(recording.channel_count)
     }
-    return tdoa_from_filtered(filtered_by_channel, fs, array, params, start_sample)
+    return tdoa_from_filtered(filtered_by_channel, fs, array, sound_speed, start_sample)
 
 
 def tdoa_from_filtered(filtered_by_channel: dict[int, np.ndarray], fs: float,
-                       array: HydrophoneArray, params: WindowParams,
+                       array: HydrophoneArray, sound_speed: float,
                        start_sample: int = 0, diagnostics: dict | None = None) -> TdoaSet:
     """Stable-window search on already-filtered channels; see
     select_stable_window. If ``diagnostics`` is a dict it is filled with the
@@ -270,22 +254,26 @@ def tdoa_from_filtered(filtered_by_channel: dict[int, np.ndarray], fs: float,
 
     ref = filtered_by_channel[ref_channel][start_sample:]
     try:
-        onset_rel = detect_ping(ref, fs, params.k_threshold, params.rms_window)
+        onset_rel = detect_ping(ref, fs)
     except NoPingError:
         raise NoPingError(f"no ping detected on reference channel {ref_channel}") from None
     onset = start_sample + onset_rel
 
-    win_len = int(round(params.window_duration * fs))
-    hop = max(1, int(round(params.hop * fs)))
-    sub_len = win_len // params.num_subwindows
+    win_len = int(round(WINDOW_DURATION * fs))
+    hop = max(1, int(round(WINDOW_HOP * fs)))
+    sub_len = win_len // NUM_SUBWINDOWS
     if sub_len < 2:
-        raise ValueError("window too short for the configured sub-window count")
+        raise ValueError(f"sample rate {fs} Hz too low for {NUM_SUBWINDOWS} sub-windows "
+                         f"of a {WINDOW_DURATION} s window")
 
-    max_lag = int(math.ceil(array.max_precise_spacing() / params.sound_speed * fs)) + params.lag_margin
-    max_lag = min(max_lag, sub_len - 1)
+    # No true delay can exceed the widest spacing over c. The lag search stays
+    # inside it: with sub-half-wavelength spacing that excludes the
+    # correlation peaks one carrier cycle off.
+    max_delay = array.max_precise_spacing() / sound_speed
+    max_lag = int(math.ceil(max_delay * fs))
 
     precise = [filtered_by_channel[ch] for ch in array.precise_channels]
-    starts = [onset + k * hop for k in range(params.num_windows)
+    starts = [onset + k * hop for k in range(NUM_WINDOWS)
               if onset + k * hop + win_len <= n_total]
     if not starts:
         raise NoPingError("no ping: recording too short for one analysis window after onset")
@@ -294,17 +282,15 @@ def tdoa_from_filtered(filtered_by_channel: dict[int, np.ndarray], fs: float,
     # delays across its sub-windows; a window overlapping a glitch or the
     # burst's tail scores high and loses.
     scores = np.full(len(starts), np.inf)
+    sub_max_lag = min(max_lag, sub_len - 1)
     for w, start in enumerate(starts):
-        sub_delays = np.empty((params.num_subwindows, 6))
-        ok = True
-        for s in range(params.num_subwindows):
-            delays = _window_pair_delays(precise, start + s * sub_len, sub_len, fs, max_lag)
-            if delays is None:
-                ok = False
-                break
-            sub_delays[s] = delays
-        if ok:
-            scores[w] = float(np.var(sub_delays, axis=0, ddof=1).sum())
+        try:
+            sub_delays = [[est.delta_t for est in _pair_delays(precise, start + s * sub_len,
+                                                                sub_len, fs, sub_max_lag)]
+                          for s in range(NUM_SUBWINDOWS)]
+        except DegenerateSignalError:
+            continue
+        scores[w] = float(np.var(sub_delays, axis=0, ddof=1).sum())
 
     best = int(np.argmin(scores))
     best_var = float(scores[best])
@@ -314,39 +300,27 @@ def tdoa_from_filtered(filtered_by_channel: dict[int, np.ndarray], fs: float,
         diagnostics["chosen_candidate"] = best
     if not np.isfinite(best_var):
         raise UnstableWindowError("unstable window: no candidate produced usable delays")
-    max_variance = params.max_variance if params.max_variance is not None else (0.5 / fs) ** 2
+    max_variance = (MAX_DELAY_SPREAD_SAMPLES / fs) ** 2
     if best_var > max_variance:
         raise UnstableWindowError(
             f"unstable window: best summed delay variance {best_var:.3e} s^2 "
             f"exceeds limit {max_variance:.3e} s^2"
         )
 
+    # Noise-pushed estimates snap back to the feasible interval. The winning
+    # window's sub-windows all had energy, so its own slices have too.
     chosen = starts[best]
-    full_max_lag = min(
-        int(math.ceil(array.max_precise_spacing() / params.sound_speed * fs)) + params.lag_margin,
-        win_len - 1,
-    )
-    # No true delay can exceed the widest spacing over c; noise-pushed
-    # estimates snap back to the feasible interval.
-    bound = array.max_precise_spacing() / params.sound_speed
-    pairwise = []
     channels = array.precise_channels
-    for i, j in _pair_indices():
-        est = estimate_delay(
-            precise[i][chosen : chosen + win_len],
-            precise[j][chosen : chosen + win_len],
-            fs,
-            full_max_lag,
-        )
-        pairwise.append(DelayEstimate(pair=(channels[i], channels[j]),
-                                      delta_t=float(np.clip(est.delta_t, -bound, bound)),
-                                      peak_correlation=est.peak_correlation))
+    final = _pair_delays(precise, chosen, win_len, fs, min(max_lag, win_len - 1))
+    pairwise = tuple(DelayEstimate(pair=(channels[i], channels[j]),
+                                   delta_t=float(np.clip(est.delta_t, -max_delay, max_delay)),
+                                   peak_correlation=est.peak_correlation)
+                     for (i, j), est in zip(_PAIRS, final))
 
     coarse_arrivals = {}
     for ch in array.coarse_channels:
         try:
-            idx = detect_ping(filtered_by_channel[ch][start_sample:], fs,
-                              params.k_threshold, params.rms_window)
+            idx = detect_ping(filtered_by_channel[ch][start_sample:], fs)
         except NoPingError:
             raise NoPingError(f"no ping detected on coarse channel {ch}") from None
         coarse_arrivals[ch] = (start_sample + idx) / fs
@@ -354,7 +328,7 @@ def tdoa_from_filtered(filtered_by_channel: dict[int, np.ndarray], fs: float,
     return TdoaSet(
         reference_channel=ref_channel,
         onset_time_abs=onset / fs,
-        pairwise=tuple(pairwise),
+        pairwise=pairwise,
         coarse_arrivals=coarse_arrivals,
         window=(chosen, win_len),
     )

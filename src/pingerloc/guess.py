@@ -38,8 +38,7 @@ class OctantGuess:
 
 
 def octant_guess(coarse_arrivals: Sequence[float], coarse_positions: Sequence[Vec3],
-                 sound_speed: float, init_range: float = DEFAULT_INIT_RANGE,
-                 min_margin: float = 0.0) -> OctantGuess:
+                 sound_speed: float, min_margin: float = 0.0) -> OctantGuess:
     """Classify the pinger's octant from the four coarse onsets.
 
     Per axis: take the pair with the largest separation along that axis
@@ -81,7 +80,8 @@ def octant_guess(coarse_arrivals: Sequence[float], coarse_positions: Sequence[Ve
     octant = OctantId(*bits)
     margin = float(min(margins))
     centroid = Vec3.from_array(positions.mean(axis=0))
-    init = initial_point(octant, init_range, centroid, sound_speed, float(arrivals.min()))
+    init = initial_point(octant, DEFAULT_INIT_RANGE, centroid, sound_speed,
+                         float(arrivals.min()))
     return OctantGuess(octant=octant, init=init, margin=margin,
                        low_confidence=margin < min_margin)
 

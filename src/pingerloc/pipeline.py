@@ -115,7 +115,7 @@ class PingOutcome:
 
 
 def localize_ping(filtered: dict[int, np.ndarray], fs: float, scenario: Scenario,
-                  params: dsp.WindowParams, start_sample: int) -> PingOutcome:
+                  start_sample: int) -> PingOutcome:
     """Localize the first ping at or after ``start_sample`` in the filtered
     channels. Failures in PING_ERRORS are caught and recorded on the outcome;
     anything else (a bad argument) raises."""
@@ -124,7 +124,7 @@ def localize_ping(filtered: dict[int, np.ndarray], fs: float, scenario: Scenario
     timing: dict[str, float] = {}
     try:
         t_stage = time.perf_counter()
-        tdoa = dsp.tdoa_from_filtered(filtered, fs, scenario.array, params,
+        tdoa = dsp.tdoa_from_filtered(filtered, fs, scenario.array, scenario.sound_speed,
                                       start_sample=start_sample, diagnostics=window_search)
         timing["tdoa"] = (time.perf_counter() - t_stage) * 1e3
 
@@ -156,8 +156,8 @@ def _filter_channels(recording: MultiChannelRecording, scenario: Scenario) -> di
             for ch, samples in enumerate(recording.channels)}
 
 
-def run_localization(scenario: Scenario, recording: MultiChannelRecording | None = None,
-                     window_params: dsp.WindowParams | None = None) -> Iterator[AzimuthReport]:
+def run_localization(scenario: Scenario,
+                     recording: MultiChannelRecording | None = None) -> Iterator[AzimuthReport]:
     """Yield one AzimuthReport per detected ping repetition, in time order.
 
     With ``recording`` None the scenario is rendered first; otherwise the
@@ -177,7 +177,6 @@ def run_localization(scenario: Scenario, recording: MultiChannelRecording | None
         raise ConfigError(f"expected an 8-channel recording, got {recording.channel_count}")
 
     fs = recording.sample_rate
-    params = window_params or dsp.WindowParams(sound_speed=scenario.sound_speed)
     t_start = time.perf_counter()
     filtered = _filter_channels(recording, scenario)
     recording_timing["filter"] = (time.perf_counter() - t_start) * 1e3
@@ -185,14 +184,13 @@ def run_localization(scenario: Scenario, recording: MultiChannelRecording | None
     # After a ping is handled, resume the search just ahead of the next
     # repetition slot. Searching right after the burst instead would trip on
     # the filters' decaying tails in quiet recordings.
-    span = (params.num_windows - 1) * params.hop + params.window_duration
-    past_burst = max(scenario.pinger.ping_duration, span) + 2.5e-3
+    past_burst = max(scenario.pinger.ping_duration, dsp.SEARCH_SPAN) + 2.5e-3
     skip = int(round(max(scenario.pinger.repetition_interval - 2e-3, past_burst) * fs))
 
     cursor = 0
     ping_index = 0
     while True:
-        outcome = localize_ping(filtered, fs, scenario, params, cursor)
+        outcome = localize_ping(filtered, fs, scenario, cursor)
         if outcome.error is not None:
             if ping_index > 0 and isinstance(outcome.error, dsp.NoPingError):
                 return
@@ -278,6 +276,8 @@ class MonteCarloConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if not self.ranges or not self.snr_db:
             raise ConfigError("ranges and snr_db must be non-empty")
+        if self.sound_speed <= 0:
+            raise ConfigError(f"sound_speed must be > 0, got {self.sound_speed}")
         # A placement at radius r clears every octant plane by ``clearance``
         # only if r > sqrt(3) * clearance, and the rejection sampler slows
         # without bound toward that limit: at 1.75 * clearance it accepts
@@ -368,7 +368,7 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
     octant_true = octant_of(Vec3.from_array(position.as_array() - coarse_centroid))
 
     outcome = localize_ping(_filter_channels(recording, scenario), recording.sample_rate,
-                            scenario, dsp.WindowParams(sound_speed=scenario.sound_speed), 0)
+                            scenario, 0)
 
     row = {
         "trial": trial,

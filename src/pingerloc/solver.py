@@ -48,8 +48,15 @@ __all__ = [
 # ball around each one.
 SINGULAR_GUARD_RADIUS = 1e-3
 
+# Line search: the first trial step, the backtracking factor, and the Armijo
+# sufficient-decrease constant.
+_INITIAL_STEP = 1.0
+_BETA = 0.5
+_ARMIJO_C1 = 1e-4
 _ALPHA_MIN = 1e-20
 _ALPHA_MAX = 1e12
+# Per-iteration decrease of F (m^2) at or below which descent has converged.
+_F_TOL = 1e-24
 # Relative per-iteration decrease below which the step counts as stalled and
 # the forward-tracking probe runs.
 _REL_STALL = 1e-6
@@ -78,24 +85,15 @@ class Theta:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Gradient-descent tuning. Tolerances apply to the meters-scaled
-    objective F: grad_tol to its gradient norm, f_tol to its per-iteration
-    decrease."""
+    """Gradient-descent budget and gradient tolerance. grad_tol applies to
+    the gradient norm of the meters-scaled objective F."""
 
-    step_size: float = 1.0
     max_iters: int = 5000
     grad_tol: float = 1e-10
-    f_tol: float = 1e-24
-    beta: float = 0.5
-    armijo_c1: float = 1e-4
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
-        if self.grad_tol <= 0 or self.f_tol <= 0:
-            raise ValueError("tolerances must be > 0")
-        if not (0 < self.beta < 1):
-            raise ValueError("beta must be in (0, 1)")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be > 0")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
 
@@ -230,8 +228,8 @@ def objective_and_gradient(theta: Theta, tdoa: TdoaSet, array: HydrophoneArray,
 def gradient_descent(init: Theta, tdoa: TdoaSet, array: HydrophoneArray,
                      sound_speed: float, params: SolverParams | None = None) -> SolverResult:
     """Minimize F from ``init``. Stops on gradient norm, on objective
-    decrease below f_tol, or on the iteration budget; ``converged`` is set
-    only for the tolerance stops. Bearing angles are reported for
+    decrease at or below _F_TOL, or on the iteration budget; ``converged`` is
+    set only for the tolerance stops. Bearing angles are reported for
     (position - precise-quad centroid)."""
     params = params or SolverParams()
     prob = _Problem(tdoa, array, sound_speed)
@@ -242,7 +240,7 @@ def gradient_descent(init: Theta, tdoa: TdoaSet, array: HydrophoneArray,
     if not np.isfinite(F):
         raise DivergedError("diverged: non-finite objective at initial point")
 
-    alpha = params.step_size
+    alpha = _INITIAL_STEP
     q_prev: np.ndarray | None = None
     g_prev: np.ndarray | None = None
     iterations = 0
@@ -273,29 +271,29 @@ def gradient_descent(init: Theta, tdoa: TdoaSet, array: HydrophoneArray,
         while trial >= _ALPHA_MIN:
             q_new = q - trial * g
             F_new = prob.objective(q_new)
-            if np.isfinite(F_new) and F_new <= F - params.armijo_c1 * trial * gg:
+            if np.isfinite(F_new) and F_new <= F - _ARMIJO_C1 * trial * gg:
                 accepted = True
                 break
-            trial *= params.beta
+            trial *= _BETA
         if not accepted:
             stop_reason = "line_search_failed"
             break
 
-        if F - F_new <= max(params.f_tol, F * _REL_STALL):
+        if F - F_new <= max(_F_TOL, F * _REL_STALL):
             # Negligible progress at the BB step. Before settling for it,
             # forward track: grow the step while Armijo still holds. This
             # rides out the nearly flat range valley, where the BB estimate
             # keeps relearning the stiff curvature scales; when the gradient
             # is valley-dominated the growing probes chain far out, and when
             # it is not the first probe fails and costs one evaluation.
-            probe = trial / params.beta
+            probe = trial / _BETA
             while probe <= _ALPHA_MAX:
                 F_probe = prob.objective(q - probe * g)
-                if np.isfinite(F_probe) and F_probe <= F - params.armijo_c1 * probe * gg:
+                if np.isfinite(F_probe) and F_probe <= F - _ARMIJO_C1 * probe * gg:
                     if F_probe < F_new:
                         trial, F_new = probe, F_probe
                         q_new = q - probe * g
-                    probe /= params.beta
+                    probe /= _BETA
                 else:
                     break
         alpha = trial
@@ -305,7 +303,7 @@ def gradient_descent(init: Theta, tdoa: TdoaSet, array: HydrophoneArray,
         q = q_new
         F, g = prob.objective_and_grad(q)
         iterations += 1
-        if decrease <= params.f_tol:
+        if decrease <= _F_TOL:
             converged = True
             stop_reason = "f_tol"
             break

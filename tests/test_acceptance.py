@@ -33,7 +33,7 @@ from pingerloc import (
     true_azimuth_elevation,
 )
 from pingerloc.cli import EXIT_OK, main
-from pingerloc.dsp import NoPingError, WindowParams
+from pingerloc.dsp import NoPingError
 from conftest import geometric_tdoa
 from test_dsp import multitone
 
@@ -102,8 +102,7 @@ def noiseless_trials():
         t0 = time.perf_counter()
         recording = render_scene(scenario)
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
-        tdoa = select_stable_window(recording, cascade, ARRAY,
-                                    WindowParams(sound_speed=C))
+        tdoa = select_stable_window(recording, cascade, ARRAY, C)
         arrivals = [tdoa.coarse_arrivals[ch] for ch in ARRAY.coarse_channels]
         guess = octant_guess(arrivals, list(ARRAY.coarse), C, min_margin=2.0 / FS)
         result = gradient_descent(guess.init, tdoa, ARRAY, C)

@@ -9,7 +9,7 @@ import pytest
 
 import pingerloc
 from pingerloc import read_recording, scenario_to_dict
-from pingerloc import solver
+from pingerloc import pipeline, solver
 from pingerloc.cli import EXIT_CONFIG, EXIT_NO_PING, EXIT_OK, EXIT_PING_FAILED, main
 from conftest import fast_scenario
 from pingerloc import MultiChannelRecording, Vec3, write_recording
@@ -124,6 +124,30 @@ def test_no_ping_exit_code(scenario_path, tmp_path, capsys):
                  "--recording", str(rec_path)])
     assert code == EXIT_NO_PING
     assert "no ping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, name", [
+    ("localize", "--recording", "rec.oogw"),
+    ("localize", "--out", "reports.ndjson"),
+    ("simulate", "--out", "rec.oogw"),
+    ("montecarlo", "--out", "mc.csv"),
+], ids=["localize-missing-recording", "localize-out", "simulate-out", "montecarlo-out"])
+def test_file_error_exits_1_without_traceback(scenario_path, tmp_path, capsys, monkeypatch,
+                                              command, flag, name):
+    config = scenario_path
+    if command == "montecarlo":
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({"ranges": [10.0], "snr_db": [None], "trials": 1}))
+
+    def grid_must_not_run(config):
+        raise AssertionError("the grid ran before --out was checked")
+
+    monkeypatch.setattr(pipeline, "monte_carlo", grid_must_not_run)
+    missing = tmp_path / "no_such_dir" / name
+    assert main([command, "--config", str(config), flag, str(missing)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
 
 
 def test_validate_ok_and_violations(scenario_path, tmp_path, capsys):

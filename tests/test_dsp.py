@@ -17,7 +17,7 @@ from pingerloc import (
     propagation_delay,
     select_stable_window,
 )
-from pingerloc.dsp import WindowParams, tdoa_from_filtered
+from pingerloc.dsp import tdoa_from_filtered
 from conftest import FS, SOUND_SPEED
 
 
@@ -218,10 +218,9 @@ class TestSelectStableWindow:
         array = std_scenario.array
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         diagnostics = {}
-        params = WindowParams(sound_speed=SOUND_SPEED)
         filtered = {ch: filter_signal(cascade, std_recording.channels[ch])
                     for ch in range(8)}
-        tdoa = tdoa_from_filtered(filtered, FS, array, params, diagnostics=diagnostics)
+        tdoa = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, diagnostics=diagnostics)
 
         assert len(tdoa.pairwise) == 6
         max_delay = array.max_precise_spacing() / SOUND_SPEED
@@ -251,8 +250,7 @@ class TestSelectStableWindow:
 
     def test_pairwise_consistency(self, std_recording, std_scenario):
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
-        tdoa = select_stable_window(std_recording, cascade, std_scenario.array,
-                                    WindowParams(sound_speed=SOUND_SPEED))
+        tdoa = select_stable_window(std_recording, cascade, std_scenario.array, SOUND_SPEED)
         delays = {est.pair: est.delta_t for est in tdoa.pairwise}
         channels = std_scenario.array.precise_channels
         for a in range(4):
@@ -279,9 +277,8 @@ class TestSelectStableWindow:
         glitched = MultiChannelRecording(sample_rate=FS, channels=channels)
 
         diagnostics = {}
-        params = WindowParams(sound_speed=SOUND_SPEED)
         filtered = {ch: filter_signal(cascade, glitched.channels[ch]) for ch in range(8)}
-        tdoa = tdoa_from_filtered(filtered, FS, array, params, diagnostics=diagnostics)
+        tdoa = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, diagnostics=diagnostics)
         # winning window must end before the glitch
         start, length = tdoa.window
         assert start + length <= glitch_start
@@ -293,21 +290,18 @@ class TestSelectStableWindow:
         short = MultiChannelRecording(
             sample_rate=FS, channels=std_recording.channels[:, :onset + 300].copy())
         with pytest.raises(NoPingError):
-            select_stable_window(short, cascade, std_scenario.array,
-                                 WindowParams(sound_speed=SOUND_SPEED))
+            select_stable_window(short, cascade, std_scenario.array, SOUND_SPEED)
 
     def test_no_ping_at_all(self, std_scenario):
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         silent = MultiChannelRecording(sample_rate=FS,
                                        channels=np.zeros((8, 30_000), dtype=np.float32))
         with pytest.raises(NoPingError):
-            select_stable_window(silent, cascade, std_scenario.array,
-                                 WindowParams(sound_speed=SOUND_SPEED))
+            select_stable_window(silent, cascade, std_scenario.array, SOUND_SPEED)
 
     def test_wrong_channel_count(self, std_scenario):
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         rec = MultiChannelRecording(sample_rate=FS,
                                     channels=np.zeros((4, 10_000), dtype=np.float32))
         with pytest.raises(ValueError, match="8 channels"):
-            select_stable_window(rec, cascade, std_scenario.array,
-                                 WindowParams(sound_speed=SOUND_SPEED))
+            select_stable_window(rec, cascade, std_scenario.array, SOUND_SPEED)

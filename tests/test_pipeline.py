@@ -1,5 +1,8 @@
+import dataclasses
 import gc
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from pingerloc import (
     NoiseSpec,
     NoPingError,
     Vec3,
-    WindowParams,
+    load_scenario,
     monte_carlo,
     run_localization,
     true_azimuth_elevation,
@@ -26,6 +29,8 @@ from pingerloc.pipeline import (
     white_sigma_for_snr,
 )
 from conftest import FS, fast_scenario
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestRunLocalization:
@@ -46,6 +51,22 @@ class TestRunLocalization:
         assert report.objective >= 0.0
         assert 0.0 <= report.azimuth < 360.0
         assert set(report.timing) == {"render", "filter", "tdoa", "guess", "solve"}
+
+    def test_non_default_sound_speed(self):
+        # configs/scenario_quick.json, noise and all, with sound at 1500 m/s:
+        # window search, guess and solve must each take the scenario's speed.
+        scenario = dataclasses.replace(load_scenario(CONFIGS / "scenario_quick.json"),
+                                       sound_speed=1500.0)
+        [report] = run_localization(scenario)
+        assert report.converged
+        centroid = scenario.array.precise_centroid().as_array()
+        true_az, _ = true_azimuth_elevation(
+            Vec3.from_array(scenario.pinger.position.as_array() - centroid))
+        assert abs((report.azimuth - true_az + 180) % 360 - 180) < 0.05
+        max_delay_us = scenario.array.max_precise_spacing() / 1500.0 * 1e6
+        delays_us = report.diagnostics["pair_delays_us"].values()
+        assert len(delays_us) == 6
+        assert all(abs(d) <= max_delay_us for d in delays_us)
 
     def test_one_report_per_repetition_in_order(self):
         scenario = fast_scenario(Vec3(10.0, 5.0, -2.0), record_duration=0.125,
@@ -118,8 +139,7 @@ class TestRunLocalization:
 
 
 def localize_first(scenario, recording, start_sample=0):
-    return localize_ping(_filter_channels(recording, scenario), FS, scenario,
-                         WindowParams(sound_speed=scenario.sound_speed), start_sample)
+    return localize_ping(_filter_channels(recording, scenario), FS, scenario, start_sample)
 
 
 class TestLocalizePing:
@@ -215,21 +235,26 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError):
             MonteCarloConfig(ranges=(10.0,), snr_db=(None,), trials=0)
 
-    @pytest.mark.parametrize("radius, match", [
-        (-5.0, "> 0"),
-        (0.0, "> 0"),
+    @pytest.mark.parametrize("radius, sound_speed, match", [
+        (-5.0, 1480.0, "> 0"),
+        (0.0, 1480.0, "> 0"),
         # No direction at 1 m clears every octant plane by the default 1 m.
-        (1.0, "clear"),
-        (np.sqrt(3.0), "clear"),
+        (1.0, 1480.0, "clear"),
+        (np.sqrt(3.0), 1480.0, "clear"),
         # Feasible, but the sampler would accept only ~1% of its draws.
-        (1.9, "clear"),
+        (1.9, 1480.0, "clear"),
         # The ping reaches the array after the 50 ms repetition interval.
-        (80.0, "repetition interval"),
+        (80.0, 1480.0, "repetition interval"),
+        (10.0, 0.0, "sound_speed must be > 0"),
+        (10.0, -1480.0, "sound_speed must be > 0"),
     ], ids=["negative", "zero", "below-clearance", "at-clearance", "below-twice-clearance",
-            "arrives-late"])
-    def test_infeasible_range_rejected(self, radius, match):
-        with pytest.raises(ConfigError, match=match):
-            MonteCarloConfig(ranges=(10.0, radius), snr_db=(None,), trials=1)
+            "arrives-late", "sound-speed-zero", "sound-speed-negative"])
+    def test_infeasible_range_rejected(self, radius, sound_speed, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=match):
+                MonteCarloConfig(ranges=(10.0, radius), snr_db=(None,), trials=1,
+                                 sound_speed=sound_speed)
 
     def test_feasibility_follows_clearance_and_interval(self):
         MonteCarloConfig(ranges=(1.0,), snr_db=(None,), trials=1, clearance=0.5)

@@ -246,10 +246,6 @@ class TestGradientDescent:
 
     def test_solver_params_validation(self):
         with pytest.raises(ValueError):
-            SolverParams(step_size=0.0)
-        with pytest.raises(ValueError):
-            SolverParams(beta=1.0)
-        with pytest.raises(ValueError):
             SolverParams(max_iters=-1)
         with pytest.raises(ValueError):
             SolverParams(grad_tol=0.0)
