@@ -14,7 +14,6 @@ from .scene import (
     ValidationReport,
     Vec3,
     default_array,
-    default_scenario,
     load_scenario,
     octant_of,
     propagation_delay,
@@ -34,7 +33,6 @@ from .recording import (
 )
 from .simulator import add_noise, ping_waveform, render_scene, synthesize_ping
 from .dsp import (
-    BiquadCascade,
     DegenerateSignalError,
     DelayEstimate,
     NoPingError,

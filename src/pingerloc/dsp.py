@@ -19,7 +19,6 @@ from .recording import MultiChannelRecording
 from .scene import HydrophoneArray
 
 __all__ = [
-    "BiquadCascade",
     "DelayEstimate",
     "TdoaSet",
     "NoPingError",
@@ -61,48 +60,6 @@ class DegenerateSignalError(ValueError):
 
 
 @dataclass(frozen=True)
-class BiquadCascade:
-    """Cascade of second-order sections. ``sos`` is the (n_sections, 6)
-    coefficient array, rows [b0, b1, b2, 1, a1, a2]."""
-
-    sos: np.ndarray
-    order: int
-    f_lo: float
-    f_hi: float
-    fs: float
-
-    def __post_init__(self):
-        sos = np.asarray(self.sos, dtype=float)
-        if sos.ndim != 2 or sos.shape[1] != 6:
-            raise ValueError(f"sos must have shape (n_sections, 6), got {sos.shape}")
-        sos.setflags(write=False)
-        object.__setattr__(self, "sos", sos)
-
-    @property
-    def n_sections(self) -> int:
-        return self.sos.shape[0]
-
-    def pole_radii(self) -> np.ndarray:
-        radii = []
-        for row in self.sos:
-            poles = np.roots([1.0, row[4], row[5]])
-            radii.extend(np.abs(poles))
-        return np.array(radii)
-
-    def is_stable(self) -> bool:
-        return bool(np.all(self.pole_radii() < 1.0))
-
-    def frequency_response(self, freqs: np.ndarray) -> np.ndarray:
-        """Complex response of the cascade at the given frequencies (Hz),
-        evaluated section by section on the unit circle."""
-        z_inv = np.exp(-2j * np.pi * np.asarray(freqs, dtype=float) / self.fs)
-        h = np.ones_like(z_inv)
-        for b0, b1, b2, _, a1, a2 in self.sos:
-            h *= (b0 + b1 * z_inv + b2 * z_inv**2) / (1.0 + a1 * z_inv + a2 * z_inv**2)
-        return h
-
-
-@dataclass(frozen=True)
 class DelayEstimate:
     """Arrival-time difference between two channels: positive delta_t means
     channel ``pair[0]`` receives later than ``pair[1]``."""
@@ -125,24 +82,24 @@ class TdoaSet:
     window: tuple[int, int]
 
 
-def design_bandpass(order: int, f_lo: float, f_hi: float, fs: float) -> BiquadCascade:
+def design_bandpass(order: int, f_lo: float, f_hi: float, fs: float) -> np.ndarray:
     """Butterworth bandpass of the given total order (even, >= 2): analog
     prototype, band transform, bilinear transform with prewarped edges,
-    factored into order/2 biquads. Band edges land at 1/sqrt(2) of the
-    passband peak."""
+    factored into order/2 second-order sections. Returns scipy's
+    (order/2, 6) SOS array, rows [b0, b1, b2, 1, a1, a2]. Band edges land at
+    1/sqrt(2) of the passband peak."""
     if not (0 < f_lo < f_hi < fs / 2):
         raise ValueError(f"band must satisfy 0 < f_lo < f_hi < fs/2, got {f_lo}/{f_hi} at fs={fs}")
     if order < 2 or order % 2 != 0:
         raise ValueError(f"order must be even and >= 2, got {order}")
-    sos = sps.butter(order // 2, [f_lo, f_hi], btype="bandpass", output="sos", fs=fs)
-    return BiquadCascade(sos=sos, order=order, f_lo=f_lo, f_hi=f_hi, fs=fs)
+    return sps.butter(order // 2, [f_lo, f_hi], btype="bandpass", output="sos", fs=fs)
 
 
-def filter_signal(cascade: BiquadCascade, samples: np.ndarray) -> np.ndarray:
-    """Causal forward filtering with zero initial state; output length equals
-    input length."""
-    # sosfilt wants a writable coefficient buffer; the cascade's is frozen.
-    return sps.sosfilt(np.array(cascade.sos), np.asarray(samples, dtype=float))
+def filter_signal(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Causal forward filtering with zero initial state along the last axis,
+    so an (8, n) recording filters row by row in one call. Returns a float64
+    array of the input's shape."""
+    return sps.sosfilt(sos, samples)
 
 
 def _moving_rms(samples: np.ndarray, window: int) -> np.ndarray:
@@ -217,7 +174,7 @@ def _pair_delays(precise: list[np.ndarray], start: int, length: int, fs: float,
     return [estimate_delay(slices[i], slices[j], fs, max_lag) for i, j in _PAIRS]
 
 
-def select_stable_window(recording: MultiChannelRecording, cascade: BiquadCascade,
+def select_stable_window(recording: MultiChannelRecording, sos: np.ndarray,
                          array: HydrophoneArray, sound_speed: float,
                          start_sample: int = 0) -> TdoaSet:
     """Filter all channels, find the ping onset on the reference (first
@@ -230,29 +187,25 @@ def select_stable_window(recording: MultiChannelRecording, cascade: BiquadCascad
     ``start_sample`` restricts the onset search to samples at or after it,
     which lets a caller step through successive ping repetitions.
     """
-    fs = recording.sample_rate
     if recording.channel_count != 8:
         raise ValueError(f"expected 8 channels, got {recording.channel_count}")
-
-    filtered_by_channel = {
-        ch: filter_signal(cascade, recording.channels[ch])
-        for ch in range(recording.channel_count)
-    }
-    return tdoa_from_filtered(filtered_by_channel, fs, array, sound_speed, start_sample)
+    return tdoa_from_filtered(filter_signal(sos, recording.channels), recording.sample_rate,
+                              array, sound_speed, start_sample)
 
 
-def tdoa_from_filtered(filtered_by_channel: dict[int, np.ndarray], fs: float,
-                       array: HydrophoneArray, sound_speed: float,
-                       start_sample: int = 0, diagnostics: dict | None = None) -> TdoaSet:
-    """Stable-window search on already-filtered channels; see
-    select_stable_window. If ``diagnostics`` is a dict it is filled with the
-    candidate window starts, their variance scores, and the chosen index."""
+def tdoa_from_filtered(filtered: np.ndarray, fs: float, array: HydrophoneArray,
+                       sound_speed: float, start_sample: int = 0,
+                       diagnostics: dict | None = None) -> TdoaSet:
+    """Stable-window search on already-filtered channels, an (8, n) array
+    whose row k is channel k; see select_stable_window. If ``diagnostics`` is
+    a dict it is filled with the candidate window starts, their variance
+    scores, and the chosen index."""
     ref_channel = array.precise_channels[0]
-    n_total = len(filtered_by_channel[ref_channel])
+    n_total = filtered.shape[1]
     if start_sample >= n_total:
         raise NoPingError("no ping detected: search start beyond recording")
 
-    ref = filtered_by_channel[ref_channel][start_sample:]
+    ref = filtered[ref_channel][start_sample:]
     try:
         onset_rel = detect_ping(ref, fs)
     except NoPingError:
@@ -272,7 +225,7 @@ def tdoa_from_filtered(filtered_by_channel: dict[int, np.ndarray], fs: float,
     max_delay = array.max_precise_spacing() / sound_speed
     max_lag = int(math.ceil(max_delay * fs))
 
-    precise = [filtered_by_channel[ch] for ch in array.precise_channels]
+    precise = [filtered[ch] for ch in array.precise_channels]
     starts = [onset + k * hop for k in range(NUM_WINDOWS)
               if onset + k * hop + win_len <= n_total]
     if not starts:
@@ -320,7 +273,7 @@ def tdoa_from_filtered(filtered_by_channel: dict[int, np.ndarray], fs: float,
     coarse_arrivals = {}
     for ch in array.coarse_channels:
         try:
-            idx = detect_ping(filtered_by_channel[ch][start_sample:], fs)
+            idx = detect_ping(filtered[ch][start_sample:], fs)
         except NoPingError:
             raise NoPingError(f"no ping detected on coarse channel {ch}") from None
         coarse_arrivals[ch] = (start_sample + idx) / fs

@@ -114,11 +114,11 @@ class PingOutcome:
     error: Exception | None
 
 
-def localize_ping(filtered: dict[int, np.ndarray], fs: float, scenario: Scenario,
+def localize_ping(filtered: np.ndarray, fs: float, scenario: Scenario,
                   start_sample: int) -> PingOutcome:
     """Localize the first ping at or after ``start_sample`` in the filtered
-    channels. Failures in PING_ERRORS are caught and recorded on the outcome;
-    anything else (a bad argument) raises."""
+    (8, n) channels, row k being channel k. Failures in PING_ERRORS are caught
+    and recorded on the outcome; anything else (a bad argument) raises."""
     tdoa = octant = result = error = None
     window_search: dict = {}
     timing: dict[str, float] = {}
@@ -147,13 +147,13 @@ def localize_ping(filtered: dict[int, np.ndarray], fs: float, scenario: Scenario
                        timing=timing, error=error)
 
 
-def _filter_channels(recording: MultiChannelRecording, scenario: Scenario) -> dict[int, np.ndarray]:
-    """Every channel through the scenario's front-end bandpass, by channel."""
+def _filter_channels(recording: MultiChannelRecording, scenario: Scenario) -> np.ndarray:
+    """Every channel through the scenario's front-end bandpass: an (8, n)
+    float64 array, row k being channel k."""
     fe = scenario.front_end
-    cascade = dsp.design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high,
-                                  recording.sample_rate)
-    return {ch: dsp.filter_signal(cascade, samples)
-            for ch, samples in enumerate(recording.channels)}
+    sos = dsp.design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high,
+                              recording.sample_rate)
+    return dsp.filter_signal(sos, recording.channels)
 
 
 def run_localization(scenario: Scenario,
@@ -278,6 +278,11 @@ class MonteCarloConfig:
             raise ConfigError("ranges and snr_db must be non-empty")
         if self.sound_speed <= 0:
             raise ConfigError(f"sound_speed must be > 0, got {self.sound_speed}")
+        if self.clearance <= 0:
+            raise ConfigError(f"clearance must be > 0, got {self.clearance}")
+        if self.success_threshold_deg <= 0:
+            raise ConfigError(f"success_threshold_deg must be > 0, "
+                              f"got {self.success_threshold_deg}")
         # A placement at radius r clears every octant plane by ``clearance``
         # only if r > sqrt(3) * clearance, and the rejection sampler slows
         # without bound toward that limit: at 1.75 * clearance it accepts

@@ -36,7 +36,6 @@ __all__ = [
     "true_azimuth_elevation",
     "octant_of",
     "default_array",
-    "default_scenario",
     "config_from_dict",
     "load_config",
     "scenario_from_dict",
@@ -373,14 +372,6 @@ def validate_array(array: HydrophoneArray, frequency: float, sound_speed: float)
             violations.append(f"coarse quad does not span {name}-axis")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def default_scenario(pinger_position: Vec3, **overrides) -> Scenario:
-    """Scenario with the default array, carrier, and front end. Keyword
-    overrides map onto Scenario fields; ``pinger`` overrides win over
-    ``pinger_position``."""
-    pinger = overrides.pop("pinger", PingerSource(position=pinger_position))
-    return Scenario(pinger=pinger, **overrides)
 
 
 # --- JSON configuration -----------------------------------------------------

@@ -67,7 +67,7 @@ def render_scene(scenario: Scenario) -> MultiChannelRecording:
     t = np.arange(n) / fs
     source = scenario.pinger.position.as_array()
     fe = scenario.front_end
-    cascade = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
+    sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
 
     positions = [scenario.array.channel_position(ch) for ch in range(8)]
     channels = np.empty((8, n), dtype=np.float32)
@@ -82,7 +82,7 @@ def render_scene(scenario: Scenario) -> MultiChannelRecording:
                 f"{ch} is past record_duration {scenario.record_duration} s"
             )
         pressure = ping_waveform(t - delay, scenario.pinger) / r
-        channels[ch] = (fe.gain * filter_signal(cascade, pressure)).astype(np.float32)
+        channels[ch] = (fe.gain * filter_signal(sos, pressure)).astype(np.float32)
 
     clean = MultiChannelRecording(sample_rate=fs, channels=channels)
     return add_noise(clean, scenario.noise, scenario.seed)

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from pingerloc import (
     DelayEstimate,
@@ -200,9 +201,9 @@ def test_criterion_4_filter_behavior():
     t0 = time.perf_counter()
     cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
     grid = np.arange(1_000.0, 250_000.0, 25.0)
-    peak = float(np.abs(cascade.frequency_response(grid)).max())
-    h18, h30, h40, h50 = np.abs(cascade.frequency_response(
-        np.array([18_000.0, 30_000.0, 40_000.0, 50_000.0])))
+    peak = float(np.abs(sps.sosfreqz(cascade, worN=grid, fs=FS)[1]).max())
+    h18, h30, h40, h50 = np.abs(sps.sosfreqz(
+        cascade, worN=np.array([18_000.0, 30_000.0, 40_000.0, 50_000.0]), fs=FS)[1])
     edges_ok = (abs(h30 - peak / np.sqrt(2)) <= 0.02 * peak / np.sqrt(2)
                 and abs(h50 - peak / np.sqrt(2)) <= 0.02 * peak / np.sqrt(2))
     elapsed = time.perf_counter() - t0

@@ -256,6 +256,14 @@ class TestMonteCarlo:
                 MonteCarloConfig(ranges=(10.0, radius), snr_db=(None,), trials=1,
                                  sound_speed=sound_speed)
 
+    @pytest.mark.parametrize("field, value", [
+        ("clearance", 0.0), ("clearance", -1.0),
+        ("success_threshold_deg", 0.0), ("success_threshold_deg", -1.0),
+    ])
+    def test_non_positive_clearance_or_threshold_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be > 0"):
+            MonteCarloConfig(ranges=(10.0,), snr_db=(None,), trials=1, **{field: value})
+
     def test_feasibility_follows_clearance_and_interval(self):
         MonteCarloConfig(ranges=(1.0,), snr_db=(None,), trials=1, clearance=0.5)
         MonteCarloConfig(ranges=(80.0,), snr_db=(None,), trials=1, repetition_interval=0.1)
