@@ -1,7 +1,6 @@
 """Underwater acoustic pinger localization: an 8-hydrophone simulator, a
-bandpass/cross-correlation DSP front-end, a coarse octant guess, and a
-4-dimensional arrival-time gradient-descent solver that reports the pinger's
-azimuth."""
+bandpass/cross-correlation DSP front-end, a coarse octant guess, and an
+arrival-time gradient-descent solver that reports the pinger's azimuth."""
 
 from .scene import (
     ChannelModel,
@@ -52,7 +51,6 @@ from .solver import (
     Theta,
     gradient_descent,
     objective_and_gradient,
-    residuals,
 )
 from .guess import OctantGuess, UnresolvableAxisError, initial_point, octant_guess
 from .pipeline import (

@@ -98,7 +98,10 @@ def design_bandpass(order: int, f_lo: float, f_hi: float, fs: float) -> np.ndarr
 def filter_signal(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Causal forward filtering with zero initial state along the last axis,
     so an (8, n) recording filters row by row in one call. Returns a float64
-    array of the input's shape."""
+    array of the input's shape (empty for an empty last axis, which sosfilt
+    rejects)."""
+    if np.shape(samples)[-1] == 0:
+        return np.zeros(np.shape(samples))
     return sps.sosfilt(sos, samples)
 
 

@@ -1,26 +1,21 @@
-"""Four-dimensional arrival-time least squares: estimate pinger position and
-emission time from the six pairwise delays of the precise quad plus the
-reference channel's absolute onset, by gradient descent with Armijo
-backtracking.
+"""Arrival-time least squares: estimate pinger position and emission time
+from the six pairwise delays of the precise quad plus the reference
+channel's absolute onset, by gradient descent with Armijo backtracking.
 
-The unknowns are (x, y, z, t0). Internally the solver works in
-meters-commensurate variables q = (x, y, z, c*t0) and minimizes the
-range-residual objective
+For any position p the emission time that fits the reference onset exactly
+is c*t0 = c*T_onset - d_ref(p), so the anchor residual is projected out
+(variable projection) and the descent runs over p alone, minimizing
 
-    F(q) = 1/2 * [ sum_pairs (d_i - d_j - c*dtau_ij)^2
-                   + (d_ref + c*t0 - c*T_onset)^2 ]      [m^2]
+    G(p) = 1/2 * sum_pairs (d_i - d_j - c*dtau_ij)^2      [m^2]
 
-which equals c^2 times the time-residual objective of
-``objective_and_gradient``. Without the scaling the emission-time coordinate
-dominates the curvature by a factor of c^2 and descent stalls.
+from the octant guess; t0 is read off the final position. The unprojected
+time-residual objective over (x, y, z, t0) is ``objective_and_gradient``.
 
-Each iteration steps along the negative gradient. The trial step length is
-the Barzilai-Borwein estimate from the last accepted step, backtracked until
-the Armijo condition holds, so descent stays monotone. The anchor residual
-curves a factor (range/aperture)^2, around 1e6, harder than the bearing
-directions; a fixed-step or step-doubling search zigzags against the anchor
-and makes no bearing progress, while the BB estimate alternates between the
-curvature scales and converges in a few hundred iterations.
+Each iteration steps along -grad G. The trial step length is the
+Barzilai-Borwein estimate from the last accepted step, backtracked until the
+Armijo condition holds, so descent stays monotone. The 15 mm quad barely
+observes range: G is nearly flat along the bearing ray, so the gradient stop
+bounds only the part of grad G across that ray.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ __all__ = [
     "SolverResult",
     "SingularGeometryError",
     "DivergedError",
-    "residuals",
     "objective_and_gradient",
     "gradient_descent",
 ]
@@ -55,11 +49,8 @@ _BETA = 0.5
 _ARMIJO_C1 = 1e-4
 _ALPHA_MIN = 1e-20
 _ALPHA_MAX = 1e12
-# Per-iteration decrease of F (m^2) at or below which descent has converged.
+# Per-iteration decrease of G (m^2) at or below which descent has converged.
 _F_TOL = 1e-24
-# Relative per-iteration decrease below which the step counts as stalled and
-# the forward-tracking probe runs.
-_REL_STALL = 1e-6
 
 
 class SingularGeometryError(ValueError):
@@ -85,8 +76,9 @@ class Theta:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Gradient-descent budget and gradient tolerance. grad_tol applies to
-    the gradient norm of the meters-scaled objective F."""
+    """Gradient-descent budget and gradient tolerance. grad_tol (m) bounds
+    the part of grad G across the bearing ray from the precise-quad
+    centroid."""
 
     max_iters: int = 5000
     grad_tol: float = 1e-10
@@ -100,9 +92,10 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Final iterate plus diagnostics. ``objective`` and ``grad_norm`` are in
-    the meters-scaled domain (m^2 and its gradient); ``range`` is measured
-    from the precise-quad centroid."""
+    """Final iterate plus diagnostics. ``objective`` is G (m^2) at the final
+    position, where the projected t0 zeroes the anchor residual;
+    ``grad_norm`` is the part of grad G (m) across the bearing ray; ``range``
+    is measured from the precise-quad centroid."""
 
     theta: Theta
     objective: float
@@ -158,90 +151,76 @@ class _Problem:
                 f"{SINGULAR_GUARD_RADIUS} m of a hydrophone"
             )
 
-    def range_residuals(self, q: np.ndarray) -> np.ndarray:
-        """Meters residuals at q = (x, y, z, c*t0); 6 pairwise then anchor."""
-        d = self.distances(q[:3])
-        pairs = d[self.i_idx] - d[self.j_idx] - self.ctau
-        anchor = d[self.ref_row] + q[3] - self.c_onset
-        return np.append(pairs, anchor)
+    def t0(self, p: np.ndarray) -> float:
+        """Emission time (s) that zeroes the anchor residual at p."""
+        return float((self.c_onset - self.distances(p)[self.ref_row]) / self.c)
 
-    def objective(self, q: np.ndarray) -> float:
-        """F(q), or +inf inside a hydrophone guard ball."""
-        diff = q[:3] - self.positions
+    def objective(self, p: np.ndarray) -> float:
+        """G(p), or +inf inside a hydrophone guard ball."""
+        diff = p - self.positions
         d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         if (d < SINGULAR_GUARD_RADIUS).any():
             return np.inf
         pairs = d[self.i_idx] - d[self.j_idx] - self.ctau
-        anchor = d[self.ref_row] + q[3] - self.c_onset
-        return 0.5 * (pairs @ pairs + anchor * anchor)
+        return 0.5 * (pairs @ pairs)
 
-    def objective_and_grad(self, q: np.ndarray) -> tuple[float, np.ndarray]:
-        diff = q[:3] - self.positions
+    def objective_and_grad(self, p: np.ndarray) -> tuple[float, np.ndarray]:
+        diff = p - self.positions
         d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         if (d < SINGULAR_GUARD_RADIUS).any():
-            return np.inf, np.zeros(4)
+            return np.inf, np.zeros(3)
         pairs = d[self.i_idx] - d[self.j_idx] - self.ctau
-        anchor = d[self.ref_row] + q[3] - self.c_onset
-        f = 0.5 * (pairs @ pairs + anchor * anchor)
         u = diff / d[:, None]
-        grad = np.empty(4)
-        grad[:3] = (u[self.i_idx] - u[self.j_idx]).T @ pairs + anchor * u[self.ref_row]
-        grad[3] = anchor
-        return f, grad
-
-
-def _theta_to_q(theta: Theta, c: float) -> np.ndarray:
-    return np.append(theta.position.as_array(), c * theta.t0)
-
-
-def _q_to_theta(q: np.ndarray, c: float) -> Theta:
-    return Theta(position=Vec3.from_array(q[:3]), t0=float(q[3] / c))
-
-
-def residuals(theta: Theta, tdoa: TdoaSet, array: HydrophoneArray, sound_speed: float) -> np.ndarray:
-    """Time residuals (seconds), length 7: for each precise pair (i, j),
-    (||p-h_i|| - ||p-h_j||)/c - dtau_ij, then the anchor
-    ||p-h_ref||/c + t0 - onset_time_abs."""
-    prob = _Problem(tdoa, array, sound_speed)
-    q = _theta_to_q(theta, prob.c)
-    prob.check_guard(q[:3])
-    return prob.range_residuals(q) / prob.c
+        return 0.5 * (pairs @ pairs), (u[self.i_idx] - u[self.j_idx]).T @ pairs
 
 
 def objective_and_gradient(theta: Theta, tdoa: TdoaSet, array: HydrophoneArray,
                            sound_speed: float) -> tuple[float, np.ndarray]:
-    """Time-residual objective f = 1/2 sum r^2 (s^2) and its analytic
-    gradient (df/dx, df/dy, df/dz, df/dt0), using
-    d||p-h||/dp = (p-h)/||p-h||. df/dt0 equals the anchor residual."""
+    """Time-residual objective f = 1/2 sum r^2 (s^2) over the six pair
+    residuals (||p-h_i|| - ||p-h_j||)/c - dtau_ij and the anchor
+    ||p-h_ref||/c + t0 - onset_time_abs, and its analytic gradient
+    (df/dx, df/dy, df/dz, df/dt0), using d||p-h||/dp = (p-h)/||p-h||.
+    df/dt0 equals the anchor residual."""
     prob = _Problem(tdoa, array, sound_speed)
-    q = _theta_to_q(theta, prob.c)
-    prob.check_guard(q[:3])
-    F, gq = prob.objective_and_grad(q)
+    p = theta.position.as_array()
+    prob.check_guard(p)
+    G, gp = prob.objective_and_grad(p)
     c = prob.c
-    # f = F / c^2; d/dp scales by 1/c^2, d/dt0 by 1/c (since q3 = c*t0).
+    anchor = theta.t0 - prob.t0(p)
+    to_ref = p - prob.positions[prob.ref_row]
     grad = np.empty(4)
-    grad[:3] = gq[:3] / c**2
-    grad[3] = gq[3] / c
-    return F / c**2, grad
+    grad[:3] = gp / c**2 + anchor * to_ref / (c * np.linalg.norm(to_ref))
+    grad[3] = anchor
+    return G / c**2 + 0.5 * anchor * anchor, grad
+
+
+def _cross_bearing_norm(g: np.ndarray, ray: np.ndarray) -> float:
+    """Norm of the part of g orthogonal to ray (all of g for a zero ray)."""
+    rr = float(ray @ ray)
+    if rr > 0.0:
+        g = g - (float(g @ ray) / rr) * ray
+    return math.sqrt(float(g @ g))
 
 
 def gradient_descent(init: Theta, tdoa: TdoaSet, array: HydrophoneArray,
                      sound_speed: float, params: SolverParams | None = None) -> SolverResult:
-    """Minimize F from ``init``. Stops on gradient norm, on objective
-    decrease at or below _F_TOL, or on the iteration budget; ``converged`` is
-    set only for the tolerance stops. Bearing angles are reported for
-    (position - precise-quad centroid)."""
+    """Minimize G from ``init.position`` (``init.t0`` is not used). Stops on
+    the gradient across the bearing ray, on objective decrease at or below
+    _F_TOL, or on the iteration budget; ``converged`` is set only for the
+    tolerance stops. Bearing angles are reported for (position -
+    precise-quad centroid)."""
     params = params or SolverParams()
     prob = _Problem(tdoa, array, sound_speed)
-    q = _theta_to_q(init, prob.c)
-    prob.check_guard(q[:3])
+    centroid = array.precise_centroid().as_array()
+    p = init.position.as_array()
+    prob.check_guard(p)
 
-    F, g = prob.objective_and_grad(q)
-    if not np.isfinite(F):
+    G, g = prob.objective_and_grad(p)
+    if not np.isfinite(G):
         raise DivergedError("diverged: non-finite objective at initial point")
 
     alpha = _INITIAL_STEP
-    q_prev: np.ndarray | None = None
+    p_prev: np.ndarray | None = None
     g_prev: np.ndarray | None = None
     iterations = 0
     converged = False
@@ -249,8 +228,7 @@ def gradient_descent(init: Theta, tdoa: TdoaSet, array: HydrophoneArray,
 
     while iterations < params.max_iters:
         gg = float(g @ g)
-        grad_norm = math.sqrt(gg)
-        if grad_norm <= params.grad_tol:
+        if _cross_bearing_norm(g, p - centroid) <= params.grad_tol:
             converged = True
             stop_reason = "grad_tol"
             break
@@ -258,8 +236,8 @@ def gradient_descent(init: Theta, tdoa: TdoaSet, array: HydrophoneArray,
         # Barzilai-Borwein trial step from the last accepted move; falls back
         # to the previous accepted step when the curvature estimate is not
         # positive.
-        if q_prev is not None:
-            s = q - q_prev
+        if p_prev is not None:
+            s = p - p_prev
             y = g - g_prev
             sy = float(s @ y)
             if sy > 0.0:
@@ -269,48 +247,29 @@ def gradient_descent(init: Theta, tdoa: TdoaSet, array: HydrophoneArray,
         accepted = False
         trial = alpha
         while trial >= _ALPHA_MIN:
-            q_new = q - trial * g
-            F_new = prob.objective(q_new)
-            if np.isfinite(F_new) and F_new <= F - _ARMIJO_C1 * trial * gg:
+            p_new = p - trial * g
+            G_new = prob.objective(p_new)
+            if np.isfinite(G_new) and G_new <= G - _ARMIJO_C1 * trial * gg:
                 accepted = True
                 break
             trial *= _BETA
         if not accepted:
             stop_reason = "line_search_failed"
             break
-
-        if F - F_new <= max(_F_TOL, F * _REL_STALL):
-            # Negligible progress at the BB step. Before settling for it,
-            # forward track: grow the step while Armijo still holds. This
-            # rides out the nearly flat range valley, where the BB estimate
-            # keeps relearning the stiff curvature scales; when the gradient
-            # is valley-dominated the growing probes chain far out, and when
-            # it is not the first probe fails and costs one evaluation.
-            probe = trial / _BETA
-            while probe <= _ALPHA_MAX:
-                F_probe = prob.objective(q - probe * g)
-                if np.isfinite(F_probe) and F_probe <= F - _ARMIJO_C1 * probe * gg:
-                    if F_probe < F_new:
-                        trial, F_new = probe, F_probe
-                        q_new = q - probe * g
-                    probe /= _BETA
-                else:
-                    break
         alpha = trial
 
-        decrease = F - F_new
-        q_prev, g_prev = q, g
-        q = q_new
-        F, g = prob.objective_and_grad(q)
+        decrease = G - G_new
+        p_prev, g_prev = p, g
+        p = p_new
+        G, g = prob.objective_and_grad(p)
         iterations += 1
         if decrease <= _F_TOL:
             converged = True
             stop_reason = "f_tol"
             break
 
-    grad_norm = float(np.linalg.norm(g))
-    theta = _q_to_theta(q, prob.c)
-    direction = theta.position.as_array() - array.precise_centroid().as_array()
+    theta = Theta(position=Vec3.from_array(p), t0=prob.t0(p))
+    direction = p - centroid
     if np.linalg.norm(direction) > 1e-12:
         azimuth, elevation = true_azimuth_elevation(Vec3.from_array(direction))
         rng = float(np.linalg.norm(direction))
@@ -319,8 +278,8 @@ def gradient_descent(init: Theta, tdoa: TdoaSet, array: HydrophoneArray,
 
     return SolverResult(
         theta=theta,
-        objective=float(F),
-        grad_norm=grad_norm,
+        objective=float(G),
+        grad_norm=_cross_bearing_norm(g, direction),
         iterations=iterations,
         converged=converged,
         stop_reason=stop_reason,

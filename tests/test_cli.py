@@ -116,14 +116,16 @@ def test_ping_failure_keeps_earlier_reports(tmp_path, monkeypatch):
 
 
 def test_no_ping_exit_code(scenario_path, tmp_path, capsys):
-    silent = MultiChannelRecording(sample_rate=500_000.0,
-                                   channels=np.zeros((8, 25_000), dtype=np.float32))
-    rec_path = tmp_path / "silent.oogw"
-    write_recording(silent, rec_path)
-    code = main(["localize", "--config", str(scenario_path),
-                 "--recording", str(rec_path)])
-    assert code == EXIT_NO_PING
-    assert "no ping" in capsys.readouterr().err
+    # a silent recording, and an empty one
+    for n in (25_000, 0):
+        silent = MultiChannelRecording(sample_rate=500_000.0,
+                                       channels=np.zeros((8, n), dtype=np.float32))
+        rec_path = tmp_path / f"silent{n}.oogw"
+        write_recording(silent, rec_path)
+        code = main(["localize", "--config", str(scenario_path),
+                     "--recording", str(rec_path)])
+        assert code == EXIT_NO_PING
+        assert "no ping" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag, name", [

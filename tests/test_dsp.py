@@ -111,6 +111,8 @@ class TestFilterSignal:
                 assert filtered[k].tobytes() == row.tobytes()
         x = np.ones(1_000)
         assert filter_signal(cascade, x).shape == x.shape
+        empty = filter_signal(cascade, np.zeros((8, 0), dtype=np.float32))
+        assert empty.shape == (8, 0) and empty.dtype == np.float64
 
     @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
     @settings(max_examples=20, deadline=None)
