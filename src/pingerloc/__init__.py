@@ -48,7 +48,6 @@ from .solver import (
     SingularGeometryError,
     SolverParams,
     SolverResult,
-    Theta,
     gradient_descent,
     objective_and_gradient,
 )

@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .scene import OctantId, Vec3
-from .solver import Theta
 
 __all__ = ["OctantGuess", "UnresolvableAxisError", "octant_guess", "initial_point"]
 
@@ -32,13 +31,13 @@ class UnresolvableAxisError(ValueError):
 @dataclass(frozen=True)
 class OctantGuess:
     octant: OctantId
-    init: Theta
+    init: Vec3
     margin: float
     low_confidence: bool = False
 
 
 def octant_guess(coarse_arrivals: Sequence[float], coarse_positions: Sequence[Vec3],
-                 sound_speed: float, min_margin: float = 0.0) -> OctantGuess:
+                 min_margin: float = 0.0) -> OctantGuess:
     """Classify the pinger's octant from the four coarse onsets.
 
     Per axis: take the pair with the largest separation along that axis
@@ -80,20 +79,15 @@ def octant_guess(coarse_arrivals: Sequence[float], coarse_positions: Sequence[Ve
     octant = OctantId(*bits)
     margin = float(min(margins))
     centroid = Vec3.from_array(positions.mean(axis=0))
-    init = initial_point(octant, DEFAULT_INIT_RANGE, centroid, sound_speed,
-                         float(arrivals.min()))
+    init = initial_point(octant, DEFAULT_INIT_RANGE, centroid)
     return OctantGuess(octant=octant, init=init, margin=margin,
                        low_confidence=margin < min_margin)
 
 
-def initial_point(octant: OctantId, radius: float, centroid: Vec3, sound_speed: float,
-                  earliest_arrival: float) -> Theta:
+def initial_point(octant: OctantId, radius: float, centroid: Vec3) -> Vec3:
     """Descent start: ``radius`` meters from the coarse centroid along the
-    octant diagonal, with emission time backed off by the travel time."""
+    octant diagonal."""
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")
-    if sound_speed <= 0:
-        raise ValueError(f"sound_speed must be > 0, got {sound_speed}")
     direction = octant.signs() / np.sqrt(3.0)
-    position = Vec3.from_array(centroid.as_array() + radius * direction)
-    return Theta(position=position, t0=earliest_arrival - radius / sound_speed)
+    return Vec3.from_array(centroid.as_array() + radius * direction)

@@ -130,8 +130,7 @@ def localize_ping(filtered: np.ndarray, fs: float, scenario: Scenario,
 
         t_stage = time.perf_counter()
         arrivals = [tdoa.coarse_arrivals[ch] for ch in scenario.array.coarse_channels]
-        octant = guess.octant_guess(arrivals, list(scenario.array.coarse), scenario.sound_speed,
-                                    min_margin=2.0 / fs)
+        octant = guess.octant_guess(arrivals, list(scenario.array.coarse), min_margin=2.0 / fs)
         timing["guess"] = (time.perf_counter() - t_stage) * 1e3
 
         t_stage = time.perf_counter()
@@ -278,6 +277,10 @@ class MonteCarloConfig:
             raise ConfigError("ranges and snr_db must be non-empty")
         if self.sound_speed <= 0:
             raise ConfigError(f"sound_speed must be > 0, got {self.sound_speed}")
+        array = default_array()
+        report = validate_array(array, self.carrier_freq, self.sound_speed)
+        if not report.ok:
+            raise ConfigError("array fails validation: " + "; ".join(report.violations))
         if self.clearance <= 0:
             raise ConfigError(f"clearance must be > 0, got {self.clearance}")
         if self.success_threshold_deg <= 0:
@@ -288,7 +291,7 @@ class MonteCarloConfig:
         # without bound toward that limit: at 1.75 * clearance it accepts
         # 1.6e-4 of the directions it draws, at 2 * clearance 2.6e-2.
         min_range = 2.0 * self.clearance
-        reach = max(np.linalg.norm(p.as_array()) for p in default_array().all_positions())
+        reach = max(np.linalg.norm(p.as_array()) for p in array.all_positions())
         for radius in self.ranges:
             if radius <= 0:
                 raise ConfigError(f"ranges must be > 0, got {radius}")

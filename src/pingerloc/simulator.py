@@ -14,7 +14,7 @@ from scipy import signal as sps
 
 from .dsp import design_bandpass, filter_signal
 from .recording import MultiChannelRecording
-from .scene import NoiseSpec, PingerSource, Scenario, validate_array
+from .scene import ConfigError, NoiseSpec, PingerSource, Scenario, validate_array
 
 __all__ = ["synthesize_ping", "ping_waveform", "render_scene", "add_noise"]
 
@@ -60,7 +60,7 @@ def render_scene(scenario: Scenario) -> MultiChannelRecording:
     plus noise drawn from the scenario seed. Deterministic given the seed."""
     report = validate_array(scenario.array, scenario.pinger.frequency, scenario.sound_speed)
     if not report.ok:
-        raise ValueError("array fails validation: " + "; ".join(report.violations))
+        raise ConfigError("array fails validation: " + "; ".join(report.violations))
 
     fs = scenario.sample_rate
     n = int(round(scenario.record_duration * fs))

@@ -1,15 +1,10 @@
-"""Arrival-time least squares: estimate pinger position and emission time
-from the six pairwise delays of the precise quad plus the reference
-channel's absolute onset, by gradient descent with Armijo backtracking.
-
-For any position p the emission time that fits the reference onset exactly
-is c*t0 = c*T_onset - d_ref(p), so the anchor residual is projected out
-(variable projection) and the descent runs over p alone, minimizing
+"""Arrival-time least squares: estimate the pinger position from the six
+pairwise delays of the precise quad by gradient descent with Armijo
+backtracking. The descent runs over the position p alone, minimizing
 
     G(p) = 1/2 * sum_pairs (d_i - d_j - c*dtau_ij)^2      [m^2]
 
-from the octant guess; t0 is read off the final position. The unprojected
-time-residual objective over (x, y, z, t0) is ``objective_and_gradient``.
+from the octant guess.
 
 Each iteration steps along -grad G. The trial step length is the
 Barzilai-Borwein estimate from the last accepted step, backtracked until the
@@ -29,7 +24,6 @@ from .dsp import TdoaSet
 from .scene import HydrophoneArray, Vec3, true_azimuth_elevation
 
 __all__ = [
-    "Theta",
     "SolverParams",
     "SolverResult",
     "SingularGeometryError",
@@ -62,19 +56,6 @@ class DivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Theta:
-    """Solver unknowns: source position (m) and emission time t0 (s,
-    relative to recording start)."""
-
-    position: Vec3
-    t0: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, got {self.t0}")
-
-
-@dataclass(frozen=True)
 class SolverParams:
     """Gradient-descent budget and gradient tolerance. grad_tol (m) bounds
     the part of grad G across the bearing ray from the precise-quad
@@ -92,12 +73,11 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Final iterate plus diagnostics. ``objective`` is G (m^2) at the final
-    position, where the projected t0 zeroes the anchor residual;
-    ``grad_norm`` is the part of grad G (m) across the bearing ray; ``range``
-    is measured from the precise-quad centroid."""
+    """Final position plus diagnostics. ``objective`` is G (m^2) at the
+    final position; ``grad_norm`` is the part of grad G (m) across the
+    bearing ray; ``range`` is measured from the precise-quad centroid."""
 
-    theta: Theta
+    position: Vec3
     objective: float
     grad_norm: float
     iterations: int
@@ -111,8 +91,8 @@ class SolverResult:
 class _Problem:
     """TdoaSet + geometry compiled to flat arrays for the inner loop.
 
-    Measured delays and the onset are pre-scaled by the sound speed, so
-    residuals come out in meters.
+    Measured delays are pre-scaled by the sound speed, so residuals come out
+    in meters.
     """
 
     def __init__(self, tdoa: TdoaSet, array: HydrophoneArray, sound_speed: float):
@@ -128,32 +108,19 @@ class _Problem:
                 f"tdoa must carry all 6 precise-quad pairs {sorted(map(tuple, expected))}, "
                 f"got {sorted(map(tuple, got))}"
             )
-        if tdoa.reference_channel not in row_of:
-            raise ValueError(f"reference channel {tdoa.reference_channel} not in precise quad")
 
-        self.c = float(sound_speed)
         self.positions = array.precise_positions_array()  # (4, 3)
         self.i_idx = np.array([row_of[est.pair[0]] for est in tdoa.pairwise])
         self.j_idx = np.array([row_of[est.pair[1]] for est in tdoa.pairwise])
-        self.ctau = np.array([est.delta_t for est in tdoa.pairwise]) * self.c
-        self.ref_row = row_of[tdoa.reference_channel]
-        self.c_onset = tdoa.onset_time_abs * self.c
-
-    def distances(self, p: np.ndarray) -> np.ndarray:
-        diff = p - self.positions
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        self.ctau = np.array([est.delta_t for est in tdoa.pairwise]) * float(sound_speed)
 
     def check_guard(self, p: np.ndarray):
-        d = self.distances(p)
-        if (d < SINGULAR_GUARD_RADIUS).any():
+        diff = p - self.positions
+        if (np.sqrt(np.einsum("ij,ij->i", diff, diff)) < SINGULAR_GUARD_RADIUS).any():
             raise SingularGeometryError(
                 "singular geometry: position within "
                 f"{SINGULAR_GUARD_RADIUS} m of a hydrophone"
             )
-
-    def t0(self, p: np.ndarray) -> float:
-        """Emission time (s) that zeroes the anchor residual at p."""
-        return float((self.c_onset - self.distances(p)[self.ref_row]) / self.c)
 
     def objective(self, p: np.ndarray) -> float:
         """G(p), or +inf inside a hydrophone guard ball."""
@@ -174,24 +141,16 @@ class _Problem:
         return 0.5 * (pairs @ pairs), (u[self.i_idx] - u[self.j_idx]).T @ pairs
 
 
-def objective_and_gradient(theta: Theta, tdoa: TdoaSet, array: HydrophoneArray,
+def objective_and_gradient(position: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
                            sound_speed: float) -> tuple[float, np.ndarray]:
-    """Time-residual objective f = 1/2 sum r^2 (s^2) over the six pair
-    residuals (||p-h_i|| - ||p-h_j||)/c - dtau_ij and the anchor
-    ||p-h_ref||/c + t0 - onset_time_abs, and its analytic gradient
-    (df/dx, df/dy, df/dz, df/dt0), using d||p-h||/dp = (p-h)/||p-h||.
-    df/dt0 equals the anchor residual."""
+    """G (m^2) at ``position`` and its analytic gradient (m), the pair sum
+    of (d_i - d_j - c*dtau_ij) * (u_i - u_j) with u = (p-h)/||p-h||: exactly
+    what the descent evaluates. Raises SingularGeometryError inside a
+    hydrophone guard ball."""
     prob = _Problem(tdoa, array, sound_speed)
-    p = theta.position.as_array()
+    p = position.as_array()
     prob.check_guard(p)
-    G, gp = prob.objective_and_grad(p)
-    c = prob.c
-    anchor = theta.t0 - prob.t0(p)
-    to_ref = p - prob.positions[prob.ref_row]
-    grad = np.empty(4)
-    grad[:3] = gp / c**2 + anchor * to_ref / (c * np.linalg.norm(to_ref))
-    grad[3] = anchor
-    return G / c**2 + 0.5 * anchor * anchor, grad
+    return prob.objective_and_grad(p)
 
 
 def _cross_bearing_norm(g: np.ndarray, ray: np.ndarray) -> float:
@@ -202,17 +161,16 @@ def _cross_bearing_norm(g: np.ndarray, ray: np.ndarray) -> float:
     return math.sqrt(float(g @ g))
 
 
-def gradient_descent(init: Theta, tdoa: TdoaSet, array: HydrophoneArray,
+def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
                      sound_speed: float, params: SolverParams | None = None) -> SolverResult:
-    """Minimize G from ``init.position`` (``init.t0`` is not used). Stops on
-    the gradient across the bearing ray, on objective decrease at or below
-    _F_TOL, or on the iteration budget; ``converged`` is set only for the
-    tolerance stops. Bearing angles are reported for (position -
-    precise-quad centroid)."""
+    """Minimize G from the position ``init``. Stops on the gradient across
+    the bearing ray, on objective decrease at or below _F_TOL, or on the
+    iteration budget; ``converged`` is set only for the tolerance stops.
+    Bearing angles are reported for (position - precise-quad centroid)."""
     params = params or SolverParams()
     prob = _Problem(tdoa, array, sound_speed)
     centroid = array.precise_centroid().as_array()
-    p = init.position.as_array()
+    p = init.as_array()
     prob.check_guard(p)
 
     G, g = prob.objective_and_grad(p)
@@ -268,7 +226,6 @@ def gradient_descent(init: Theta, tdoa: TdoaSet, array: HydrophoneArray,
             stop_reason = "f_tol"
             break
 
-    theta = Theta(position=Vec3.from_array(p), t0=prob.t0(p))
     direction = p - centroid
     if np.linalg.norm(direction) > 1e-12:
         azimuth, elevation = true_azimuth_elevation(Vec3.from_array(direction))
@@ -277,7 +234,7 @@ def gradient_descent(init: Theta, tdoa: TdoaSet, array: HydrophoneArray,
         azimuth, elevation, rng = 0.0, 0.0, 0.0
 
     return SolverResult(
-        theta=theta,
+        position=Vec3.from_array(p),
         objective=float(G),
         grad_norm=_cross_bearing_norm(g, direction),
         iterations=iterations,

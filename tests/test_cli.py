@@ -88,6 +88,23 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, doc, field)
     assert err.startswith(f"config error: {field}: ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "localize", "montecarlo"])
+def test_carrier_failing_validation_is_config_error(scenario_path, tmp_path, capsys, command):
+    # At 100 kHz the 15 mm precise-quad spacing exceeds half a wavelength.
+    if command == "montecarlo":
+        doc = {"ranges": [10.0], "snr_db": [None], "trials": 1, "carrier_freq": 100_000.0}
+    else:
+        doc = json.loads(scenario_path.read_text())
+        doc["pinger"]["frequency"] = 100_000.0
+    path = tmp_path / "carrier.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = [command, "--config", str(path)] + ([] if command == "localize" else ["--out", str(out)])
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: array fails validation: ")
+    assert not out.exists()
+
+
 def test_ping_failure_exit_code(scenario_path, capsys, diverging_solver):
     assert main(["localize", "--config", str(scenario_path)]) == EXIT_PING_FAILED
     captured = capsys.readouterr()

@@ -9,45 +9,32 @@ from pingerloc import (
     SingularGeometryError,
     SolverParams,
     TdoaSet,
-    Theta,
     Vec3,
     default_array,
     gradient_descent,
     initial_point,
     objective_and_gradient,
+    octant_guess,
     octant_of,
     true_azimuth_elevation,
 )
 from pingerloc import solver
-from pingerloc.scene import OctantId
 from conftest import geometric_tdoa
 
 C = 1480.0
 ARRAY = default_array()
 
 
-def make_theta(x, y, z, t0=0.0):
-    return Theta(position=Vec3(x, y, z), t0=t0)
-
-
 class TestResiduals:
-    # The seven time residuals (six pairs, then the anchor) as seen through
-    # objective_and_gradient: f = 1/2 sum r^2 and df/dt0 = anchor.
+    # The six pair residuals (m) as seen through objective_and_gradient:
+    # G = 1/2 sum r^2.
     def test_zero_at_truth(self):
         truth = Vec3(8.0, 3.0, -4.0)
         tdoa = geometric_tdoa(ARRAY, truth, C, t0=0.0)
-        f, g = objective_and_gradient(Theta(position=truth, t0=0.0), tdoa, ARRAY, C)
-        assert g.shape == (4,)
+        f, g = objective_and_gradient(truth, tdoa, ARRAY, C)
+        assert g.shape == (3,)
         assert math.sqrt(2.0 * f) <= 1e-12
         assert np.allclose(g, 0.0, atol=1e-12)
-
-    def test_t0_shift_moves_only_anchor(self):
-        truth = Vec3(8.0, 3.0, -4.0)
-        tdoa = geometric_tdoa(ARRAY, truth, C)
-        delta = 3.7e-4
-        f, g = objective_and_gradient(Theta(position=truth, t0=delta), tdoa, ARRAY, C)
-        assert f == pytest.approx(0.5 * delta**2, abs=delta * 1e-15)
-        assert g[3] == pytest.approx(delta, abs=1e-15)
 
     def hand_array(self):
         precise = (Vec3(0.5, 0, 0), Vec3(-0.5, 0, 0), Vec3(0, 0.5, 0), Vec3(0, -0.5, 0))
@@ -62,7 +49,7 @@ class TestResiduals:
         first = tdoa.pairwise[0]
         assert first.pair == (0, 1)
         assert first.delta_t == pytest.approx(1.5 - 2.5, abs=1e-15)
-        f, _ = objective_and_gradient(Theta(position=Vec3(2, 0, 0), t0=0.0), tdoa, array, 1.0)
+        f, _ = objective_and_gradient(Vec3(2, 0, 0), tdoa, array, 1.0)
         assert math.sqrt(2.0 * f) <= 1e-12
 
     def test_hand_case_perturbed_objective(self):
@@ -79,9 +66,8 @@ class TestResiduals:
         for i in range(4):
             for j in range(i + 1, 4):
                 expected.append((dist_pert[i] - dist_pert[j]) - (dist_true[i] - dist_true[j]))
-        expected.append(d0 - 1.5)  # anchor: t0 = 0, onset = d_ref / c
         f_hand = 0.5 * sum(e * e for e in expected)
-        f, _ = objective_and_gradient(Theta(position=Vec3(2, 1, 0), t0=0.0), tdoa, array, 1.0)
+        f, _ = objective_and_gradient(Vec3(2, 1, 0), tdoa, array, 1.0)
         assert f == pytest.approx(f_hand, rel=1e-12)
 
     def test_requires_all_six_pairs(self):
@@ -93,31 +79,21 @@ class TestResiduals:
                          coarse_arrivals=tdoa.coarse_arrivals,
                          window=tdoa.window)
         with pytest.raises(ValueError, match="6 precise-quad pairs"):
-            objective_and_gradient(Theta(position=truth, t0=0.0), broken, ARRAY, C)
+            objective_and_gradient(truth, broken, ARRAY, C)
 
     def test_singular_geometry(self):
         tdoa = geometric_tdoa(ARRAY, Vec3(8.0, 3.0, -4.0), C)
-        at_hydrophone = Theta(position=ARRAY.precise[0], t0=0.0)
         with pytest.raises(SingularGeometryError):
-            objective_and_gradient(at_hydrophone, tdoa, ARRAY, C)
+            objective_and_gradient(ARRAY.precise[0], tdoa, ARRAY, C)
 
 
 class TestObjectiveAndGradient:
     def test_zero_at_truth(self):
         truth = Vec3(8.0, 3.0, -4.0)
         tdoa = geometric_tdoa(ARRAY, truth, C)
-        f, g = objective_and_gradient(Theta(position=truth, t0=0.0), tdoa, ARRAY, C)
+        f, g = objective_and_gradient(truth, tdoa, ARRAY, C)
         assert f == pytest.approx(0.0, abs=1e-24)
         assert np.linalg.norm(g) == pytest.approx(0.0, abs=1e-12)
-
-    def test_dt0_equals_anchor_residual(self):
-        tdoa = geometric_tdoa(ARRAY, Vec3(8.0, 3.0, -4.0), C)
-        theta = make_theta(5.0, -2.0, 1.0, t0=1e-4)
-        h_ref = ARRAY.channel_position(tdoa.reference_channel).as_array()
-        d_ref = np.linalg.norm(theta.position.as_array() - h_ref)
-        anchor = d_ref / C + theta.t0 - tdoa.onset_time_abs
-        _, g = objective_and_gradient(theta, tdoa, ARRAY, C)
-        assert g[3] == pytest.approx(anchor, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences(self, seed):
@@ -138,16 +114,15 @@ class TestObjectiveAndGradient:
         point = rng.uniform(-20, 20, 3)
         while min(np.linalg.norm(point - p.as_array()) for p in ARRAY.precise) < 0.5:
             point = rng.uniform(-20, 20, 3)
-        theta = Theta(position=Vec3.from_array(point), t0=rng.uniform(-1e-2, 1e-2))
-
-        _, g = objective_and_gradient(theta, noisy, ARRAY, C)
-        h = 1e-6
-        for comp in range(4):
+        _, g = objective_and_gradient(Vec3.from_array(point), noisy, ARRAY, C)
+        # A meter-scale step: at 1e-6 m the differences of G sit at float64
+        # roundoff.
+        h = 1e-3
+        for comp in range(3):
             def f_at(offset):
-                q = np.append(theta.position.as_array(), theta.t0)
+                q = point.copy()
                 q[comp] += offset
-                shifted = Theta(position=Vec3.from_array(q[:3]), t0=float(q[3]))
-                return objective_and_gradient(shifted, noisy, ARRAY, C)[0]
+                return objective_and_gradient(Vec3.from_array(q), noisy, ARRAY, C)[0]
 
             fd = (f_at(h) - f_at(-h)) / (2.0 * h)
             denom = max(abs(fd), abs(g[comp]), 1e-15)
@@ -158,8 +133,7 @@ class TestGradientDescent:
     def test_converges_on_synthetic_instance(self):
         truth = Vec3(8.0, 3.0, -4.0)
         tdoa = geometric_tdoa(ARRAY, truth, C)
-        init = initial_point(octant_of(truth), 10.0, ARRAY.coarse_centroid(), C,
-                             min(tdoa.coarse_arrivals.values()))
+        init = initial_point(octant_of(truth), 10.0, ARRAY.coarse_centroid())
         result = gradient_descent(init, tdoa, ARRAY, C)
         assert result.converged
         true_az, true_el = true_azimuth_elevation(
@@ -170,10 +144,10 @@ class TestGradientDescent:
 
     def test_azimuth_matches_convention_exactly(self):
         tdoa = geometric_tdoa(ARRAY, Vec3(8.0, 3.0, -4.0), C)
-        init = make_theta(6.0, 6.0, -6.0, t0=-1e-3)
+        init = Vec3(6.0, 6.0, -6.0)
         result = gradient_descent(init, tdoa, ARRAY, C,
                                   SolverParams(max_iters=50))
-        direction = Vec3.from_array(result.theta.position.as_array()
+        direction = Vec3.from_array(result.position.as_array()
                                     - ARRAY.precise_centroid().as_array())
         az, el = true_azimuth_elevation(direction)
         assert result.azimuth == az
@@ -182,7 +156,7 @@ class TestGradientDescent:
     def test_monotone_descent(self):
         truth = Vec3(8.0, 3.0, -4.0)
         tdoa = geometric_tdoa(ARRAY, truth, C)
-        init = make_theta(5.0, 5.0, -5.0, t0=-2e-3)
+        init = Vec3(5.0, 5.0, -5.0)
         objectives = []
         for iters in range(0, 14):
             res = gradient_descent(init, tdoa, ARRAY, C, SolverParams(max_iters=iters))
@@ -192,12 +166,11 @@ class TestGradientDescent:
     def test_zero_iteration_budget(self):
         truth = Vec3(8.0, 3.0, -4.0)
         tdoa = geometric_tdoa(ARRAY, truth, C)
-        init = make_theta(5.0, 5.0, -5.0, t0=-2e-3)
+        init = Vec3(5.0, 5.0, -5.0)
         result = gradient_descent(init, tdoa, ARRAY, C, SolverParams(max_iters=0))
         assert result.iterations == 0
         assert not result.converged
-        # t0 is projected from the position, not carried over from init
-        assert result.theta.position == init.position
+        assert result.position == init
 
     def test_translation_covariance(self):
         # Uses a meter-scale quad: with the default 15 mm quad the range
@@ -221,14 +194,13 @@ class TestGradientDescent:
             [e.delta_t for e in tdoa_moved.pairwise], atol=1e-15)
 
         params = SolverParams(max_iters=20_000, grad_tol=1e-13)
-        init = make_theta(5.0, 5.0, -5.0, t0=-1e-3)
-        init_moved = Theta(position=Vec3.from_array(init.position.as_array() + shift),
-                           t0=init.t0)
+        init = Vec3(5.0, 5.0, -5.0)
+        init_moved = Vec3.from_array(init.as_array() + shift)
         res_a = gradient_descent(init, tdoa, array, C, params)
         res_b = gradient_descent(init_moved, tdoa_moved, moved_array, C, params)
         assert res_a.converged and res_b.converged
-        assert np.allclose(res_b.theta.position.as_array(),
-                           res_a.theta.position.as_array() + shift, atol=1e-6)
+        assert np.allclose(res_b.position.as_array(),
+                           res_a.position.as_array() + shift, atol=1e-6)
         # and the bearing itself is unchanged by translation
         assert res_b.azimuth == pytest.approx(res_a.azimuth, abs=1e-5)
 
@@ -236,10 +208,8 @@ class TestGradientDescent:
         # the documented local-basin case that motivates the octant guess
         truth = Vec3(9.0, 4.0, -3.0)
         tdoa = geometric_tdoa(ARRAY, truth, C)
-        good = initial_point(octant_of(truth), 10.0, ARRAY.coarse_centroid(), C,
-                             min(tdoa.coarse_arrivals.values()))
-        bad = initial_point(octant_of(truth).negated(), 10.0, ARRAY.coarse_centroid(), C,
-                            min(tdoa.coarse_arrivals.values()))
+        good = initial_point(octant_of(truth), 10.0, ARRAY.coarse_centroid())
+        bad = initial_point(octant_of(truth).negated(), 10.0, ARRAY.coarse_centroid())
         res_good = gradient_descent(good, tdoa, ARRAY, C)
         res_bad = gradient_descent(bad, tdoa, ARRAY, C)
         assert res_good.objective < res_bad.objective
@@ -261,36 +231,32 @@ class TestGradientDescent:
             monkeypatch.setattr(solver._Problem, name, counted(name))
         truth = Vec3(8.0, 3.0, -4.0)
         tdoa = geometric_tdoa(ARRAY, truth, C)
-        init = initial_point(octant_of(truth), 10.0, ARRAY.coarse_centroid(), C,
-                             min(tdoa.coarse_arrivals.values()))
+        init = initial_point(octant_of(truth), 10.0, ARRAY.coarse_centroid())
         result = gradient_descent(init, tdoa, ARRAY, C)
         assert result.iterations > 0
         assert calls["objective_and_grad"] == result.iterations + 1
         assert calls["objective"] >= result.iterations
 
+    def test_emission_time_shift_leaves_result_equal(self):
+        # The pair delays carry no emission time: moving it shifts the
+        # reference onset and every coarse arrival, and nothing else.
+        truth = Vec3(8.0, 3.0, -4.0)
+        results = []
+        for t_emit in (0.0, 0.0123):
+            tdoa = geometric_tdoa(ARRAY, truth, C, t0=t_emit)
+            arrivals = [tdoa.coarse_arrivals[ch] for ch in ARRAY.coarse_channels]
+            init = octant_guess(arrivals, list(ARRAY.coarse)).init
+            results.append(gradient_descent(init, tdoa, ARRAY, C))
+        assert results[0].iterations > 0
+        assert results[1] == results[0]
+
     def test_diverged_guard_on_singular_init(self):
         tdoa = geometric_tdoa(ARRAY, Vec3(8.0, 3.0, -4.0), C)
         with pytest.raises(SingularGeometryError):
-            gradient_descent(Theta(position=ARRAY.precise[1], t0=0.0), tdoa, ARRAY, C)
+            gradient_descent(ARRAY.precise[1], tdoa, ARRAY, C)
 
     def test_solver_params_validation(self):
         with pytest.raises(ValueError):
             SolverParams(max_iters=-1)
         with pytest.raises(ValueError):
             SolverParams(grad_tol=0.0)
-
-
-class TestInitialPointPlacement:
-    def test_diagonal_position(self):
-        theta = initial_point(OctantId(True, True, True), 10.0, Vec3(0, 0, 0), C, 0.01)
-        assert np.allclose(theta.position.as_array(),
-                           [5.7735, 5.7735, 5.7735], atol=1e-3)
-        assert theta.t0 == pytest.approx(0.01 - 10.0 / C)
-
-    def test_signs_applied_componentwise(self):
-        theta = initial_point(OctantId(False, True, False), 10.0, Vec3(0, 0, 0), C, 0.0)
-        assert theta.position.x < 0 and theta.position.y > 0 and theta.position.z < 0
-
-    def test_zero_radius_rejected(self):
-        with pytest.raises(ValueError):
-            initial_point(OctantId(True, True, True), 0.0, Vec3(0, 0, 0), C, 0.0)
