@@ -6,6 +6,7 @@ import pytest
 from pingerloc import (
     DelayEstimate,
     HydrophoneArray,
+    OctantId,
     SingularGeometryError,
     SolverParams,
     TdoaSet,
@@ -260,3 +261,15 @@ class TestGradientDescent:
             SolverParams(max_iters=-1)
         with pytest.raises(ValueError):
             SolverParams(grad_tol=0.0)
+
+
+class TestInitialPointPlacement:
+    # The descent start is a plain position on the octant diagonal.
+    def test_diagonal_position(self):
+        init = initial_point(OctantId(True, True, True), 10.0, Vec3(0, 0, 0))
+        assert np.allclose(init.as_array(), [5.7735, 5.7735, 5.7735], atol=1e-3)
+        assert np.linalg.norm(init.as_array()) == pytest.approx(10.0)
+
+    def test_zero_radius_rejected(self):
+        with pytest.raises(ValueError):
+            initial_point(OctantId(True, True, True), 0.0, Vec3(0, 0, 0))
