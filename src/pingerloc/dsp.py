@@ -27,6 +27,8 @@ __all__ = [
     "design_bandpass",
     "filter_signal",
     "detect_ping",
+    "first_onset",
+    "channel_onsets",
     "estimate_delay",
     "select_stable_window",
 ]
@@ -75,7 +77,6 @@ class TdoaSet:
     absolute onset, the six pairwise delays over the precise quad measured in
     the chosen window, and the coarse channels' absolute onsets."""
 
-    reference_channel: int
     onset_time_abs: float
     pairwise: tuple[DelayEstimate, ...]
     coarse_arrivals: dict[int, float]
@@ -107,29 +108,52 @@ def filter_signal(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
 
 def _moving_rms(samples: np.ndarray, window: int) -> np.ndarray:
     """Trailing RMS over the last ``window`` samples (shorter at the start)."""
-    x2 = np.square(np.asarray(samples, dtype=float))
-    csum = np.concatenate(([0.0], np.cumsum(x2)))
-    n = len(x2)
-    idx = np.arange(n)
-    lo = np.maximum(idx - window + 1, 0)
-    counts = idx - lo + 1
-    sums = csum[idx + 1] - csum[lo]
-    return np.sqrt(np.maximum(sums, 0.0) / counts)
+    ms = np.square(np.asarray(samples, dtype=float))
+    n = len(ms)
+    csum = np.empty(n + 1)
+    csum[0] = 0.0
+    np.cumsum(ms, out=csum[1:])
+    # The mean square overwrites the squares: over the first ``window``
+    # samples the count ramps up, after them it is ``window``.
+    ramp = min(window, n)
+    np.divide(csum[1:ramp + 1], np.arange(1, ramp + 1), out=ms[:ramp])
+    steady = np.subtract(csum[ramp + 1:], csum[1:n - ramp + 1], out=ms[ramp:])
+    np.maximum(steady, 0.0, out=steady)
+    steady /= window
+    return np.sqrt(ms, out=ms)
 
 
 def detect_ping(samples: np.ndarray, fs: float, k_threshold: float = 5.0,
-                rms_window: float = 1e-3) -> int:
-    """Index of the first sample whose trailing moving RMS exceeds
-    ``k_threshold`` times the noise floor (the median moving RMS)."""
+                rms_window: float = 1e-3) -> np.ndarray:
+    """Ascending indices of one channel's samples whose trailing moving RMS
+    exceeds ``k_threshold`` times the noise floor, the median moving RMS of
+    the whole channel; empty when none does. Meant to run once per channel
+    and recording; ``first_onset`` then reads each ping's onset off it."""
     if k_threshold <= 1:
         raise ValueError(f"k_threshold must be > 1, got {k_threshold}")
+    if np.size(samples) == 0:
+        return np.empty(0, dtype=np.intp)
     w = max(1, int(round(rms_window * fs)))
     rms = _moving_rms(samples, w)
-    floor = float(np.median(rms))
-    above = rms > k_threshold * floor
-    if not above.any():
+    return np.flatnonzero(rms > k_threshold * float(np.median(rms)))
+
+
+def first_onset(onsets: np.ndarray, start: int) -> int:
+    """The first of ``detect_ping``'s indices at or after ``start``. Raises
+    NoPingError when there is none."""
+    k = int(np.searchsorted(onsets, start))
+    if k == len(onsets):
         raise NoPingError("no ping detected")
-    return int(np.argmax(above))
+    return int(onsets[k])
+
+
+def channel_onsets(filtered: np.ndarray, fs: float,
+                   array: HydrophoneArray) -> dict[int, np.ndarray]:
+    """``detect_ping`` on the reference (first precise) channel and on every
+    coarse channel of filtered (8, n) channels, one row at a time: channel ->
+    onset indices."""
+    return {ch: detect_ping(filtered[ch], fs)
+            for ch in (array.precise_channels[0], *array.coarse_channels)}
 
 
 def estimate_delay(a: np.ndarray, b: np.ndarray, fs: float, max_lag_samples: int) -> DelayEstimate:
@@ -180,8 +204,8 @@ def _pair_delays(precise: list[np.ndarray], start: int, length: int, fs: float,
 def select_stable_window(recording: MultiChannelRecording, sos: np.ndarray,
                          array: HydrophoneArray, sound_speed: float,
                          start_sample: int = 0) -> TdoaSet:
-    """Filter all channels, find the ping onset on the reference (first
-    precise) channel, then slide overlapping candidate windows from the onset
+    """Filter all channels, detect onsets on the reference (first precise)
+    and coarse channels, then slide overlapping candidate windows from the onset
     and keep the one whose six pairwise delays are most repeatable across
     sub-windows. Returns the TdoaSet measured over the winning window, plus
     per-channel coarse onsets. ``sound_speed`` (m/s, the scenario's) bounds
@@ -192,28 +216,29 @@ def select_stable_window(recording: MultiChannelRecording, sos: np.ndarray,
     """
     if recording.channel_count != 8:
         raise ValueError(f"expected 8 channels, got {recording.channel_count}")
-    return tdoa_from_filtered(filter_signal(sos, recording.channels), recording.sample_rate,
-                              array, sound_speed, start_sample)
+    fs = recording.sample_rate
+    filtered = filter_signal(sos, recording.channels)
+    return tdoa_from_filtered(filtered, fs, array, sound_speed,
+                              channel_onsets(filtered, fs, array), start_sample)
+
+
+def _onset_after(onsets: dict[int, np.ndarray], channel: int, start: int, kind: str) -> int:
+    """first_onset on one channel, whose NoPingError names the channel."""
+    try:
+        return first_onset(onsets[channel], start)
+    except NoPingError:
+        raise NoPingError(f"no ping detected on {kind} channel {channel}") from None
 
 
 def tdoa_from_filtered(filtered: np.ndarray, fs: float, array: HydrophoneArray,
-                       sound_speed: float, start_sample: int = 0,
-                       diagnostics: dict | None = None) -> TdoaSet:
+                       sound_speed: float, onsets: dict[int, np.ndarray],
+                       start_sample: int = 0, diagnostics: dict | None = None) -> TdoaSet:
     """Stable-window search on already-filtered channels, an (8, n) array
-    whose row k is channel k; see select_stable_window. If ``diagnostics`` is
-    a dict it is filled with the candidate window starts, their variance
-    scores, and the chosen index."""
-    ref_channel = array.precise_channels[0]
+    whose row k is channel k, given their ``channel_onsets``; see
+    select_stable_window. If ``diagnostics`` is a dict it is filled with the
+    candidate window starts, their variance scores, and the chosen index."""
+    onset = _onset_after(onsets, array.precise_channels[0], start_sample, "reference")
     n_total = filtered.shape[1]
-    if start_sample >= n_total:
-        raise NoPingError("no ping detected: search start beyond recording")
-
-    ref = filtered[ref_channel][start_sample:]
-    try:
-        onset_rel = detect_ping(ref, fs)
-    except NoPingError:
-        raise NoPingError(f"no ping detected on reference channel {ref_channel}") from None
-    onset = start_sample + onset_rel
 
     win_len = int(round(WINDOW_DURATION * fs))
     hop = max(1, int(round(WINDOW_HOP * fs)))
@@ -273,16 +298,10 @@ def tdoa_from_filtered(filtered: np.ndarray, fs: float, array: HydrophoneArray,
                                    peak_correlation=est.peak_correlation)
                      for (i, j), est in zip(_PAIRS, final))
 
-    coarse_arrivals = {}
-    for ch in array.coarse_channels:
-        try:
-            idx = detect_ping(filtered[ch][start_sample:], fs)
-        except NoPingError:
-            raise NoPingError(f"no ping detected on coarse channel {ch}") from None
-        coarse_arrivals[ch] = (start_sample + idx) / fs
+    coarse_arrivals = {ch: _onset_after(onsets, ch, start_sample, "coarse") / fs
+                       for ch in array.coarse_channels}
 
     return TdoaSet(
-        reference_channel=ref_channel,
         onset_time_abs=onset / fs,
         pairwise=pairwise,
         coarse_arrivals=coarse_arrivals,

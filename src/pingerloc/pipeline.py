@@ -5,9 +5,10 @@ stream, plus a Monte Carlo evaluation harness; both run each ping through
 
 Reports serialize as newline-delimited JSON. Timings and window-search
 diagnostics ride on each report but stay out of the serialized stream unless
-asked for, so runs with the same seed are byte-identical. A recording's
-render and filter time is charged to its first report only (later ones carry
-0.0), so summing a stream counts each cost once.
+asked for, so runs with the same seed are byte-identical. Onsets are detected
+once per recording, right after filtering; each ping reads its own off them.
+A recording's render, filter and onset time is charged to its first report
+only (later ones carry 0.0), so summing a stream counts each cost once.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .scene import (
     PingerSource,
     Scenario,
     Vec3,
+    check_array,
     config_from_dict,
     default_array,
     octant_of,
     true_azimuth_elevation,
-    validate_array,
 )
 
 __all__ = [
@@ -115,17 +116,19 @@ class PingOutcome:
 
 
 def localize_ping(filtered: np.ndarray, fs: float, scenario: Scenario,
-                  start_sample: int) -> PingOutcome:
+                  onsets: dict[int, np.ndarray], start_sample: int) -> PingOutcome:
     """Localize the first ping at or after ``start_sample`` in the filtered
-    (8, n) channels, row k being channel k. Failures in PING_ERRORS are caught
-    and recorded on the outcome; anything else (a bad argument) raises."""
+    (8, n) channels, row k being channel k, given their ``dsp.channel_onsets``.
+    Failures in PING_ERRORS are caught and recorded on the outcome; anything
+    else (a bad argument) raises."""
     tdoa = octant = result = error = None
     window_search: dict = {}
     timing: dict[str, float] = {}
     try:
         t_stage = time.perf_counter()
         tdoa = dsp.tdoa_from_filtered(filtered, fs, scenario.array, scenario.sound_speed,
-                                      start_sample=start_sample, diagnostics=window_search)
+                                      onsets, start_sample=start_sample,
+                                      diagnostics=window_search)
         timing["tdoa"] = (time.perf_counter() - t_stage) * 1e3
 
         t_stage = time.perf_counter()
@@ -164,9 +167,7 @@ def run_localization(scenario: Scenario,
     that fails raises its error, except that a missing ping after the first
     ends the stream. Deterministic given the scenario seed.
     """
-    report = validate_array(scenario.array, scenario.pinger.frequency, scenario.sound_speed)
-    if not report.ok:
-        raise ConfigError("array fails validation: " + "; ".join(report.violations))
+    check_array(scenario.array, scenario.pinger.frequency, scenario.sound_speed)
 
     t_start = time.perf_counter()
     if recording is None:
@@ -179,6 +180,9 @@ def run_localization(scenario: Scenario,
     t_start = time.perf_counter()
     filtered = _filter_channels(recording, scenario)
     recording_timing["filter"] = (time.perf_counter() - t_start) * 1e3
+    t_start = time.perf_counter()
+    onsets = dsp.channel_onsets(filtered, fs, scenario.array)
+    recording_timing["onset"] = (time.perf_counter() - t_start) * 1e3
 
     # After a ping is handled, resume the search just ahead of the next
     # repetition slot. Searching right after the burst instead would trip on
@@ -189,7 +193,7 @@ def run_localization(scenario: Scenario,
     cursor = 0
     ping_index = 0
     while True:
-        outcome = localize_ping(filtered, fs, scenario, cursor)
+        outcome = localize_ping(filtered, fs, scenario, onsets, cursor)
         if outcome.error is not None:
             if ping_index > 0 and isinstance(outcome.error, dsp.NoPingError):
                 return
@@ -211,7 +215,7 @@ def run_localization(scenario: Scenario,
                 **outcome.window_search,
             },
         )
-        recording_timing = {"render": 0.0, "filter": 0.0}
+        recording_timing = dict.fromkeys(recording_timing, 0.0)
         ping_index += 1
         cursor = int(round(tdoa.onset_time_abs * fs)) + skip
 
@@ -278,9 +282,7 @@ class MonteCarloConfig:
         if self.sound_speed <= 0:
             raise ConfigError(f"sound_speed must be > 0, got {self.sound_speed}")
         array = default_array()
-        report = validate_array(array, self.carrier_freq, self.sound_speed)
-        if not report.ok:
-            raise ConfigError("array fails validation: " + "; ".join(report.violations))
+        check_array(array, self.carrier_freq, self.sound_speed)
         if self.clearance <= 0:
             raise ConfigError(f"clearance must be > 0, got {self.clearance}")
         if self.success_threshold_deg <= 0:
@@ -375,8 +377,10 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
     coarse_centroid = scenario.array.coarse_centroid().as_array()
     octant_true = octant_of(Vec3.from_array(position.as_array() - coarse_centroid))
 
-    outcome = localize_ping(_filter_channels(recording, scenario), recording.sample_rate,
-                            scenario, 0)
+    fs = recording.sample_rate
+    filtered = _filter_channels(recording, scenario)
+    outcome = localize_ping(filtered, fs, scenario,
+                            dsp.channel_onsets(filtered, fs, scenario.array), 0)
 
     row = {
         "trial": trial,

@@ -32,6 +32,7 @@ __all__ = [
     "Scenario",
     "ValidationReport",
     "validate_array",
+    "check_array",
     "propagation_delay",
     "true_azimuth_elevation",
     "octant_of",
@@ -372,6 +373,13 @@ def validate_array(array: HydrophoneArray, frequency: float, sound_speed: float)
             violations.append(f"coarse quad does not span {name}-axis")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def check_array(array: HydrophoneArray, frequency: float, sound_speed: float) -> None:
+    """``validate_array``, raising ConfigError that lists every violation."""
+    report = validate_array(array, frequency, sound_speed)
+    if not report.ok:
+        raise ConfigError("array fails validation: " + "; ".join(report.violations))
 
 
 # --- JSON configuration -----------------------------------------------------

@@ -14,7 +14,7 @@ from scipy import signal as sps
 
 from .dsp import design_bandpass, filter_signal
 from .recording import MultiChannelRecording
-from .scene import ConfigError, NoiseSpec, PingerSource, Scenario, validate_array
+from .scene import NoiseSpec, PingerSource, Scenario, check_array
 
 __all__ = ["synthesize_ping", "ping_waveform", "render_scene", "add_noise"]
 
@@ -58,9 +58,7 @@ def synthesize_ping(pinger: PingerSource, sample_rate: float, duration: float) -
 def render_scene(scenario: Scenario) -> MultiChannelRecording:
     """Simulate one capture: per channel, gain * bandpass(source(t - r/c) / r)
     plus noise drawn from the scenario seed. Deterministic given the seed."""
-    report = validate_array(scenario.array, scenario.pinger.frequency, scenario.sound_speed)
-    if not report.ok:
-        raise ConfigError("array fails validation: " + "; ".join(report.violations))
+    check_array(scenario.array, scenario.pinger.frequency, scenario.sound_speed)
 
     fs = scenario.sample_rate
     n = int(round(scenario.record_duration * fs))

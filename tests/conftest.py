@@ -53,7 +53,6 @@ def geometric_tdoa(array, position, sound_speed, t0=0.0):
     )
     coarse = {ch: t0 + dist(ch) / sound_speed for ch in array.coarse_channels}
     return TdoaSet(
-        reference_channel=channels[0],
         onset_time_abs=t0 + dist(channels[0]) / sound_speed,
         pairwise=pairwise,
         coarse_arrivals=coarse,

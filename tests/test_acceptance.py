@@ -33,7 +33,7 @@ from pingerloc import (
     true_azimuth_elevation,
 )
 from pingerloc.cli import EXIT_OK, main
-from pingerloc.dsp import NoPingError
+from pingerloc.dsp import NoPingError, first_onset
 from conftest import geometric_tdoa
 from test_dsp import multitone
 
@@ -138,7 +138,6 @@ def test_criterion_1_gradient_correctness():
         truth = Vec3.from_array(rng.uniform(-15, 15, 3))
         base = geometric_tdoa(ARRAY, truth, C)
         tdoa = TdoaSet(
-            reference_channel=base.reference_channel,
             onset_time_abs=base.onset_time_abs + rng.uniform(-1e-4, 1e-4),
             pairwise=tuple(DelayEstimate(pair=e.pair,
                                          delta_t=e.delta_t + rng.uniform(-5e-6, 5e-6),
@@ -252,8 +251,9 @@ def test_criterion_6_detectability_at_30m():
         ref = ARRAY.precise_channels[0]
         arrival = propagation_delay(scenario.pinger.position,
                                     ARRAY.channel_position(ref), C)
+        onsets = detect_ping(filter_signal(cascade, recording.channels[ref]), FS)
         try:
-            onset = detect_ping(filter_signal(cascade, recording.channels[ref]), FS)
+            onset = first_onset(onsets, 0)
         except NoPingError:
             continue
         if abs(onset / FS - arrival) < 2e-3:

@@ -20,7 +20,7 @@ from pingerloc import (
     propagation_delay,
     select_stable_window,
 )
-from pingerloc.dsp import tdoa_from_filtered
+from pingerloc.dsp import _moving_rms, channel_onsets, first_onset, tdoa_from_filtered
 from conftest import FS, SOUND_SPEED
 
 
@@ -140,24 +140,59 @@ class TestDetectPing:
 
     def test_onset_within_half_ms(self, cascade):
         x = self.burst_in_noise(onset_time=0.5, total=1.0, snr_db=20.0)
-        onset = detect_ping(filter_signal(cascade, x), FS)
+        onset = first_onset(detect_ping(filter_signal(cascade, x), FS), 0)
         assert abs(onset / FS - 0.5) <= 0.5e-3
 
     def test_pure_noise_raises(self, cascade):
         rng = np.random.default_rng(3)
         x = filter_signal(cascade, rng.normal(0.0, 0.1, 200_000))
         with pytest.raises(NoPingError):
-            detect_ping(x, FS)
+            first_onset(detect_ping(x, FS), 0)
 
     def test_first_of_two_bursts(self, cascade):
         x = (self.burst_in_noise(onset_time=0.5, total=3.0, snr_db=30.0)
              + self.burst_in_noise(onset_time=2.5, total=3.0, snr_db=30.0, seed=1))
-        onset = detect_ping(filter_signal(cascade, x), FS)
-        assert abs(onset / FS - 0.5) <= 1e-3
+        onsets = detect_ping(filter_signal(cascade, x), FS)
+        assert abs(first_onset(onsets, 0) / FS - 0.5) <= 1e-3
+        # The same scan serves the later burst.
+        assert np.all(np.diff(onsets) > 0)
+        assert abs(first_onset(onsets, int(1.5 * FS)) / FS - 2.5) <= 1e-3
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             detect_ping(np.ones(100), FS, k_threshold=1.0)
+
+    def test_past_the_last_crossing_raises(self, cascade):
+        onsets = detect_ping(filter_signal(cascade, self.burst_in_noise(0.1, 0.3, 20.0)), FS)
+        assert first_onset(onsets, int(onsets[-1])) == onsets[-1]
+        with pytest.raises(NoPingError):
+            first_onset(onsets, int(onsets[-1]) + 1)
+        # An empty channel has no crossings at all.
+        empty = detect_ping(np.zeros(0), FS)
+        assert empty.dtype.kind == "i" and empty.size == 0
+        with pytest.raises(NoPingError):
+            first_onset(empty, 0)
+
+
+def index_array_moving_rms(samples, window):
+    """The moving RMS as first written, with three n-length index arrays."""
+    x2 = np.square(np.asarray(samples, dtype=float))
+    csum = np.concatenate(([0.0], np.cumsum(x2)))
+    n = len(x2)
+    idx = np.arange(n)
+    lo = np.maximum(idx - window + 1, 0)
+    counts = idx - lo + 1
+    sums = csum[idx + 1] - csum[lo]
+    return np.sqrt(np.maximum(sums, 0.0) / counts)
+
+
+class TestMovingRms:
+    W = 500
+
+    @pytest.mark.parametrize("n", [1, W - 1, W, W + 1, 25_000, 1_000_000])
+    def test_equals_index_array_formula(self, cascade, n):
+        x = filter_signal(cascade, np.random.default_rng(n).normal(size=n))
+        assert np.array_equal(_moving_rms(x, self.W), index_array_moving_rms(x, self.W))
 
 
 def multitone(offset_samples=0.0, n=2_000, seed=5, m=60, fs=FS):
@@ -241,7 +276,8 @@ class TestSelectStableWindow:
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         diagnostics = {}
         filtered = filter_signal(cascade, std_recording.channels)
-        tdoa = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, diagnostics=diagnostics)
+        tdoa = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED,
+                                  channel_onsets(filtered, FS, array), diagnostics=diagnostics)
 
         assert len(tdoa.pairwise) == 6
         max_delay = array.max_precise_spacing() / SOUND_SPEED
@@ -254,7 +290,7 @@ class TestSelectStableWindow:
 
         # chosen window overlaps the burst
         arrival = propagation_delay(std_scenario.pinger.position,
-                                    array.channel_position(tdoa.reference_channel),
+                                    array.channel_position(array.precise_channels[0]),
                                     SOUND_SPEED)
         start, length = tdoa.window
         assert start / FS >= arrival - 1e-3
@@ -285,7 +321,7 @@ class TestSelectStableWindow:
         array = std_scenario.array
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         ref_filtered = filter_signal(cascade, std_recording.channels[array.precise_channels[0]])
-        onset = detect_ping(ref_filtered, FS)
+        onset = first_onset(detect_ping(ref_filtered, FS), 0)
 
         rng = np.random.default_rng(13)
         glitch_start = onset + int(3e-3 * FS)
@@ -299,7 +335,8 @@ class TestSelectStableWindow:
 
         diagnostics = {}
         filtered = filter_signal(cascade, glitched.channels)
-        tdoa = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, diagnostics=diagnostics)
+        tdoa = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED,
+                                  channel_onsets(filtered, FS, array), diagnostics=diagnostics)
         # winning window must end before the glitch
         start, length = tdoa.window
         assert start + length <= glitch_start
@@ -307,7 +344,7 @@ class TestSelectStableWindow:
     def test_recording_too_short(self, std_recording, std_scenario):
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         ref = filter_signal(cascade, std_recording.channels[0])
-        onset = detect_ping(ref, FS)
+        onset = first_onset(detect_ping(ref, FS), 0)
         short = MultiChannelRecording(
             sample_rate=FS, channels=std_recording.channels[:, :onset + 300].copy())
         with pytest.raises(NoPingError):

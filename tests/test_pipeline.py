@@ -14,6 +14,7 @@ from pingerloc import (
     NoiseSpec,
     NoPingError,
     Vec3,
+    dsp,
     load_scenario,
     monte_carlo,
     run_localization,
@@ -50,7 +51,7 @@ class TestRunLocalization:
         assert report.octant_guess == "++-"
         assert report.objective >= 0.0
         assert 0.0 <= report.azimuth < 360.0
-        assert set(report.timing) == {"render", "filter", "tdoa", "guess", "solve"}
+        assert set(report.timing) == {"render", "filter", "onset", "tdoa", "guess", "solve"}
 
     def test_non_default_sound_speed(self):
         # configs/scenario_quick.json, noise and all, with sound at 1500 m/s:
@@ -77,14 +78,32 @@ class TestRunLocalization:
         assert all(b > a for a, b in zip(starts, starts[1:]))
         azimuths = [r.azimuth for r in reports]
         assert max(azimuths) - min(azimuths) < 0.1
-        # Render and filter run once per recording and are charged once, to
-        # the first report; every report keeps the same keys.
+        # Render, filter and onset detection run once per recording and are
+        # charged once, to the first report; every report keeps the same keys.
         first, *rest = [r.timing for r in reports]
-        assert first["render"] > 0.0 and first["filter"] > 0.0
+        assert first["render"] > 0.0 and first["filter"] > 0.0 and first["onset"] > 0.0
         for timing in rest:
             assert set(timing) == set(first)
-            assert timing["render"] == timing["filter"] == 0.0
+            assert timing["render"] == timing["filter"] == timing["onset"] == 0.0
             assert min(timing["tdoa"], timing["guess"], timing["solve"]) > 0.0
+
+    def test_onsets_detected_once_per_recording(self, monkeypatch):
+        # 16 repetitions of the quick scenario: one scan of each of the five
+        # onset channels serves every ping.
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        interval = quick.pinger.repetition_interval
+        scenario = dataclasses.replace(quick, record_duration=16 * interval)
+        calls = []
+        detect_ping = dsp.detect_ping
+
+        def counted(samples, *args, **kwargs):
+            calls.append(np.size(samples))
+            return detect_ping(samples, *args, **kwargs)
+
+        monkeypatch.setattr(dsp, "detect_ping", counted)
+        reports = list(run_localization(scenario))
+        assert [r.ping_index for r in reports] == list(range(16))
+        assert calls == [int(round(16 * interval * scenario.sample_rate))] * 5
 
     def test_deterministic_given_seed(self, std_scenario):
         runs = []
@@ -139,7 +158,9 @@ class TestRunLocalization:
 
 
 def localize_first(scenario, recording, start_sample=0):
-    return localize_ping(_filter_channels(recording, scenario), FS, scenario, start_sample)
+    filtered = _filter_channels(recording, scenario)
+    onsets = dsp.channel_onsets(filtered, FS, scenario.array)
+    return localize_ping(filtered, FS, scenario, onsets, start_sample)
 
 
 class TestLocalizePing:

@@ -74,8 +74,7 @@ class TestResiduals:
     def test_requires_all_six_pairs(self):
         truth = Vec3(8.0, 3.0, -4.0)
         tdoa = geometric_tdoa(ARRAY, truth, C)
-        broken = TdoaSet(reference_channel=tdoa.reference_channel,
-                         onset_time_abs=tdoa.onset_time_abs,
+        broken = TdoaSet(onset_time_abs=tdoa.onset_time_abs,
                          pairwise=tdoa.pairwise[:5],
                          coarse_arrivals=tdoa.coarse_arrivals,
                          window=tdoa.window)
@@ -103,7 +102,6 @@ class TestObjectiveAndGradient:
         tdoa = geometric_tdoa(ARRAY, truth, C)
         # jitter the measured delays so the residuals are nonzero
         noisy = TdoaSet(
-            reference_channel=tdoa.reference_channel,
             onset_time_abs=tdoa.onset_time_abs + rng.uniform(-1e-4, 1e-4),
             pairwise=tuple(
                 DelayEstimate(pair=e.pair,
