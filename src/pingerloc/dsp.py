@@ -100,10 +100,60 @@ def filter_signal(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Causal forward filtering with zero initial state along the last axis,
     so an (8, n) recording filters row by row in one call. Returns a float64
     array of the input's shape (empty for an empty last axis, which sosfilt
-    rejects)."""
-    if np.shape(samples)[-1] == 0:
-        return np.zeros(np.shape(samples))
-    return sps.sosfilt(sos, samples)
+    rejects). A row whose last sample is 0 is filtered only until its tail
+    is quiet (``_filter_to_silence``) and holds zeros after that."""
+    samples = np.asarray(samples)
+    n = samples.shape[-1]
+    if n == 0:
+        return np.zeros(samples.shape)
+    silent_end = samples[..., -1] == 0
+    if not silent_end.any():
+        return sps.sosfilt(sos, samples)
+    rows = samples.reshape(-1, n)
+    silent_end = silent_end.reshape(-1)
+    # Zeroed pages that a cut tail never writes take no memory.
+    out = np.zeros(rows.shape)
+    if not silent_end.all():
+        out[~silent_end] = sps.sosfilt(sos, rows[~silent_end])
+    for k in np.flatnonzero(silent_end):
+        _filter_to_silence(sos, rows[k], out[k])
+    return out.reshape(samples.shape)
+
+
+# A zero-input tail is cut once every section state is below _QUIET_STATE.
+# That is still a normal float64 (>= 2.2e-308), so the output is cut before
+# it decays into subnormals, whose arithmetic runs some 40x slower. Every
+# output the full filter would give after the cut is near 1e-200 or below:
+# its square and its product with a neighbouring channel's tail sample
+# (whose burst ends within the array's aperture / c, so it is tiny too)
+# underflow to exactly 0.0, and times any front-end gain below 1e150 it
+# rounds to 0 in float32 (smallest subnormal 1.4e-45). Writing 0.0 there
+# changes no energy, correlation or float32 recording, only the sign of
+# some zeros.
+_QUIET_STATE = 1e-200
+# Samples per zero-input tail call. The front end's bandpass (order 4,
+# 30-50 kHz at 500 kHz) decays about 32 decades per 1000 samples, so the
+# output at the cut is at most some 65 decades below _QUIET_STATE, still
+# normal. A faster-decaying section's state may go subnormal in the last
+# chunk; that costs at most one chunk of slow arithmetic per row.
+_TAIL_CHUNK = 2048
+
+
+def _filter_to_silence(sos: np.ndarray, row: np.ndarray, out: np.ndarray) -> None:
+    """Filter one row into ``out``, which holds zeros: in one call up to its
+    last nonzero sample, then zero input in chunks, carrying the state,
+    until the state is quiet. Byte-identical to a full-length filter up to
+    the cut; the zeros after it are left as they are."""
+    nonzero = np.flatnonzero(row)
+    stop = int(nonzero[-1]) + 1 if nonzero.size else 0
+    zi = np.zeros((len(sos), 2))
+    if stop:
+        out[:stop], zi = sps.sosfilt(sos, row[:stop], zi=zi)
+    silence = np.zeros(_TAIL_CHUNK)
+    while stop < len(row) and np.max(np.abs(zi)) >= _QUIET_STATE:
+        step = min(_TAIL_CHUNK, len(row) - stop)
+        out[stop:stop + step], zi = sps.sosfilt(sos, silence[:step], zi=zi)
+        stop += step
 
 
 def _moving_rms(samples: np.ndarray, window: int) -> np.ndarray:

@@ -68,7 +68,7 @@ def render_scene(scenario: Scenario) -> MultiChannelRecording:
     sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
 
     positions = [scenario.array.channel_position(ch) for ch in range(8)]
-    channels = np.empty((8, n), dtype=np.float32)
+    pressure = np.empty((8, n))
     for ch, pos in enumerate(positions):
         r = float(np.linalg.norm(source - pos.as_array()))
         if r < 1e-6:
@@ -79,8 +79,14 @@ def render_scene(scenario: Scenario) -> MultiChannelRecording:
                 f"pinger out of recording window: arrival {delay:.4f} s on channel "
                 f"{ch} is past record_duration {scenario.record_duration} s"
             )
-        pressure = ping_waveform(t - delay, scenario.pinger) / r
-        channels[ch] = (fe.gain * filter_signal(sos, pressure)).astype(np.float32)
+        pressure[ch] = ping_waveform(t - delay, scenario.pinger) / r
+    # Each float64 (8, n) array is dropped before the next copy is made: a
+    # 2 s render holds 64 MB in each.
+    filtered = filter_signal(sos, pressure)
+    del pressure
+    filtered *= fe.gain
+    channels = filtered.astype(np.float32)
+    del filtered
 
     clean = MultiChannelRecording(sample_rate=fs, channels=channels)
     return add_noise(clean, scenario.noise, scenario.seed)

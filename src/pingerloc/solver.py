@@ -75,12 +75,15 @@ class SolverParams:
 class SolverResult:
     """Final position plus diagnostics. ``objective`` is G (m^2) at the
     final position; ``grad_norm`` is the part of grad G (m) across the
-    bearing ray; ``range`` is measured from the precise-quad centroid."""
+    bearing ray; ``evaluations`` counts the evaluations of G, with or
+    without its gradient; ``range`` is measured from the precise-quad
+    centroid."""
 
     position: Vec3
     objective: float
     grad_norm: float
     iterations: int
+    evaluations: int
     converged: bool
     stop_reason: str
     azimuth: float
@@ -174,6 +177,7 @@ def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
     prob.check_guard(p)
 
     G, g = prob.objective_and_grad(p)
+    evaluations = 1
     if not np.isfinite(G):
         raise DivergedError("diverged: non-finite objective at initial point")
 
@@ -207,6 +211,7 @@ def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
         while trial >= _ALPHA_MIN:
             p_new = p - trial * g
             G_new = prob.objective(p_new)
+            evaluations += 1
             if np.isfinite(G_new) and G_new <= G - _ARMIJO_C1 * trial * gg:
                 accepted = True
                 break
@@ -220,6 +225,7 @@ def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
         p_prev, g_prev = p, g
         p = p_new
         G, g = prob.objective_and_grad(p)
+        evaluations += 1
         iterations += 1
         if decrease <= _F_TOL:
             converged = True
@@ -238,6 +244,7 @@ def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
         objective=float(G),
         grad_norm=_cross_bearing_norm(g, direction),
         iterations=iterations,
+        evaluations=evaluations,
         converged=converged,
         stop_reason=stop_reason,
         azimuth=azimuth,

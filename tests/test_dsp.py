@@ -100,7 +100,8 @@ class TestFilterSignal:
         assert np.all(y[:2_500] == 0.0)
 
     def test_recording_filters_row_by_row(self, cascade, std_recording):
-        # The noiseless tail decays into subnormal floats; the noisy copy does not.
+        # The noiseless rows end in silence, so each row's tail is cut where
+        # that row's state is quiet; the noisy copy takes the one-call path.
         noisy = add_noise(std_recording, NoiseSpec(white_sigma=0.05, interferer_amp=0.0,
                                                    lowfreq_amp=0.0), seed=5)
         for rec in (std_recording, noisy):
@@ -124,6 +125,79 @@ class TestFilterSignal:
         rhs = alpha * filter_signal(cascade, x) + beta * filter_signal(cascade, y)
         scale = max(np.max(np.abs(rhs)), 1.0)
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9 * scale)
+
+
+class TestTailCut:
+    """A row that ends in silence is filtered only until its tail is quiet;
+    plain full-length ``sps.sosfilt`` is the reference."""
+
+    GAIN = 10.0
+
+    @staticmethod
+    def bursts(ends, n=60_000, seed=3):
+        """One row per entry: a 1 ms noise burst ending just before sample
+        ``end`` (silence for None), zeros after it."""
+        rng = np.random.default_rng(seed)
+        x = np.zeros((len(ends), n))
+        for k, end in enumerate(ends):
+            if end is not None:
+                x[k, end - 500:end] = rng.normal(size=500)
+        return x
+
+    def check_row(self, cascade, x, y):
+        ref = sps.sosfilt(cascade, x)
+        nonzero = np.flatnonzero(x)
+        stop = nonzero[-1] + 1 if nonzero.size else 0
+        assert y[:stop].tobytes() == ref[:stop].tobytes()
+        assert np.array_equal((self.GAIN * y).astype(np.float32),
+                              (self.GAIN * ref).astype(np.float32))
+        # Past the cut the reference is quiet and squares to exactly 0.0.
+        differs = y != ref
+        assert np.all(y[differs] == 0.0)
+        assert np.all(np.abs(ref[differs]) < 1e-190)
+        assert np.all(np.square(ref[differs]) == 0.0)
+        assert np.all((y == 0.0) | (np.abs(y) >= np.finfo(float).tiny))
+        return ref
+
+    def test_burst_then_silence_1d(self, cascade):
+        x = self.bursts([3_000])[0]
+        y = filter_signal(cascade, x)
+        ref = self.check_row(cascade, x, y)
+        # The tail is cut well before the end, where the reference has
+        # decayed into subnormal floats.
+        assert np.all(y[20_000:] == 0.0)
+        assert np.any((ref != 0.0) & (np.abs(ref) < np.finfo(float).tiny))
+
+    def test_rows_cut_independently(self, cascade):
+        # Bursts ending at different samples, one never quiet before the end
+        # of the row, and an all-zero row.
+        ends = [2_000, 2_150, 9_000, 30_000, 59_900, None]
+        x = self.bursts(ends)
+        y = filter_signal(cascade, x)
+        assert y.shape == x.shape and y.dtype == np.float64
+        for k in range(len(ends)):
+            self.check_row(cascade, x[k], y[k])
+            assert y[k].tobytes() == filter_signal(cascade, x[k]).tobytes()
+        assert np.all(y[-1] == 0.0)
+        # Rows as the localizer sees a noiseless render: float32 bursts whose
+        # last nonzero sample is near 1e-45, so the sections enter the tail
+        # at very different sizes.
+        rendered = (self.GAIN * sps.sosfilt(cascade, x)).astype(np.float32)
+        y32 = filter_signal(cascade, rendered)
+        for k in range(len(ends)):
+            self.check_row(cascade, rendered[k].astype(float), y32[k])
+
+    def test_noisy_rows_equal_sosfilt(self, cascade):
+        rng = np.random.default_rng(4)
+        noisy = rng.normal(size=(3, 20_000))
+        noisy[:, -1] = 0.5
+        assert filter_signal(cascade, noisy).tobytes() == sps.sosfilt(cascade, noisy).tobytes()
+        assert filter_signal(cascade, noisy[0]).tobytes() == sps.sosfilt(cascade, noisy[0]).tobytes()
+        # A noisy row next to silent ones keeps its full-length filter.
+        mixed = np.vstack([noisy[:1], self.bursts([5_000], n=20_000)])
+        y = filter_signal(cascade, mixed)
+        assert y[0].tobytes() == sps.sosfilt(cascade, noisy[0]).tobytes()
+        self.check_row(cascade, mixed[1], y[1])
 
 
 class TestDetectPing:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pingerloc import (
@@ -148,10 +148,21 @@ class TestAzimuthElevation:
     def test_scale_invariance(self, x, y, z, k):
         if math.hypot(x, y, z) < 1e-6:
             return
+        # Scaling is exact in direction only while every nonzero component
+        # stays a normal float: a subnormal loses relative precision, and
+        # one that underflows to 0 turns the vector (see the anchor below).
+        tiny = np.finfo(float).tiny
+        assume(all(v == 0.0 or (abs(v) >= tiny and abs(k * v) >= tiny) for v in (x, y, z)))
         az1, el1 = true_azimuth_elevation(Vec3(x, y, z))
         az2, el2 = true_azimuth_elevation(Vec3(k * x, k * y, k * z))
         assert az1 == pytest.approx(az2, abs=1e-9)
         assert el1 == pytest.approx(el2, abs=1e-9)
+
+    def test_subnormal_component_counts(self):
+        # The smallest subnormal still sets the azimuth; halving it would
+        # underflow to 0 and give azimuth 0.
+        az, _ = true_azimuth_elevation(Vec3(0.0, 5e-324, 1.0))
+        assert az == 90.0
 
     def test_azimuth_range(self):
         az, _ = true_azimuth_elevation(Vec3(1, -1e-9, 0))

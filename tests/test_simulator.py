@@ -1,22 +1,33 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from pingerloc import (
     MultiChannelRecording,
     HydrophoneArray,
+    MonteCarloConfig,
     NoiseSpec,
     PingerSource,
     Scenario,
     Vec3,
     add_noise,
     default_array,
+    design_bandpass,
     estimate_delay,
+    load_scenario,
+    monte_carlo,
     ping_waveform,
     propagation_delay,
     render_scene,
     synthesize_ping,
 )
+from pingerloc import simulator
 from conftest import FS, SOUND_SPEED, fast_scenario
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def std_pinger(**kwargs):
@@ -139,6 +150,53 @@ class TestRenderScene:
         p40 = spectrum[np.argmin(np.abs(freqs - 40_000.0))] ** 2
         p18 = spectrum[np.argmin(np.abs(freqs - 18_000.0))] ** 2
         assert p40 / p18 >= 100.0
+
+
+def full_filter_render(scenario):
+    """Noiseless render with a full-length ``sps.sosfilt`` per channel: the
+    reference the tail cut must match."""
+    fs = scenario.sample_rate
+    n = int(round(scenario.record_duration * fs))
+    t = np.arange(n) / fs
+    fe = scenario.front_end
+    sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
+    source = scenario.pinger.position.as_array()
+    out = np.empty((8, n), dtype=np.float32)
+    for ch in range(8):
+        r = float(np.linalg.norm(source - scenario.array.channel_position(ch).as_array()))
+        pressure = ping_waveform(t - r / scenario.sound_speed, scenario.pinger) / r
+        out[ch] = (fe.gain * sps.sosfilt(sos, pressure)).astype(np.float32)
+    return out
+
+
+class TestRenderTailCut:
+    def test_noiseless_renders_equal_full_filter(self, monkeypatch):
+        silent = NoiseSpec.silent()
+        default = load_scenario(CONFIGS / "scenario_default.json")
+        scenes = [
+            dataclasses.replace(load_scenario(CONFIGS / "scenario_quick.json"), noise=silent),
+            # The default scenario's geometry over 0.2 s rather than 2 s.
+            dataclasses.replace(default, noise=silent, record_duration=0.2,
+                                pinger=dataclasses.replace(default.pinger,
+                                                           repetition_interval=0.2)),
+        ]
+        original = simulator.render_scene
+
+        def recorded(scenario):
+            scenes.append(scenario)
+            return original(scenario)
+
+        monkeypatch.setattr(simulator, "render_scene", recorded)
+        monte_carlo(MonteCarloConfig(ranges=(5.0, 30.0), snr_db=(None,), trials=3, seed=1))
+        monkeypatch.undo()
+        assert len(scenes) == 8
+        for scenario in scenes:
+            ours = render_scene(scenario).channels
+            reference = full_filter_render(scenario)
+            assert np.array_equal(ours, reference)
+            # Only the sign of some zeros may differ.
+            differs = ours.view(np.uint32) != reference.view(np.uint32)
+            assert np.all(ours[differs] == 0.0)
 
 
 class TestAddNoise:

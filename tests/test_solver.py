@@ -26,6 +26,24 @@ C = 1480.0
 ARRAY = default_array()
 
 
+@pytest.fixture()
+def objective_calls(monkeypatch):
+    """Calls of the two objective methods the descent evaluates, by name."""
+    calls = {"objective": 0, "objective_and_grad": 0}
+
+    def counted(name):
+        original = getattr(solver._Problem, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver._Problem, name, counted(name))
+    return calls
+
+
 class TestResiduals:
     # The six pair residuals (m) as seen through objective_and_gradient:
     # G = 1/2 sum r^2.
@@ -213,21 +231,10 @@ class TestGradientDescent:
         res_bad = gradient_descent(bad, tdoa, ARRAY, C)
         assert res_good.objective < res_bad.objective
 
-    def test_counted_objective_names(self, monkeypatch):
+    def test_counted_objective_names(self, objective_calls):
         # perfbench/spans.py counts objective evaluations through these two
         # names; monkeypatch.setattr raises if either is renamed away.
-        calls = {"objective": 0, "objective_and_grad": 0}
-
-        def counted(name):
-            original = getattr(solver._Problem, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(solver._Problem, name, counted(name))
+        calls = objective_calls
         truth = Vec3(8.0, 3.0, -4.0)
         tdoa = geometric_tdoa(ARRAY, truth, C)
         init = initial_point(octant_of(truth), 10.0, ARRAY.coarse_centroid())
@@ -235,6 +242,16 @@ class TestGradientDescent:
         assert result.iterations > 0
         assert calls["objective_and_grad"] == result.iterations + 1
         assert calls["objective"] >= result.iterations
+
+    @pytest.mark.parametrize("antipodal,max_iters", [(False, 5000), (True, 5000), (False, 2)])
+    def test_evaluations_counts_objective_calls(self, objective_calls, antipodal, max_iters):
+        truth = Vec3(9.0, 4.0, -3.0)
+        tdoa = geometric_tdoa(ARRAY, truth, C)
+        octant = octant_of(truth).negated() if antipodal else octant_of(truth)
+        init = initial_point(octant, 10.0, ARRAY.coarse_centroid())
+        result = gradient_descent(init, tdoa, ARRAY, C, SolverParams(max_iters=max_iters))
+        assert result.evaluations == sum(objective_calls.values())
+        assert result.evaluations > result.iterations > 0
 
     def test_emission_time_shift_leaves_result_equal(self):
         # The pair delays carry no emission time: moving it shifts the
