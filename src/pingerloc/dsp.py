@@ -33,17 +33,17 @@ __all__ = [
     "select_stable_window",
 ]
 
-# Stable-window search. Candidate windows start every WINDOW_HOP seconds from
-# the onset; each is split into NUM_SUBWINDOWS slices, and the summed variance
-# of the six pair delays across the slices scores it. A winning score above
+# Stable-window search. A candidate window is NUM_SUBWINDOWS consecutive
+# sub-windows of WINDOW_DURATION / NUM_SUBWINDOWS; candidates start every
+# sub-window from the onset. The summed variance of the six pair delays
+# across a candidate's sub-windows scores it. A winning score above
 # (MAX_DELAY_SPREAD_SAMPLES / fs)^2 marks the ping as unstable.
 WINDOW_DURATION = 2e-3  # s
-WINDOW_HOP = 0.5e-3  # s
 NUM_WINDOWS = 8
 NUM_SUBWINDOWS = 4
 MAX_DELAY_SPREAD_SAMPLES = 0.5
 # Seconds from the onset to the end of the last candidate window.
-SEARCH_SPAN = (NUM_WINDOWS - 1) * WINDOW_HOP + WINDOW_DURATION
+SEARCH_SPAN = (NUM_WINDOWS - 1) * WINDOW_DURATION / NUM_SUBWINDOWS + WINDOW_DURATION
 
 # The six precise-quad pairs as (i, j) indices into the quad, i < j.
 _PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
@@ -254,16 +254,8 @@ def _pair_delays(precise: list[np.ndarray], start: int, length: int, fs: float,
 def select_stable_window(recording: MultiChannelRecording, sos: np.ndarray,
                          array: HydrophoneArray, sound_speed: float,
                          start_sample: int = 0) -> TdoaSet:
-    """Filter all channels, detect onsets on the reference (first precise)
-    and coarse channels, then slide overlapping candidate windows from the onset
-    and keep the one whose six pairwise delays are most repeatable across
-    sub-windows. Returns the TdoaSet measured over the winning window, plus
-    per-channel coarse onsets. ``sound_speed`` (m/s, the scenario's) bounds
-    every delay by the widest precise spacing over it.
-
-    ``start_sample`` restricts the onset search to samples at or after it,
-    which lets a caller step through successive ping repetitions.
-    """
+    """Filter all channels (``filter_signal``), detect their onsets
+    (``channel_onsets``), then run ``tdoa_from_filtered``."""
     if recording.channel_count != 8:
         raise ValueError(f"expected 8 channels, got {recording.channel_count}")
     fs = recording.sample_rate
@@ -284,14 +276,19 @@ def tdoa_from_filtered(filtered: np.ndarray, fs: float, array: HydrophoneArray,
                        sound_speed: float, onsets: dict[int, np.ndarray],
                        start_sample: int = 0, diagnostics: dict | None = None) -> TdoaSet:
     """Stable-window search on already-filtered channels, an (8, n) array
-    whose row k is channel k, given their ``channel_onsets``; see
-    select_stable_window. If ``diagnostics`` is a dict it is filled with the
-    candidate window starts, their variance scores, and the chosen index."""
+    whose row k is channel k, given their ``channel_onsets``. From the
+    reference (first precise) channel's first onset at or after
+    ``start_sample``, candidate windows start every sub-window; the one whose
+    six pairwise delays are most repeatable across its sub-windows wins.
+    Returns the TdoaSet measured over the winning window, plus per-channel
+    coarse onsets. ``sound_speed`` (m/s, the scenario's) bounds every delay
+    by the widest precise spacing over it. If ``diagnostics`` is a dict it
+    is filled with the candidate window starts, their variance scores, and
+    the chosen index."""
     onset = _onset_after(onsets, array.precise_channels[0], start_sample, "reference")
     n_total = filtered.shape[1]
 
     win_len = int(round(WINDOW_DURATION * fs))
-    hop = max(1, int(round(WINDOW_HOP * fs)))
     sub_len = win_len // NUM_SUBWINDOWS
     if sub_len < 2:
         raise ValueError(f"sample rate {fs} Hz too low for {NUM_SUBWINDOWS} sub-windows "
@@ -304,24 +301,27 @@ def tdoa_from_filtered(filtered: np.ndarray, fs: float, array: HydrophoneArray,
     max_lag = int(math.ceil(max_delay * fs))
 
     precise = [filtered[ch] for ch in array.precise_channels]
-    starts = [onset + k * hop for k in range(NUM_WINDOWS)
-              if onset + k * hop + win_len <= n_total]
+    starts = [onset + k * sub_len for k in range(NUM_WINDOWS)
+              if onset + k * sub_len + win_len <= n_total]
     if not starts:
         raise NoPingError("no ping: recording too short for one analysis window after onset")
 
-    # Score each candidate by the summed sample variance of the pairwise
-    # delays across its sub-windows; a window overlapping a glitch or the
-    # burst's tail scores high and loses.
-    scores = np.full(len(starts), np.inf)
+    # Candidate w is sub-windows w .. w + NUM_SUBWINDOWS - 1, so each
+    # sub-window's six pair delays are measured once, into one table row; a
+    # sub-window without energy leaves its row NaN and scores its candidates
+    # inf. A candidate scores the summed sample variance of its rows: one
+    # overlapping a glitch or the burst's tail scores high and loses.
+    sub_delays = np.full((len(starts) + NUM_SUBWINDOWS - 1, len(_PAIRS)), np.nan)
     sub_max_lag = min(max_lag, sub_len - 1)
-    for w, start in enumerate(starts):
+    for s, row in enumerate(sub_delays):
         try:
-            sub_delays = [[est.delta_t for est in _pair_delays(precise, start + s * sub_len,
-                                                                sub_len, fs, sub_max_lag)]
-                          for s in range(NUM_SUBWINDOWS)]
+            row[:] = [est.delta_t for est in _pair_delays(precise, onset + s * sub_len,
+                                                          sub_len, fs, sub_max_lag)]
         except DegenerateSignalError:
-            continue
-        scores[w] = float(np.var(sub_delays, axis=0, ddof=1).sum())
+            pass
+    scores = np.array([np.var(sub_delays[w:w + NUM_SUBWINDOWS], axis=0, ddof=1).sum()
+                       for w in range(len(starts))])
+    scores[np.isnan(scores)] = np.inf
 
     best = int(np.argmin(scores))
     best_var = float(scores[best])

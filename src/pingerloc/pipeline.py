@@ -33,7 +33,6 @@ from .scene import (
     Vec3,
     check_array,
     config_from_dict,
-    default_array,
     octant_of,
     true_azimuth_elevation,
 )
@@ -279,9 +278,8 @@ class MonteCarloConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if not self.ranges or not self.snr_db:
             raise ConfigError("ranges and snr_db must be non-empty")
-        if self.sound_speed <= 0:
-            raise ConfigError(f"sound_speed must be > 0, got {self.sound_speed}")
-        array = default_array()
+        # Every trial renders this scenario, at its own pinger position.
+        array = _trial_scenario(self, Vec3(1.0, 1.0, 1.0)).array
         check_array(array, self.carrier_freq, self.sound_speed)
         if self.clearance <= 0:
             raise ConfigError(f"clearance must be > 0, got {self.clearance}")
@@ -341,13 +339,10 @@ def _sample_position(rng: np.random.Generator, radius: float, clearance: float) 
             return Vec3.from_array(pos)
 
 
-def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
-               radius: float, snr_db: float | None) -> dict:
-    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(cell_index, trial))
-    rng = np.random.default_rng(ss)
-    position = _sample_position(rng, radius, config.clearance)
-
-    scenario = Scenario(
+def _trial_scenario(config: MonteCarloConfig, position: Vec3) -> Scenario:
+    """The noiseless one-repetition scene a trial renders, its pinger at
+    ``position``. Raises ConfigError when the config cannot render."""
+    return Scenario(
         pinger=PingerSource(position=position, frequency=config.carrier_freq,
                             ping_duration=config.ping_duration,
                             repetition_interval=config.repetition_interval),
@@ -357,6 +352,14 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
         noise=NoiseSpec.silent(),
         seed=0,
     )
+
+
+def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
+               radius: float, snr_db: float | None) -> dict:
+    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(cell_index, trial))
+    rng = np.random.default_rng(ss)
+    position = _sample_position(rng, radius, config.clearance)
+    scenario = _trial_scenario(config, position)
     clean = simulator.render_scene(scenario)
     if snr_db is None:
         recording = clean
@@ -458,13 +461,7 @@ def write_monte_carlo_csv(path: str | Path, summary: MonteCarloSummary, rows: li
         # in every cell.
         for idx, row in enumerate(rows):
             writer.writerow([idx] + [_fmt(row[col]) for col in MC_CSV_COLUMNS[1:]])
-        writer.writerow([
-            "summary", "", "",
-            "", "",
-            _fmt(summary.az_err_p50),
-            "",
-            _fmt(summary.octant_accuracy),
-            _fmt(summary.success_fraction),
-            "",
-            _fmt(summary.trials),
-        ])
+        summary_row = {"trial": "summary", "az_err_deg": summary.az_err_p50,
+                       "octant_guess": summary.octant_accuracy,
+                       "converged": summary.success_fraction, "iters": summary.trials}
+        writer.writerow([_fmt(summary_row.get(col)) for col in MC_CSV_COLUMNS])

@@ -219,13 +219,16 @@ def test_negative_seed_override_is_config_error(scenario_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ranges", [[1.0], [80.0], [-5.0]],
-                         ids=["below-clearance", "arrives-late", "negative"])
-def test_infeasible_montecarlo_grid_fails_at_load(tmp_path, ranges):
+# A 60 kHz sample rate breaks Nyquist for the 40 kHz carrier: no trial could
+# render.
+@pytest.mark.parametrize("extra", [{"ranges": [1.0]}, {"ranges": [80.0]}, {"ranges": [-5.0]},
+                                   {"sample_rate": 60_000.0}],
+                         ids=["below-clearance", "arrives-late", "negative", "below-nyquist"])
+def test_infeasible_montecarlo_grid_fails_at_load(tmp_path, extra):
     # Run in a child process so that a grid which hangs fails on the timeout
     # instead of stalling the suite.
     cfg = tmp_path / "eval.json"
-    cfg.write_text(json.dumps({"ranges": ranges, "snr_db": [None], "trials": 1}))
+    cfg.write_text(json.dumps({"ranges": [10.0], "snr_db": [None], "trials": 1, **extra}))
     src = str(Path(pingerloc.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "pingerloc.cli", "montecarlo",

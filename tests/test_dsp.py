@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +20,27 @@ from pingerloc import (
     estimate_delay,
     filter_signal,
     ping_waveform,
+    load_scenario,
     propagation_delay,
+    render_scene,
     select_stable_window,
 )
-from pingerloc.dsp import _moving_rms, channel_onsets, first_onset, tdoa_from_filtered
+from pingerloc import dsp
+from pingerloc.dsp import (
+    NUM_SUBWINDOWS,
+    NUM_WINDOWS,
+    SEARCH_SPAN,
+    WINDOW_DURATION,
+    UnstableWindowError,
+    _pair_delays,
+    _moving_rms,
+    channel_onsets,
+    first_onset,
+    tdoa_from_filtered,
+)
 from conftest import FS, SOUND_SPEED
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -437,3 +456,138 @@ class TestSelectStableWindow:
                                     channels=np.zeros((4, 10_000), dtype=np.float32))
         with pytest.raises(ValueError, match="8 channels"):
             select_stable_window(rec, cascade, std_scenario.array, SOUND_SPEED)
+
+
+def per_candidate_search(filtered, fs, array, sound_speed, onsets):
+    """The window search's diagnostics as it scored candidates before each
+    sub-window was measured once: every candidate correlates its own
+    NUM_SUBWINDOWS sub-windows, four ``_pair_delays`` calls, and a candidate
+    with a degenerate sub-window scores inf. Candidates hop by one
+    sub-window, which is the old 0.5 ms hop at 500 kHz."""
+    onset = first_onset(onsets[array.precise_channels[0]], 0)
+    win_len = int(round(WINDOW_DURATION * fs))
+    sub_len = win_len // NUM_SUBWINDOWS
+    sub_max_lag = min(int(math.ceil(array.max_precise_spacing() / sound_speed * fs)),
+                      sub_len - 1)
+    precise = [filtered[ch] for ch in array.precise_channels]
+    starts = [onset + k * sub_len for k in range(NUM_WINDOWS)
+              if onset + k * sub_len + win_len <= filtered.shape[1]]
+    scores = []
+    for start in starts:
+        try:
+            sub_delays = [[est.delta_t for est in _pair_delays(precise, start + s * sub_len,
+                                                                sub_len, fs, sub_max_lag)]
+                          for s in range(NUM_SUBWINDOWS)]
+        except DegenerateSignalError:
+            scores.append(math.inf)
+            continue
+        scores.append(float(np.var(sub_delays, axis=0, ddof=1).sum()))
+    return {"candidate_starts": starts, "variance_scores": scores,
+            "chosen_candidate": int(np.argmin(scores))}
+
+
+class TestSubWindowTable:
+    """Each sub-window is measured once; candidates read runs of them."""
+
+    SUB_LEN = int(round(WINDOW_DURATION * FS)) // NUM_SUBWINDOWS
+
+    @pytest.fixture(scope="class")
+    def quick(self, cascade):
+        scenario = load_scenario(CONFIGS / "scenario_quick.json")
+        return scenario, filter_signal(cascade, render_scene(scenario).channels)
+
+    @pytest.fixture(scope="class")
+    def noiseless(self, cascade, std_scenario, std_recording):
+        return std_scenario, filter_signal(cascade, std_recording.channels)
+
+    def onset(self, filtered, array):
+        return first_onset(detect_ping(filtered[array.precise_channels[0]], FS), 0)
+
+    def zero_precise(self, filtered, array, offset, length):
+        """A copy with the second precise channel zeroed over ``length``
+        samples from ``offset`` past the reference onset."""
+        out = filtered.copy()
+        start = self.onset(filtered, array) + offset
+        out[array.precise_channels[1], start:start + length] = 0.0
+        return out
+
+    def cut_to_three_candidates(self, filtered, array):
+        onset = self.onset(filtered, array)
+        return filtered[:, :onset + 2 * self.SUB_LEN + int(round(WINDOW_DURATION * FS))].copy()
+
+    def glitch(self, filtered, array):
+        out = filtered.copy()
+        start = self.onset(filtered, array) + 3 * self.SUB_LEN + 40
+        rng = np.random.default_rng(5)
+        out[:, start:start + 100] += rng.normal(0.0, 10.0 * np.max(np.abs(filtered)), (8, 100))
+        return out
+
+    def case(self, quick, noiseless, name):
+        """(scenario, filtered channels) of one named case; all but the
+        noiseless ping edit the filtered quick-scenario ping."""
+        if name == "noiseless":
+            return noiseless
+        scenario, filtered = quick
+        array = scenario.array
+        edit = {
+            "quick": lambda: filtered,
+            "zeroed-sub-window": lambda: self.zero_precise(filtered, array, 2 * self.SUB_LEN,
+                                                           self.SUB_LEN),
+            "zeroed-search": lambda: self.zero_precise(filtered, array, 0,
+                                                       int(round(SEARCH_SPAN * FS))),
+            "three-candidates": lambda: self.cut_to_three_candidates(filtered, array),
+            "glitch": lambda: self.glitch(filtered, array),
+        }[name]
+        return scenario, edit()
+
+    @pytest.mark.parametrize("name", ["quick", "zeroed-sub-window", "zeroed-search",
+                                      "three-candidates", "glitch", "noiseless"])
+    def test_diagnostics_equal_per_candidate_scoring(self, quick, noiseless, name):
+        scenario, filtered = self.case(quick, noiseless, name)
+        array = scenario.array
+        onsets = channel_onsets(filtered, FS, array)
+        expected = per_candidate_search(filtered, FS, array, SOUND_SPEED, onsets)
+        diagnostics = {}
+        try:
+            tdoa = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets,
+                                      diagnostics=diagnostics)
+        except UnstableWindowError:
+            tdoa = None
+        assert diagnostics == expected
+        scores = expected["variance_scores"]
+        if name == "zeroed-search":
+            assert tdoa is None and scores == [math.inf] * NUM_WINDOWS
+            return
+        assert tdoa.window == (expected["candidate_starts"][expected["chosen_candidate"]],
+                               int(round(WINDOW_DURATION * FS)))
+        if name == "zeroed-sub-window":
+            # Sub-window 2 is degenerate: candidates 0-2 hold it, 3-7 do not.
+            assert scores[:3] == [math.inf] * 3
+            assert np.all(np.isfinite(scores[3:]))
+        if name == "three-candidates":
+            assert len(scores) == 3
+
+    @pytest.mark.parametrize("name, candidates", [("quick", NUM_WINDOWS),
+                                                  ("three-candidates", 3)])
+    def test_each_sub_window_correlated_once(self, quick, noiseless, monkeypatch,
+                                             name, candidates):
+        scenario, filtered = self.case(quick, noiseless, name)
+        onsets = channel_onsets(filtered, FS, scenario.array)
+        calls = []
+        real = dsp.estimate_delay
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dsp, "estimate_delay", counted)
+        diagnostics = {}
+        tdoa_from_filtered(filtered, FS, scenario.array, SOUND_SPEED, onsets,
+                           diagnostics=diagnostics)
+        assert len(diagnostics["candidate_starts"]) == candidates
+        sub_windows = candidates + NUM_SUBWINDOWS - 1
+        # Six pairs per sub-window, then six over the winning window.
+        assert len(calls) == 6 * sub_windows + 6
+        assert calls == [self.SUB_LEN] * (6 * sub_windows) + [4 * self.SUB_LEN] * 6
+        if candidates == NUM_WINDOWS:
+            assert len(calls) == 72

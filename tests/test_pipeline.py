@@ -277,6 +277,20 @@ class TestMonteCarlo:
                 MonteCarloConfig(ranges=(10.0, radius), snr_db=(None,), trials=1,
                                  sound_speed=sound_speed)
 
+    @pytest.mark.parametrize("extra, match", [
+        ({"sample_rate": 60_000.0}, "Nyquist for carrier"),
+        ({"sample_rate": 0.0}, "Nyquist for carrier"),
+        ({"ping_duration": 0.0}, "ping_duration must satisfy"),
+        ({"ping_duration": 0.06}, "ping_duration must satisfy"),
+        # The 50 kHz front-end band edge sits at Nyquist.
+        ({"carrier_freq": 45_000.0, "sample_rate": 100_000.0}, "band edge"),
+    ], ids=["below-nyquist", "zero-rate", "zero-duration", "longer-than-interval",
+            "band-edge-at-nyquist"])
+    def test_unrenderable_trial_scenario_rejected(self, extra, match):
+        doc = {"ranges": [10.0], "snr_db": [None], "trials": 1, **extra}
+        with pytest.raises(ConfigError, match=match):
+            monte_carlo_config_from_dict(doc)
+
     @pytest.mark.parametrize("field, value", [
         ("clearance", 0.0), ("clearance", -1.0),
         ("success_threshold_deg", 0.0), ("success_threshold_deg", -1.0),
