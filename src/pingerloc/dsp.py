@@ -9,6 +9,7 @@ the delay estimates feed on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,7 +94,18 @@ def design_bandpass(order: int, f_lo: float, f_hi: float, fs: float) -> np.ndarr
         raise ValueError(f"band must satisfy 0 < f_lo < f_hi < fs/2, got {f_lo}/{f_hi} at fs={fs}")
     if order < 2 or order % 2 != 0:
         raise ValueError(f"order must be even and >= 2, got {order}")
-    return sps.butter(order // 2, [f_lo, f_hi], btype="bandpass", output="sos", fs=fs)
+    # A fresh copy each call: sosfilt refuses a read-only SOS array.
+    return _butter_bandpass(order, f_lo, f_hi, fs).copy()
+
+
+@functools.lru_cache(maxsize=16)
+def _butter_bandpass(order: int, f_lo: float, f_hi: float, fs: float) -> np.ndarray:
+    """scipy's design for one band, made once: a Monte Carlo trial renders
+    and localizes through the same front-end band. Read-only, since every
+    caller shares it."""
+    sos = sps.butter(order // 2, [f_lo, f_hi], btype="bandpass", output="sos", fs=fs)
+    sos.flags.writeable = False
+    return sos
 
 
 def filter_signal(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -209,37 +221,47 @@ def channel_onsets(filtered: np.ndarray, fs: float,
 def estimate_delay(a: np.ndarray, b: np.ndarray, fs: float, max_lag_samples: int) -> DelayEstimate:
     """Normalized cross-correlation delay between two equal-length windows,
     searched over lags within +/- max_lag_samples and refined to sub-sample
-    precision with a three-point parabolic fit of the correlation peak."""
+    precision with a three-point parabolic fit of the correlation peak.
+
+    Only the lags it reads are summed: the 2 * max_lag_samples + 1 searched
+    lags and the two beyond them that the fit may need, each as one dot
+    product over the overlap, so 2 * max_lag_samples + 3 lag sums. From 12
+    samples up each sum is bit-equal to the same lag of a full-mode
+    ``np.correlate``; below that numpy's correlate takes another kernel and
+    the two agree to within a few ulps."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"inputs must be equal-length 1-D arrays, got {a.shape} and {b.shape}")
-    norm = float(np.linalg.norm(a) * np.linalg.norm(b))
+    norm = math.sqrt(a.dot(a)) * math.sqrt(b.dot(b))
     if norm == 0.0:
         raise DegenerateSignalError("degenerate signal: zero energy")
+    n = len(a)
     max_lag = int(max_lag_samples)
-    if max_lag < 0 or max_lag > len(a) - 1:
-        raise ValueError(f"max_lag_samples must be in [0, {len(a) - 1}], got {max_lag}")
+    if max_lag < 0 or max_lag > n - 1:
+        raise ValueError(f"max_lag_samples must be in [0, {n - 1}], got {max_lag}")
 
-    # corr[k] = sum_n a[n] b[n - lag] with lag = k - (len(b) - 1); a copy of a
-    # delayed by d in b peaks at lag -d.
-    corr = np.correlate(a, b, mode="full")
-    center = len(b) - 1
-    window = corr[center - max_lag : center + max_lag + 1]
-    k = int(np.argmax(window))
-    lag = float(k - max_lag)
+    # corr[max_lag + 1 + lag] = sum_n a[n] b[n - lag]; a copy of a delayed by
+    # d in b peaks at lag -d. A neighbour lag past the overlap (|lag| = n) is
+    # None.
+    corr = [None if abs(lag) >= n
+            else a[lag:].dot(b[:n - lag]) if lag >= 0
+            else a[:n + lag].dot(b[-lag:])
+            for lag in range(-max_lag - 1, max_lag + 2)]
+    # The first of equal maxima, as np.argmax takes it.
+    k = max(range(1, 2 * max_lag + 2), key=corr.__getitem__)
+    lag = float(k - max_lag - 1)
 
     # Parabolic vertex through the peak and its immediate neighbors.
-    j = center + int(lag)
-    if 0 < j < len(corr) - 1:
-        y_m, y_0, y_p = corr[j - 1], corr[j], corr[j + 1]
+    y_m, y_0, y_p = corr[k - 1], corr[k], corr[k + 1]
+    if y_m is not None and y_p is not None:
         denom = y_m - 2.0 * y_0 + y_p
         if denom < 0.0:
-            offset = 0.5 * (y_m - y_p) / denom
-            lag += float(np.clip(offset, -1.0, 1.0))
-    lag = float(np.clip(lag, -max_lag, max_lag))
+            offset = float(0.5 * (y_m - y_p) / denom)
+            lag += min(max(offset, -1.0), 1.0)
+    lag = min(max(lag, -float(max_lag)), float(max_lag))
 
-    peak = float(np.clip(window[k] / norm, -1.0, 1.0))
+    peak = min(max(float(y_0 / norm), -1.0), 1.0)
     return DelayEstimate(pair=(-1, -1), delta_t=lag / fs, peak_correlation=peak)
 
 

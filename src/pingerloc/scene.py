@@ -299,6 +299,18 @@ class Scenario:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        # The pinger must be heard on every channel, so off every hydrophone
+        # and within the recording.
+        source = self.pinger.position.as_array()
+        for ch, pos in zip(self.array.labels, self.array.all_positions()):
+            r = float(np.linalg.norm(source - pos.as_array()))
+            if r < MIN_HYDROPHONE_SEPARATION:
+                raise ConfigError(f"pinger coincides with hydrophone on channel {ch}")
+            if r / self.sound_speed >= self.record_duration:
+                raise ConfigError(
+                    f"pinger out of recording window: arrival {r / self.sound_speed:.4f} s "
+                    f"on channel {ch} is past record_duration {self.record_duration} s"
+                )
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,21 @@ def test_validate_ok_and_violations(scenario_path, tmp_path, capsys):
     assert "does not span x-axis" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("position", [{"x": 100.0, "y": 0.0, "z": 0.0},
+                                      {"x": 0.3, "y": 0.2, "z": 0.15}],
+                         ids=["out-of-window", "on-hydrophone"])
+def test_unhearable_pinger_is_config_error(scenario_path, position, tmp_path, capsys):
+    doc = json.loads(scenario_path.read_text())
+    doc["pinger"]["position"] = position
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "array ok" not in captured.out
+    assert captured.err.startswith("config error: pinger ")
+    assert "Traceback" not in captured.err
+
+
 def test_montecarlo_csv_and_summary(tmp_path, capsys):
     cfg = tmp_path / "eval.json"
     cfg.write_text(json.dumps({"ranges": [10.0], "snr_db": [None], "trials": 2, "seed": 5}))

@@ -88,6 +88,17 @@ class TestDesignBandpass:
         with pytest.raises(ValueError):
             design_bandpass(0, 30_000.0, 50_000.0, FS)
 
+    def test_each_call_returns_its_own_writable_design(self):
+        first = design_bandpass(4, 30_000.0, 50_000.0, FS)
+        expected = sps.butter(2, [30_000.0, 50_000.0], btype="bandpass", output="sos", fs=FS)
+        assert np.array_equal(first, expected)
+        first[:] = 0.0
+        second = design_bandpass(4, 30_000.0, 50_000.0, FS)
+        assert second.flags.writeable
+        assert np.array_equal(second, expected)
+        # sosfilt refuses a read-only SOS array.
+        sps.sosfilt(second, np.ones(8))
+
 
 class TestFilterSignal:
     def test_steady_tone_gain_matches_response(self, cascade):
@@ -361,6 +372,85 @@ class TestEstimateDelay:
         b = rng.normal(size=500)
         est = estimate_delay(a, b, FS, 20)
         assert abs(est.delta_t) <= 20.0 / FS
+
+
+def full_correlation_delay(a, b, fs, max_lag):
+    """estimate_delay's result computed from a full-mode np.correlate over
+    all 2n - 1 lags: the reference its lag-limited sums must reproduce."""
+    corr = np.correlate(a, b, mode="full")
+    center = len(b) - 1
+    window = corr[center - max_lag : center + max_lag + 1]
+    k = int(np.argmax(window))
+    lag = float(k - max_lag)
+    j = center + int(lag)
+    if 0 < j < len(corr) - 1:
+        y_m, y_0, y_p = corr[j - 1], corr[j], corr[j + 1]
+        denom = y_m - 2.0 * y_0 + y_p
+        if denom < 0.0:
+            lag += float(np.clip(0.5 * (y_m - y_p) / denom, -1.0, 1.0))
+    lag = float(np.clip(lag, -max_lag, max_lag))
+    norm = float(np.linalg.norm(a) * np.linalg.norm(b))
+    peak = float(np.clip(window[k] / norm, -1.0, 1.0))
+    return dsp.DelayEstimate(pair=(-1, -1), delta_t=lag / fs, peak_correlation=peak)
+
+
+def correlation_cases(n, count, seed):
+    """Seeded (a, b, max_lag) cases of length n: half with b a noisy shifted
+    copy of a, so the peak falls anywhere in or at the edge of the search,
+    half independent noise; max_lag is drawn from 0 .. min(n - 1, 120), and
+    every fifth case takes the largest."""
+    rng = np.random.default_rng(seed)
+    top = min(n - 1, 120)
+    for c in range(count):
+        a = rng.normal(size=n)
+        if c % 2:
+            b = np.roll(a, int(rng.integers(-top, top + 1))) + 0.3 * rng.normal(size=n)
+        else:
+            b = rng.normal(size=n)
+        yield a, b, top if c % 5 == 0 else int(rng.integers(0, top + 1))
+
+
+class TestEstimateDelayReference:
+    @pytest.mark.parametrize("n", [12, 13, 16, 40, 121, 166, 250, 1_000, 3_000])
+    def test_bit_equal_to_full_correlation(self, n):
+        count = 20 if n == 3_000 else 200
+        for a, b, max_lag in correlation_cases(n, count, seed=n):
+            assert estimate_delay(a, b, FS, max_lag) == full_correlation_delay(a, b, FS, max_lag)
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_short_windows_within_roundoff(self, n):
+        # Below 12 samples numpy's full-mode correlate takes another kernel,
+        # so the last bits may differ from the dot products.
+        for a, b, max_lag in correlation_cases(n, 300, seed=n):
+            est = estimate_delay(a, b, FS, max_lag)
+            ref = full_correlation_delay(a, b, FS, max_lag)
+            assert abs(est.delta_t - ref.delta_t) * FS <= 1e-12
+            assert abs(est.peak_correlation - ref.peak_correlation) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 12, 40])
+    def test_peak_at_full_overlap_lag_has_no_neighbour(self, n):
+        # max_lag = n - 1 and the peak at lag n - 1: its outer neighbour lies
+        # past the overlap, so no parabola is fitted.
+        a = np.zeros(n)
+        a[-1] = 1.0
+        b = np.zeros(n)
+        b[0] = 1.0
+        b[-1] = 0.25
+        est = estimate_delay(a, b, FS, n - 1)
+        assert est == full_correlation_delay(a, b, FS, n - 1)
+        assert est.delta_t * FS == n - 1
+        assert est.peak_correlation == pytest.approx(1.0 / math.hypot(1.0, 0.25))
+
+    def test_tie_takes_the_first_lag(self):
+        # b holds a's impulse at two delays: lags -7 and -2 correlate equally,
+        # and the search, ascending in lag, keeps -7.
+        a = np.zeros(40)
+        a[10] = 1.0
+        b = np.zeros(40)
+        b[12] = b[17] = 1.0
+        est = estimate_delay(a, b, FS, 9)
+        assert est == full_correlation_delay(a, b, FS, 9)
+        assert est.delta_t * FS == -7.0
 
 
 class TestSelectStableWindow:

@@ -6,6 +6,7 @@ import pytest
 from scipy import signal as sps
 
 from pingerloc import (
+    ConfigError,
     MultiChannelRecording,
     HydrophoneArray,
     MonteCarloConfig,
@@ -123,9 +124,15 @@ class TestRenderScene:
         assert np.allclose(b, 2.0 * a, rtol=1e-6, atol=1e-6 * np.max(np.abs(a)))
 
     def test_pinger_out_of_window(self):
-        scenario = fast_scenario(Vec3(100.0, 0.0, 0.0))  # 67 ms flight > 50 ms record
-        with pytest.raises(ValueError, match="out of recording window"):
-            render_scene(scenario)
+        # A scenario that cannot be heard within its recording is a config
+        # error when it is built, before any render.
+        with pytest.raises(ConfigError, match="out of recording window"):
+            fast_scenario(Vec3(100.0, 0.0, 0.0))  # 67 ms flight > 50 ms record
+
+    def test_pinger_on_hydrophone(self):
+        hydrophone = default_array().channel_position(2)
+        with pytest.raises(ConfigError, match="coincides with hydrophone on channel 2"):
+            fast_scenario(Vec3(hydrophone.x + 1e-7, hydrophone.y, hydrophone.z))
 
     def test_invalid_array_rejected(self):
         bad_coarse = (Vec3(0.3, 0.2, 0.1), Vec3(0.2, -0.2, 0.1),
