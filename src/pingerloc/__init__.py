@@ -30,7 +30,7 @@ from .recording import (
     read_recording,
     write_recording,
 )
-from .simulator import add_noise, ping_waveform, render_scene, synthesize_ping
+from .simulator import add_noise, ping_waveform, render_scene
 from .dsp import (
     DegenerateSignalError,
     DelayEstimate,
@@ -46,7 +46,6 @@ from .dsp import (
 from .solver import (
     DivergedError,
     SingularGeometryError,
-    SolverParams,
     SolverResult,
     gradient_descent,
     objective_and_gradient,

@@ -34,6 +34,11 @@ __all__ = [
     "select_stable_window",
 ]
 
+# Onset detection: a sample is in a ping where the trailing moving RMS over
+# RMS_WINDOW exceeds ONSET_THRESHOLD times the channel's median moving RMS.
+ONSET_THRESHOLD = 5.0
+RMS_WINDOW = 1e-3  # s
+
 # Stable-window search. A candidate window is NUM_SUBWINDOWS consecutive
 # sub-windows of WINDOW_DURATION / NUM_SUBWINDOWS; candidates start every
 # sub-window from the onset. The summed variance of the six pair delays
@@ -185,19 +190,17 @@ def _moving_rms(samples: np.ndarray, window: int) -> np.ndarray:
     return np.sqrt(ms, out=ms)
 
 
-def detect_ping(samples: np.ndarray, fs: float, k_threshold: float = 5.0,
-                rms_window: float = 1e-3) -> np.ndarray:
+def detect_ping(samples: np.ndarray, fs: float) -> np.ndarray:
     """Ascending indices of one channel's samples whose trailing moving RMS
-    exceeds ``k_threshold`` times the noise floor, the median moving RMS of
-    the whole channel; empty when none does. Meant to run once per channel
-    and recording; ``first_onset`` then reads each ping's onset off it."""
-    if k_threshold <= 1:
-        raise ValueError(f"k_threshold must be > 1, got {k_threshold}")
+    over RMS_WINDOW exceeds ONSET_THRESHOLD times the noise floor, the median
+    moving RMS of the whole channel; empty when none does. Meant to run once
+    per channel and recording; ``first_onset`` then reads each ping's onset
+    off it."""
     if np.size(samples) == 0:
         return np.empty(0, dtype=np.intp)
-    w = max(1, int(round(rms_window * fs)))
+    w = max(1, int(round(RMS_WINDOW * fs)))
     rms = _moving_rms(samples, w)
-    return np.flatnonzero(rms > k_threshold * float(np.median(rms)))
+    return np.flatnonzero(rms > ONSET_THRESHOLD * float(np.median(rms)))
 
 
 def first_onset(onsets: np.ndarray, start: int) -> int:

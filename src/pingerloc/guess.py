@@ -79,15 +79,13 @@ def octant_guess(coarse_arrivals: Sequence[float], coarse_positions: Sequence[Ve
     octant = OctantId(*bits)
     margin = float(min(margins))
     centroid = Vec3.from_array(positions.mean(axis=0))
-    init = initial_point(octant, DEFAULT_INIT_RANGE, centroid)
+    init = initial_point(octant, centroid)
     return OctantGuess(octant=octant, init=init, margin=margin,
                        low_confidence=margin < min_margin)
 
 
-def initial_point(octant: OctantId, radius: float, centroid: Vec3) -> Vec3:
-    """Descent start: ``radius`` meters from the coarse centroid along the
-    octant diagonal."""
-    if radius <= 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+def initial_point(octant: OctantId, centroid: Vec3) -> Vec3:
+    """Descent start: DEFAULT_INIT_RANGE meters from the coarse centroid
+    along the octant diagonal."""
     direction = octant.signs() / np.sqrt(3.0)
-    return Vec3.from_array(centroid.as_array() + radius * direction)
+    return Vec3.from_array(centroid.as_array() + DEFAULT_INIT_RANGE * direction)

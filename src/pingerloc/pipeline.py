@@ -31,7 +31,6 @@ from .scene import (
     PingerSource,
     Scenario,
     Vec3,
-    check_array,
     config_from_dict,
     octant_of,
     true_azimuth_elevation,
@@ -166,8 +165,6 @@ def run_localization(scenario: Scenario,
     that fails raises its error, except that a missing ping after the first
     ends the stream. Deterministic given the scenario seed.
     """
-    check_array(scenario.array, scenario.pinger.frequency, scenario.sound_speed)
-
     t_start = time.perf_counter()
     if recording is None:
         recording = simulator.render_scene(scenario)
@@ -278,9 +275,9 @@ class MonteCarloConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if not self.ranges or not self.snr_db:
             raise ConfigError("ranges and snr_db must be non-empty")
-        # Every trial renders this scenario, at its own pinger position.
+        # Every trial renders this scenario, at its own pinger position; it
+        # raises ConfigError when the array fails validation.
         array = _trial_scenario(self, Vec3(1.0, 1.0, 1.0)).array
-        check_array(array, self.carrier_freq, self.sound_speed)
         if self.clearance <= 0:
             raise ConfigError(f"clearance must be > 0, got {self.clearance}")
         if self.success_threshold_deg <= 0:
@@ -298,8 +295,11 @@ class MonteCarloConfig:
             if radius < min_range:
                 raise ConfigError(f"range {radius} m cannot clear every octant plane by "
                                   f"{self.clearance} m (needs >= {min_range:.4g} m)")
-            if (radius + reach) / self.sound_speed >= self.repetition_interval:
-                raise ConfigError(f"range {radius} m: the ping can arrive after the "
+            # The whole burst must be recorded: the SNR is calibrated on it,
+            # and the analysis window has to fit after the onset.
+            end = (radius + reach) / self.sound_speed + self.ping_duration
+            if end >= self.repetition_interval:
+                raise ConfigError(f"range {radius} m: the burst can end after the "
                                   f"{self.repetition_interval} s repetition interval")
 
 

@@ -311,6 +311,7 @@ class Scenario:
                     f"pinger out of recording window: arrival {r / self.sound_speed:.4f} s "
                     f"on channel {ch} is past record_duration {self.record_duration} s"
                 )
+        check_array(self.array, self.pinger.frequency, self.sound_speed)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ from scipy import signal as sps
 
 from .dsp import design_bandpass, filter_signal
 from .recording import MultiChannelRecording
-from .scene import NoiseSpec, PingerSource, Scenario, check_array
+from .scene import NoiseSpec, PingerSource, Scenario
 
-__all__ = ["synthesize_ping", "ping_waveform", "render_scene", "add_noise"]
+__all__ = ["ping_waveform", "render_scene", "add_noise"]
 
 RAMP_DURATION = 0.5e-3  # raised-cosine on/off ramp; a hard-keyed burst
                         # splatters energy across the band
@@ -45,21 +45,9 @@ def ping_waveform(t: np.ndarray, pinger: PingerSource) -> np.ndarray:
     return out
 
 
-def synthesize_ping(pinger: PingerSource, sample_rate: float, duration: float) -> np.ndarray:
-    """Source signal sampled on the regular grid t = n / sample_rate for
-    round(duration * sample_rate) samples."""
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
-    n = int(round(duration * sample_rate))
-    t = np.arange(n) / sample_rate
-    return ping_waveform(t, pinger)
-
-
 def render_scene(scenario: Scenario) -> MultiChannelRecording:
     """Simulate one capture: per channel, gain * bandpass(source(t - r/c) / r)
     plus noise drawn from the scenario seed. Deterministic given the seed."""
-    check_array(scenario.array, scenario.pinger.frequency, scenario.sound_speed)
-
     fs = scenario.sample_rate
     n = int(round(scenario.record_duration * fs))
     t = np.arange(n) / fs
@@ -87,10 +75,10 @@ def render_scene(scenario: Scenario) -> MultiChannelRecording:
 def add_noise(recording: MultiChannelRecording, noise: NoiseSpec, seed: int) -> MultiChannelRecording:
     """New recording with per-channel noise added: white Gaussian, a
     narrowband interferer with a per-channel random phase, and low-passed
-    white noise rescaled to RMS lowfreq_amp. Deterministic given the seed."""
+    white noise rescaled to RMS lowfreq_amp. Deterministic given the seed.
+    A silent spec returns ``recording`` itself, which is read-only."""
     if noise.is_silent():
-        return MultiChannelRecording(sample_rate=recording.sample_rate,
-                                     channels=recording.channels.copy())
+        return recording
 
     rng = np.random.default_rng(seed)
     fs = recording.sample_rate

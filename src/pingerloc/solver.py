@@ -24,7 +24,6 @@ from .dsp import TdoaSet
 from .scene import HydrophoneArray, Vec3, true_azimuth_elevation
 
 __all__ = [
-    "SolverParams",
     "SolverResult",
     "SingularGeometryError",
     "DivergedError",
@@ -45,6 +44,10 @@ _ALPHA_MIN = 1e-20
 _ALPHA_MAX = 1e12
 # Per-iteration decrease of G (m^2) at or below which descent has converged.
 _F_TOL = 1e-24
+# Iteration budget, and the part of grad G (m) across the bearing ray from
+# the precise-quad centroid at or below which descent has converged.
+MAX_ITERS = 5000
+GRAD_TOL = 1e-10
 
 
 class SingularGeometryError(ValueError):
@@ -53,22 +56,6 @@ class SingularGeometryError(ValueError):
 
 class DivergedError(RuntimeError):
     """Objective became non-finite."""
-
-
-@dataclass(frozen=True)
-class SolverParams:
-    """Gradient-descent budget and gradient tolerance. grad_tol (m) bounds
-    the part of grad G across the bearing ray from the precise-quad
-    centroid."""
-
-    max_iters: int = 5000
-    grad_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be > 0")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -165,12 +152,12 @@ def _cross_bearing_norm(g: np.ndarray, ray: np.ndarray) -> float:
 
 
 def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
-                     sound_speed: float, params: SolverParams | None = None) -> SolverResult:
+                     sound_speed: float) -> SolverResult:
     """Minimize G from the position ``init``. Stops on the gradient across
-    the bearing ray, on objective decrease at or below _F_TOL, or on the
-    iteration budget; ``converged`` is set only for the tolerance stops.
-    Bearing angles are reported for (position - precise-quad centroid)."""
-    params = params or SolverParams()
+    the bearing ray at or below GRAD_TOL, on objective decrease at or below
+    _F_TOL, or after MAX_ITERS iterations; ``converged`` is set only for the
+    tolerance stops. Bearing angles are reported for (position - precise-quad
+    centroid)."""
     prob = _Problem(tdoa, array, sound_speed)
     centroid = array.precise_centroid().as_array()
     p = init.as_array()
@@ -188,9 +175,9 @@ def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
     converged = False
     stop_reason = "max_iters"
 
-    while iterations < params.max_iters:
+    while iterations < MAX_ITERS:
         gg = float(g @ g)
-        if _cross_bearing_norm(g, p - centroid) <= params.grad_tol:
+        if _cross_bearing_norm(g, p - centroid) <= GRAD_TOL:
             converged = True
             stop_reason = "grad_tol"
             break

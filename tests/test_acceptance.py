@@ -109,7 +109,7 @@ def noiseless_trials():
 
         t0 = time.perf_counter()
         f_grid = grid_best_objective(tdoa, ARRAY)
-        anti_init = initial_point(guess.octant.negated(), 10.0, ARRAY.coarse_centroid())
+        anti_init = initial_point(guess.octant.negated(), ARRAY.coarse_centroid())
         anti = gradient_descent(anti_init, tdoa, ARRAY, C)
         t_oracle += time.perf_counter() - t0
 

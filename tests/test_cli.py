@@ -1,16 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import pingerloc
 from pingerloc import read_recording, scenario_to_dict
-from pingerloc import pipeline, solver
-from pingerloc.cli import EXIT_CONFIG, EXIT_NO_PING, EXIT_OK, EXIT_PING_FAILED, main
+from pingerloc import pipeline, scene, solver
+from pingerloc.cli import (EXIT_CONFIG, EXIT_NO_PING, EXIT_NOT_CONVERGED, EXIT_OK,
+                           EXIT_PING_FAILED, main)
 from conftest import fast_scenario
 from pingerloc import MultiChannelRecording, Vec3, write_recording
 
@@ -173,13 +179,17 @@ def test_validate_ok_and_violations(scenario_path, tmp_path, capsys):
     assert main(["validate", "--config", str(scenario_path)]) == EXIT_OK
     assert "array ok" in capsys.readouterr().out
 
+    # A bad array is a config error at load, as under every other command.
     doc = json.loads(scenario_path.read_text())
     for point in doc["array"]["coarse"]:
         point["x"] = abs(point["x"]) + 0.1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["validate", "--config", str(bad)]) == EXIT_CONFIG
-    assert "does not span x-axis" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: array fails validation: ")
+    assert "does not span x-axis" in captured.err
 
 
 @pytest.mark.parametrize("position", [{"x": 100.0, "y": 0.0, "z": 0.0},
@@ -235,10 +245,12 @@ def test_negative_seed_override_is_config_error(scenario_path, capsys):
 
 
 # A 60 kHz sample rate breaks Nyquist for the 40 kHz carrier: no trial could
-# render.
-@pytest.mark.parametrize("extra", [{"ranges": [1.0]}, {"ranges": [80.0]}, {"ranges": [-5.0]},
-                                   {"sample_rate": 60_000.0}],
-                         ids=["below-clearance", "arrives-late", "negative", "below-nyquist"])
+# render. At 71 m the ping arrives inside the 50 ms repetition interval, but
+# the burst does not end inside it.
+@pytest.mark.parametrize("extra", [{"ranges": [1.0]}, {"ranges": [80.0]}, {"ranges": [71.0]},
+                                   {"ranges": [-5.0]}, {"sample_rate": 60_000.0}],
+                         ids=["below-clearance", "arrives-late", "burst-ends-late", "negative",
+                              "below-nyquist"])
 def test_infeasible_montecarlo_grid_fails_at_load(tmp_path, extra):
     # Run in a child process so that a grid which hangs fails on the timeout
     # instead of stalling the suite.
@@ -253,3 +265,100 @@ def test_infeasible_montecarlo_grid_fails_at_load(tmp_path, extra):
     assert proc.returncode == EXIT_CONFIG
     assert "config error" in proc.stderr
     assert not (tmp_path / "mc.csv").exists()
+
+
+# --- Every run ends in a documented exit code ---------------------------------
+#
+# Whatever the input, localize returns one of the documented exit codes 0-4
+# within a bounded time, never an exception or a traceback.
+
+QUICK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "scenario_quick.json"
+HEADER_SIZE = 28  # magic, version, channel count, sample rate, samples per channel
+EXIT_CODES = {EXIT_OK, EXIT_CONFIG, EXIT_NO_PING, EXIT_NOT_CONVERGED, EXIT_PING_FAILED}
+PER_EXAMPLE = timedelta(seconds=10)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def quick_recording_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("quick") / "quick.oogw"
+    assert main(["simulate", "--config", str(QUICK_CONFIG), "--out", str(path)]) == EXIT_OK
+    return path.read_bytes()
+
+
+def corrupt(data, op, region, offsets, extra):
+    """``data`` with bytes flipped at, cut at, or ``extra`` inserted at
+    positions inside the header or the payload."""
+    start, stop = (0, HEADER_SIZE) if region == "header" else (HEADER_SIZE, len(data))
+    at = [start + k % (stop - start) for k, _ in offsets]
+    if op == "truncate":
+        return data[:at[0]]
+    if op == "extend":
+        return data[:at[0]] + extra + data[at[0]:]
+    flipped = bytearray(data)
+    for pos, (_, mask) in zip(at, offsets):
+        flipped[pos] ^= mask
+    return bytes(flipped)
+
+
+@given(op=st.sampled_from(["flip", "truncate", "extend"]),
+       region=st.sampled_from(["header", "payload"]),
+       offsets=st.lists(st.tuples(st.integers(min_value=0, max_value=2**32),
+                                  st.integers(min_value=1, max_value=255)),
+                        min_size=1, max_size=8),
+       extra=st.binary(min_size=1, max_size=64))
+@settings(max_examples=40, deadline=PER_EXAMPLE,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_corrupted_recording_ends_in_exit_code(quick_recording_bytes, tmp_path, op, region,
+                                               offsets, extra):
+    path = tmp_path / "corrupt.oogw"
+    path.write_bytes(corrupt(quick_recording_bytes, op, region, offsets, extra))
+    code, err = run_cli(["localize", "--config", str(QUICK_CONFIG), "--recording", str(path)])
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+
+
+coordinate = st.floats(min_value=-30.0, max_value=30.0)
+
+
+@st.composite
+def valid_scenarios(draw):
+    record_duration = draw(st.floats(min_value=0.02, max_value=0.1))
+    doc = {
+        "pinger": {
+            "position": {"x": draw(coordinate), "y": draw(coordinate), "z": draw(coordinate)},
+            "frequency": draw(st.floats(min_value=25_000.0, max_value=45_000.0)),
+            "ping_duration": draw(st.floats(min_value=1e-3, max_value=8e-3)),
+            "repetition_interval": draw(st.floats(min_value=0.01, max_value=record_duration)),
+            "amplitude": draw(st.floats(min_value=1e-3, max_value=10.0)),
+        },
+        "sound_speed": draw(st.floats(min_value=1400.0, max_value=1550.0)),
+        "sample_rate": float(draw(st.integers(min_value=200_000, max_value=1_000_000))),
+        "record_duration": record_duration,
+        "noise": {"white_sigma": draw(st.floats(min_value=0.0, max_value=0.1)),
+                  "interferer_amp": draw(st.floats(min_value=0.0, max_value=0.1)),
+                  "lowfreq_amp": draw(st.floats(min_value=0.0, max_value=0.1))},
+        "seed": draw(st.integers(min_value=0, max_value=2**32 - 1)),
+    }
+    try:
+        scene.scenario_from_dict(doc)
+    except scene.ConfigError:
+        assume(False)
+    return doc
+
+
+@given(doc=valid_scenarios())
+@settings(max_examples=25, deadline=PER_EXAMPLE,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_valid_scenario_ends_in_exit_code(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["localize", "--config", str(path)])
+    assert code in EXIT_CODES
+    assert "Traceback" not in err

@@ -262,10 +262,6 @@ class TestDetectPing:
         assert np.all(np.diff(onsets) > 0)
         assert abs(first_onset(onsets, int(1.5 * FS)) / FS - 2.5) <= 1e-3
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            detect_ping(np.ones(100), FS, k_threshold=1.0)
-
     def test_past_the_last_crossing_raises(self, cascade):
         onsets = detect_ping(filter_signal(cascade, self.burst_in_noise(0.1, 0.3, 20.0)), FS)
         assert first_onset(onsets, int(onsets[-1])) == onsets[-1]

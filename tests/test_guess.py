@@ -10,6 +10,7 @@ from pingerloc import (
     octant_of,
     propagation_delay,
 )
+from pingerloc.guess import DEFAULT_INIT_RANGE
 from pingerloc.scene import OctantId
 
 C = 1480.0
@@ -89,19 +90,15 @@ class TestOctantGuess:
 
 class TestInitialPoint:
     def test_diagonal_all_positive(self):
-        init = initial_point(OctantId(True, True, True), 10.0, Vec3(0, 0, 0))
+        init = initial_point(OctantId(True, True, True), Vec3(0, 0, 0))
         assert np.allclose(init.as_array(), [5.7735] * 3, atol=1e-3)
 
     def test_signs_applied_componentwise(self):
-        init = initial_point(OctantId(False, True, False), 10.0, Vec3(0, 0, 0))
+        init = initial_point(OctantId(False, True, False), Vec3(0, 0, 0))
         assert init.x < 0 and init.y > 0 and init.z < 0
 
     def test_centroid_offset(self):
-        init = initial_point(OctantId(True, False, True), 9.0, Vec3(1.0, 2.0, 3.0))
-        expected = np.array([1.0, 2.0, 3.0]) + 9.0 * np.array([1, -1, 1]) / np.sqrt(3.0)
+        init = initial_point(OctantId(True, False, True), Vec3(1.0, 2.0, 3.0))
+        expected = (np.array([1.0, 2.0, 3.0])
+                    + DEFAULT_INIT_RANGE * np.array([1, -1, 1]) / np.sqrt(3.0))
         assert np.allclose(init.as_array(), expected, atol=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        for radius in (-1.0, 0.0):
-            with pytest.raises(ValueError, match="radius"):
-                initial_point(OctantId(True, True, True), radius, Vec3(0, 0, 0))

@@ -149,12 +149,11 @@ class TestRunLocalization:
         from pingerloc import HydrophoneArray, Scenario
         bad_coarse = (Vec3(0.3, 0.2, 0.1), Vec3(0.2, -0.2, 0.1),
                       Vec3(0.3, 0.2, -0.1), Vec3(0.2, -0.2, -0.1))
-        bad = Scenario(array=HydrophoneArray(precise=std_scenario.array.precise,
-                                             coarse=bad_coarse),
-                       pinger=std_scenario.pinger, sample_rate=FS,
-                       record_duration=0.05, noise=NoiseSpec.silent(), seed=0)
         with pytest.raises(ConfigError, match="validation"):
-            next(run_localization(bad))
+            Scenario(array=HydrophoneArray(precise=std_scenario.array.precise,
+                                           coarse=bad_coarse),
+                     pinger=std_scenario.pinger, sample_rate=FS,
+                     record_duration=0.05, noise=NoiseSpec.silent(), seed=0)
 
 
 def localize_first(scenario, recording, start_sample=0):
@@ -266,10 +265,12 @@ class TestMonteCarlo:
         (1.9, 1480.0, "clear"),
         # The ping reaches the array after the 50 ms repetition interval.
         (80.0, 1480.0, "repetition interval"),
+        # It arrives in time, but the 4 ms burst ends after the interval.
+        (71.0, 1480.0, "repetition interval"),
         (10.0, 0.0, "sound_speed must be > 0"),
         (10.0, -1480.0, "sound_speed must be > 0"),
     ], ids=["negative", "zero", "below-clearance", "at-clearance", "below-twice-clearance",
-            "arrives-late", "sound-speed-zero", "sound-speed-negative"])
+            "arrives-late", "burst-ends-late", "sound-speed-zero", "sound-speed-negative"])
     def test_infeasible_range_rejected(self, radius, sound_speed, match):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
