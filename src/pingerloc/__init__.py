@@ -10,7 +10,6 @@ from .scene import (
     OctantId,
     PingerSource,
     Scenario,
-    ValidationReport,
     Vec3,
     default_array,
     load_scenario,
@@ -19,7 +18,6 @@ from .scene import (
     scenario_from_dict,
     scenario_to_dict,
     true_azimuth_elevation,
-    validate_array,
 )
 from .recording import (
     BadMagicError,

@@ -13,15 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .scene import OctantId, Vec3
+from .scene import MIN_AXIS_SEPARATION, OctantId, Vec3
 
 __all__ = ["OctantGuess", "UnresolvableAxisError", "octant_guess", "initial_point"]
 
 DEFAULT_INIT_RANGE = 10.0  # m, between near-field and the far detection range
-
-# An axis whose widest coarse pair is separated by less than this cannot
-# order arrivals.
-MIN_AXIS_SEPARATION = 1e-3
 
 
 class UnresolvableAxisError(ValueError):

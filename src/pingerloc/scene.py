@@ -30,8 +30,6 @@ __all__ = [
     "NoiseSpec",
     "ChannelModel",
     "Scenario",
-    "ValidationReport",
-    "validate_array",
     "check_array",
     "propagation_delay",
     "true_azimuth_elevation",
@@ -49,6 +47,9 @@ DEFAULT_SAMPLE_RATE = 500_000.0  # Hz, 12.5 samples per 40 kHz carrier cycle
 
 # Hydrophones closer than this are considered coincident.
 MIN_HYDROPHONE_SEPARATION = 1e-6
+# An axis whose widest coarse pair is separated by less than this cannot
+# order arrivals.
+MIN_AXIS_SEPARATION = 1e-3
 
 
 class ConfigError(ValueError):
@@ -204,10 +205,8 @@ class NoiseSpec:
     lowfreq_cutoff: float = 8_000.0
 
     def __post_init__(self):
-        for name in ("white_sigma", "interferer_amp", "lowfreq_amp"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"NoiseSpec.{name} must be >= 0")
-        for name in ("interferer_freq", "lowfreq_cutoff"):
+        for name in ("white_sigma", "interferer_amp", "interferer_freq",
+                     "lowfreq_amp", "lowfreq_cutoff"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"NoiseSpec.{name} must be >= 0")
 
@@ -314,12 +313,6 @@ class Scenario:
         check_array(self.array, self.pinger.frequency, self.sound_speed)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
 def propagation_delay(source: Vec3, hydrophone: Vec3, sound_speed: float) -> float:
     """Straight-path travel time from source to hydrophone, seconds."""
     if sound_speed <= 0:
@@ -345,12 +338,14 @@ def octant_of(direction: Vec3) -> OctantId:
     return OctantId(direction.x >= 0, direction.y >= 0, direction.z >= 0)
 
 
-def validate_array(array: HydrophoneArray, frequency: float, sound_speed: float) -> ValidationReport:
+def check_array(array: HydrophoneArray, frequency: float, sound_speed: float) -> None:
     """Check array geometry against the carrier: every precise-quad pairwise
     spacing at most half a wavelength (keeps inter-channel delays within half
     a carrier period, so correlation peaks are unambiguous), coarse quad
-    straddling the origin on every axis, channel labels unique, and no two
-    hydrophones coincident. Violations are reported as data, never raised.
+    straddling the origin on every axis and spanning at least
+    MIN_AXIS_SEPARATION along it (so the octant guess can order arrivals),
+    channel labels a permutation of 0..7, and no two hydrophones coincident.
+    Raises one ConfigError that lists every violation.
     """
     if frequency <= 0 or sound_speed <= 0:
         raise ConfigError("frequency and sound_speed must be > 0")
@@ -382,17 +377,16 @@ def validate_array(array: HydrophoneArray, frequency: float, sound_speed: float)
     coarse = array.coarse_positions_array()
     for axis, name in enumerate("xyz"):
         coords = coarse[:, axis]
+        span = coords.max() - coords.min()
         if not (coords.min() < 0 < coords.max()):
             violations.append(f"coarse quad does not span {name}-axis")
+        elif span < MIN_AXIS_SEPARATION:
+            violations.append(
+                f"coarse quad spans {name}-axis by {span:.3e} m, under {MIN_AXIS_SEPARATION} m"
+            )
 
-    return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def check_array(array: HydrophoneArray, frequency: float, sound_speed: float) -> None:
-    """``validate_array``, raising ConfigError that lists every violation."""
-    report = validate_array(array, frequency, sound_speed)
-    if not report.ok:
-        raise ConfigError("array fails validation: " + "; ".join(report.violations))
+    if violations:
+        raise ConfigError("array fails validation: " + "; ".join(violations))
 
 
 # --- JSON configuration -----------------------------------------------------

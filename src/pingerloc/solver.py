@@ -8,7 +8,9 @@ from the octant guess.
 
 Each iteration steps along -grad G. The trial step length is the
 Barzilai-Borwein estimate from the last accepted step, backtracked until the
-Armijo condition holds, so descent stays monotone. The 15 mm quad barely
+Armijo condition holds, so descent stays monotone. Every trial point is
+evaluated once, G and grad G together, and the accepted point keeps both, so
+no point is evaluated twice. The 15 mm quad barely
 observes range: G is nearly flat along the bearing ray, so the gradient stop
 bounds only the part of grad G across that ray.
 """
@@ -62,9 +64,9 @@ class DivergedError(RuntimeError):
 class SolverResult:
     """Final position plus diagnostics. ``objective`` is G (m^2) at the
     final position; ``grad_norm`` is the part of grad G (m) across the
-    bearing ray; ``evaluations`` counts the evaluations of G, with or
-    without its gradient; ``range`` is measured from the precise-quad
-    centroid."""
+    bearing ray; ``evaluations`` counts the evaluations of G and grad G,
+    one at the start and one per trial point; ``range`` is measured from the
+    precise-quad centroid."""
 
     position: Vec3
     objective: float
@@ -112,16 +114,8 @@ class _Problem:
                 f"{SINGULAR_GUARD_RADIUS} m of a hydrophone"
             )
 
-    def objective(self, p: np.ndarray) -> float:
-        """G(p), or +inf inside a hydrophone guard ball."""
-        diff = p - self.positions
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        if (d < SINGULAR_GUARD_RADIUS).any():
-            return np.inf
-        pairs = d[self.i_idx] - d[self.j_idx] - self.ctau
-        return 0.5 * (pairs @ pairs)
-
     def objective_and_grad(self, p: np.ndarray) -> tuple[float, np.ndarray]:
+        """G(p) and grad G(p), or (+inf, 0) inside a hydrophone guard ball."""
         diff = p - self.positions
         d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         if (d < SINGULAR_GUARD_RADIUS).any():
@@ -197,7 +191,7 @@ def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
         trial = alpha
         while trial >= _ALPHA_MIN:
             p_new = p - trial * g
-            G_new = prob.objective(p_new)
+            G_new, g_new = prob.objective_and_grad(p_new)
             evaluations += 1
             if np.isfinite(G_new) and G_new <= G - _ARMIJO_C1 * trial * gg:
                 accepted = True
@@ -210,9 +204,7 @@ def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
 
         decrease = G - G_new
         p_prev, g_prev = p, g
-        p = p_new
-        G, g = prob.objective_and_grad(p)
-        evaluations += 1
+        p, G, g = p_new, G_new, g_new
         iterations += 1
         if decrease <= _F_TOL:
             converged = True

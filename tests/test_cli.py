@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -190,6 +191,23 @@ def test_validate_ok_and_violations(scenario_path, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("config error: array fails validation: ")
     assert "does not span x-axis" in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "localize"])
+def test_narrow_coarse_axis_is_config_error(scenario_path, tmp_path, capsys, command):
+    # A coarse quad straddling x by 0.4 mm each side has the right signs but
+    # too little spread for the octant guess: refused at load, not on the
+    # first ping with UnresolvableAxisError (exit 4).
+    doc = json.loads(scenario_path.read_text())
+    for point in doc["array"]["coarse"]:
+        point["x"] = math.copysign(0.0004, point["x"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, "--config", str(bad)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: array fails validation: ")
+    assert "coarse quad spans x-axis by 8.000e-04 m" in captured.err
 
 
 @pytest.mark.parametrize("position", [{"x": 100.0, "y": 0.0, "z": 0.0},

@@ -15,16 +15,18 @@ from pingerloc import (
     OctantId,
     PingerSource,
     Scenario,
+    UnresolvableAxisError,
     Vec3,
     default_array,
+    octant_guess,
     octant_of,
     propagation_delay,
     scenario_from_dict,
     scenario_to_dict,
     true_azimuth_elevation,
-    validate_array,
 )
 from pingerloc.pipeline import monte_carlo_config_from_dict
+from pingerloc.scene import check_array
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -39,9 +41,9 @@ SPANNING_COARSE = (Vec3(0.3, 0.2, 0.1), Vec3(-0.3, 0.2, 0.1),
 
 
 class TestValidateArray:
+    # scene.check_array: one ConfigError that lists every violation.
     def test_default_array_ok_at_40khz(self):
-        report = validate_array(default_array(), 40_000.0, 1480.0)
-        assert report.ok, report.violations
+        check_array(default_array(), 40_000.0, 1480.0)
 
     def test_half_wavelength_limit_is_18_5mm(self):
         # c/(2 f) = 1480 / 80000
@@ -50,63 +52,64 @@ class TestValidateArray:
     def test_pair_beyond_limit_reports_pair_and_distance(self):
         quad = (Vec3(0.0, 0.0, 0.0), Vec3(0.025, 0.0, 0.0),
                 Vec3(0.01, 0.01, 0.0), Vec3(0.01, -0.01, 0.0))
-        report = validate_array(HydrophoneArray(precise=quad, coarse=SPANNING_COARSE),
-                                40_000.0, 1480.0)
-        assert not report.ok
-        spacing = [v for v in report.violations if "precise pair (0,1)" in v]
-        assert spacing and "0.0250" in spacing[0]
+        with pytest.raises(ConfigError, match=r"precise pair \(0,1\) spaced 0\.0250 m"):
+            check_array(HydrophoneArray(precise=quad, coarse=SPANNING_COARSE),
+                        40_000.0, 1480.0)
 
     def test_square_of_side_15mm_fails_on_diagonal(self):
         # Side 15 mm fits under 18.5 mm, the 21.2 mm diagonal does not; the
         # check is over all pairs because every pair feeds a delay estimate.
-        report = validate_array(
-            HydrophoneArray(precise=square_quad(0.015), coarse=SPANNING_COARSE),
-            40_000.0, 1480.0)
-        assert not report.ok
-        assert any("(0,3)" in v or "(1,2)" in v for v in report.violations)
+        with pytest.raises(ConfigError, match=r"\((0,3|1,2)\)"):
+            check_array(HydrophoneArray(precise=square_quad(0.015), coarse=SPANNING_COARSE),
+                        40_000.0, 1480.0)
 
     def test_coarse_all_positive_x_fails_span(self):
         coarse = (Vec3(0.3, 0.2, 0.1), Vec3(0.1, -0.2, 0.1),
                   Vec3(0.3, 0.2, -0.1), Vec3(0.1, -0.2, -0.1))
-        report = validate_array(
-            HydrophoneArray(precise=default_array().precise, coarse=coarse),
-            40_000.0, 1480.0)
-        assert not report.ok
-        assert any("does not span x-axis" in v for v in report.violations)
+        with pytest.raises(ConfigError, match="does not span x-axis"):
+            check_array(HydrophoneArray(precise=default_array().precise, coarse=coarse),
+                        40_000.0, 1480.0)
+
+    def test_coarse_axis_narrower_than_octant_guess_resolves(self):
+        # Straddling x by 0.4 mm each side passes the sign check, but the
+        # octant guess cannot order arrivals across a 0.8 mm spread.
+        coarse = (Vec3(0.0004, 0.2, 0.1), Vec3(-0.0004, 0.2, 0.1),
+                  Vec3(0.0004, -0.2, 0.1), Vec3(0.0004, 0.2, -0.1))
+        array = HydrophoneArray(precise=default_array().precise, coarse=coarse)
+        with pytest.raises(ConfigError, match="coarse quad spans x-axis by 8.000e-04 m"):
+            check_array(array, 40_000.0, 1480.0)
+        with pytest.raises(UnresolvableAxisError):
+            octant_guess([0.0, 0.0, 0.0, 0.0], array.coarse)
 
     def test_duplicate_labels_and_coincident_hydrophones(self):
         arr = HydrophoneArray(precise=default_array().precise,
                               coarse=SPANNING_COARSE,
                               labels=(0, 1, 2, 3, 4, 5, 6, 6))
-        report = validate_array(arr, 40_000.0, 1480.0)
-        assert any("permutation" in v for v in report.violations)
+        with pytest.raises(ConfigError, match="permutation"):
+            check_array(arr, 40_000.0, 1480.0)
 
         coincident = (Vec3(0.3, 0.2, 0.1), Vec3(0.3, 0.2, 0.1),
                       Vec3(-0.3, -0.2, -0.1), Vec3(0.3, -0.2, -0.1))
-        report = validate_array(
-            HydrophoneArray(precise=default_array().precise, coarse=coincident),
-            40_000.0, 1480.0)
-        assert any("coincide" in v for v in report.violations)
+        with pytest.raises(ConfigError, match="coincide"):
+            check_array(HydrophoneArray(precise=default_array().precise, coarse=coincident),
+                        40_000.0, 1480.0)
 
     def test_shrinking_valid_quad_stays_valid(self):
         rng = np.random.default_rng(5)
-        base = default_array()
+        quad = default_array().precise_positions_array()
         for _ in range(20):
-            quad = np.array([p.as_array() for p in base.precise])
             centroid = quad.mean(axis=0)
             for scale in (0.75, 0.5, 0.2):
                 shrunk = tuple(Vec3.from_array(centroid + scale * (p - centroid))
                                for p in quad)
-                report = validate_array(
-                    HydrophoneArray(precise=shrunk, coarse=SPANNING_COARSE),
-                    40_000.0, 1480.0)
-                assert report.ok, report.violations
-            # jitter the base quad within the limit for the next round
+                check_array(HydrophoneArray(precise=shrunk, coarse=SPANNING_COARSE),
+                            40_000.0, 1480.0)
+            # jitter the quad within the limit for the next round
             quad = quad + rng.normal(scale=1e-4, size=quad.shape)
 
     def test_bad_frequency_raises(self):
         with pytest.raises(ConfigError):
-            validate_array(default_array(), 0.0, 1480.0)
+            check_array(default_array(), 0.0, 1480.0)
 
 
 class TestPropagationDelay:

@@ -27,20 +27,17 @@ ARRAY = default_array()
 
 @pytest.fixture()
 def objective_calls(monkeypatch):
-    """Calls of the two objective methods the descent evaluates, by name."""
-    calls = {"objective": 0, "objective_and_grad": 0}
+    """Every point the descent passes to ``_Problem.objective_and_grad``, its
+    one objective evaluator, in call order."""
+    points = []
+    original = solver._Problem.objective_and_grad
 
-    def counted(name):
-        original = getattr(solver._Problem, name)
+    def recorded(self, p):
+        points.append(p.copy())
+        return original(self, p)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(solver._Problem, name, counted(name))
-    return calls
+    monkeypatch.setattr(solver._Problem, "objective_and_grad", recorded)
+    return points
 
 
 class TestResiduals:
@@ -234,16 +231,14 @@ class TestGradientDescent:
         assert res_good.objective < res_bad.objective
 
     def test_counted_objective_names(self, objective_calls):
-        # perfbench/spans.py counts objective evaluations through these two
-        # names; monkeypatch.setattr raises if either is renamed away.
-        calls = objective_calls
+        # perfbench/spans.py counts objective evaluations through this name;
+        # monkeypatch.setattr raises if it is renamed away.
         truth = Vec3(8.0, 3.0, -4.0)
         tdoa = geometric_tdoa(ARRAY, truth, C)
         init = initial_point(octant_of(truth), ARRAY.coarse_centroid())
         result = gradient_descent(init, tdoa, ARRAY, C)
         assert result.iterations > 0
-        assert calls["objective_and_grad"] == result.iterations + 1
-        assert calls["objective"] >= result.iterations
+        assert len(objective_calls) >= result.iterations + 1
 
     @pytest.mark.parametrize("antipodal,max_iters", [(False, 5000), (True, 5000), (False, 2)])
     def test_evaluations_counts_objective_calls(self, objective_calls, monkeypatch,
@@ -254,8 +249,22 @@ class TestGradientDescent:
         octant = octant_of(truth).negated() if antipodal else octant_of(truth)
         init = initial_point(octant, ARRAY.coarse_centroid())
         result = gradient_descent(init, tdoa, ARRAY, C)
-        assert result.evaluations == sum(objective_calls.values())
+        assert result.evaluations == len(objective_calls)
         assert result.evaluations > result.iterations > 0
+
+    @pytest.mark.parametrize("antipodal", [False, True])
+    def test_no_point_evaluated_twice(self, objective_calls, antipodal):
+        # Every counted evaluation is one objective_and_grad call at a new
+        # point: the accepted trial point keeps the G and grad G the line
+        # search computed for it.
+        truth = Vec3(9.0, 4.0, -3.0)
+        tdoa = geometric_tdoa(ARRAY, truth, C)
+        octant = octant_of(truth).negated() if antipodal else octant_of(truth)
+        init = initial_point(octant, ARRAY.coarse_centroid())
+        result = gradient_descent(init, tdoa, ARRAY, C)
+        assert result.iterations > 0
+        distinct = {p.tobytes() for p in objective_calls}
+        assert len(distinct) == len(objective_calls) == result.evaluations
 
     def test_emission_time_shift_leaves_result_equal(self):
         # The pair delays carry no emission time: moving it shifts the
