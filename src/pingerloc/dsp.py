@@ -117,8 +117,10 @@ def filter_signal(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Causal forward filtering with zero initial state along the last axis,
     so an (8, n) recording filters row by row in one call. Returns a float64
     array of the input's shape (empty for an empty last axis, which sosfilt
-    rejects). A row whose last sample is 0 is filtered only until its tail
-    is quiet (``_filter_to_silence``) and holds zeros after that."""
+    rejects). Rows that end in a nonzero sample (every noisy recording) take
+    one full-length sosfilt call. Rows whose last sample is 0 are filtered
+    together, each only until its tail is quiet, and hold zeros after that
+    (``_filter_to_silence``)."""
     samples = np.asarray(samples)
     n = samples.shape[-1]
     if n == 0:
@@ -132,8 +134,7 @@ def filter_signal(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
     out = np.zeros(rows.shape)
     if not silent_end.all():
         out[~silent_end] = sps.sosfilt(sos, rows[~silent_end])
-    for k in np.flatnonzero(silent_end):
-        _filter_to_silence(sos, rows[k], out[k])
+    _filter_to_silence(sos, rows, np.flatnonzero(silent_end), out)
     return out.reshape(samples.shape)
 
 
@@ -156,21 +157,44 @@ _QUIET_STATE = 1e-200
 _TAIL_CHUNK = 2048
 
 
-def _filter_to_silence(sos: np.ndarray, row: np.ndarray, out: np.ndarray) -> None:
-    """Filter one row into ``out``, which holds zeros: in one call up to its
-    last nonzero sample, then zero input in chunks, carrying the state,
-    until the state is quiet. Byte-identical to a full-length filter up to
-    the cut; the zeros after it are left as they are."""
-    nonzero = np.flatnonzero(row)
-    stop = int(nonzero[-1]) + 1 if nonzero.size else 0
-    zi = np.zeros((len(sos), 2))
-    if stop:
-        out[:stop], zi = sps.sosfilt(sos, row[:stop], zi=zi)
-    silence = np.zeros(_TAIL_CHUNK)
-    while stop < len(row) and np.max(np.abs(zi)) >= _QUIET_STATE:
-        step = min(_TAIL_CHUNK, len(row) - stop)
-        out[stop:stop + step], zi = sps.sosfilt(sos, silence[:step], zi=zi)
-        stop += step
+def _filter_to_silence(sos: np.ndarray, rows: np.ndarray, keep: np.ndarray,
+                       out: np.ndarray) -> None:
+    """Filter ``rows[keep]`` into ``out[keep]``, which holds zeros,
+    byte-identical to a full-length filter up to each row's cut. One call
+    filters every row's span (first to last nonzero sample) right-aligned in
+    one buffer; the zero state stays exactly zero through the padding, as
+    through a row's own leading zeros. Then zero-input chunks, counted from
+    each row's own last nonzero sample, run over the rows whose state is not
+    yet quiet, so no row decays into subnormal floats."""
+    n = rows.shape[1]
+    # A bool mask, an eighth of a float64 copy of the rows.
+    nonzero = (rows != 0)[keep]
+    heard = nonzero.any(axis=1)
+    keep, nonzero = keep[heard], nonzero[heard]
+    if not keep.size:
+        return
+    start = np.argmax(nonzero, axis=1)
+    stop = n - np.argmax(nonzero[:, ::-1], axis=1)
+    head = int(np.max(stop - start))
+    pad = head - (stop - start)
+    spans = np.zeros((keep.size, head))
+    for j, k in enumerate(keep):
+        spans[j, pad[j]:] = rows[k, start[j]:stop[j]]
+    spans, zi = sps.sosfilt(sos, spans, zi=np.zeros((len(sos), keep.size, 2)))
+    for j, k in enumerate(keep):
+        out[k, start[j]:stop[j]] = spans[j, pad[j]:]
+
+    silence = np.zeros((keep.size, _TAIL_CHUNK))
+    while True:
+        live = (stop < n) & (np.abs(zi).max(axis=(0, 2)) >= _QUIET_STATE)
+        if not live.any():
+            return
+        keep, stop, zi = keep[live], stop[live], zi[:, live]
+        tail, zi = sps.sosfilt(sos, silence[:keep.size], zi=zi)
+        for j, k in enumerate(keep):
+            step = min(_TAIL_CHUNK, n - stop[j])
+            out[k, stop[j]:stop[j] + step] = tail[j, :step]
+        stop = stop + _TAIL_CHUNK
 
 
 def _moving_rms(samples: np.ndarray, window: int) -> np.ndarray:

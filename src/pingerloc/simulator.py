@@ -9,6 +9,8 @@ pure function of its inputs and the seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import signal as sps
 
@@ -47,25 +49,38 @@ def ping_waveform(t: np.ndarray, pinger: PingerSource) -> np.ndarray:
 
 def render_scene(scenario: Scenario) -> MultiChannelRecording:
     """Simulate one capture: per channel, gain * bandpass(source(t - r/c) / r)
-    plus noise drawn from the scenario seed. Deterministic given the seed."""
+    plus noise drawn from the scenario seed. Deterministic given the seed.
+
+    The source is evaluated only on each burst's samples, from two samples
+    before its arrival to two after its end (the margin covers rounding in
+    ``ping_waveform``'s modulo); every other pressure sample is exactly 0,
+    as the full-grid evaluation gives there. Each sample goes through the
+    same elementwise arithmetic either way, so the pressure is the same."""
     fs = scenario.sample_rate
     n = int(round(scenario.record_duration * fs))
     t = np.arange(n) / fs
-    source = scenario.pinger.position.as_array()
+    pinger = scenario.pinger
+    source = pinger.position.as_array()
     fe = scenario.front_end
     sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
 
     positions = [scenario.array.channel_position(ch) for ch in range(8)]
-    pressure = np.empty((8, n))
+    pressure = np.zeros((8, n))
     for ch, pos in enumerate(positions):
         r = float(np.linalg.norm(source - pos.as_array()))
-        pressure[ch] = ping_waveform(t - r / scenario.sound_speed, scenario.pinger) / r
+        delay = r / scenario.sound_speed
+        for start in np.arange(delay, n / fs, pinger.repetition_interval):
+            i0 = max(math.floor(start * fs) - 2, 0)
+            i1 = min(math.ceil((start + pinger.ping_duration) * fs) + 2, n)
+            pressure[ch, i0:i1] = ping_waveform(t[i0:i1] - delay, pinger) / r
     # Each float64 (8, n) array is dropped before the next copy is made: a
     # 2 s render holds 64 MB in each.
     filtered = filter_signal(sos, pressure)
     del pressure
-    filtered *= fe.gain
-    channels = filtered.astype(np.float32)
+    # The product rounds straight into float32, as an in-place product and
+    # astype would, without writing the float64 zeros after each cut tail.
+    channels = np.multiply(filtered, fe.gain, out=np.empty(filtered.shape, np.float32),
+                           casting="same_kind")
     del filtered
 
     clean = MultiChannelRecording(sample_rate=fs, channels=channels)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import pingerloc
 from pingerloc import read_recording, scenario_to_dict
-from pingerloc import pipeline, scene, solver
+from pingerloc import pipeline, scene, simulator, solver
 from pingerloc.cli import (EXIT_CONFIG, EXIT_NO_PING, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_PING_FAILED, main)
 from conftest import fast_scenario
@@ -165,10 +165,12 @@ def test_file_error_exits_1_without_traceback(scenario_path, tmp_path, capsys, m
         config = tmp_path / "eval.json"
         config.write_text(json.dumps({"ranges": [10.0], "snr_db": [None], "trials": 1}))
 
-    def grid_must_not_run(config):
-        raise AssertionError("the grid ran before --out was checked")
+    # An unwritable --out fails before anything is rendered or run.
+    def must_not_run(*args):
+        raise AssertionError(f"{command} ran before {flag} was checked")
 
-    monkeypatch.setattr(pipeline, "monte_carlo", grid_must_not_run)
+    monkeypatch.setattr(pipeline, "monte_carlo", must_not_run)
+    monkeypatch.setattr(simulator, "render_scene", must_not_run)
     missing = tmp_path / "no_such_dir" / name
     assert main([command, "--config", str(config), flag, str(missing)]) == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -217,6 +217,33 @@ class TestTailCut:
         for k in range(len(ends)):
             self.check_row(cascade, rendered[k].astype(float), y32[k])
 
+    def test_silent_rows_filtered_in_one_batch(self, cascade, std_recording, monkeypatch):
+        # A noiseless render: eight rows whose bursts end at different
+        # samples. Together they take one call up to their last nonzero
+        # samples and one per tail chunk of the slowest row, not one series
+        # of calls per row.
+        rendered = std_recording.channels
+        calls = []
+        real = sps.sosfilt
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sps, "sosfilt", counted)
+        per_row = []
+        for row in rendered:
+            calls.clear()
+            filter_signal(cascade, row)
+            per_row.append(len(calls))
+        calls.clear()
+        batched = filter_signal(cascade, rendered)
+        assert min(per_row) > 1
+        assert len(calls) <= max(per_row) < sum(per_row)
+        assert calls[0] == (len(rendered), calls[0][1])
+        for k, row in enumerate(rendered):
+            assert batched[k].tobytes() == filter_signal(cascade, row).tobytes()
+
     def test_noisy_rows_equal_sosfilt(self, cascade):
         rng = np.random.default_rng(4)
         noisy = rng.normal(size=(3, 20_000))

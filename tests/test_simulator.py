@@ -1,8 +1,11 @@
 import dataclasses
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
 from pingerloc import (
@@ -175,6 +178,17 @@ def full_filter_render(scenario):
     return out
 
 
+def assert_renders_full_filter(scenario):
+    """The noiseless render equals ``full_filter_render``; only the sign of
+    some zeros may differ. Returns the render's channels."""
+    ours = render_scene(scenario).channels
+    reference = full_filter_render(scenario)
+    assert np.array_equal(ours, reference)
+    differs = ours.view(np.uint32) != reference.view(np.uint32)
+    assert np.all(ours[differs] == 0.0)
+    return ours
+
+
 class TestRenderTailCut:
     def test_noiseless_renders_equal_full_filter(self, monkeypatch):
         silent = NoiseSpec.silent()
@@ -197,12 +211,49 @@ class TestRenderTailCut:
         monkeypatch.undo()
         assert len(scenes) == 8
         for scenario in scenes:
-            ours = render_scene(scenario).channels
-            reference = full_filter_render(scenario)
-            assert np.array_equal(ours, reference)
-            # Only the sign of some zeros may differ.
-            differs = ours.view(np.uint32) != reference.view(np.uint32)
-            assert np.all(ours[differs] == 0.0)
+            assert_renders_full_filter(scenario)
+
+    def test_last_burst_cut_by_end_of_recording(self):
+        # Three 50 ms repetitions from about 11.4 m (7.7 ms away): the third
+        # burst starts near 107.7 ms and the recording ends 2.3 ms into it.
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        scenario = dataclasses.replace(quick, noise=NoiseSpec.silent(), record_duration=0.11)
+        arrival = propagation_delay(scenario.pinger.position,
+                                    scenario.array.channel_position(0), scenario.sound_speed)
+        third = 2 * scenario.pinger.repetition_interval + arrival
+        assert third < scenario.record_duration < third + scenario.pinger.ping_duration
+        channels = assert_renders_full_filter(scenario)
+        assert channels[0, -1] != 0.0
+
+    def test_pinger_next_to_hydrophone(self):
+        # 1 mm off channel 0 the burst arrives within a sample, so its span
+        # clips at sample 0.
+        hydrophone = default_array().channel_position(0)
+        scenario = fast_scenario(Vec3(hydrophone.x + 1e-3, hydrophone.y, hydrophone.z),
+                                 record_duration=0.02)
+        channels = assert_renders_full_filter(scenario)
+        assert channels[0, 1] != 0.0
+
+    @given(x=st.floats(min_value=-30.0, max_value=30.0),
+           y=st.floats(min_value=-30.0, max_value=30.0),
+           z=st.floats(min_value=-30.0, max_value=30.0),
+           record_duration=st.floats(min_value=0.01, max_value=0.1),
+           repetition=st.floats(min_value=0.05, max_value=1.0),
+           duty=st.floats(min_value=0.01, max_value=0.99))
+    @settings(max_examples=25, deadline=timedelta(seconds=5))
+    def test_random_silent_scene_renders_full_filter(self, x, y, z, record_duration,
+                                                    repetition, duty):
+        # Repetition and ping duration as fractions of the recording, so
+        # every draw is a valid pinger: one to twenty bursts, any of them
+        # cut short by the end of the recording.
+        interval = repetition * record_duration
+        try:
+            scenario = fast_scenario(Vec3(x, y, z), record_duration=record_duration,
+                                     repetition_interval=interval,
+                                     ping_duration=duty * interval)
+        except ConfigError:
+            assume(False)
+        assert_renders_full_filter(scenario)
 
 
 class TestAddNoise:
