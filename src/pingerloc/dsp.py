@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
+import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "detect_ping",
     "first_onset",
     "channel_onsets",
+    "filter_and_scan",
     "estimate_delay",
     "select_stable_window",
 ]
@@ -197,8 +200,9 @@ def _filter_to_silence(sos: np.ndarray, rows: np.ndarray, keep: np.ndarray,
         stop = stop + _TAIL_CHUNK
 
 
-def _moving_rms(samples: np.ndarray, window: int) -> np.ndarray:
-    """Trailing RMS over the last ``window`` samples (shorter at the start)."""
+def _moving_mean_square(samples: np.ndarray, window: int) -> np.ndarray:
+    """Trailing mean square over the last ``window`` samples (shorter at the
+    start)."""
     ms = np.square(np.asarray(samples, dtype=float))
     n = len(ms)
     csum = np.empty(n + 1)
@@ -211,7 +215,45 @@ def _moving_rms(samples: np.ndarray, window: int) -> np.ndarray:
     steady = np.subtract(csum[ramp + 1:], csum[1:n - ramp + 1], out=ms[ramp:])
     np.maximum(steady, 0.0, out=steady)
     steady /= window
-    return np.sqrt(ms, out=ms)
+    return ms
+
+
+def _median_root(ms: np.ndarray) -> float:
+    """``np.median(np.sqrt(ms))`` of non-negative mean squares, without the
+    square-root pass. sqrt is correctly rounded, hence monotone, so the middle
+    order statistics of sqrt(ms) are the square roots of those of ms, and
+    np.median averages the two of an even count as (lo + hi) / 2. Only the
+    positive values are partitioned: numpy's selection stalls when a block of
+    equal values, the exact zeros of a silent stretch, sits at the rank."""
+    # A NaN anywhere reaches the last mean square: the cumulative sum carries
+    # it, and an inf ahead of the last window leaves inf - inf there.
+    if math.isnan(ms[-1]):
+        return math.nan
+    n = ms.size
+    # A noisy row has no exact zero, and a copy is cheaper than the selection.
+    pos = ms.copy() if ms.min() > 0 else ms[ms > 0]
+    # Rank of the upper (or only) middle value among the positives.
+    k = n // 2 - (n - pos.size)
+    if k < 0:
+        return 0.0
+    pos.partition(k)
+    hi = math.sqrt(pos[k])
+    if n % 2:
+        return hi
+    lo = math.sqrt(pos[:k].max()) if k else 0.0
+    return (lo + hi) / 2
+
+
+def _square_cutoff(threshold: float) -> float:
+    """The largest double c with sqrt(c) <= ``threshold`` (>= 0): for x >= 0,
+    sqrt(x) > threshold exactly when x > c. c starts at threshold² and moves
+    at most a few ulps. A NaN threshold gives NaN, which no x exceeds."""
+    c = threshold * threshold
+    while math.sqrt(c) > threshold:
+        c = math.nextafter(c, 0.0)
+    while c < math.inf and math.sqrt(math.nextafter(c, math.inf)) <= threshold:
+        c = math.nextafter(c, math.inf)
+    return c
 
 
 def detect_ping(samples: np.ndarray, fs: float) -> np.ndarray:
@@ -219,12 +261,14 @@ def detect_ping(samples: np.ndarray, fs: float) -> np.ndarray:
     over RMS_WINDOW exceeds ONSET_THRESHOLD times the noise floor, the median
     moving RMS of the whole channel; empty when none does. Meant to run once
     per channel and recording; ``first_onset`` then reads each ping's onset
-    off it."""
+    off it. The test runs on mean squares, with the floor and the threshold
+    carried over exactly (``_median_root``, ``_square_cutoff``), so no
+    square root is taken per sample."""
     if np.size(samples) == 0:
         return np.empty(0, dtype=np.intp)
     w = max(1, int(round(RMS_WINDOW * fs)))
-    rms = _moving_rms(samples, w)
-    return np.flatnonzero(rms > ONSET_THRESHOLD * float(np.median(rms)))
+    ms = _moving_mean_square(samples, w)
+    return np.flatnonzero(ms > _square_cutoff(ONSET_THRESHOLD * _median_root(ms)))
 
 
 def first_onset(onsets: np.ndarray, start: int) -> int:
@@ -236,11 +280,11 @@ def first_onset(onsets: np.ndarray, start: int) -> int:
     return int(onsets[k])
 
 
-def channel_onsets(filtered: np.ndarray, fs: float,
+def channel_onsets(filtered: Mapping[int, np.ndarray], fs: float,
                    array: HydrophoneArray) -> dict[int, np.ndarray]:
     """``detect_ping`` on the reference (first precise) channel and on every
-    coarse channel of filtered (8, n) channels, one row at a time: channel ->
-    onset indices."""
+    coarse channel of filtered channels (``filtered[k]`` is channel k's row),
+    one row at a time: channel -> onset indices."""
     return {ch: detect_ping(filtered[ch], fs)
             for ch in (array.precise_channels[0], *array.coarse_channels)}
 
@@ -300,17 +344,67 @@ def _pair_delays(precise: list[np.ndarray], start: int, length: int, fs: float,
     return [estimate_delay(slices[i], slices[j], fs, max_lag) for i, j in _PAIRS]
 
 
+def _window_lengths(fs: float) -> tuple[int, int]:
+    """(window, sub-window) length in samples at ``fs``."""
+    win_len = int(round(WINDOW_DURATION * fs))
+    return win_len, win_len // NUM_SUBWINDOWS
+
+
+def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: HydrophoneArray,
+                    timing: dict | None = None) -> tuple[dict[int, np.ndarray],
+                                                         dict[int, np.ndarray]]:
+    """The localizer's front end. Filters the reference (first precise) and
+    coarse channels in one ``filter_signal`` call and scans them
+    (``channel_onsets``). Then it filters the other three precise channels in
+    one call, only as far as a window search can read them: to the end of the
+    last candidate window from the reference channel's last crossing.
+
+    Returns (rows, onsets): channel -> filtered row and channel -> onset
+    indices. Every row is byte-equal to the same span of ``filter_signal``
+    over the whole recording; the reference and coarse rows are full length.
+    If ``timing`` is a dict it gets the milliseconds spent filtering
+    ("filter", both calls) and scanning ("onset")."""
+    channels = recording.channels
+    fs = recording.sample_rate
+    n = channels.shape[1]
+    scanned = [array.precise_channels[0], *array.coarse_channels]
+    rest = list(array.precise_channels[1:])
+
+    t_start = time.perf_counter()
+    rows = dict(zip(scanned, filter_signal(sos, channels[scanned])))
+    t_scan = time.perf_counter()
+    onsets = channel_onsets(rows, fs, array)
+    t_rest = time.perf_counter()
+
+    crossings = onsets[scanned[0]]
+    end = 0
+    if crossings.size:
+        win_len, sub_len = _window_lengths(fs)
+        end = min(n, int(crossings[-1]) + (NUM_WINDOWS - 1) * sub_len + win_len)
+    # filter_signal stops a row that ends in 0 once its tail is quiet; a
+    # channel that resumes after the bound runs on in the full-length filter,
+    # so such rows are filtered to the end.
+    if 0 < end < n and any(channels[ch, end - 1] == 0 and channels[ch, end:].any()
+                           for ch in rest):
+        end = n
+    rows.update(zip(rest, filter_signal(sos, channels[rest, :end])))
+    t_end = time.perf_counter()
+
+    if timing is not None:
+        timing["filter"] = (t_scan - t_start + t_end - t_rest) * 1e3
+        timing["onset"] = (t_rest - t_scan) * 1e3
+    return rows, onsets
+
+
 def select_stable_window(recording: MultiChannelRecording, sos: np.ndarray,
                          array: HydrophoneArray, sound_speed: float,
                          start_sample: int = 0) -> TdoaSet:
-    """Filter all channels (``filter_signal``), detect their onsets
-    (``channel_onsets``), then run ``tdoa_from_filtered``."""
+    """``filter_and_scan``, then ``tdoa_from_filtered``."""
     if recording.channel_count != 8:
         raise ValueError(f"expected 8 channels, got {recording.channel_count}")
-    fs = recording.sample_rate
-    filtered = filter_signal(sos, recording.channels)
-    return tdoa_from_filtered(filtered, fs, array, sound_speed,
-                              channel_onsets(filtered, fs, array), start_sample)
+    rows, onsets = filter_and_scan(recording, sos, array)
+    return tdoa_from_filtered(rows, recording.sample_rate, array, sound_speed, onsets,
+                              start_sample)
 
 
 def _onset_after(onsets: dict[int, np.ndarray], channel: int, start: int, kind: str) -> int:
@@ -321,24 +415,25 @@ def _onset_after(onsets: dict[int, np.ndarray], channel: int, start: int, kind: 
         raise NoPingError(f"no ping detected on {kind} channel {channel}") from None
 
 
-def tdoa_from_filtered(filtered: np.ndarray, fs: float, array: HydrophoneArray,
+def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: HydrophoneArray,
                        sound_speed: float, onsets: dict[int, np.ndarray],
                        start_sample: int = 0, diagnostics: dict | None = None) -> TdoaSet:
-    """Stable-window search on already-filtered channels, an (8, n) array
-    whose row k is channel k, given their ``channel_onsets``. From the
-    reference (first precise) channel's first onset at or after
-    ``start_sample``, candidate windows start every sub-window; the one whose
-    six pairwise delays are most repeatable across its sub-windows wins.
-    Returns the TdoaSet measured over the winning window, plus per-channel
-    coarse onsets. ``sound_speed`` (m/s, the scenario's) bounds every delay
-    by the widest precise spacing over it. If ``diagnostics`` is a dict it
-    is filled with the candidate window starts, their variance scores, and
-    the chosen index."""
+    """Stable-window search on already-filtered channels, given their
+    ``channel_onsets``. ``filtered[k]`` is channel k's row, as the mapping
+    ``filter_and_scan`` returns or an (8, n) array. The recording's length
+    is the reference (first precise) row's; the other precise rows need only
+    reach the end of the last candidate window. From the reference channel's
+    first onset at or after ``start_sample``, candidate windows start every
+    sub-window; the one whose six pairwise delays are most repeatable across
+    its sub-windows wins. Returns the TdoaSet measured over the winning
+    window, plus per-channel coarse onsets. ``sound_speed`` (m/s, the
+    scenario's) bounds every delay by the widest precise spacing over it. If
+    ``diagnostics`` is a dict it is filled with the candidate window starts,
+    their variance scores, and the chosen index."""
     onset = _onset_after(onsets, array.precise_channels[0], start_sample, "reference")
-    n_total = filtered.shape[1]
+    n_total = len(filtered[array.precise_channels[0]])
 
-    win_len = int(round(WINDOW_DURATION * fs))
-    sub_len = win_len // NUM_SUBWINDOWS
+    win_len, sub_len = _window_lengths(fs)
     if sub_len < 2:
         raise ValueError(f"sample rate {fs} Hz too low for {NUM_SUBWINDOWS} sub-windows "
                          f"of a {WINDOW_DURATION} s window")

@@ -6,9 +6,10 @@ stream, plus a Monte Carlo evaluation harness; both run each ping through
 Reports serialize as newline-delimited JSON. Timings and window-search
 diagnostics ride on each report but stay out of the serialized stream unless
 asked for, so runs with the same seed are byte-identical. Onsets are detected
-once per recording, right after filtering; each ping reads its own off them.
-A recording's render, filter and onset time is charged to its first report
-only (later ones carry 0.0), so summing a stream counts each cost once.
+once per recording, in the front end (``dsp.filter_and_scan``); each ping
+reads its own off them. A recording's render, filter and onset time is
+charged to its first report only (later ones carry 0.0), so summing a stream
+counts each cost once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -113,12 +114,13 @@ class PingOutcome:
     error: Exception | None
 
 
-def localize_ping(filtered: np.ndarray, fs: float, scenario: Scenario,
+def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scenario,
                   onsets: dict[int, np.ndarray], start_sample: int) -> PingOutcome:
     """Localize the first ping at or after ``start_sample`` in the filtered
-    (8, n) channels, row k being channel k, given their ``dsp.channel_onsets``.
-    Failures in PING_ERRORS are caught and recorded on the outcome; anything
-    else (a bad argument) raises."""
+    channels (channel -> row) given their onsets, both as
+    ``dsp.filter_and_scan`` returns them; ``dsp.tdoa_from_filtered`` says
+    which samples it reads. Failures in PING_ERRORS are caught and recorded
+    on the outcome; anything else (a bad argument) raises."""
     tdoa = octant = result = error = None
     window_search: dict = {}
     timing: dict[str, float] = {}
@@ -147,13 +149,14 @@ def localize_ping(filtered: np.ndarray, fs: float, scenario: Scenario,
                        timing=timing, error=error)
 
 
-def _filter_channels(recording: MultiChannelRecording, scenario: Scenario) -> np.ndarray:
-    """Every channel through the scenario's front-end bandpass: an (8, n)
-    float64 array, row k being channel k."""
+def _filter_and_scan(recording: MultiChannelRecording, scenario: Scenario,
+                     timing: dict | None = None
+                     ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """``dsp.filter_and_scan`` through the scenario's front-end bandpass."""
     fe = scenario.front_end
     sos = dsp.design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high,
                               recording.sample_rate)
-    return dsp.filter_signal(sos, recording.channels)
+    return dsp.filter_and_scan(recording, sos, scenario.array, timing)
 
 
 def run_localization(scenario: Scenario,
@@ -173,12 +176,7 @@ def run_localization(scenario: Scenario,
         raise ConfigError(f"expected an 8-channel recording, got {recording.channel_count}")
 
     fs = recording.sample_rate
-    t_start = time.perf_counter()
-    filtered = _filter_channels(recording, scenario)
-    recording_timing["filter"] = (time.perf_counter() - t_start) * 1e3
-    t_start = time.perf_counter()
-    onsets = dsp.channel_onsets(filtered, fs, scenario.array)
-    recording_timing["onset"] = (time.perf_counter() - t_start) * 1e3
+    filtered, onsets = _filter_and_scan(recording, scenario, recording_timing)
 
     # After a ping is handled, resume the search just ahead of the next
     # repetition slot. Searching right after the burst instead would trip on
@@ -380,10 +378,8 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
     coarse_centroid = scenario.array.coarse_centroid().as_array()
     octant_true = octant_of(Vec3.from_array(position.as_array() - coarse_centroid))
 
-    fs = recording.sample_rate
-    filtered = _filter_channels(recording, scenario)
-    outcome = localize_ping(filtered, fs, scenario,
-                            dsp.channel_onsets(filtered, fs, scenario.array), 0)
+    filtered, onsets = _filter_and_scan(recording, scenario)
+    outcome = localize_ping(filtered, recording.sample_rate, scenario, onsets, 0)
 
     row = {
         "trial": trial,

@@ -32,8 +32,10 @@ from pingerloc.dsp import (
     SEARCH_SPAN,
     WINDOW_DURATION,
     UnstableWindowError,
+    _median_root,
+    _moving_mean_square,
     _pair_delays,
-    _moving_rms,
+    _square_cutoff,
     channel_onsets,
     first_onset,
     tdoa_from_filtered,
@@ -319,7 +321,110 @@ class TestMovingRms:
     @pytest.mark.parametrize("n", [1, W - 1, W, W + 1, 25_000, 1_000_000])
     def test_equals_index_array_formula(self, cascade, n):
         x = filter_signal(cascade, np.random.default_rng(n).normal(size=n))
-        assert np.array_equal(_moving_rms(x, self.W), index_array_moving_rms(x, self.W))
+        assert np.array_equal(np.sqrt(_moving_mean_square(x, self.W)),
+                              index_array_moving_rms(x, self.W))
+
+
+def reference_detect_ping(samples, fs):
+    """The moving-RMS onset test detect_ping must reproduce: a square root
+    per sample, np.median of the roots for the floor, and the comparison on
+    the roots."""
+    if np.size(samples) == 0:
+        return np.empty(0, dtype=np.intp)
+    w = max(1, int(round(dsp.RMS_WINDOW * fs)))
+    rms = np.sqrt(_moving_mean_square(samples, w))
+    return np.flatnonzero(rms > dsp.ONSET_THRESHOLD * float(np.median(rms)))
+
+
+class TestDetectPingOnMeanSquares:
+    """detect_ping thresholds mean squares; it must cross exactly where the
+    RMS test crosses."""
+
+    def row(self, cascade, n, leading_zeros=0, seed=0):
+        """Filtered noise whose first ``leading_zeros`` mean squares are
+        exactly 0."""
+        x = filter_signal(cascade, np.random.default_rng(seed).normal(size=n))
+        x[:leading_zeros] = 0.0
+        return x
+
+    @pytest.mark.parametrize("fs", [48_000.0, 96_000.0, FS, 1_000_000.0])
+    def test_lengths_around_the_window(self, cascade, fs):
+        w = max(1, int(round(dsp.RMS_WINDOW * fs)))
+        for n in sorted({1, 2, 3, w - 1, w, w + 1, 2 * w + 1, 2 * w + 2, 10_001, 10_000}):
+            if n < 1:
+                continue
+            for seed in range(3):
+                x = self.row(cascade, n, seed=seed)
+                assert np.array_equal(detect_ping(x, fs), reference_detect_ping(x, fs)), (fs, n)
+
+    @pytest.mark.parametrize("n", [10_000, 10_001])
+    @pytest.mark.parametrize("zeros", [0, 1_000, 4_900, *range(4_997, 5_004), 5_100, 9_000,
+                                       9_999, 10_001])
+    def test_exact_zero_fractions(self, cascade, n, zeros):
+        # From none to all of the mean squares exactly 0, densest around the
+        # middle rank(s), where the floor moves from a positive value to 0.
+        zeros = min(zeros, n)
+        x = self.row(cascade, n, zeros, seed=zeros)
+        ms = _moving_mean_square(x, int(round(dsp.RMS_WINDOW * FS)))
+        assert np.count_nonzero(ms == 0.0) == zeros
+        assert _median_root(ms) == float(np.median(np.sqrt(ms)))
+        assert np.array_equal(detect_ping(x, FS), reference_detect_ping(x, FS))
+
+    def test_silent_and_noiseless_rows(self, cascade, std_recording):
+        assert detect_ping(np.zeros(30_000), FS).size == 0
+        assert reference_detect_ping(np.zeros(30_000), FS).size == 0
+        for row in filter_signal(cascade, std_recording.channels):
+            assert np.array_equal(detect_ping(row, FS), reference_detect_ping(row, FS))
+
+    def test_noise_with_a_burst(self, cascade):
+        x = filter_signal(cascade, TestDetectPing().burst_in_noise(0.1, 0.3, 20.0))
+        onsets = detect_ping(x, FS)
+        assert onsets.size and np.array_equal(onsets, reference_detect_ping(x, FS))
+
+    def test_non_finite_samples(self):
+        # Recordings refuse them, but the scan still agrees: a NaN floor
+        # crosses nowhere, an inf mean square crosses a finite floor.
+        x = np.ones(3_000)
+        for where, value in [(10, np.nan), (2_990, np.nan), (10, np.inf), (2_990, np.inf)]:
+            y = x.copy()
+            y[where] = value
+            with np.errstate(invalid="ignore"):
+                assert np.array_equal(detect_ping(y, FS), reference_detect_ping(y, FS))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 3_000), fs=st.sampled_from([1_000.0, 48_000.0, FS]),
+           lead=st.floats(0.0, 1.0), tail=st.floats(0.0, 1.0),
+           scale=st.sampled_from([1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e150]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_rms_test(self, n, fs, lead, tail, scale, seed):
+        x = np.random.default_rng(seed).normal(size=n) * scale
+        x[:int(lead * n)] = 0.0
+        x[n - int(tail * n):] = 0.0
+        assert np.array_equal(detect_ping(x, fs), reference_detect_ping(x, fs))
+
+
+class TestSquareCutoff:
+    @pytest.mark.parametrize("v", [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+                                   1e-30, 0.5, 1.0, 2.0, 3.0, 123.456, 1e300,
+                                   np.finfo(float).max])
+    def test_cutoff_at_a_root_and_its_neighbours(self, v):
+        root = math.sqrt(v)
+        for threshold in (math.nextafter(root, 0.0), root, math.nextafter(root, math.inf)):
+            c = _square_cutoff(threshold)
+            assert math.sqrt(c) <= threshold
+            assert c == math.inf or math.sqrt(math.nextafter(c, math.inf)) > threshold
+            # The cutoff splits the doubles around it as the roots do.
+            xs = np.array([c, v, math.nextafter(c, 0.0), math.nextafter(v, 0.0),
+                           math.nextafter(v, math.inf)] +
+                          ([math.nextafter(c, math.inf)] if c < math.inf else []))
+            assert np.array_equal(xs > c, np.sqrt(xs) > threshold)
+        assert v <= _square_cutoff(root)
+
+    def test_infinite_and_nan_thresholds(self):
+        assert _square_cutoff(math.inf) == math.inf
+        assert math.isnan(_square_cutoff(math.nan))
+        # A threshold whose square overflows still maps to the largest double.
+        assert _square_cutoff(1e200) == np.finfo(float).max
 
 
 def multitone(offset_samples=0.0, n=2_000, seed=5, m=60, fs=FS):

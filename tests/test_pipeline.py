@@ -10,20 +10,28 @@ import pytest
 from pingerloc import (
     ConfigError,
     DivergedError,
+    HydrophoneArray,
     MonteCarloConfig,
+    MultiChannelRecording,
     NoiseSpec,
     NoPingError,
     Vec3,
+    design_bandpass,
     dsp,
+    filter_signal,
     load_scenario,
     monte_carlo,
+    render_scene,
     run_localization,
+    scenario_to_dict,
     true_azimuth_elevation,
     write_monte_carlo_csv,
+    write_recording,
 )
+from pingerloc.cli import EXIT_NO_PING, main
 from pingerloc.pipeline import (
     FAILED_TRIAL_AZ_ERROR,
-    _filter_channels,
+    _filter_and_scan,
     localize_ping,
     measure_burst_rms,
     monte_carlo_config_from_dict,
@@ -157,9 +165,115 @@ class TestRunLocalization:
 
 
 def localize_first(scenario, recording, start_sample=0):
-    filtered = _filter_channels(recording, scenario)
-    onsets = dsp.channel_onsets(filtered, FS, scenario.array)
+    filtered, onsets = _filter_and_scan(recording, scenario)
     return localize_ping(filtered, FS, scenario, onsets, start_sample)
+
+
+class TestFilterAndScan:
+    """The front end filters the precise channels other than the reference
+    only as far as the window search reads them; every row it returns must
+    be the full-length filter's, byte for byte."""
+
+    def check_rows(self, scenario, recording):
+        """Compare the front end's rows and onsets with the full filter's;
+        return (rows, onsets, full filter)."""
+        fe = scenario.front_end
+        sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, FS)
+        full = filter_signal(sos, recording.channels)
+        timing = {}
+        rows, onsets = _filter_and_scan(recording, scenario, timing)
+        array = scenario.array
+        assert sorted(rows) == list(range(8)) and set(timing) == {"filter", "onset"}
+        for ch, row in rows.items():
+            assert row.tobytes() == full[ch, :len(row)].tobytes(), ch
+        for ch in (array.precise_channels[0], *array.coarse_channels):
+            assert len(rows[ch]) == recording.samples_per_channel
+        expected = dsp.channel_onsets(full, FS, array)
+        assert onsets.keys() == expected.keys()
+        assert all(np.array_equal(onsets[ch], expected[ch]) for ch in onsets)
+        return rows, onsets, full
+
+    def check_searches(self, scenario, recording):
+        """Every ping's window search reads the same from the front end's
+        rows as from the full-length filter; return (rows, ping count)."""
+        rows, onsets, full = self.check_rows(scenario, recording)
+        pings = 0
+        for report in run_localization(scenario, recording=recording):
+            # Each ping's search starts at its onset, the first candidate.
+            onset = report.diagnostics["candidate_starts"][0]
+            search = []
+            for filtered in (rows, full):
+                diagnostics = {}
+                tdoa = dsp.tdoa_from_filtered(filtered, FS, scenario.array,
+                                              scenario.sound_speed, onsets, onset, diagnostics)
+                search.append((tdoa, diagnostics))
+            assert search[0] == search[1]
+            pings += 1
+        return rows, pings
+
+    def test_sixteen_noisy_repetitions(self):
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        scenario = dataclasses.replace(quick, record_duration=16 * quick.pinger.repetition_interval)
+        rows, pings = self.check_searches(scenario, render_scene(scenario))
+        assert pings == 16
+
+    def test_noiseless_render(self, std_scenario, std_recording):
+        rows, pings = self.check_searches(std_scenario, std_recording)
+        assert pings == 1
+        # The search reads a few ms past the onset of a 50 ms recording.
+        assert len(rows[std_scenario.array.precise_channels[1]]) < std_recording.samples_per_channel
+
+    def test_search_past_the_end(self):
+        scenario = load_scenario(CONFIGS / "scenario_quick.json")
+        recording = render_scene(scenario)
+        _, onsets, _ = self.check_rows(scenario, recording)
+        onset = int(onsets[scenario.array.precise_channels[0]][0])
+        cut = MultiChannelRecording(sample_rate=FS,
+                                    channels=recording.channels[:, :onset + 1_500].copy())
+        rows, pings = self.check_searches(scenario, cut)
+        assert pings == 1
+        assert all(len(row) == onset + 1_500 for row in rows.values())
+
+    def test_channel_resuming_past_the_search(self, std_scenario, std_recording):
+        # A precise channel that is silent at the bound and resumes later is
+        # filtered to the end, as the full-length filter runs through the gap.
+        channels = std_recording.channels.copy()
+        resumed = std_scenario.array.precise_channels[2]
+        channels[resumed, -1_000:] = channels[resumed, 3_000:4_000]
+        rows, _, _ = self.check_rows(std_scenario,
+                                     MultiChannelRecording(sample_rate=FS, channels=channels))
+        assert len(rows[resumed]) == std_recording.samples_per_channel
+
+    def test_silent_recording(self, std_scenario, tmp_path, capsys):
+        silent = MultiChannelRecording(sample_rate=FS,
+                                       channels=np.zeros((8, 30_000), dtype=np.float32))
+        rows, _, _ = self.check_rows(std_scenario, silent)
+        assert [len(rows[ch]) for ch in std_scenario.array.precise_channels[1:]] == [0, 0, 0]
+        with pytest.raises(NoPingError, match="reference"):
+            next(run_localization(std_scenario, recording=silent))
+        config, path = tmp_path / "scenario.json", tmp_path / "silent.oogw"
+        config.write_text(json.dumps(scenario_to_dict(std_scenario)))
+        write_recording(silent, path)
+        assert main(["localize", "--config", str(config), "--recording", str(path)]) == EXIT_NO_PING
+        assert "no ping" in capsys.readouterr().err
+
+    def test_permuted_labels(self, std_scenario):
+        array = std_scenario.array
+        labels = tuple(reversed(array.labels))
+        scenario = dataclasses.replace(
+            load_scenario(CONFIGS / "scenario_quick.json"),
+            array=HydrophoneArray(precise=array.precise, coarse=array.coarse, labels=labels))
+        rows, pings = self.check_searches(scenario, render_scene(scenario))
+        assert pings == 1
+        assert len(rows[labels[1]]) < scenario.record_duration * FS
+
+    def test_default_scenario_reads_a_prefix(self):
+        scenario = load_scenario(CONFIGS / "scenario_default.json")
+        recording = render_scene(scenario)
+        rows, pings = self.check_searches(scenario, recording)
+        assert pings == 1
+        n = recording.samples_per_channel
+        assert all(len(rows[ch]) < n / 50 for ch in scenario.array.precise_channels[1:])
 
 
 class TestLocalizePing:
