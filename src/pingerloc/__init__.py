@@ -14,7 +14,6 @@ from .scene import (
     default_array,
     load_scenario,
     octant_of,
-    propagation_delay,
     scenario_from_dict,
     scenario_to_dict,
     true_azimuth_elevation,
@@ -46,9 +45,8 @@ from .solver import (
     SingularGeometryError,
     SolverResult,
     gradient_descent,
-    objective_and_gradient,
 )
-from .guess import OctantGuess, UnresolvableAxisError, initial_point, octant_guess
+from .guess import OctantGuess, initial_point, octant_guess
 from .pipeline import (
     AzimuthReport,
     MonteCarloConfig,

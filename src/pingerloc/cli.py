@@ -9,8 +9,8 @@ Subcommands:
 Exit codes: 0 success (localize: every report converged), 1 configuration or
 usage error, or a file that cannot be read or written, 2 no ping found,
 3 reports emitted but at least one solve did not converge, 4 a ping failed
-after detection (unstable window, unresolvable axis, singular geometry or
-divergence; reports already written stay).
+after detection (unstable window, singular geometry or divergence; reports
+already written stay).
 """
 
 from __future__ import annotations

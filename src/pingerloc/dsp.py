@@ -31,7 +31,6 @@ __all__ = [
     "filter_signal",
     "detect_ping",
     "first_onset",
-    "channel_onsets",
     "filter_and_scan",
     "estimate_delay",
     "select_stable_window",
@@ -280,15 +279,6 @@ def first_onset(onsets: np.ndarray, start: int) -> int:
     return int(onsets[k])
 
 
-def channel_onsets(filtered: Mapping[int, np.ndarray], fs: float,
-                   array: HydrophoneArray) -> dict[int, np.ndarray]:
-    """``detect_ping`` on the reference (first precise) channel and on every
-    coarse channel of filtered channels (``filtered[k]`` is channel k's row),
-    one row at a time: channel -> onset indices."""
-    return {ch: detect_ping(filtered[ch], fs)
-            for ch in (array.precise_channels[0], *array.coarse_channels)}
-
-
 def estimate_delay(a: np.ndarray, b: np.ndarray, fs: float, max_lag_samples: int) -> DelayEstimate:
     """Normalized cross-correlation delay between two equal-length windows,
     searched over lags within +/- max_lag_samples and refined to sub-sample
@@ -354,8 +344,8 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
                     timing: dict | None = None) -> tuple[dict[int, np.ndarray],
                                                          dict[int, np.ndarray]]:
     """The localizer's front end. Filters the reference (first precise) and
-    coarse channels in one ``filter_signal`` call and scans them
-    (``channel_onsets``). Then it filters the other three precise channels in
+    coarse channels in one ``filter_signal`` call and scans each with
+    ``detect_ping``. Then it filters the other three precise channels in
     one call, only as far as a window search can read them: to the end of the
     last candidate window from the reference channel's last crossing.
 
@@ -373,7 +363,7 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     t_start = time.perf_counter()
     rows = dict(zip(scanned, filter_signal(sos, channels[scanned])))
     t_scan = time.perf_counter()
-    onsets = channel_onsets(rows, fs, array)
+    onsets = {ch: detect_ping(rows[ch], fs) for ch in scanned}
     t_rest = time.perf_counter()
 
     crossings = onsets[scanned[0]]
@@ -419,7 +409,7 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
                        sound_speed: float, onsets: dict[int, np.ndarray],
                        start_sample: int = 0, diagnostics: dict | None = None) -> TdoaSet:
     """Stable-window search on already-filtered channels, given their
-    ``channel_onsets``. ``filtered[k]`` is channel k's row, as the mapping
+    onsets. ``filtered[k]`` is channel k's row, as the mapping
     ``filter_and_scan`` returns or an (8, n) array. The recording's length
     is the reference (first precise) row's; the other precise rows need only
     reach the end of the last candidate window. From the reference channel's

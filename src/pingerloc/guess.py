@@ -15,13 +15,9 @@ import numpy as np
 
 from .scene import MIN_AXIS_SEPARATION, OctantId, Vec3
 
-__all__ = ["OctantGuess", "UnresolvableAxisError", "octant_guess", "initial_point"]
+__all__ = ["OctantGuess", "octant_guess", "initial_point"]
 
 DEFAULT_INIT_RANGE = 10.0  # m, between near-field and the far detection range
-
-
-class UnresolvableAxisError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -41,7 +37,8 @@ def octant_guess(coarse_arrivals: Sequence[float], coarse_positions: Sequence[Ve
     sign(arrival at the negative-side hydrophone - arrival at the
     positive-side hydrophone); an exactly zero difference counts as positive.
     ``margin`` is the smallest |arrival difference| used; a guess with margin
-    below ``min_margin`` is flagged low-confidence.
+    below ``min_margin`` is flagged low-confidence. Raises ValueError when an
+    axis's widest pair is under MIN_AXIS_SEPARATION apart.
     """
     arrivals = np.asarray(coarse_arrivals, dtype=float)
     if arrivals.shape != (4,):
@@ -52,28 +49,16 @@ def octant_guess(coarse_arrivals: Sequence[float], coarse_positions: Sequence[Ve
     if positions.shape != (4, 3):
         raise ValueError(f"expected 4 coarse positions, got shape {positions.shape}")
 
-    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    bits = []
-    margins = []
-    for axis, name in enumerate("xyz"):
-        separations = [abs(positions[i, axis] - positions[j, axis]) for i, j in pairs]
-        best = int(np.argmax(separations))
-        if separations[best] < MIN_AXIS_SEPARATION:
-            raise UnresolvableAxisError(
-                f"unresolvable axis {name}: coarse quad separation "
-                f"{separations[best]:.3e} m"
-            )
-        i, j = pairs[best]
-        if positions[i, axis] >= positions[j, axis]:
-            pos_side, neg_side = i, j
-        else:
-            pos_side, neg_side = j, i
-        diff = arrivals[neg_side] - arrivals[pos_side]
-        bits.append(diff >= 0.0)
-        margins.append(abs(diff))
-
-    octant = OctantId(*bits)
-    margin = float(min(margins))
+    # Each axis's widest pair: its first maximum and first minimum, which are
+    # the first widest pair in index order.
+    hi, lo = positions.argmax(axis=0), positions.argmin(axis=0)
+    for name, separation in zip("xyz", np.ptp(positions, axis=0)):
+        if separation < MIN_AXIS_SEPARATION:
+            raise ValueError(f"unresolvable axis {name}: coarse quad separation "
+                             f"{separation:.3e} m")
+    diff = arrivals[lo] - arrivals[hi]
+    octant = OctantId(*(diff >= 0.0))
+    margin = float(np.abs(diff).min())
     centroid = Vec3.from_array(positions.mean(axis=0))
     init = initial_point(octant, centroid)
     return OctantGuess(octant=octant, init=init, margin=margin,

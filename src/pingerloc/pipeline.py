@@ -61,8 +61,8 @@ MC_CSV_COLUMNS = [
     "octant_true", "octant_guess", "converged", "objective", "iters",
 ]
 
-PING_ERRORS = (dsp.NoPingError, dsp.UnstableWindowError, guess.UnresolvableAxisError,
-               solver.SingularGeometryError, solver.DivergedError)
+PING_ERRORS = (dsp.NoPingError, dsp.UnstableWindowError, solver.SingularGeometryError,
+               solver.DivergedError)
 
 
 @dataclass(frozen=True)
@@ -281,6 +281,13 @@ class MonteCarloConfig:
         if self.success_threshold_deg <= 0:
             raise ConfigError(f"success_threshold_deg must be > 0, "
                               f"got {self.success_threshold_deg}")
+        # white_sigma_for_snr scales the burst RMS by 10^(-snr_db/20).
+        for snr in (s for s in self.snr_db if s is not None):
+            try:
+                10.0 ** (-snr / 20.0)
+            except OverflowError:
+                raise ConfigError(f"snr_db {snr} dB: its noise scale 10^({-snr / 20.0:g}) "
+                                  f"overflows a float") from None
         # A placement at radius r clears every octant plane by ``clearance``
         # only if r > sqrt(3) * clearance, and the rejection sampler slows
         # without bound toward that limit: at 1.75 * clearance it accepts

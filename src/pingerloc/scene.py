@@ -1,6 +1,6 @@
 """Scene description: coordinate frame, hydrophone array geometry, pinger and
-recording configuration, plus the exact geometric helpers (propagation delay,
-bearing angles, octant classification).
+recording configuration, plus the exact geometric helpers (bearing angles,
+octant classification).
 
 Body frame convention used throughout this package: +x forward, +y left,
 +z up, positions in meters. Azimuth is measured counterclockwise from +x,
@@ -31,7 +31,6 @@ __all__ = [
     "ChannelModel",
     "Scenario",
     "check_array",
-    "propagation_delay",
     "true_azimuth_elevation",
     "octant_of",
     "default_array",
@@ -91,21 +90,12 @@ class OctantId:
     def as_string(self) -> str:
         return "".join("+" if s else "-" for s in (self.sx, self.sy, self.sz))
 
-    @classmethod
-    def from_string(cls, s: str) -> "OctantId":
-        if len(s) != 3 or any(ch not in "+-" for ch in s):
-            raise ConfigError(f"octant string must be three of '+'/'-', got {s!r}")
-        return cls(*(ch == "+" for ch in s))
-
     def signs(self) -> np.ndarray:
         """Unit signs per axis as floats (+1.0 or -1.0)."""
         return np.array([1.0 if s else -1.0 for s in (self.sx, self.sy, self.sz)])
 
     def negated(self) -> "OctantId":
         return OctantId(not self.sx, not self.sy, not self.sz)
-
-    def __str__(self) -> str:
-        return self.as_string()
 
 
 @dataclass(frozen=True)
@@ -311,13 +301,6 @@ class Scenario:
                     f"on channel {ch} is past record_duration {self.record_duration} s"
                 )
         check_array(self.array, self.pinger.frequency, self.sound_speed)
-
-
-def propagation_delay(source: Vec3, hydrophone: Vec3, sound_speed: float) -> float:
-    """Straight-path travel time from source to hydrophone, seconds."""
-    if sound_speed <= 0:
-        raise ConfigError(f"sound_speed must be > 0, got {sound_speed}")
-    return float(np.linalg.norm(source.as_array() - hydrophone.as_array())) / sound_speed
 
 
 def true_azimuth_elevation(direction: Vec3) -> tuple[float, float]:

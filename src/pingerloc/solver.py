@@ -29,7 +29,6 @@ __all__ = [
     "SolverResult",
     "SingularGeometryError",
     "DivergedError",
-    "objective_and_gradient",
     "gradient_descent",
 ]
 
@@ -115,7 +114,9 @@ class _Problem:
             )
 
     def objective_and_grad(self, p: np.ndarray) -> tuple[float, np.ndarray]:
-        """G(p) and grad G(p), or (+inf, 0) inside a hydrophone guard ball."""
+        """G(p) and its analytic gradient, the pair sum of
+        (d_i - d_j - c*dtau_ij) * (u_i - u_j) with u = (p-h)/||p-h||; or
+        (+inf, 0) inside a hydrophone guard ball."""
         diff = p - self.positions
         d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         if (d < SINGULAR_GUARD_RADIUS).any():
@@ -123,18 +124,6 @@ class _Problem:
         pairs = d[self.i_idx] - d[self.j_idx] - self.ctau
         u = diff / d[:, None]
         return 0.5 * (pairs @ pairs), (u[self.i_idx] - u[self.j_idx]).T @ pairs
-
-
-def objective_and_gradient(position: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
-                           sound_speed: float) -> tuple[float, np.ndarray]:
-    """G (m^2) at ``position`` and its analytic gradient (m), the pair sum
-    of (d_i - d_j - c*dtau_ij) * (u_i - u_j) with u = (p-h)/||p-h||: exactly
-    what the descent evaluates. Raises SingularGeometryError inside a
-    hydrophone guard ball."""
-    prob = _Problem(tdoa, array, sound_speed)
-    p = position.as_array()
-    prob.check_guard(p)
-    return prob.objective_and_grad(p)
 
 
 def _cross_bearing_norm(g: np.ndarray, ray: np.ndarray) -> float:

@@ -33,6 +33,11 @@ def fast_scenario(position, record_duration=0.05, noise=None, seed=0, **pinger_k
     )
 
 
+def travel_time(source, hydrophone, sound_speed):
+    """Straight-path travel time (s) from ``source`` to ``hydrophone``."""
+    return float(np.linalg.norm(source.as_array() - hydrophone.as_array())) / sound_speed
+
+
 def geometric_tdoa(array, position, sound_speed, t0=0.0):
     """Exact TdoaSet built from geometry alone; the independent construction
     solver tests measure against."""

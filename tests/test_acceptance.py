@@ -24,17 +24,16 @@ from pingerloc import (
     filter_signal,
     gradient_descent,
     initial_point,
-    objective_and_gradient,
     octant_guess,
     octant_of,
-    propagation_delay,
     render_scene,
     select_stable_window,
     true_azimuth_elevation,
 )
+from pingerloc import solver
 from pingerloc.cli import EXIT_OK, main
 from pingerloc.dsp import NoPingError, first_onset
-from conftest import geometric_tdoa
+from conftest import geometric_tdoa, travel_time
 from test_dsp import multitone
 
 C = 1480.0
@@ -149,7 +148,8 @@ def test_criterion_1_gradient_correctness():
         point = rng.uniform(-20, 20, 3)
         while min(np.linalg.norm(point - p.as_array()) for p in ARRAY.precise) < 0.5:
             point = rng.uniform(-20, 20, 3)
-        _, grad = objective_and_gradient(Vec3.from_array(point), tdoa, ARRAY, C)
+        problem = solver._Problem(tdoa, ARRAY, C)
+        _, grad = problem.objective_and_grad(point)
 
         # At a 1e-6 m step the differences of G (m^2) sit at float64 roundoff.
         h = 1e-3
@@ -157,7 +157,7 @@ def test_criterion_1_gradient_correctness():
             def f_at(offset, comp=comp):
                 q = point.copy()
                 q[comp] += offset
-                return objective_and_gradient(Vec3.from_array(q), tdoa, ARRAY, C)[0]
+                return problem.objective_and_grad(q)[0]
 
             fd = (f_at(h) - f_at(-h)) / (2.0 * h)
             rel = abs(grad[comp] - fd) / max(abs(fd), abs(grad[comp]), 1e-15)
@@ -249,8 +249,7 @@ def test_criterion_6_detectability_at_30m():
         )
         recording = render_scene(scenario)
         ref = ARRAY.precise_channels[0]
-        arrival = propagation_delay(scenario.pinger.position,
-                                    ARRAY.channel_position(ref), C)
+        arrival = travel_time(scenario.pinger.position, ARRAY.channel_position(ref), C)
         onsets = detect_ping(filter_signal(cascade, recording.channels[ref]), FS)
         try:
             onset = first_onset(onsets, 0)

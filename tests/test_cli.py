@@ -198,8 +198,8 @@ def test_validate_ok_and_violations(scenario_path, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "localize"])
 def test_narrow_coarse_axis_is_config_error(scenario_path, tmp_path, capsys, command):
     # A coarse quad straddling x by 0.4 mm each side has the right signs but
-    # too little spread for the octant guess: refused at load, not on the
-    # first ping with UnresolvableAxisError (exit 4).
+    # too little spread for the octant guess to order arrivals: refused at
+    # load, before any ping is searched.
     doc = json.loads(scenario_path.read_text())
     for point in doc["array"]["coarse"]:
         point["x"] = math.copysign(0.0004, point["x"])
@@ -237,6 +237,19 @@ def test_montecarlo_csv_and_summary(tmp_path, capsys):
     assert summary["success_fraction"] == 1.0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + 2 + 1
+
+
+def test_montecarlo_overflowing_snr_is_config_error(tmp_path, capsys):
+    # 10^(7000/20) overflows a float: the noise sigma of a -7000 dB trial
+    # cannot be computed, so the config is refused at load.
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"ranges": [5.0], "snr_db": [-7000.0], "trials": 1}))
+    assert main(["montecarlo", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: snr_db -7000.0 dB")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
 
 
 def test_montecarlo_determinism(tmp_path):
@@ -381,4 +394,28 @@ def test_random_valid_scenario_ends_in_exit_code(tmp_path, doc):
     path.write_text(json.dumps(doc))
     code, err = run_cli(["localize", "--config", str(path)])
     assert code in EXIT_CODES
+    assert "Traceback" not in err
+
+
+# Whatever the grid, montecarlo either runs (exit 0) or refuses the config
+# (exit 1): ranges on both sides of the feasible band, and SNRs down to where
+# the noise sigma overflows.
+@st.composite
+def tiny_eval_configs(draw):
+    return {
+        "ranges": [draw(st.floats(min_value=1.0, max_value=80.0))],
+        "snr_db": [draw(st.none() | st.floats(min_value=-1e4, max_value=1e4))],
+        "trials": 1,
+        "seed": draw(st.integers(min_value=0, max_value=2**32 - 1)),
+    }
+
+
+@given(doc=tiny_eval_configs())
+@settings(max_examples=60, deadline=PER_EXAMPLE,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_eval_config_ends_in_exit_code(tmp_path, doc):
+    path = tmp_path / "eval.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli(["montecarlo", "--config", str(path)])
+    assert code in {EXIT_OK, EXIT_CONFIG}
     assert "Traceback" not in err

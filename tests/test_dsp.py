@@ -21,7 +21,6 @@ from pingerloc import (
     filter_signal,
     ping_waveform,
     load_scenario,
-    propagation_delay,
     render_scene,
     select_stable_window,
 )
@@ -36,11 +35,11 @@ from pingerloc.dsp import (
     _moving_mean_square,
     _pair_delays,
     _square_cutoff,
-    channel_onsets,
+    filter_and_scan,
     first_onset,
     tdoa_from_filtered,
 )
-from conftest import FS, SOUND_SPEED
+from conftest import FS, SOUND_SPEED, travel_time
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -586,9 +585,8 @@ class TestSelectStableWindow:
         array = std_scenario.array
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         diagnostics = {}
-        filtered = filter_signal(cascade, std_recording.channels)
-        tdoa = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED,
-                                  channel_onsets(filtered, FS, array), diagnostics=diagnostics)
+        rows, onsets = filter_and_scan(std_recording, cascade, array)
+        tdoa = tdoa_from_filtered(rows, FS, array, SOUND_SPEED, onsets, diagnostics=diagnostics)
 
         assert len(tdoa.pairwise) == 6
         max_delay = array.max_precise_spacing() / SOUND_SPEED
@@ -600,9 +598,8 @@ class TestSelectStableWindow:
         assert diagnostics["variance_scores"][chosen] < (0.1 / FS) ** 2
 
         # chosen window overlaps the burst
-        arrival = propagation_delay(std_scenario.pinger.position,
-                                    array.channel_position(array.precise_channels[0]),
-                                    SOUND_SPEED)
+        arrival = travel_time(std_scenario.pinger.position,
+                              array.channel_position(array.precise_channels[0]), SOUND_SPEED)
         start, length = tdoa.window
         assert start / FS >= arrival - 1e-3
         assert start / FS <= arrival + std_scenario.pinger.ping_duration
@@ -610,10 +607,10 @@ class TestSelectStableWindow:
         # delays agree with geometry to sub-sample accuracy
         for est in tdoa.pairwise:
             i, j = est.pair
-            geo = (propagation_delay(std_scenario.pinger.position,
-                                     array.channel_position(i), SOUND_SPEED)
-                   - propagation_delay(std_scenario.pinger.position,
-                                       array.channel_position(j), SOUND_SPEED))
+            geo = (travel_time(std_scenario.pinger.position, array.channel_position(i),
+                               SOUND_SPEED)
+                   - travel_time(std_scenario.pinger.position, array.channel_position(j),
+                                 SOUND_SPEED))
             assert abs(est.delta_t - geo) <= 0.3 / FS
 
     def test_pairwise_consistency(self, std_recording, std_scenario):
@@ -645,9 +642,8 @@ class TestSelectStableWindow:
         glitched = MultiChannelRecording(sample_rate=FS, channels=channels)
 
         diagnostics = {}
-        filtered = filter_signal(cascade, glitched.channels)
-        tdoa = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED,
-                                  channel_onsets(filtered, FS, array), diagnostics=diagnostics)
+        rows, onsets = filter_and_scan(glitched, cascade, array)
+        tdoa = tdoa_from_filtered(rows, FS, array, SOUND_SPEED, onsets, diagnostics=diagnostics)
         # winning window must end before the glitch
         start, length = tdoa.window
         assert start + length <= glitch_start
@@ -712,11 +708,18 @@ class TestSubWindowTable:
     @pytest.fixture(scope="class")
     def quick(self, cascade):
         scenario = load_scenario(CONFIGS / "scenario_quick.json")
-        return scenario, filter_signal(cascade, render_scene(scenario).channels)
+        return self.front_end(scenario, render_scene(scenario), cascade)
 
     @pytest.fixture(scope="class")
     def noiseless(self, cascade, std_scenario, std_recording):
-        return std_scenario, filter_signal(cascade, std_recording.channels)
+        return self.front_end(std_scenario, std_recording, cascade)
+
+    @staticmethod
+    def front_end(scenario, recording, cascade):
+        """(scenario, the full-length filter's rows, the onsets
+        ``filter_and_scan`` finds in them)."""
+        _, onsets = filter_and_scan(recording, cascade, scenario.array)
+        return scenario, filter_signal(cascade, recording.channels), onsets
 
     def onset(self, filtered, array):
         return first_onset(detect_ping(filtered[array.precise_channels[0]], FS), 0)
@@ -741,11 +744,12 @@ class TestSubWindowTable:
         return out
 
     def case(self, quick, noiseless, name):
-        """(scenario, filtered channels) of one named case; all but the
-        noiseless ping edit the filtered quick-scenario ping."""
+        """(scenario, filtered channels, onsets) of one named case; all but
+        the noiseless ping edit the filtered quick-scenario ping and keep its
+        onsets."""
         if name == "noiseless":
             return noiseless
-        scenario, filtered = quick
+        scenario, filtered, onsets = quick
         array = scenario.array
         edit = {
             "quick": lambda: filtered,
@@ -756,14 +760,13 @@ class TestSubWindowTable:
             "three-candidates": lambda: self.cut_to_three_candidates(filtered, array),
             "glitch": lambda: self.glitch(filtered, array),
         }[name]
-        return scenario, edit()
+        return scenario, edit(), onsets
 
     @pytest.mark.parametrize("name", ["quick", "zeroed-sub-window", "zeroed-search",
                                       "three-candidates", "glitch", "noiseless"])
     def test_diagnostics_equal_per_candidate_scoring(self, quick, noiseless, name):
-        scenario, filtered = self.case(quick, noiseless, name)
+        scenario, filtered, onsets = self.case(quick, noiseless, name)
         array = scenario.array
-        onsets = channel_onsets(filtered, FS, array)
         expected = per_candidate_search(filtered, FS, array, SOUND_SPEED, onsets)
         diagnostics = {}
         try:
@@ -789,8 +792,7 @@ class TestSubWindowTable:
                                                   ("three-candidates", 3)])
     def test_each_sub_window_correlated_once(self, quick, noiseless, monkeypatch,
                                              name, candidates):
-        scenario, filtered = self.case(quick, noiseless, name)
-        onsets = channel_onsets(filtered, FS, scenario.array)
+        scenario, filtered, onsets = self.case(quick, noiseless, name)
         calls = []
         real = dsp.estimate_delay
 

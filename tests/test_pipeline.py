@@ -188,7 +188,8 @@ class TestFilterAndScan:
             assert row.tobytes() == full[ch, :len(row)].tobytes(), ch
         for ch in (array.precise_channels[0], *array.coarse_channels):
             assert len(rows[ch]) == recording.samples_per_channel
-        expected = dsp.channel_onsets(full, FS, array)
+        expected = {ch: dsp.detect_ping(full[ch], FS)
+                    for ch in (array.precise_channels[0], *array.coarse_channels)}
         assert onsets.keys() == expected.keys()
         assert all(np.array_equal(onsets[ch], expected[ch]) for ch in onsets)
         return rows, onsets, full

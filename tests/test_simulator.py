@@ -24,11 +24,10 @@ from pingerloc import (
     load_scenario,
     monte_carlo,
     ping_waveform,
-    propagation_delay,
     render_scene,
 )
 from pingerloc import simulator
-from conftest import FS, SOUND_SPEED, fast_scenario
+from conftest import FS, SOUND_SPEED, fast_scenario, travel_time
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -93,8 +92,8 @@ class TestRenderScene:
                             record_duration=0.05, noise=NoiseSpec.silent(), seed=0)
         rec = render_scene(scenario)
         cha, chb = array.coarse_channels[0], array.coarse_channels[1]
-        geo = (propagation_delay(pinger.position, array.channel_position(cha), SOUND_SPEED)
-               - propagation_delay(pinger.position, array.channel_position(chb), SOUND_SPEED))
+        geo = (travel_time(pinger.position, array.channel_position(cha), SOUND_SPEED)
+               - travel_time(pinger.position, array.channel_position(chb), SOUND_SPEED))
         assert geo == pytest.approx(-1.0e-3, abs=2e-5)
         max_lag = int(abs(geo) * FS) + 40
         est = estimate_delay(rec.channels[cha].astype(float),
@@ -150,8 +149,8 @@ class TestRenderScene:
     def test_out_of_band_energy_suppressed(self, std_recording, std_scenario):
         # 18 kHz content sits at least 20 dB under the 40 kHz carrier
         ch = std_recording.channels[0].astype(float)
-        arrival = propagation_delay(std_scenario.pinger.position,
-                                    std_scenario.array.channel_position(0), SOUND_SPEED)
+        arrival = travel_time(std_scenario.pinger.position,
+                              std_scenario.array.channel_position(0), SOUND_SPEED)
         start = int(arrival * FS)
         burst = ch[start:start + 2000] * np.hanning(2000)
         spectrum = np.abs(np.fft.rfft(burst))
@@ -218,8 +217,8 @@ class TestRenderTailCut:
         # burst starts near 107.7 ms and the recording ends 2.3 ms into it.
         quick = load_scenario(CONFIGS / "scenario_quick.json")
         scenario = dataclasses.replace(quick, noise=NoiseSpec.silent(), record_duration=0.11)
-        arrival = propagation_delay(scenario.pinger.position,
-                                    scenario.array.channel_position(0), scenario.sound_speed)
+        arrival = travel_time(scenario.pinger.position,
+                              scenario.array.channel_position(0), scenario.sound_speed)
         third = 2 * scenario.pinger.repetition_interval + arrival
         assert third < scenario.record_duration < third + scenario.pinger.ping_duration
         channels = assert_renders_full_filter(scenario)

@@ -13,7 +13,6 @@ from pingerloc import (
     default_array,
     gradient_descent,
     initial_point,
-    objective_and_gradient,
     octant_guess,
     octant_of,
     true_azimuth_elevation,
@@ -41,12 +40,12 @@ def objective_calls(monkeypatch):
 
 
 class TestResiduals:
-    # The six pair residuals (m) as seen through objective_and_gradient:
+    # The six pair residuals (m) as seen through the descent's objective:
     # G = 1/2 sum r^2.
     def test_zero_at_truth(self):
         truth = Vec3(8.0, 3.0, -4.0)
         tdoa = geometric_tdoa(ARRAY, truth, C, t0=0.0)
-        f, g = objective_and_gradient(truth, tdoa, ARRAY, C)
+        f, g = solver._Problem(tdoa, ARRAY, C).objective_and_grad(truth.as_array())
         assert g.shape == (3,)
         assert math.sqrt(2.0 * f) <= 1e-12
         assert np.allclose(g, 0.0, atol=1e-12)
@@ -64,7 +63,7 @@ class TestResiduals:
         first = tdoa.pairwise[0]
         assert first.pair == (0, 1)
         assert first.delta_t == pytest.approx(1.5 - 2.5, abs=1e-15)
-        f, _ = objective_and_gradient(Vec3(2, 0, 0), tdoa, array, 1.0)
+        f, _ = solver._Problem(tdoa, array, 1.0).objective_and_grad(np.array([2.0, 0.0, 0.0]))
         assert math.sqrt(2.0 * f) <= 1e-12
 
     def test_hand_case_perturbed_objective(self):
@@ -82,7 +81,7 @@ class TestResiduals:
             for j in range(i + 1, 4):
                 expected.append((dist_pert[i] - dist_pert[j]) - (dist_true[i] - dist_true[j]))
         f_hand = 0.5 * sum(e * e for e in expected)
-        f, _ = objective_and_gradient(Vec3(2, 1, 0), tdoa, array, 1.0)
+        f, _ = solver._Problem(tdoa, array, 1.0).objective_and_grad(np.array([2.0, 1.0, 0.0]))
         assert f == pytest.approx(f_hand, rel=1e-12)
 
     def test_requires_all_six_pairs(self):
@@ -93,19 +92,19 @@ class TestResiduals:
                          coarse_arrivals=tdoa.coarse_arrivals,
                          window=tdoa.window)
         with pytest.raises(ValueError, match="6 precise-quad pairs"):
-            objective_and_gradient(truth, broken, ARRAY, C)
+            solver._Problem(broken, ARRAY, C)
 
     def test_singular_geometry(self):
         tdoa = geometric_tdoa(ARRAY, Vec3(8.0, 3.0, -4.0), C)
         with pytest.raises(SingularGeometryError):
-            objective_and_gradient(ARRAY.precise[0], tdoa, ARRAY, C)
+            solver._Problem(tdoa, ARRAY, C).check_guard(ARRAY.precise[0].as_array())
 
 
 class TestObjectiveAndGradient:
     def test_zero_at_truth(self):
         truth = Vec3(8.0, 3.0, -4.0)
         tdoa = geometric_tdoa(ARRAY, truth, C)
-        f, g = objective_and_gradient(truth, tdoa, ARRAY, C)
+        f, g = solver._Problem(tdoa, ARRAY, C).objective_and_grad(truth.as_array())
         assert f == pytest.approx(0.0, abs=1e-24)
         assert np.linalg.norm(g) == pytest.approx(0.0, abs=1e-12)
 
@@ -127,7 +126,8 @@ class TestObjectiveAndGradient:
         point = rng.uniform(-20, 20, 3)
         while min(np.linalg.norm(point - p.as_array()) for p in ARRAY.precise) < 0.5:
             point = rng.uniform(-20, 20, 3)
-        _, g = objective_and_gradient(Vec3.from_array(point), noisy, ARRAY, C)
+        problem = solver._Problem(noisy, ARRAY, C)
+        _, g = problem.objective_and_grad(point)
         # A meter-scale step: at 1e-6 m the differences of G sit at float64
         # roundoff.
         h = 1e-3
@@ -135,7 +135,7 @@ class TestObjectiveAndGradient:
             def f_at(offset):
                 q = point.copy()
                 q[comp] += offset
-                return objective_and_gradient(Vec3.from_array(q), noisy, ARRAY, C)[0]
+                return problem.objective_and_grad(q)[0]
 
             fd = (f_at(h) - f_at(-h)) / (2.0 * h)
             denom = max(abs(fd), abs(g[comp]), 1e-15)
