@@ -5,6 +5,11 @@ analysis window.
 Filtering is causal (forward only). The group delay is then identical on
 every channel and cancels in every pairwise time difference, which is what
 the delay estimates feed on.
+
+Onsets are thresholded against one noise floor, the reference (first
+precise) channel's: the reference scan sets the cutoff and every coarse
+channel is scanned against it. A hydrophone much noisier than the reference
+therefore crosses early.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ __all__ = [
 ]
 
 # Onset detection: a sample is in a ping where the trailing moving RMS over
-# RMS_WINDOW exceeds ONSET_THRESHOLD times the channel's median moving RMS.
+# RMS_WINDOW exceeds ONSET_THRESHOLD times the reference channel's median
+# moving RMS.
 ONSET_THRESHOLD = 5.0
 RMS_WINDOW = 1e-3  # s
 
@@ -255,23 +261,28 @@ def _square_cutoff(threshold: float) -> float:
     return c
 
 
-def detect_ping(samples: np.ndarray, fs: float) -> np.ndarray:
-    """Ascending indices of one channel's samples whose trailing moving RMS
-    over RMS_WINDOW exceeds ONSET_THRESHOLD times the noise floor, the median
-    moving RMS of the whole channel; empty when none does. Meant to run once
-    per channel and recording; ``first_onset`` then reads each ping's onset
-    off it. The test runs on mean squares, with the floor and the threshold
-    carried over exactly (``_median_root``, ``_square_cutoff``), so no
-    square root is taken per sample."""
+def detect_ping(samples: np.ndarray, fs: float,
+                cutoff: float | None = None) -> tuple[np.ndarray, float]:
+    """(crossings, cutoff): the ascending indices of one channel's samples
+    whose trailing mean square over RMS_WINDOW exceeds ``cutoff``, and that
+    cutoff. With ``cutoff`` None it is the channel's own: the largest mean
+    square whose root is at most ONSET_THRESHOLD times the noise floor, the
+    median moving RMS of the whole channel (``_median_root``,
+    ``_square_cutoff``, so no square root is taken per sample). Meant to run
+    once per channel and recording; ``first_onset`` then reads each ping's
+    onset off the crossings. The mean square is trailing, so the crossings of
+    a row's prefix are the whole row's, cut at its length."""
     if np.size(samples) == 0:
-        return np.empty(0, dtype=np.intp)
+        return np.empty(0, dtype=np.intp), math.nan if cutoff is None else cutoff
     w = max(1, int(round(RMS_WINDOW * fs)))
     ms = _moving_mean_square(samples, w)
-    return np.flatnonzero(ms > _square_cutoff(ONSET_THRESHOLD * _median_root(ms)))
+    if cutoff is None:
+        cutoff = _square_cutoff(ONSET_THRESHOLD * _median_root(ms))
+    return np.flatnonzero(ms > cutoff), cutoff
 
 
 def first_onset(onsets: np.ndarray, start: int) -> int:
-    """The first of ``detect_ping``'s indices at or after ``start``. Raises
+    """The first of ``detect_ping``'s crossings at or after ``start``. Raises
     NoPingError when there is none."""
     k = int(np.searchsorted(onsets, start))
     if k == len(onsets):
@@ -341,36 +352,44 @@ def _window_lengths(fs: float) -> tuple[int, int]:
 
 
 def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: HydrophoneArray,
-                    timing: dict | None = None) -> tuple[dict[int, np.ndarray],
-                                                         dict[int, np.ndarray]]:
-    """The localizer's front end. Filters the reference (first precise) and
-    coarse channels in one ``filter_signal`` call and scans each with
-    ``detect_ping``. Then it filters the other three precise channels in
-    one call, only as far as a window search can read them: to the end of the
-    last candidate window from the reference channel's last crossing.
+                    sound_speed: float, timing: dict | None = None
+                    ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The localizer's front end. Filters and scans the reference (first
+    precise) channel over the whole recording; its scan sets the mean-square
+    cutoff. Then it filters the other seven channels in one
+    ``filter_signal`` call over ``[0, end)`` and scans the coarse ones
+    against that cutoff. ``end`` covers, after the reference channel's last
+    crossing, both the end of the last candidate window and the widest
+    coarse-to-reference distance over ``sound_speed`` (m/s), the most by
+    which a coarse channel can hear a ping after the reference.
 
     Returns (rows, onsets): channel -> filtered row and channel -> onset
-    indices. Every row is byte-equal to the same span of ``filter_signal``
-    over the whole recording; the reference and coarse rows are full length.
-    If ``timing`` is a dict it gets the milliseconds spent filtering
-    ("filter", both calls) and scanning ("onset")."""
+    indices (reference and coarse channels). Every row is byte-equal to the
+    same span of ``filter_signal`` over the whole recording, so a coarse
+    channel's onsets are the whole row's crossings of the reference cutoff
+    below ``end``; the reference row is full length. If ``timing`` is a dict
+    it gets the milliseconds spent filtering ("filter", both calls) and
+    scanning ("onset")."""
     channels = recording.channels
     fs = recording.sample_rate
     n = channels.shape[1]
-    scanned = [array.precise_channels[0], *array.coarse_channels]
-    rest = list(array.precise_channels[1:])
+    ref = array.precise_channels[0]
+    rest = [*array.precise_channels[1:], *array.coarse_channels]
 
     t_start = time.perf_counter()
-    rows = dict(zip(scanned, filter_signal(sos, channels[scanned])))
+    rows = {ref: filter_signal(sos, channels[ref])}
     t_scan = time.perf_counter()
-    onsets = {ch: detect_ping(rows[ch], fs) for ch in scanned}
+    crossings, cutoff = detect_ping(rows[ref], fs)
     t_rest = time.perf_counter()
 
-    crossings = onsets[scanned[0]]
     end = 0
     if crossings.size:
         win_len, sub_len = _window_lengths(fs)
-        end = min(n, int(crossings[-1]) + (NUM_WINDOWS - 1) * sub_len + win_len)
+        lead = np.linalg.norm(array.coarse_positions_array() - array.precise[0].as_array(),
+                              axis=1).max()
+        reach = max((NUM_WINDOWS - 1) * sub_len + win_len,
+                    math.ceil(lead / sound_speed * fs) + 1)
+        end = min(n, int(crossings[-1]) + reach)
     # filter_signal stops a row that ends in 0 once its tail is quiet; a
     # channel that resumes after the bound runs on in the full-length filter,
     # so such rows are filtered to the end.
@@ -378,11 +397,14 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
                            for ch in rest):
         end = n
     rows.update(zip(rest, filter_signal(sos, channels[rest, :end])))
+    t_coarse = time.perf_counter()
+    onsets = {ref: crossings}
+    onsets.update((ch, detect_ping(rows[ch], fs, cutoff)[0]) for ch in array.coarse_channels)
     t_end = time.perf_counter()
 
     if timing is not None:
-        timing["filter"] = (t_scan - t_start + t_end - t_rest) * 1e3
-        timing["onset"] = (t_rest - t_scan) * 1e3
+        timing["filter"] = (t_scan - t_start + t_coarse - t_rest) * 1e3
+        timing["onset"] = (t_rest - t_scan + t_end - t_coarse) * 1e3
     return rows, onsets
 
 
@@ -392,7 +414,7 @@ def select_stable_window(recording: MultiChannelRecording, sos: np.ndarray,
     """``filter_and_scan``, then ``tdoa_from_filtered``."""
     if recording.channel_count != 8:
         raise ValueError(f"expected 8 channels, got {recording.channel_count}")
-    rows, onsets = filter_and_scan(recording, sos, array)
+    rows, onsets = filter_and_scan(recording, sos, array, sound_speed)
     return tdoa_from_filtered(rows, recording.sample_rate, array, sound_speed, onsets,
                               start_sample)
 
@@ -412,7 +434,8 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
     onsets. ``filtered[k]`` is channel k's row, as the mapping
     ``filter_and_scan`` returns or an (8, n) array. The recording's length
     is the reference (first precise) row's; the other precise rows need only
-    reach the end of the last candidate window. From the reference channel's
+    reach the end of the last candidate window, and the coarse rows are read
+    only through ``onsets``. From the reference channel's
     first onset at or after ``start_sample``, candidate windows start every
     sub-window; the one whose six pairwise delays are most repeatable across
     its sub-windows wins. Returns the TdoaSet measured over the winning

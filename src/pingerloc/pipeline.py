@@ -6,10 +6,10 @@ stream, plus a Monte Carlo evaluation harness; both run each ping through
 Reports serialize as newline-delimited JSON. Timings and window-search
 diagnostics ride on each report but stay out of the serialized stream unless
 asked for, so runs with the same seed are byte-identical. Onsets are detected
-once per recording, in the front end (``dsp.filter_and_scan``); each ping
-reads its own off them. A recording's render, filter and onset time is
-charged to its first report only (later ones carry 0.0), so summing a stream
-counts each cost once.
+once per recording, in the front end (``dsp.filter_and_scan``), against the
+reference channel's noise floor; each ping reads its own off them. A
+recording's render, filter and onset time is charged to its first report
+only (later ones carry 0.0), so summing a stream counts each cost once.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def _filter_and_scan(recording: MultiChannelRecording, scenario: Scenario,
     fe = scenario.front_end
     sos = dsp.design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high,
                               recording.sample_rate)
-    return dsp.filter_and_scan(recording, sos, scenario.array, timing)
+    return dsp.filter_and_scan(recording, sos, scenario.array, scenario.sound_speed, timing)
 
 
 def run_localization(scenario: Scenario,
@@ -375,9 +375,13 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
                                     scenario.front_end.analog_band_high,
                                     scenario.sample_rate)
         noise_seed = int(ss.generate_state(1, dtype=np.uint32)[0])
-        recording = simulator.add_noise(clean, NoiseSpec(white_sigma=sigma,
-                                                         interferer_amp=0.0,
-                                                         lowfreq_amp=0.0), noise_seed)
+        try:
+            recording = simulator.add_noise(clean, NoiseSpec(white_sigma=sigma,
+                                                             interferer_amp=0.0,
+                                                             lowfreq_amp=0.0), noise_seed)
+        except ValueError as exc:
+            raise ValueError(f"trial {trial} at {radius:g} m and {snr_db:g} dB SNR: "
+                             f"{exc}") from None
 
     centroid = scenario.array.precise_centroid().as_array()
     true_dir = Vec3.from_array(position.as_array() - centroid)

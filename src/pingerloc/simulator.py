@@ -121,6 +121,9 @@ def add_noise(recording: MultiChannelRecording, noise: NoiseSpec, seed: int) -> 
             rms = float(np.sqrt(np.mean(np.square(raw))))
             if rms > 0:
                 total = total + noise.lowfreq_amp / rms * raw
-        out[ch] = total.astype(np.float32)
+        # Noise beyond float32's range becomes inf, which the recording
+        # refuses as non-finite samples.
+        with np.errstate(over="ignore"):
+            out[ch] = total.astype(np.float32)
 
     return MultiChannelRecording(sample_rate=fs, channels=out)

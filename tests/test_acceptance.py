@@ -250,7 +250,7 @@ def test_criterion_6_detectability_at_30m():
         recording = render_scene(scenario)
         ref = ARRAY.precise_channels[0]
         arrival = travel_time(scenario.pinger.position, ARRAY.channel_position(ref), C)
-        onsets = detect_ping(filter_signal(cascade, recording.channels[ref]), FS)
+        onsets, _ = detect_ping(filter_signal(cascade, recording.channels[ref]), FS)
         try:
             onset = first_onset(onsets, 0)
         except NoPingError:

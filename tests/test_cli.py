@@ -252,6 +252,20 @@ def test_montecarlo_overflowing_snr_is_config_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_montecarlo_float32_overflowing_noise_exits_1(tmp_path, capsys):
+    # At -800 dB the noise sigma is a finite float whose samples overflow
+    # float32: the cast to the recording gives inf without a warning, the
+    # recording refuses it, and the one error line names the trial.
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"ranges": [5.0], "snr_db": [-800.0], "trials": 1}))
+    assert main(["montecarlo", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: trial 0 at 5 m and -800 dB SNR: "
+                            "recording contains non-finite samples\n")
+
+
 def test_montecarlo_determinism(tmp_path):
     cfg = tmp_path / "eval.json"
     cfg.write_text(json.dumps({"ranges": [8.0], "snr_db": [15.0], "trials": 2, "seed": 9}))
@@ -410,6 +424,7 @@ def tiny_eval_configs(draw):
     }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(doc=tiny_eval_configs())
 @settings(max_examples=60, deadline=PER_EXAMPLE,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -258,6 +258,11 @@ class TestTailCut:
         self.check_row(cascade, mixed[1], y[1])
 
 
+def crossings(samples, fs):
+    """``detect_ping``'s crossings against the channel's own cutoff."""
+    return detect_ping(samples, fs)[0]
+
+
 class TestDetectPing:
     def burst_in_noise(self, onset_time, total, snr_db, seed=0, fs=FS):
         rng = np.random.default_rng(seed)
@@ -272,31 +277,50 @@ class TestDetectPing:
 
     def test_onset_within_half_ms(self, cascade):
         x = self.burst_in_noise(onset_time=0.5, total=1.0, snr_db=20.0)
-        onset = first_onset(detect_ping(filter_signal(cascade, x), FS), 0)
+        onset = first_onset(crossings(filter_signal(cascade, x), FS), 0)
         assert abs(onset / FS - 0.5) <= 0.5e-3
 
     def test_pure_noise_raises(self, cascade):
         rng = np.random.default_rng(3)
         x = filter_signal(cascade, rng.normal(0.0, 0.1, 200_000))
         with pytest.raises(NoPingError):
-            first_onset(detect_ping(x, FS), 0)
+            first_onset(crossings(x, FS), 0)
 
     def test_first_of_two_bursts(self, cascade):
         x = (self.burst_in_noise(onset_time=0.5, total=3.0, snr_db=30.0)
              + self.burst_in_noise(onset_time=2.5, total=3.0, snr_db=30.0, seed=1))
-        onsets = detect_ping(filter_signal(cascade, x), FS)
+        onsets = crossings(filter_signal(cascade, x), FS)
         assert abs(first_onset(onsets, 0) / FS - 0.5) <= 1e-3
         # The same scan serves the later burst.
         assert np.all(np.diff(onsets) > 0)
         assert abs(first_onset(onsets, int(1.5 * FS)) / FS - 2.5) <= 1e-3
 
+    def test_own_and_given_cutoff(self, cascade):
+        x = filter_signal(cascade, self.burst_in_noise(0.1, 0.3, 20.0))
+        ms = _moving_mean_square(x, int(round(dsp.RMS_WINDOW * FS)))
+        onsets, cutoff = detect_ping(x, FS)
+        assert cutoff == _square_cutoff(dsp.ONSET_THRESHOLD * _median_root(ms))
+        assert np.array_equal(onsets, np.flatnonzero(ms > cutoff))
+        # A given cutoff replaces the channel's own and comes back unchanged.
+        for given in (cutoff / 4, cutoff, 4 * cutoff):
+            found, used = detect_ping(x, FS, given)
+            assert used == given and np.array_equal(found, np.flatnonzero(ms > given))
+        # The mean square is trailing: a prefix crosses where the whole row
+        # does, up to the prefix's end.
+        for end in (0, 1, 499, 500, 60_000, len(x)):
+            assert np.array_equal(detect_ping(x[:end], FS, cutoff)[0],
+                                  onsets[onsets < end]), end
+        empty = detect_ping(np.zeros(0), FS)
+        assert empty[0].size == 0 and math.isnan(empty[1])
+        assert detect_ping(np.zeros(0), FS, cutoff)[1] == cutoff
+
     def test_past_the_last_crossing_raises(self, cascade):
-        onsets = detect_ping(filter_signal(cascade, self.burst_in_noise(0.1, 0.3, 20.0)), FS)
+        onsets = crossings(filter_signal(cascade, self.burst_in_noise(0.1, 0.3, 20.0)), FS)
         assert first_onset(onsets, int(onsets[-1])) == onsets[-1]
         with pytest.raises(NoPingError):
             first_onset(onsets, int(onsets[-1]) + 1)
         # An empty channel has no crossings at all.
-        empty = detect_ping(np.zeros(0), FS)
+        empty = crossings(np.zeros(0), FS)
         assert empty.dtype.kind == "i" and empty.size == 0
         with pytest.raises(NoPingError):
             first_onset(empty, 0)
@@ -354,7 +378,7 @@ class TestDetectPingOnMeanSquares:
                 continue
             for seed in range(3):
                 x = self.row(cascade, n, seed=seed)
-                assert np.array_equal(detect_ping(x, fs), reference_detect_ping(x, fs)), (fs, n)
+                assert np.array_equal(crossings(x, fs), reference_detect_ping(x, fs)), (fs, n)
 
     @pytest.mark.parametrize("n", [10_000, 10_001])
     @pytest.mark.parametrize("zeros", [0, 1_000, 4_900, *range(4_997, 5_004), 5_100, 9_000,
@@ -367,17 +391,17 @@ class TestDetectPingOnMeanSquares:
         ms = _moving_mean_square(x, int(round(dsp.RMS_WINDOW * FS)))
         assert np.count_nonzero(ms == 0.0) == zeros
         assert _median_root(ms) == float(np.median(np.sqrt(ms)))
-        assert np.array_equal(detect_ping(x, FS), reference_detect_ping(x, FS))
+        assert np.array_equal(crossings(x, FS), reference_detect_ping(x, FS))
 
     def test_silent_and_noiseless_rows(self, cascade, std_recording):
-        assert detect_ping(np.zeros(30_000), FS).size == 0
+        assert crossings(np.zeros(30_000), FS).size == 0
         assert reference_detect_ping(np.zeros(30_000), FS).size == 0
         for row in filter_signal(cascade, std_recording.channels):
-            assert np.array_equal(detect_ping(row, FS), reference_detect_ping(row, FS))
+            assert np.array_equal(crossings(row, FS), reference_detect_ping(row, FS))
 
     def test_noise_with_a_burst(self, cascade):
         x = filter_signal(cascade, TestDetectPing().burst_in_noise(0.1, 0.3, 20.0))
-        onsets = detect_ping(x, FS)
+        onsets = crossings(x, FS)
         assert onsets.size and np.array_equal(onsets, reference_detect_ping(x, FS))
 
     def test_non_finite_samples(self):
@@ -388,7 +412,7 @@ class TestDetectPingOnMeanSquares:
             y = x.copy()
             y[where] = value
             with np.errstate(invalid="ignore"):
-                assert np.array_equal(detect_ping(y, FS), reference_detect_ping(y, FS))
+                assert np.array_equal(crossings(y, FS), reference_detect_ping(y, FS))
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 3_000), fs=st.sampled_from([1_000.0, 48_000.0, FS]),
@@ -399,7 +423,7 @@ class TestDetectPingOnMeanSquares:
         x = np.random.default_rng(seed).normal(size=n) * scale
         x[:int(lead * n)] = 0.0
         x[n - int(tail * n):] = 0.0
-        assert np.array_equal(detect_ping(x, fs), reference_detect_ping(x, fs))
+        assert np.array_equal(crossings(x, fs), reference_detect_ping(x, fs))
 
 
 class TestSquareCutoff:
@@ -585,7 +609,7 @@ class TestSelectStableWindow:
         array = std_scenario.array
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         diagnostics = {}
-        rows, onsets = filter_and_scan(std_recording, cascade, array)
+        rows, onsets = filter_and_scan(std_recording, cascade, array, SOUND_SPEED)
         tdoa = tdoa_from_filtered(rows, FS, array, SOUND_SPEED, onsets, diagnostics=diagnostics)
 
         assert len(tdoa.pairwise) == 6
@@ -629,7 +653,7 @@ class TestSelectStableWindow:
         array = std_scenario.array
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         ref_filtered = filter_signal(cascade, std_recording.channels[array.precise_channels[0]])
-        onset = first_onset(detect_ping(ref_filtered, FS), 0)
+        onset = first_onset(crossings(ref_filtered, FS), 0)
 
         rng = np.random.default_rng(13)
         glitch_start = onset + int(3e-3 * FS)
@@ -642,7 +666,7 @@ class TestSelectStableWindow:
         glitched = MultiChannelRecording(sample_rate=FS, channels=channels)
 
         diagnostics = {}
-        rows, onsets = filter_and_scan(glitched, cascade, array)
+        rows, onsets = filter_and_scan(glitched, cascade, array, SOUND_SPEED)
         tdoa = tdoa_from_filtered(rows, FS, array, SOUND_SPEED, onsets, diagnostics=diagnostics)
         # winning window must end before the glitch
         start, length = tdoa.window
@@ -651,7 +675,7 @@ class TestSelectStableWindow:
     def test_recording_too_short(self, std_recording, std_scenario):
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         ref = filter_signal(cascade, std_recording.channels[0])
-        onset = first_onset(detect_ping(ref, FS), 0)
+        onset = first_onset(crossings(ref, FS), 0)
         short = MultiChannelRecording(
             sample_rate=FS, channels=std_recording.channels[:, :onset + 300].copy())
         with pytest.raises(NoPingError):
@@ -718,11 +742,11 @@ class TestSubWindowTable:
     def front_end(scenario, recording, cascade):
         """(scenario, the full-length filter's rows, the onsets
         ``filter_and_scan`` finds in them)."""
-        _, onsets = filter_and_scan(recording, cascade, scenario.array)
+        _, onsets = filter_and_scan(recording, cascade, scenario.array, SOUND_SPEED)
         return scenario, filter_signal(cascade, recording.channels), onsets
 
     def onset(self, filtered, array):
-        return first_onset(detect_ping(filtered[array.precise_channels[0]], FS), 0)
+        return first_onset(crossings(filtered[array.precise_channels[0]], FS), 0)
 
     def zero_precise(self, filtered, array, offset, length):
         """A copy with the second precise channel zeroed over ``length``

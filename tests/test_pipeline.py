@@ -96,8 +96,9 @@ class TestRunLocalization:
             assert min(timing["tdoa"], timing["guess"], timing["solve"]) > 0.0
 
     def test_onsets_detected_once_per_recording(self, monkeypatch):
-        # 16 repetitions of the quick scenario: one scan of each of the five
-        # onset channels serves every ping.
+        # 16 repetitions of the quick scenario: one full-length scan of the
+        # reference channel and one scan of each coarse channel, up to the
+        # end of the last ping's search, serve every ping.
         quick = load_scenario(CONFIGS / "scenario_quick.json")
         interval = quick.pinger.repetition_interval
         scenario = dataclasses.replace(quick, record_duration=16 * interval)
@@ -105,13 +106,19 @@ class TestRunLocalization:
         detect_ping = dsp.detect_ping
 
         def counted(samples, *args, **kwargs):
-            calls.append(np.size(samples))
-            return detect_ping(samples, *args, **kwargs)
+            result = detect_ping(samples, *args, **kwargs)
+            calls.append((np.size(samples), result))
+            return result
 
         monkeypatch.setattr(dsp, "detect_ping", counted)
         reports = list(run_localization(scenario))
         assert [r.ping_index for r in reports] == list(range(16))
-        assert calls == [int(round(16 * interval * scenario.sample_rate))] * 5
+        n = int(round(16 * interval * scenario.sample_rate))
+        (ref_size, (crossings, cutoff)), *coarse = calls
+        end = int(crossings[-1]) + int(round(dsp.SEARCH_SPAN * FS))
+        assert ref_size == n and end < n
+        assert [size for size, _ in coarse] == [end] * 4
+        assert all(coarse_cutoff == cutoff for _, (_, coarse_cutoff) in coarse)
 
     def test_deterministic_given_seed(self, std_scenario):
         runs = []
@@ -169,29 +176,42 @@ def localize_first(scenario, recording, start_sample=0):
     return localize_ping(filtered, FS, scenario, onsets, start_sample)
 
 
+def full_length_onsets(scenario, recording):
+    """(onsets, full filter): the reference channel's crossings and every
+    coarse channel's crossings of the reference cutoff, all scanned over the
+    full-length filter."""
+    fe = scenario.front_end
+    sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, FS)
+    full = filter_signal(sos, recording.channels)
+    ref = scenario.array.precise_channels[0]
+    crossings, cutoff = dsp.detect_ping(full[ref], FS)
+    onsets = {ref: crossings}
+    for ch in scenario.array.coarse_channels:
+        onsets[ch], _ = dsp.detect_ping(full[ch], FS, cutoff)
+    return onsets, full
+
+
 class TestFilterAndScan:
-    """The front end filters the precise channels other than the reference
-    only as far as the window search reads them; every row it returns must
-    be the full-length filter's, byte for byte."""
+    """The front end filters the seven channels other than the reference
+    only as far as the window search and the coarse onsets read them; every
+    row it returns must be the full-length filter's, byte for byte."""
 
     def check_rows(self, scenario, recording):
         """Compare the front end's rows and onsets with the full filter's;
         return (rows, onsets, full filter)."""
-        fe = scenario.front_end
-        sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, FS)
-        full = filter_signal(sos, recording.channels)
         timing = {}
         rows, onsets = _filter_and_scan(recording, scenario, timing)
-        array = scenario.array
+        expected, full = full_length_onsets(scenario, recording)
+        ref = scenario.array.precise_channels[0]
         assert sorted(rows) == list(range(8)) and set(timing) == {"filter", "onset"}
         for ch, row in rows.items():
             assert row.tobytes() == full[ch, :len(row)].tobytes(), ch
-        for ch in (array.precise_channels[0], *array.coarse_channels):
-            assert len(rows[ch]) == recording.samples_per_channel
-        expected = {ch: dsp.detect_ping(full[ch], FS)
-                    for ch in (array.precise_channels[0], *array.coarse_channels)}
+        assert len(rows[ref]) == recording.samples_per_channel
+        # The mean square is trailing, so a coarse row's prefix crosses where
+        # the full-length row does, up to the prefix's end.
         assert onsets.keys() == expected.keys()
-        assert all(np.array_equal(onsets[ch], expected[ch]) for ch in onsets)
+        for ch, crossings in onsets.items():
+            assert np.array_equal(crossings, expected[ch][expected[ch] < len(rows[ch])]), ch
         return rows, onsets, full
 
     def check_searches(self, scenario, recording):
@@ -236,20 +256,23 @@ class TestFilterAndScan:
         assert all(len(row) == onset + 1_500 for row in rows.values())
 
     def test_channel_resuming_past_the_search(self, std_scenario, std_recording):
-        # A precise channel that is silent at the bound and resumes later is
-        # filtered to the end, as the full-length filter runs through the gap.
-        channels = std_recording.channels.copy()
-        resumed = std_scenario.array.precise_channels[2]
-        channels[resumed, -1_000:] = channels[resumed, 3_000:4_000]
-        rows, _, _ = self.check_rows(std_scenario,
-                                     MultiChannelRecording(sample_rate=FS, channels=channels))
-        assert len(rows[resumed]) == std_recording.samples_per_channel
+        # A precise or coarse channel that is silent at the bound and resumes
+        # later is filtered to the end, as the full-length filter runs
+        # through the gap.
+        array = std_scenario.array
+        for resumed in (array.precise_channels[2], array.coarse_channels[1]):
+            channels = std_recording.channels.copy()
+            channels[resumed, -1_000:] = channels[resumed, 3_000:4_000]
+            rows, _, _ = self.check_rows(std_scenario,
+                                         MultiChannelRecording(sample_rate=FS, channels=channels))
+            assert len(rows[resumed]) == std_recording.samples_per_channel
 
     def test_silent_recording(self, std_scenario, tmp_path, capsys):
         silent = MultiChannelRecording(sample_rate=FS,
                                        channels=np.zeros((8, 30_000), dtype=np.float32))
         rows, _, _ = self.check_rows(std_scenario, silent)
-        assert [len(rows[ch]) for ch in std_scenario.array.precise_channels[1:]] == [0, 0, 0]
+        ref = std_scenario.array.precise_channels[0]
+        assert [len(row) for ch, row in rows.items() if ch != ref] == [0] * 7
         with pytest.raises(NoPingError, match="reference"):
             next(run_localization(std_scenario, recording=silent))
         config, path = tmp_path / "scenario.json", tmp_path / "silent.oogw"
@@ -268,13 +291,58 @@ class TestFilterAndScan:
         assert pings == 1
         assert len(rows[labels[1]]) < scenario.record_duration * FS
 
+    @pytest.mark.parametrize("labels", [tuple(range(8)), tuple(reversed(range(8)))],
+                             ids=["default-labels", "reversed-labels"])
+    @pytest.mark.parametrize("margin", [0.5e-3, 20e-3], ids=["at-the-end", "before-the-end"])
+    def test_coarse_onsets_within_the_bound(self, labels, margin):
+        # The quick scenario's coarse quad scaled 50 times puts its farthest
+        # hydrophone about 20 m, over 13 ms, from the reference: further than
+        # a search span after the reference channel's last crossing. The
+        # pinger sits 10 m out on the line from that hydrophone through the
+        # reference, so it hears every ping last, by that whole distance.
+        # Three pings; the recording ends ``margin`` after the last one's
+        # burst has passed the farthest hydrophone.
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        coarse = tuple(Vec3.from_array(50.0 * p.as_array()) for p in quick.array.coarse)
+        array = HydrophoneArray(precise=quick.array.precise, coarse=coarse, labels=labels)
+        ref_pos = array.precise[0].as_array()
+        distances = [np.linalg.norm(p.as_array() - ref_pos) for p in coarse]
+        farthest = int(np.argmax(distances))
+        lead = distances[farthest]
+        source = ref_pos + 10.0 * (ref_pos - coarse[farthest].as_array()) / lead
+        pinger = dataclasses.replace(quick.pinger, position=Vec3.from_array(source))
+        interval = pinger.repetition_interval
+        duration = (2 * interval + (10.0 + lead) / quick.sound_speed + pinger.ping_duration
+                    + margin)
+        scenario = dataclasses.replace(quick, array=array, pinger=pinger,
+                                       record_duration=duration)
+        recording = render_scene(scenario)
+        rows, onsets, _ = self.check_rows(scenario, recording)
+        expected, _ = full_length_onsets(scenario, recording)
+
+        ref = array.precise_channels[0]
+        for ping in range(3):
+            cursor = int(round(ping * interval * FS))
+            assert dsp.first_onset(onsets[ref], cursor) < cursor + interval * FS
+            for ch in array.coarse_channels:
+                onset = dsp.first_onset(onsets[ch], cursor)
+                assert onset == dsp.first_onset(expected[ch], cursor), (ping, ch)
+                assert onset < cursor + interval * FS, (ping, ch)
+        # Only the distance term of the bound reaches the farthest channel's
+        # last onset.
+        last = dsp.first_onset(onsets[array.coarse_channels[farthest]], cursor)
+        assert last >= onsets[ref][-1] + int(round(dsp.SEARCH_SPAN * FS))
+        assert (len(rows[array.coarse_channels[0]]) < recording.samples_per_channel) == (
+            margin > 1e-3)
+
     def test_default_scenario_reads_a_prefix(self):
         scenario = load_scenario(CONFIGS / "scenario_default.json")
         recording = render_scene(scenario)
         rows, pings = self.check_searches(scenario, recording)
         assert pings == 1
         n = recording.samples_per_channel
-        assert all(len(rows[ch]) < n / 50 for ch in scenario.array.precise_channels[1:])
+        ref = scenario.array.precise_channels[0]
+        assert all(len(row) < n / 50 for ch, row in rows.items() if ch != ref)
 
 
 class TestLocalizePing:
