@@ -30,7 +30,6 @@ from .recording import (
 from .simulator import add_noise, ping_waveform, render_scene
 from .dsp import (
     DegenerateSignalError,
-    DelayEstimate,
     NoPingError,
     TdoaSet,
     UnstableWindowError,

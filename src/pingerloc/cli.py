@@ -74,8 +74,8 @@ def _load_scenario(path: str, seed_override: int | None) -> scene.Scenario:
 
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args.config, args.seed)
-    # Fail on an unwritable path now, not after a 2 s render.
-    open(args.out, "wb").close()
+    # Fail on an unwritable path or sample rate now, not after a 2 s render.
+    rec.write_recording(rec.MultiChannelRecording(scenario.sample_rate, [[]] * 8), args.out)
     recording = simulator.render_scene(scenario)
     rec.write_recording(recording, args.out)
     print(f"wrote {recording.channel_count} channels x {recording.samples_per_channel} "

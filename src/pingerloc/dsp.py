@@ -3,13 +3,16 @@ cross-correlation delay estimation, and variance-based selection of a stable
 analysis window.
 
 Filtering is causal (forward only). The group delay is then identical on
-every channel and cancels in every pairwise time difference, which is what
-the delay estimates feed on.
+every channel and cancels in every time difference between two channels,
+which is what the delay estimates feed on.
 
 Onsets are thresholded against one noise floor, the reference (first
 precise) channel's: the reference scan sets the cutoff and every coarse
 channel is scanned against it. A hydrophone much noisier than the reference
 therefore crosses early.
+
+Channel labels are read only in the front end: a ``TdoaSet`` is in quad
+order, its six precise-quad pairs in ``PAIRS`` order.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .recording import MultiChannelRecording
 from .scene import HydrophoneArray
 
 __all__ = [
-    "DelayEstimate",
+    "PAIRS",
     "TdoaSet",
     "NoPingError",
     "UnstableWindowError",
@@ -59,8 +62,8 @@ MAX_DELAY_SPREAD_SAMPLES = 0.5
 # Seconds from the onset to the end of the last candidate window.
 SEARCH_SPAN = (NUM_WINDOWS - 1) * WINDOW_DURATION / NUM_SUBWINDOWS + WINDOW_DURATION
 
-# The six precise-quad pairs as (i, j) indices into the quad, i < j.
-_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+# The one definition of pair order: the six precise-quad pairs as (i, j) quad indices, i < j.
+PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 
 
 class NoPingError(RuntimeError):
@@ -76,24 +79,18 @@ class DegenerateSignalError(ValueError):
 
 
 @dataclass(frozen=True)
-class DelayEstimate:
-    """Arrival-time difference between two channels: positive delta_t means
-    channel ``pair[0]`` receives later than ``pair[1]``."""
-
-    pair: tuple[int, int]
-    delta_t: float
-    peak_correlation: float
-
-
-@dataclass(frozen=True)
 class TdoaSet:
-    """Everything the position solver consumes: the reference channel's
-    absolute onset, the six pairwise delays over the precise quad measured in
-    the chosen window, and the coarse channels' absolute onsets."""
+    """Everything the position solver consumes, in quad order: the reference
+    channel's absolute onset (s); the six precise-quad pair delays (s)
+    measured in the chosen window, in ``PAIRS`` order, positive for (i, j)
+    when quad hydrophone i hears later than j, with their peak normalized
+    correlations; the coarse quad's absolute onsets (s); and the window's
+    (start sample, length)."""
 
     onset_time_abs: float
-    pairwise: tuple[DelayEstimate, ...]
-    coarse_arrivals: dict[int, float]
+    pair_delays: tuple[float, ...]
+    peak_correlations: tuple[float, ...]
+    coarse_arrivals: tuple[float, ...]
     window: tuple[int, int]
 
 
@@ -290,10 +287,13 @@ def first_onset(onsets: np.ndarray, start: int) -> int:
     return int(onsets[k])
 
 
-def estimate_delay(a: np.ndarray, b: np.ndarray, fs: float, max_lag_samples: int) -> DelayEstimate:
-    """Normalized cross-correlation delay between two equal-length windows,
-    searched over lags within +/- max_lag_samples and refined to sub-sample
-    precision with a three-point parabolic fit of the correlation peak.
+def estimate_delay(a: np.ndarray, b: np.ndarray, fs: float,
+                   max_lag_samples: int) -> tuple[float, float]:
+    """(delay_s, peak_correlation): the normalized cross-correlation delay
+    between two equal-length windows, positive when ``a`` hears later than
+    ``b``, searched over lags within +/- max_lag_samples and refined to
+    sub-sample precision with a three-point parabolic fit of the correlation
+    peak, and the normalized correlation at the peak lag.
 
     Only the lags it reads are summed: the 2 * max_lag_samples + 1 searched
     lags and the two beyond them that the fit may need, each as one dot
@@ -334,15 +334,15 @@ def estimate_delay(a: np.ndarray, b: np.ndarray, fs: float, max_lag_samples: int
     lag = min(max(lag, -float(max_lag)), float(max_lag))
 
     peak = min(max(float(y_0 / norm), -1.0), 1.0)
-    return DelayEstimate(pair=(-1, -1), delta_t=lag / fs, peak_correlation=peak)
+    return lag / fs, peak
 
 
 def _pair_delays(precise: list[np.ndarray], start: int, length: int, fs: float,
-                 max_lag: int) -> list[DelayEstimate]:
+                 max_lag: int) -> list[tuple[float, float]]:
     """estimate_delay over one slice of the precise quad, for each pair in
-    _PAIRS order. Raises DegenerateSignalError if a slice has no energy."""
+    PAIRS order. Raises DegenerateSignalError if a slice has no energy."""
     slices = [ch[start : start + length] for ch in precise]
-    return [estimate_delay(slices[i], slices[j], fs, max_lag) for i, j in _PAIRS]
+    return [estimate_delay(slices[i], slices[j], fs, max_lag) for i, j in PAIRS]
 
 
 def _window_lengths(fs: float) -> tuple[int, int]:
@@ -437,9 +437,9 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
     reach the end of the last candidate window, and the coarse rows are read
     only through ``onsets``. From the reference channel's
     first onset at or after ``start_sample``, candidate windows start every
-    sub-window; the one whose six pairwise delays are most repeatable across
+    sub-window; the one whose six pair delays are most repeatable across
     its sub-windows wins. Returns the TdoaSet measured over the winning
-    window, plus per-channel coarse onsets. ``sound_speed`` (m/s, the
+    window, plus the coarse quad's onsets. ``sound_speed`` (m/s, the
     scenario's) bounds every delay by the widest precise spacing over it. If
     ``diagnostics`` is a dict it is filled with the candidate window starts,
     their variance scores, and the chosen index."""
@@ -468,12 +468,12 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
     # sub-window without energy leaves its row NaN and scores its candidates
     # inf. A candidate scores the summed sample variance of its rows: one
     # overlapping a glitch or the burst's tail scores high and loses.
-    sub_delays = np.full((len(starts) + NUM_SUBWINDOWS - 1, len(_PAIRS)), np.nan)
+    sub_delays = np.full((len(starts) + NUM_SUBWINDOWS - 1, len(PAIRS)), np.nan)
     sub_max_lag = min(max_lag, sub_len - 1)
     for s, row in enumerate(sub_delays):
         try:
-            row[:] = [est.delta_t for est in _pair_delays(precise, onset + s * sub_len,
-                                                          sub_len, fs, sub_max_lag)]
+            row[:] = [delay for delay, _ in _pair_delays(precise, onset + s * sub_len,
+                                                         sub_len, fs, sub_max_lag)]
         except DegenerateSignalError:
             pass
     scores = np.array([np.var(sub_delays[w:w + NUM_SUBWINDOWS], axis=0, ddof=1).sum()
@@ -498,19 +498,12 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
     # Noise-pushed estimates snap back to the feasible interval. The winning
     # window's sub-windows all had energy, so its own slices have too.
     chosen = starts[best]
-    channels = array.precise_channels
-    final = _pair_delays(precise, chosen, win_len, fs, min(max_lag, win_len - 1))
-    pairwise = tuple(DelayEstimate(pair=(channels[i], channels[j]),
-                                   delta_t=float(np.clip(est.delta_t, -max_delay, max_delay)),
-                                   peak_correlation=est.peak_correlation)
-                     for (i, j), est in zip(_PAIRS, final))
-
-    coarse_arrivals = {ch: _onset_after(onsets, ch, start_sample, "coarse") / fs
-                       for ch in array.coarse_channels}
-
+    delays, peaks = zip(*_pair_delays(precise, chosen, win_len, fs, min(max_lag, win_len - 1)))
     return TdoaSet(
         onset_time_abs=onset / fs,
-        pairwise=pairwise,
-        coarse_arrivals=coarse_arrivals,
+        pair_delays=tuple(float(np.clip(d, -max_delay, max_delay)) for d in delays),
+        peak_correlations=peaks,
+        coarse_arrivals=tuple(_onset_after(onsets, ch, start_sample, "coarse") / fs
+                              for ch in array.coarse_channels),
         window=(chosen, win_len),
     )

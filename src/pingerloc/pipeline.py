@@ -132,8 +132,8 @@ def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scena
         timing["tdoa"] = (time.perf_counter() - t_stage) * 1e3
 
         t_stage = time.perf_counter()
-        arrivals = [tdoa.coarse_arrivals[ch] for ch in scenario.array.coarse_channels]
-        octant = guess.octant_guess(arrivals, list(scenario.array.coarse), min_margin=2.0 / fs)
+        octant = guess.octant_guess(tdoa.coarse_arrivals, list(scenario.array.coarse),
+                                    min_margin=2.0 / fs)
         timing["guess"] = (time.perf_counter() - t_stage) * 1e3
 
         t_stage = time.perf_counter()
@@ -184,6 +184,7 @@ def run_localization(scenario: Scenario,
     past_burst = max(scenario.pinger.ping_duration, dsp.SEARCH_SPAN) + 2.5e-3
     skip = int(round(max(scenario.pinger.repetition_interval - 2e-3, past_burst) * fs))
 
+    channels = scenario.array.precise_channels
     cursor = 0
     ping_index = 0
     while True:
@@ -204,8 +205,8 @@ def run_localization(scenario: Scenario,
             window=tdoa.window,
             timing={**recording_timing, **outcome.timing},
             diagnostics={
-                "pair_delays_us": {f"{est.pair[0]}-{est.pair[1]}": est.delta_t * 1e6
-                                   for est in tdoa.pairwise},
+                "pair_delays_us": {f"{channels[i]}-{channels[j]}": delay * 1e6
+                                   for (i, j), delay in zip(dsp.PAIRS, tdoa.pair_delays)},
                 **outcome.window_search,
             },
         )

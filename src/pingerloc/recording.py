@@ -34,6 +34,7 @@ __all__ = [
 MAGIC = b"OOGW"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIIIQ")
+MAX_SAMPLE_RATE = 2**32 - 1  # Hz, the most the header's u32 holds
 
 
 class RecordingFormatError(ValueError):
@@ -89,9 +90,12 @@ class MultiChannelRecording:
 
 
 def write_recording(recording: MultiChannelRecording, path: str | Path) -> None:
-    if not recording.sample_rate.is_integer():
-        raise ValueError(f"the file format stores whole Hz; sample rate {recording.sample_rate} "
-                         "is not an integer")
+    """Raises ValueError, before opening ``path``, unless the sample rate is
+    an integer from 1 to MAX_SAMPLE_RATE Hz, as the header stores it."""
+    rate = recording.sample_rate
+    if not (rate.is_integer() and rate <= MAX_SAMPLE_RATE):
+        raise ValueError(f"the file format stores the sample rate as an integer from 1 to "
+                         f"{MAX_SAMPLE_RATE} Hz; {rate!r} Hz cannot be written")
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,

@@ -233,7 +233,7 @@ class ChannelModel:
 def default_array() -> HydrophoneArray:
     """Stand-in geometry: the precise quad is a regular tetrahedron of edge
     15 mm (all six pairs under the 40 kHz half-wavelength, and non-coplanar
-    so a single bearing fits the pairwise delays), centered forward and below
+    so a single bearing fits the pair delays), centered forward and below
     deck at (0.2, 0, -0.1). The coarse quad shares a corner and offsets one
     axis at a time, so the widest pair along each axis differs on that axis
     only and straddles the origin there.
@@ -289,15 +289,15 @@ class Scenario:
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         # The pinger must be heard on every channel, so off every hydrophone
-        # and within the recording.
+        # and within the recording. math.dist does not overflow at 1e200 m.
         source = self.pinger.position.as_array()
         for ch, pos in zip(self.array.labels, self.array.all_positions()):
-            r = float(np.linalg.norm(source - pos.as_array()))
+            r = math.dist(source, pos.as_array())
             if r < MIN_HYDROPHONE_SEPARATION:
                 raise ConfigError(f"pinger coincides with hydrophone on channel {ch}")
             if r / self.sound_speed >= self.record_duration:
                 raise ConfigError(
-                    f"pinger out of recording window: arrival {r / self.sound_speed:.4f} s "
+                    f"pinger out of recording window: arrival {r / self.sound_speed:.4g} s "
                     f"on channel {ch} is past record_duration {self.record_duration} s"
                 )
         check_array(self.array, self.pinger.frequency, self.sound_speed)
@@ -322,7 +322,7 @@ def octant_of(direction: Vec3) -> OctantId:
 
 
 def check_array(array: HydrophoneArray, frequency: float, sound_speed: float) -> None:
-    """Check array geometry against the carrier: every precise-quad pairwise
+    """Check array geometry against the carrier: every precise-quad pair
     spacing at most half a wavelength (keeps inter-channel delays within half
     a carrier period, so correlation peaks are unambiguous), coarse quad
     straddling the origin on every axis and spanning at least
@@ -342,7 +342,7 @@ def check_array(array: HydrophoneArray, frequency: float, sound_speed: float) ->
     positions = np.array([p.as_array() for p in array.all_positions()])
     for i in range(8):
         for j in range(i + 1, 8):
-            d = float(np.linalg.norm(positions[i] - positions[j]))
+            d = math.dist(positions[i], positions[j])
             if d <= MIN_HYDROPHONE_SEPARATION:
                 violations.append(f"hydrophones {i} and {j} coincide (distance {d:.3e} m)")
 
@@ -350,7 +350,7 @@ def check_array(array: HydrophoneArray, frequency: float, sound_speed: float) ->
     precise = array.precise_positions_array()
     for i in range(4):
         for j in range(i + 1, 4):
-            d = float(np.linalg.norm(precise[i] - precise[j]))
+            d = math.dist(precise[i], precise[j])
             if d > half_wavelength:
                 violations.append(
                     f"precise pair ({i},{j}) spaced {d:.4f} m, exceeds "

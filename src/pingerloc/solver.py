@@ -1,10 +1,12 @@
 """Arrival-time least squares: estimate the pinger position from the six
-pairwise delays of the precise quad by gradient descent with Armijo
+pair delays of the precise quad by gradient descent with Armijo
 backtracking. The descent runs over the position p alone, minimizing
 
     G(p) = 1/2 * sum_pairs (d_i - d_j - c*dtau_ij)^2      [m^2]
 
-from the octant guess.
+from the octant guess. The sum runs over ``dsp.PAIRS``: d_i is the distance
+from p to precise-quad hydrophone i, and dtau_ij the TdoaSet's delay for
+(i, j). The solver reads quad positions only, never channel labels.
 
 Each iteration steps along -grad G. The trial step length is the
 Barzilai-Borwein estimate from the last accepted step, backtracked until the
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import TdoaSet
+from .dsp import PAIRS, TdoaSet
 from .scene import HydrophoneArray, Vec3, true_azimuth_elevation
 
 __all__ = [
@@ -86,24 +88,16 @@ class _Problem:
     in meters.
     """
 
+    i_idx, j_idx = np.array(PAIRS).T
+
     def __init__(self, tdoa: TdoaSet, array: HydrophoneArray, sound_speed: float):
         if sound_speed <= 0:
             raise ValueError(f"sound_speed must be > 0, got {sound_speed}")
-        channels = array.precise_channels
-        row_of = {ch: k for k, ch in enumerate(channels)}
-        expected = {frozenset(p) for p in
-                    [(channels[i], channels[j]) for i in range(4) for j in range(i + 1, 4)]}
-        got = {frozenset(est.pair) for est in tdoa.pairwise}
-        if got != expected:
-            raise ValueError(
-                f"tdoa must carry all 6 precise-quad pairs {sorted(map(tuple, expected))}, "
-                f"got {sorted(map(tuple, got))}"
-            )
-
+        if len(tdoa.pair_delays) != len(PAIRS):
+            raise ValueError(f"tdoa must carry {len(PAIRS)} pair delays in dsp.PAIRS order, "
+                             f"got {len(tdoa.pair_delays)}")
         self.positions = array.precise_positions_array()  # (4, 3)
-        self.i_idx = np.array([row_of[est.pair[0]] for est in tdoa.pairwise])
-        self.j_idx = np.array([row_of[est.pair[1]] for est in tdoa.pairwise])
-        self.ctau = np.array([est.delta_t for est in tdoa.pairwise]) * float(sound_speed)
+        self.ctau = np.array(tdoa.pair_delays) * float(sound_speed)
 
     def check_guard(self, p: np.ndarray):
         diff = p - self.positions

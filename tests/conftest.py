@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pingerloc import (
-    DelayEstimate,
     DivergedError,
     NoiseSpec,
     PingerSource,
@@ -13,6 +12,7 @@ from pingerloc import (
     render_scene,
     solver,
 )
+from pingerloc.dsp import PAIRS
 
 SOUND_SPEED = 1480.0
 FS = 500_000.0
@@ -47,20 +47,12 @@ def geometric_tdoa(array, position, sound_speed, t0=0.0):
         return float(np.linalg.norm(pos - array.channel_position(ch).as_array()))
 
     channels = array.precise_channels
-    pairwise = tuple(
-        DelayEstimate(
-            pair=(channels[i], channels[j]),
-            delta_t=(dist(channels[i]) - dist(channels[j])) / sound_speed,
-            peak_correlation=1.0,
-        )
-        for i in range(4)
-        for j in range(i + 1, 4)
-    )
-    coarse = {ch: t0 + dist(ch) / sound_speed for ch in array.coarse_channels}
     return TdoaSet(
         onset_time_abs=t0 + dist(channels[0]) / sound_speed,
-        pairwise=pairwise,
-        coarse_arrivals=coarse,
+        pair_delays=tuple((dist(channels[i]) - dist(channels[j])) / sound_speed
+                          for i, j in PAIRS),
+        peak_correlations=(1.0,) * len(PAIRS),
+        coarse_arrivals=tuple(t0 + dist(ch) / sound_speed for ch in array.coarse_channels),
         window=(0, 1000),
     )
 

@@ -3,6 +3,7 @@
 randomized noiseless trials built by the module fixture.
 """
 
+import dataclasses
 import json
 import time
 
@@ -11,11 +12,9 @@ import pytest
 from scipy import signal as sps
 
 from pingerloc import (
-    DelayEstimate,
     NoiseSpec,
     PingerSource,
     Scenario,
-    TdoaSet,
     Vec3,
     default_array,
     design_bandpass,
@@ -32,7 +31,7 @@ from pingerloc import (
 )
 from pingerloc import solver
 from pingerloc.cli import EXIT_OK, main
-from pingerloc.dsp import NoPingError, first_onset
+from pingerloc.dsp import PAIRS, NoPingError, first_onset
 from conftest import geometric_tdoa, travel_time
 from test_dsp import multitone
 
@@ -66,17 +65,16 @@ def sample_position(rng, lo=5.0, hi=30.0, clearance=1.0):
 def grid_best_objective(tdoa, array, half=30.0, n=21):
     """Brute-force oracle: best pair objective G (m^2) over an n^3 grid.
     Residuals are recomputed here from scratch."""
-    chan_pos = {ch: array.channel_position(ch).as_array()
-                for ch in array.precise_channels}
+    quad = array.precise_positions_array()
     axis = np.linspace(-half, half, n)
     X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
 
     total = np.zeros(len(nodes))
-    for est in tdoa.pairwise:
-        d_i = np.linalg.norm(nodes - chan_pos[est.pair[0]], axis=1)
-        d_j = np.linalg.norm(nodes - chan_pos[est.pair[1]], axis=1)
-        rho = d_i - d_j - C * est.delta_t
+    for (i, j), delay in zip(PAIRS, tdoa.pair_delays):
+        d_i = np.linalg.norm(nodes - quad[i], axis=1)
+        d_j = np.linalg.norm(nodes - quad[j], axis=1)
+        rho = d_i - d_j - C * delay
         total += rho * rho
     return float(0.5 * total.min())
 
@@ -101,8 +99,7 @@ def noiseless_trials():
         recording = render_scene(scenario)
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         tdoa = select_stable_window(recording, cascade, ARRAY, C)
-        arrivals = [tdoa.coarse_arrivals[ch] for ch in ARRAY.coarse_channels]
-        guess = octant_guess(arrivals, list(ARRAY.coarse), min_margin=2.0 / FS)
+        guess = octant_guess(tdoa.coarse_arrivals, list(ARRAY.coarse), min_margin=2.0 / FS)
         result = gradient_descent(guess.init, tdoa, ARRAY, C)
         t_pipeline += time.perf_counter() - t0
 
@@ -136,14 +133,10 @@ def test_criterion_1_gradient_correctness():
     for _ in range(100):
         truth = Vec3.from_array(rng.uniform(-15, 15, 3))
         base = geometric_tdoa(ARRAY, truth, C)
-        tdoa = TdoaSet(
+        tdoa = dataclasses.replace(
+            base,
             onset_time_abs=base.onset_time_abs + rng.uniform(-1e-4, 1e-4),
-            pairwise=tuple(DelayEstimate(pair=e.pair,
-                                         delta_t=e.delta_t + rng.uniform(-5e-6, 5e-6),
-                                         peak_correlation=1.0)
-                           for e in base.pairwise),
-            coarse_arrivals=base.coarse_arrivals,
-            window=base.window,
+            pair_delays=tuple(d + rng.uniform(-5e-6, 5e-6) for d in base.pair_delays),
         )
         point = rng.uniform(-20, 20, 3)
         while min(np.linalg.norm(point - p.as_array()) for p in ARRAY.precise) < 0.5:
@@ -217,14 +210,14 @@ def test_criterion_5_delay_estimation_oracle():
     worst_int = 0.0
     for k in range(1, 101):
         b = np.concatenate([np.zeros(k), a[:-k]])
-        est = estimate_delay(a, b, FS, 120)
-        worst_int = max(worst_int, abs(est.delta_t * FS + k))
+        delay, _ = estimate_delay(a, b, FS, 120)
+        worst_int = max(worst_int, abs(delay * FS + k))
 
     worst_frac = 0.0
     for shift in (10.5, 3.25):
         b = multitone(offset_samples=shift)
-        est = estimate_delay(multitone(), b, FS, 120)
-        worst_frac = max(worst_frac, abs(est.delta_t * FS + shift))
+        delay, _ = estimate_delay(multitone(), b, FS, 120)
+        worst_frac = max(worst_frac, abs(delay * FS + shift))
     elapsed = time.perf_counter() - t0
     report(5, "delay-estimation-oracle",
            worst_int < 1e-6 and worst_frac <= 0.2 and elapsed < 10.0,

@@ -178,6 +178,50 @@ def test_file_error_exits_1_without_traceback(scenario_path, tmp_path, capsys, m
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rate", [4_294_967_296.0, 500_000.5], ids=["above-u32", "fractional"])
+def test_simulate_unwritable_sample_rate_exits_1_before_rendering(tmp_path, capsys, monkeypatch,
+                                                                  rate):
+    # The file header stores the rate as a u32 count of Hz: a rate past 2^32 - 1
+    # or a fractional one is refused before the render, and no file is left.
+    doc = json.loads(QUICK_CONFIG.read_text())
+    doc.update(sample_rate=rate, record_duration=5e-4)
+    doc["pinger"].update(repetition_interval=5e-4, ping_duration=2e-4,
+                         position={"x": 0.0, "y": 0.0, "z": 0.0})
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps(doc))
+
+    def must_not_run(*args):
+        raise AssertionError("rendered before the sample rate was checked")
+
+    monkeypatch.setattr(simulator, "render_scene", must_not_run)
+    out = tmp_path / "rec.oogw"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and repr(rate) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("where", [("pinger", "position"), ("array", "coarse", 1)],
+                         ids=["pinger", "coarse-hydrophone"])
+def test_huge_coordinate_is_config_error_without_warning(tmp_path, capsys, where):
+    # Distances at 1e200 m stay finite: no overflow warning, one error line.
+    doc = json.loads(QUICK_CONFIG.read_text())
+    point = doc
+    for key in where:
+        point = point[key]
+    point["x"] = 1e200
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: pinger out of recording window: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_validate_ok_and_violations(scenario_path, tmp_path, capsys):
     assert main(["validate", "--config", str(scenario_path)]) == EXIT_OK
     assert "array ok" in capsys.readouterr().out

@@ -28,6 +28,7 @@ from pingerloc import dsp
 from pingerloc.dsp import (
     NUM_SUBWINDOWS,
     NUM_WINDOWS,
+    PAIRS,
     SEARCH_SPAN,
     WINDOW_DURATION,
     UnstableWindowError,
@@ -475,29 +476,29 @@ class TestEstimateDelay:
 
     def test_identical_inputs(self):
         a = self.reference_burst()
-        est = estimate_delay(a, a, FS, 100)
-        assert est.delta_t == 0.0
-        assert est.peak_correlation == pytest.approx(1.0, abs=1e-12)
+        delay, peak = estimate_delay(a, a, FS, 100)
+        assert delay == 0.0
+        assert peak == pytest.approx(1.0, abs=1e-12)
 
     def test_integer_shift_25_samples(self):
         a = self.reference_burst()
         b = np.concatenate([np.zeros(25), a[:-25]])
-        est = estimate_delay(a, b, FS, 100)
-        assert est.delta_t * FS == pytest.approx(-25.0, abs=1e-6)
-        assert est.delta_t == pytest.approx(-50e-6, abs=1e-11)
+        delay, _ = estimate_delay(a, b, FS, 100)
+        assert delay * FS == pytest.approx(-25.0, abs=1e-6)
+        assert delay == pytest.approx(-50e-6, abs=1e-11)
 
     @pytest.mark.parametrize("shift", [10.5, 3.25])
     def test_fractional_shift(self, shift):
         a = multitone()
         b = multitone(offset_samples=shift)
-        est = estimate_delay(a, b, FS, 110)
-        assert abs(est.delta_t * FS + shift) <= 0.2
+        delay, _ = estimate_delay(a, b, FS, 110)
+        assert abs(delay * FS + shift) <= 0.2
 
     def test_antisymmetry_exact(self):
         rng = np.random.default_rng(23)
         a = rng.normal(size=2_000)
         b = rng.normal(size=2_000)
-        assert estimate_delay(a, b, FS, 50).delta_t == -estimate_delay(b, a, FS, 50).delta_t
+        assert estimate_delay(a, b, FS, 50)[0] == -estimate_delay(b, a, FS, 50)[0]
 
     @given(st.integers(min_value=1, max_value=50))
     @settings(max_examples=25, deadline=None)
@@ -505,9 +506,9 @@ class TestEstimateDelay:
         rng = np.random.default_rng(29)
         a = rng.normal(size=1_500)
         b = np.concatenate([np.zeros(k), a[:-k]])
-        est = estimate_delay(a, b, FS, 60)
-        assert round(est.delta_t * FS) == -k
-        assert abs(est.delta_t * FS + k) < 0.5
+        delay, _ = estimate_delay(a, b, FS, 60)
+        assert round(delay * FS) == -k
+        assert abs(delay * FS + k) < 0.5
 
     def test_zero_energy_raises(self):
         with pytest.raises(DegenerateSignalError):
@@ -521,8 +522,8 @@ class TestEstimateDelay:
         rng = np.random.default_rng(31)
         a = rng.normal(size=500)
         b = rng.normal(size=500)
-        est = estimate_delay(a, b, FS, 20)
-        assert abs(est.delta_t) <= 20.0 / FS
+        delay, _ = estimate_delay(a, b, FS, 20)
+        assert abs(delay) <= 20.0 / FS
 
 
 def full_correlation_delay(a, b, fs, max_lag):
@@ -542,7 +543,7 @@ def full_correlation_delay(a, b, fs, max_lag):
     lag = float(np.clip(lag, -max_lag, max_lag))
     norm = float(np.linalg.norm(a) * np.linalg.norm(b))
     peak = float(np.clip(window[k] / norm, -1.0, 1.0))
-    return dsp.DelayEstimate(pair=(-1, -1), delta_t=lag / fs, peak_correlation=peak)
+    return lag / fs, peak
 
 
 def correlation_cases(n, count, seed):
@@ -573,10 +574,10 @@ class TestEstimateDelayReference:
         # Below 12 samples numpy's full-mode correlate takes another kernel,
         # so the last bits may differ from the dot products.
         for a, b, max_lag in correlation_cases(n, 300, seed=n):
-            est = estimate_delay(a, b, FS, max_lag)
-            ref = full_correlation_delay(a, b, FS, max_lag)
-            assert abs(est.delta_t - ref.delta_t) * FS <= 1e-12
-            assert abs(est.peak_correlation - ref.peak_correlation) <= 1e-12
+            delay, peak = estimate_delay(a, b, FS, max_lag)
+            ref_delay, ref_peak = full_correlation_delay(a, b, FS, max_lag)
+            assert abs(delay - ref_delay) * FS <= 1e-12
+            assert abs(peak - ref_peak) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 12, 40])
     def test_peak_at_full_overlap_lag_has_no_neighbour(self, n):
@@ -587,10 +588,10 @@ class TestEstimateDelayReference:
         b = np.zeros(n)
         b[0] = 1.0
         b[-1] = 0.25
-        est = estimate_delay(a, b, FS, n - 1)
-        assert est == full_correlation_delay(a, b, FS, n - 1)
-        assert est.delta_t * FS == n - 1
-        assert est.peak_correlation == pytest.approx(1.0 / math.hypot(1.0, 0.25))
+        delay, peak = estimate_delay(a, b, FS, n - 1)
+        assert (delay, peak) == full_correlation_delay(a, b, FS, n - 1)
+        assert delay * FS == n - 1
+        assert peak == pytest.approx(1.0 / math.hypot(1.0, 0.25))
 
     def test_tie_takes_the_first_lag(self):
         # b holds a's impulse at two delays: lags -7 and -2 correlate equally,
@@ -599,9 +600,9 @@ class TestEstimateDelayReference:
         a[10] = 1.0
         b = np.zeros(40)
         b[12] = b[17] = 1.0
-        est = estimate_delay(a, b, FS, 9)
-        assert est == full_correlation_delay(a, b, FS, 9)
-        assert est.delta_t * FS == -7.0
+        delay, peak = estimate_delay(a, b, FS, 9)
+        assert (delay, peak) == full_correlation_delay(a, b, FS, 9)
+        assert delay * FS == -7.0
 
 
 class TestSelectStableWindow:
@@ -612,12 +613,12 @@ class TestSelectStableWindow:
         rows, onsets = filter_and_scan(std_recording, cascade, array, SOUND_SPEED)
         tdoa = tdoa_from_filtered(rows, FS, array, SOUND_SPEED, onsets, diagnostics=diagnostics)
 
-        assert len(tdoa.pairwise) == 6
+        assert len(tdoa.pair_delays) == len(tdoa.peak_correlations) == 6
         max_delay = array.max_precise_spacing() / SOUND_SPEED
-        for est in tdoa.pairwise:
-            assert abs(est.delta_t) <= max_delay
+        for delay in tdoa.pair_delays:
+            assert abs(delay) <= max_delay
             # half-wavelength spacing keeps every delay under half a period
-            assert abs(est.delta_t) < 0.5 / 40_000.0
+            assert abs(delay) < 0.5 / 40_000.0
         chosen = diagnostics["chosen_candidate"]
         assert diagnostics["variance_scores"][chosen] < (0.1 / FS) ** 2
 
@@ -629,23 +630,18 @@ class TestSelectStableWindow:
         assert start / FS <= arrival + std_scenario.pinger.ping_duration
 
         # delays agree with geometry to sub-sample accuracy
-        for est in tdoa.pairwise:
-            i, j = est.pair
-            geo = (travel_time(std_scenario.pinger.position, array.channel_position(i),
-                               SOUND_SPEED)
-                   - travel_time(std_scenario.pinger.position, array.channel_position(j),
-                                 SOUND_SPEED))
-            assert abs(est.delta_t - geo) <= 0.3 / FS
+        for (i, j), delay in zip(PAIRS, tdoa.pair_delays):
+            geo = (travel_time(std_scenario.pinger.position, array.precise[i], SOUND_SPEED)
+                   - travel_time(std_scenario.pinger.position, array.precise[j], SOUND_SPEED))
+            assert abs(delay - geo) <= 0.3 / FS
 
     def test_pairwise_consistency(self, std_recording, std_scenario):
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         tdoa = select_stable_window(std_recording, cascade, std_scenario.array, SOUND_SPEED)
-        delays = {est.pair: est.delta_t for est in tdoa.pairwise}
-        channels = std_scenario.array.precise_channels
-        for a in range(4):
-            for b in range(a + 1, 4):
-                for c in range(b + 1, 4):
-                    i, j, k = channels[a], channels[b], channels[c]
+        delays = dict(zip(PAIRS, tdoa.pair_delays))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                for k in range(j + 1, 4):
                     closure = delays[(i, j)] + delays[(j, k)] - delays[(i, k)]
                     assert abs(closure) <= 0.3 / FS
 
@@ -713,8 +709,8 @@ def per_candidate_search(filtered, fs, array, sound_speed, onsets):
     scores = []
     for start in starts:
         try:
-            sub_delays = [[est.delta_t for est in _pair_delays(precise, start + s * sub_len,
-                                                                sub_len, fs, sub_max_lag)]
+            sub_delays = [[delay for delay, _ in _pair_delays(precise, start + s * sub_len,
+                                                               sub_len, fs, sub_max_lag)]
                           for s in range(NUM_SUBWINDOWS)]
         except DegenerateSignalError:
             scores.append(math.inf)

@@ -156,6 +156,39 @@ class TestRunLocalization:
         finally:
             gc.enable()
 
+    @pytest.fixture(scope="class")
+    def quick_render(self):
+        scenario = load_scenario(CONFIGS / "scenario_quick.json")
+        return scenario, render_scene(scenario)
+
+    @pytest.mark.parametrize("labels", [tuple(reversed(range(8))),
+                                        tuple(int(k) for k in
+                                              np.random.default_rng(5).permutation(8))],
+                             ids=["reversed", "seeded-permutation"])
+    def test_relabelled_recording_localizes_identically(self, quick_render, labels):
+        # Row labels[k] of the relabelled recording holds the quick render's
+        # row k, the channel its default labels give hydrophone k: the same
+        # hydrophones heard through other channels must give the same stream,
+        # and the same pair delays under the new labels' keys.
+        scenario, recording = quick_render
+        assert scenario.array.labels == tuple(range(8)) != labels
+        channels = np.empty_like(recording.channels)
+        channels[list(labels)] = recording.channels
+        relabelled = dataclasses.replace(scenario, array=dataclasses.replace(scenario.array,
+                                                                             labels=labels))
+        base = list(run_localization(scenario, recording))
+        moved = list(run_localization(relabelled, MultiChannelRecording(FS, channels)))
+        assert base
+        assert ([json.dumps(r.to_json_dict()) for r in moved]
+                == [json.dumps(r.to_json_dict()) for r in base])
+        keys = [f"{labels[i]}-{labels[j]}" for i, j in dsp.PAIRS]
+        for b, m in zip(base, moved):
+            delays = b.diagnostics["pair_delays_us"]
+            assert list(delays) == [f"{i}-{j}" for i, j in dsp.PAIRS]
+            assert m.diagnostics == {**b.diagnostics,
+                                     "pair_delays_us": dict(zip(keys, delays.values()))}
+            assert list(m.diagnostics["pair_delays_us"]) == keys
+
     def test_solver_failure_is_raised(self, std_scenario, std_recording, diverging_solver):
         with pytest.raises(DivergedError):
             next(run_localization(std_scenario, recording=std_recording))

@@ -292,6 +292,7 @@ class TestConfigCodec:
                                                                     max_size=4),
         max_leaves=8)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(st.sampled_from(list(json_paths(QUICK))), json_values)
     @settings(max_examples=300, deadline=None)
     def test_any_replaced_value_loads_or_is_config_error(self, path, value):

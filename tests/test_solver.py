@@ -1,14 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pingerloc import (
-    DelayEstimate,
     HydrophoneArray,
     OctantId,
     SingularGeometryError,
-    TdoaSet,
     Vec3,
     default_array,
     gradient_descent,
@@ -60,9 +59,8 @@ class TestResiduals:
         # distances 1.5, 2.5, sqrt(4.25), sqrt(4.25)
         array = self.hand_array()
         tdoa = geometric_tdoa(array, Vec3(2.0, 0.0, 0.0), 1.0)
-        first = tdoa.pairwise[0]
-        assert first.pair == (0, 1)
-        assert first.delta_t == pytest.approx(1.5 - 2.5, abs=1e-15)
+        # The first pair in PAIRS order is quad hydrophones (0, 1).
+        assert tdoa.pair_delays[0] == pytest.approx(1.5 - 2.5, abs=1e-15)
         f, _ = solver._Problem(tdoa, array, 1.0).objective_and_grad(np.array([2.0, 0.0, 0.0]))
         assert math.sqrt(2.0 * f) <= 1e-12
 
@@ -87,12 +85,10 @@ class TestResiduals:
     def test_requires_all_six_pairs(self):
         truth = Vec3(8.0, 3.0, -4.0)
         tdoa = geometric_tdoa(ARRAY, truth, C)
-        broken = TdoaSet(onset_time_abs=tdoa.onset_time_abs,
-                         pairwise=tdoa.pairwise[:5],
-                         coarse_arrivals=tdoa.coarse_arrivals,
-                         window=tdoa.window)
-        with pytest.raises(ValueError, match="6 precise-quad pairs"):
-            solver._Problem(broken, ARRAY, C)
+        for delays in (tdoa.pair_delays[:5], tdoa.pair_delays + (0.0,)):
+            broken = dataclasses.replace(tdoa, pair_delays=delays)
+            with pytest.raises(ValueError, match="6 pair delays"):
+                solver._Problem(broken, ARRAY, C)
 
     def test_singular_geometry(self):
         tdoa = geometric_tdoa(ARRAY, Vec3(8.0, 3.0, -4.0), C)
@@ -114,15 +110,10 @@ class TestObjectiveAndGradient:
         truth = Vec3.from_array(rng.uniform(-15, 15, 3))
         tdoa = geometric_tdoa(ARRAY, truth, C)
         # jitter the measured delays so the residuals are nonzero
-        noisy = TdoaSet(
+        noisy = dataclasses.replace(
+            tdoa,
             onset_time_abs=tdoa.onset_time_abs + rng.uniform(-1e-4, 1e-4),
-            pairwise=tuple(
-                DelayEstimate(pair=e.pair,
-                              delta_t=e.delta_t + rng.uniform(-5e-6, 5e-6),
-                              peak_correlation=1.0)
-                for e in tdoa.pairwise),
-            coarse_arrivals=tdoa.coarse_arrivals,
-            window=tdoa.window)
+            pair_delays=tuple(d + rng.uniform(-5e-6, 5e-6) for d in tdoa.pair_delays))
         point = rng.uniform(-20, 20, 3)
         while min(np.linalg.norm(point - p.as_array()) for p in ARRAY.precise) < 0.5:
             point = rng.uniform(-20, 20, 3)
@@ -204,9 +195,7 @@ class TestGradientDescent:
             coarse=tuple(Vec3.from_array(p.as_array() + shift) for p in coarse),
         )
         tdoa_moved = geometric_tdoa(moved_array, Vec3.from_array(truth.as_array() + shift), C)
-        assert np.allclose(
-            [e.delta_t for e in tdoa.pairwise],
-            [e.delta_t for e in tdoa_moved.pairwise], atol=1e-15)
+        assert np.allclose(tdoa.pair_delays, tdoa_moved.pair_delays, atol=1e-15)
 
         monkeypatch.setattr(solver, "MAX_ITERS", 20_000)
         monkeypatch.setattr(solver, "GRAD_TOL", 1e-13)
@@ -273,8 +262,7 @@ class TestGradientDescent:
         results = []
         for t_emit in (0.0, 0.0123):
             tdoa = geometric_tdoa(ARRAY, truth, C, t0=t_emit)
-            arrivals = [tdoa.coarse_arrivals[ch] for ch in ARRAY.coarse_channels]
-            init = octant_guess(arrivals, list(ARRAY.coarse)).init
+            init = octant_guess(tdoa.coarse_arrivals, list(ARRAY.coarse)).init
             results.append(gradient_descent(init, tdoa, ARRAY, C))
         assert results[0].iterations > 0
         assert results[1] == results[0]
