@@ -7,10 +7,10 @@ Subcommands:
     validate    load a scenario, checking its array against the carrier
 
 Exit codes: 0 success (localize: every report converged), 1 configuration or
-usage error, or a file that cannot be read or written, 2 no ping found,
-3 reports emitted but at least one solve did not converge, 4 a ping failed
-after detection (unstable window, singular geometry or divergence; reports
-already written stay).
+usage error, a file that cannot be read or written, or a recording too large
+to render or filter in memory, 2 no ping found, 3 reports emitted but at
+least one solve did not converge, 4 a ping failed after detection (unstable
+window, singular geometry or divergence; reports already written stay).
 """
 
 from __future__ import annotations
@@ -152,6 +152,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (rec.RecordingFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -289,60 +289,57 @@ def first_onset(onsets: np.ndarray, start: int) -> int:
 
 def estimate_delay(a: np.ndarray, b: np.ndarray, fs: float,
                    max_lag_samples: int) -> tuple[float, float]:
-    """(delay_s, peak_correlation): the normalized cross-correlation delay
-    between two equal-length windows, positive when ``a`` hears later than
-    ``b``, searched over lags within +/- max_lag_samples and refined to
-    sub-sample precision with a three-point parabolic fit of the correlation
-    peak, and the normalized correlation at the peak lag.
-
-    Only the lags it reads are summed: the 2 * max_lag_samples + 1 searched
-    lags and the two beyond them that the fit may need, each as one dot
-    product over the overlap, so 2 * max_lag_samples + 3 lag sums. From 12
-    samples up each sum is bit-equal to the same lag of a full-mode
-    ``np.correlate``; below that numpy's correlate takes another kernel and
-    the two agree to within a few ulps."""
+    """(delay_s, peak_correlation) of two equal-length windows by ``_delays``:
+    the normalized cross-correlation delay, positive when ``a`` hears later
+    than ``b``, searched within +/- max_lag_samples and refined by a
+    three-point parabolic fit, and the normalized correlation at the peak
+    lag. Raises DegenerateSignalError when a window has no energy."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"inputs must be equal-length 1-D arrays, got {a.shape} and {b.shape}")
-    norm = math.sqrt(a.dot(a)) * math.sqrt(b.dot(b))
-    if norm == 0.0:
+    if math.sqrt(a.dot(a)) * math.sqrt(b.dot(b)) == 0.0:
         raise DegenerateSignalError("degenerate signal: zero energy")
     n = len(a)
     max_lag = int(max_lag_samples)
     if max_lag < 0 or max_lag > n - 1:
         raise ValueError(f"max_lag_samples must be in [0, {n - 1}], got {max_lag}")
+    delay, peak = _delays(a, b, fs, max_lag)
+    return float(delay), float(peak)
 
-    # corr[max_lag + 1 + lag] = sum_n a[n] b[n - lag]; a copy of a delayed by
-    # d in b peaks at lag -d. A neighbour lag past the overlap (|lag| = n) is
-    # None.
-    corr = [None if abs(lag) >= n
-            else a[lag:].dot(b[:n - lag]) if lag >= 0
-            else a[:n + lag].dot(b[-lag:])
-            for lag in range(-max_lag - 1, max_lag + 2)]
-    # The first of equal maxima, as np.argmax takes it.
-    k = max(range(1, 2 * max_lag + 2), key=corr.__getitem__)
-    lag = float(k - max_lag - 1)
 
-    # Parabolic vertex through the peak and its immediate neighbors.
-    y_m, y_0, y_p = corr[k - 1], corr[k], corr[k + 1]
-    if y_m is not None and y_p is not None:
+def _delays(a: np.ndarray, b: np.ndarray, fs: float,
+            max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """(delays, peaks): ``estimate_delay`` element by element over stacks of
+    windows ``a`` and ``b`` of shape (..., n), 0 <= max_lag < n; NaN where a
+    window has no energy. Only the lags read are summed: the 2 * max_lag + 1
+    searched and the two beyond them that the fit may need, each one
+    ``np.vecdot`` over every window's overlap. np.vecdot sums each row with
+    ndarray.dot's kernel, bit-equal to one pair's dot, and from 12 samples up
+    to the same lag of a full-mode ``np.correlate`` (below that, within a few
+    ulps: numpy's correlate takes another kernel)."""
+    n = a.shape[-1]
+    # corr[..., max_lag + 1 + lag] = sum_n a[n] b[n - lag]; a copy of a
+    # delayed by d in b peaks at lag -d. A neighbour lag past the overlap
+    # (|lag| = n) is NaN, so no parabola is fitted through it.
+    corr = np.stack([np.full(a.shape[:-1], np.nan) if abs(lag) >= n
+                     else np.vecdot(a[..., lag:], b[..., :n - lag]) if lag >= 0
+                     else np.vecdot(a[..., :n + lag], b[..., -lag:])
+                     for lag in range(-max_lag - 1, max_lag + 2)], axis=-1)
+    # The first of equal maxima over the searched lags.
+    k = np.argmax(corr[..., 1:-1], axis=-1, keepdims=True) + 1
+    y_m, y_0, y_p = (np.take_along_axis(corr, k + d, axis=-1)[..., 0] for d in (-1, 0, 1))
+    lag = (k[..., 0] - max_lag - 1).astype(float)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Parabolic vertex through the peak and its immediate neighbours.
         denom = y_m - 2.0 * y_0 + y_p
-        if denom < 0.0:
-            offset = float(0.5 * (y_m - y_p) / denom)
-            lag += min(max(offset, -1.0), 1.0)
-    lag = min(max(lag, -float(max_lag)), float(max_lag))
-
-    peak = min(max(float(y_0 / norm), -1.0), 1.0)
-    return lag / fs, peak
-
-
-def _pair_delays(precise: list[np.ndarray], start: int, length: int, fs: float,
-                 max_lag: int) -> list[tuple[float, float]]:
-    """estimate_delay over one slice of the precise quad, for each pair in
-    PAIRS order. Raises DegenerateSignalError if a slice has no energy."""
-    slices = [ch[start : start + length] for ch in precise]
-    return [estimate_delay(slices[i], slices[j], fs, max_lag) for i, j in PAIRS]
+        lag += np.where(denom < 0.0, np.clip(0.5 * (y_m - y_p) / denom, -1.0, 1.0), 0.0)
+        lag = np.clip(lag, -float(max_lag), float(max_lag))
+        norm = np.sqrt(np.vecdot(a, a)) * np.sqrt(np.vecdot(b, b))
+        peak = np.clip(y_0 / norm, -1.0, 1.0)
+    degenerate = norm == 0.0
+    return np.where(degenerate, np.nan, lag / fs), np.where(degenerate, np.nan, peak)
 
 
 def _window_lengths(fs: float) -> tuple[int, int]:
@@ -457,27 +454,24 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
     max_delay = array.max_precise_spacing() / sound_speed
     max_lag = int(math.ceil(max_delay * fs))
 
-    precise = [filtered[ch] for ch in array.precise_channels]
     starts = [onset + k * sub_len for k in range(NUM_WINDOWS)
               if onset + k * sub_len + win_len <= n_total]
     if not starts:
         raise NoPingError("no ping: recording too short for one analysis window after onset")
 
-    # Candidate w is sub-windows w .. w + NUM_SUBWINDOWS - 1, so each
-    # sub-window's six pair delays are measured once, into one table row; a
-    # sub-window without energy leaves its row NaN and scores its candidates
-    # inf. A candidate scores the summed sample variance of its rows: one
-    # overlapping a glitch or the burst's tail scores high and loses.
-    sub_delays = np.full((len(starts) + NUM_SUBWINDOWS - 1, len(PAIRS)), np.nan)
-    sub_max_lag = min(max_lag, sub_len - 1)
-    for s, row in enumerate(sub_delays):
-        try:
-            row[:] = [delay for delay, _ in _pair_delays(precise, onset + s * sub_len,
-                                                         sub_len, fs, sub_max_lag)]
-        except DegenerateSignalError:
-            pass
-    scores = np.array([np.var(sub_delays[w:w + NUM_SUBWINDOWS], axis=0, ddof=1).sum()
-                       for w in range(len(starts))])
+    # Candidate w is sub-windows w .. w + NUM_SUBWINDOWS - 1. One ``_delays``
+    # call measures every sub-window's six pair delays, one table column
+    # each; a sub-window without energy leaves NaN in its column and scores
+    # its candidates inf. A candidate scores the summed sample variance of its
+    # sub-windows' delays: one overlapping a glitch or the burst's tail scores
+    # high and loses.
+    quad = np.stack([filtered[ch][onset:starts[-1] + win_len] for ch in array.precise_channels],
+                    dtype=float)
+    i, j = np.array(PAIRS).T
+    subs = quad[:, :(len(starts) + NUM_SUBWINDOWS - 1) * sub_len].reshape(4, -1, sub_len)
+    sub_delays, _ = _delays(subs[i], subs[j], fs, min(max_lag, sub_len - 1))
+    windows = np.lib.stride_tricks.sliding_window_view(sub_delays, NUM_SUBWINDOWS, axis=1)
+    scores = np.var(windows, axis=-1, ddof=1).sum(axis=0)
     scores[np.isnan(scores)] = np.inf
 
     best = int(np.argmin(scores))
@@ -498,11 +492,12 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
     # Noise-pushed estimates snap back to the feasible interval. The winning
     # window's sub-windows all had energy, so its own slices have too.
     chosen = starts[best]
-    delays, peaks = zip(*_pair_delays(precise, chosen, win_len, fs, min(max_lag, win_len - 1)))
+    window = quad[:, chosen - onset:chosen - onset + win_len]
+    delays, peaks = _delays(window[i], window[j], fs, min(max_lag, win_len - 1))
     return TdoaSet(
         onset_time_abs=onset / fs,
-        pair_delays=tuple(float(np.clip(d, -max_delay, max_delay)) for d in delays),
-        peak_correlations=peaks,
+        pair_delays=tuple(np.clip(delays, -max_delay, max_delay).tolist()),
+        peak_correlations=tuple(peaks.tolist()),
         coarse_arrivals=tuple(_onset_after(onsets, ch, start_sample, "coarse") / fs
                               for ch in array.coarse_channels),
         window=(chosen, win_len),

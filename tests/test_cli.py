@@ -203,6 +203,29 @@ def test_simulate_unwritable_sample_rate_exits_1_before_rendering(tmp_path, caps
     assert not out.exists()
 
 
+ALLOCATION_FAILURE = ("Unable to allocate 12.8 GiB for an array with shape (8, 214748365) "
+                      "and data type float64")
+
+
+@pytest.mark.parametrize("message, shown", [(ALLOCATION_FAILURE, ALLOCATION_FAILURE),
+                                            ("", "MemoryError")], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", ["simulate", "localize"])
+def test_render_out_of_memory_exits_1(scenario_path, tmp_path, capsys, monkeypatch, command,
+                                      message, shown):
+    # A recording that does not fit in memory (the quick scenario at
+    # 4294967295 Hz asks np.zeros for 12.8 GiB) ends in one error line, not
+    # a traceback. The allocation failure is raised, not provoked.
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(simulator, "render_scene", out_of_memory)
+    args = ["--out", str(tmp_path / "rec.oogw")] if command == "simulate" else []
+    assert main([command, "--config", str(scenario_path), *args]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory: {shown}\n"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("where", [("pinger", "position"), ("array", "coarse", 1)],
                          ids=["pinger", "coarse-hydrophone"])

@@ -34,7 +34,6 @@ from pingerloc.dsp import (
     UnstableWindowError,
     _median_root,
     _moving_mean_square,
-    _pair_delays,
     _square_cutoff,
     filter_and_scan,
     first_onset,
@@ -694,9 +693,9 @@ class TestSelectStableWindow:
 
 def per_candidate_search(filtered, fs, array, sound_speed, onsets):
     """The window search's diagnostics as it scored candidates before each
-    sub-window was measured once: every candidate correlates its own
-    NUM_SUBWINDOWS sub-windows, four ``_pair_delays`` calls, and a candidate
-    with a degenerate sub-window scores inf. Candidates hop by one
+    sub-window was measured once: every candidate correlates each pair of
+    its own NUM_SUBWINDOWS sub-windows with ``estimate_delay``, and a
+    candidate with a degenerate sub-window scores inf. Candidates hop by one
     sub-window, which is the old 0.5 ms hop at 500 kHz."""
     onset = first_onset(onsets[array.precise_channels[0]], 0)
     win_len = int(round(WINDOW_DURATION * fs))
@@ -709,9 +708,11 @@ def per_candidate_search(filtered, fs, array, sound_speed, onsets):
     scores = []
     for start in starts:
         try:
-            sub_delays = [[delay for delay, _ in _pair_delays(precise, start + s * sub_len,
-                                                               sub_len, fs, sub_max_lag)]
-                          for s in range(NUM_SUBWINDOWS)]
+            sub_delays = []
+            for s in range(NUM_SUBWINDOWS):
+                slices = [ch[start + s * sub_len:start + (s + 1) * sub_len] for ch in precise]
+                sub_delays.append([estimate_delay(slices[i], slices[j], fs, sub_max_lag)[0]
+                                   for i, j in PAIRS])
         except DegenerateSignalError:
             scores.append(math.inf)
             continue
@@ -809,25 +810,86 @@ class TestSubWindowTable:
             assert len(scores) == 3
 
     @pytest.mark.parametrize("name, candidates", [("quick", NUM_WINDOWS),
-                                                  ("three-candidates", 3)])
-    def test_each_sub_window_correlated_once(self, quick, noiseless, monkeypatch,
-                                             name, candidates):
+                                                  ("three-candidates", 3),
+                                                  ("zeroed-sub-window", NUM_WINDOWS)])
+    def test_table_rows_equal_full_correlation(self, quick, noiseless, monkeypatch,
+                                               name, candidates):
+        # The search makes two batched correlations: every pair of every
+        # sub-window, then every pair of the winning window. Each delay and
+        # peak equals the full-mode np.correlate reference on that pair's
+        # slices, bit for bit; a pair with a zeroed slice is NaN.
         scenario, filtered, onsets = self.case(quick, noiseless, name)
+        array = scenario.array
         calls = []
-        real = dsp.estimate_delay
+        real = dsp._delays
 
-        def counted(*args, **kwargs):
-            calls.append(len(args[0]))
-            return real(*args, **kwargs)
+        def recorded(a, b, fs, max_lag):
+            calls.append((a.shape, max_lag, *real(a, b, fs, max_lag)))
+            return calls[-1][2:]
 
-        monkeypatch.setattr(dsp, "estimate_delay", counted)
+        monkeypatch.setattr(dsp, "_delays", recorded)
         diagnostics = {}
-        tdoa_from_filtered(filtered, FS, scenario.array, SOUND_SPEED, onsets,
-                           diagnostics=diagnostics)
+        tdoa = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets,
+                                  diagnostics=diagnostics)
         assert len(diagnostics["candidate_starts"]) == candidates
         sub_windows = candidates + NUM_SUBWINDOWS - 1
-        # Six pairs per sub-window, then six over the winning window.
-        assert len(calls) == 6 * sub_windows + 6
-        assert calls == [self.SUB_LEN] * (6 * sub_windows) + [4 * self.SUB_LEN] * 6
-        if candidates == NUM_WINDOWS:
-            assert len(calls) == 72
+        win_len = int(round(WINDOW_DURATION * FS))
+        max_lag = int(math.ceil(array.max_precise_spacing() / SOUND_SPEED * FS))
+        [(table_shape, sub_max_lag, table, sub_peaks),
+         (win_shape, win_max_lag, delays, peaks)] = calls
+        assert table_shape == (len(PAIRS), sub_windows, self.SUB_LEN)
+        assert sub_max_lag == min(max_lag, self.SUB_LEN - 1)
+        assert win_shape == (len(PAIRS), win_len)
+        assert win_max_lag == min(max_lag, win_len - 1)
+
+        precise = [filtered[ch] for ch in array.precise_channels]
+        onset = diagnostics["candidate_starts"][0]
+        for s in range(sub_windows):
+            start = onset + s * self.SUB_LEN
+            slices = [ch[start:start + self.SUB_LEN] for ch in precise]
+            for p, (i, j) in enumerate(PAIRS):
+                if not (slices[i].any() and slices[j].any()):
+                    assert np.isnan(table[p, s]) and np.isnan(sub_peaks[p, s])
+                    continue
+                expected = full_correlation_delay(slices[i], slices[j], FS, sub_max_lag)
+                assert (table[p, s], sub_peaks[p, s]) == expected
+        nan_sub_windows = [s for s in range(sub_windows) if np.isnan(table[:, s]).any()]
+        if name == "zeroed-sub-window":
+            # Quad hydrophone 1 is silent in sub-window 2: its three pairs.
+            assert nan_sub_windows == [2]
+            assert [pair for p, pair in enumerate(PAIRS) if np.isnan(table[p, 2])] == [
+                pair for pair in PAIRS if 1 in pair]
+        else:
+            assert nan_sub_windows == []
+
+        start = tdoa.window[0]
+        slices = [ch[start:start + win_len] for ch in precise]
+        expected = [full_correlation_delay(slices[i], slices[j], FS, win_max_lag)
+                    for i, j in PAIRS]
+        assert list(peaks) == [peak for _, peak in expected]
+        assert list(delays) == [delay for delay, _ in expected]
+        assert tdoa.peak_correlations == tuple(peak for _, peak in expected)
+        max_delay = array.max_precise_spacing() / SOUND_SPEED
+        assert tdoa.pair_delays == tuple(float(np.clip(delay, -max_delay, max_delay))
+                                         for delay, _ in expected)
+
+
+class TestVecdotKernel:
+    """The batched correlation's speed rests on np.vecdot summing each row
+    with the same dot kernel as ndarray.dot: a row is bit-equal to the dot of
+    the same slices, at any length, offset into its row, and scale."""
+
+    @pytest.mark.parametrize("lengths", [range(1, 101), range(101, 201), range(201, 301),
+                                         (1_000, 4_097)], ids=str)
+    def test_rows_bit_equal_to_dot(self, lengths):
+        rng = np.random.default_rng(len(lengths) + lengths[0])
+        for n in lengths:
+            rows = 3
+            a = rng.normal(size=(rows, n + 16)) * 10.0 ** rng.uniform(-8, 8, size=(rows, 1))
+            b = rng.normal(size=(rows, n + 16)) * 10.0 ** rng.uniform(-8, 8, size=(rows, 1))
+            for _ in range(2):
+                off_a, off_b = rng.integers(0, 17, size=2)
+                x, y = a[:, off_a:off_a + n], b[:, off_b:off_b + n]
+                batched = np.vecdot(x, y)
+                assert batched.tolist() == [x[r].dot(y[r]) for r in range(rows)]
+                assert np.vecdot(x[:, None], y[:, None])[:, 0].tolist() == batched.tolist()
