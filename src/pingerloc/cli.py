@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import dsp, pipeline, recording as rec, scene, simulator
@@ -74,10 +75,15 @@ def _load_scenario(path: str, seed_override: int | None) -> scene.Scenario:
 
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args.config, args.seed)
-    # Fail on an unwritable path or sample rate now, not after a 2 s render.
+    # Fail on an unwritable path or sample rate now, not after a 2 s render,
+    # and leave no empty recording behind when the render or write fails.
     rec.write_recording(rec.MultiChannelRecording(scenario.sample_rate, [[]] * 8), args.out)
-    recording = simulator.render_scene(scenario)
-    rec.write_recording(recording, args.out)
+    try:
+        recording = simulator.render_scene(scenario)
+        rec.write_recording(recording, args.out)
+    except BaseException:
+        os.remove(args.out)
+        raise
     print(f"wrote {recording.channel_count} channels x {recording.samples_per_channel} "
           f"samples at {recording.sample_rate:.0f} Hz to {args.out}", file=sys.stderr)
     return EXIT_OK

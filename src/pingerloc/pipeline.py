@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import ClassVar, Iterator, Mapping
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .scene import (
     Scenario,
     Vec3,
     config_from_dict,
+    default_array,
     octant_of,
     true_azimuth_elevation,
 )
@@ -250,22 +251,20 @@ class MonteCarloConfig:
     """Evaluation grid: every (range, SNR) cell runs ``trials`` randomized
     pinger placements. An SNR of None means zero noise; otherwise white noise
     is calibrated per trial to the requested in-band SNR at the nearest
-    hydrophone. Placements keep at least ``clearance`` meters from every
-    octant boundary plane so the true octant is unambiguous."""
+    hydrophone. Every trial renders the default scenario (500 kHz, 1480 m/s,
+    a 40 kHz 4 ms burst, the default array and front end) for one
+    ``repetition_interval``, noiseless, its pinger at least ``clearance``
+    meters from every octant boundary plane so the true octant is
+    unambiguous. Those two are class constants, not config keys."""
 
     ranges: tuple[float, ...]
     snr_db: tuple[float | None, ...]
     trials: int
     seed: int = 0
     success_threshold_deg: float = 5.0
-    clearance: float = 1.0
-    sample_rate: float = 500_000.0
-    sound_speed: float = 1480.0
-    carrier_freq: float = 40_000.0
-    ping_duration: float = 4e-3
-    # One repetition per trial; 50 ms still covers a 30 m arrival (~20 ms)
-    # plus the analysis window span.
-    repetition_interval: float = 0.05
+    # 50 ms still covers a 30 m arrival (~20 ms) plus the analysis window span.
+    repetition_interval: ClassVar[float] = 0.05
+    clearance: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.trials < 1:
@@ -274,12 +273,8 @@ class MonteCarloConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if not self.ranges or not self.snr_db:
             raise ConfigError("ranges and snr_db must be non-empty")
-        # Every trial renders this scenario, at its own pinger position; it
-        # raises ConfigError when the array fails validation.
-        array = _trial_scenario(self, Vec3(1.0, 1.0, 1.0)).array
-        if self.clearance <= 0:
-            raise ConfigError(f"clearance must be > 0, got {self.clearance}")
-        if self.success_threshold_deg <= 0:
+        # Each check below is written so that NaN fails it.
+        if not self.success_threshold_deg > 0:
             raise ConfigError(f"success_threshold_deg must be > 0, "
                               f"got {self.success_threshold_deg}")
         # white_sigma_for_snr scales the burst RMS by 10^(-snr_db/20).
@@ -294,17 +289,18 @@ class MonteCarloConfig:
         # without bound toward that limit: at 1.75 * clearance it accepts
         # 1.6e-4 of the directions it draws, at 2 * clearance 2.6e-2.
         min_range = 2.0 * self.clearance
-        reach = max(np.linalg.norm(p.as_array()) for p in array.all_positions())
+        # The trial scene's sound speed, burst and array are the defaults.
+        reach = max(np.linalg.norm(p.as_array()) for p in default_array().all_positions())
         for radius in self.ranges:
-            if radius <= 0:
+            if not radius > 0:
                 raise ConfigError(f"ranges must be > 0, got {radius}")
-            if radius < min_range:
+            if not radius >= min_range:
                 raise ConfigError(f"range {radius} m cannot clear every octant plane by "
                                   f"{self.clearance} m (needs >= {min_range:.4g} m)")
             # The whole burst must be recorded: the SNR is calibrated on it,
             # and the analysis window has to fit after the onset.
-            end = (radius + reach) / self.sound_speed + self.ping_duration
-            if end >= self.repetition_interval:
+            end = (radius + reach) / Scenario.sound_speed + PingerSource.ping_duration
+            if not end < self.repetition_interval:
                 raise ConfigError(f"range {radius} m: the burst can end after the "
                                   f"{self.repetition_interval} s repetition interval")
 
@@ -345,19 +341,12 @@ def _sample_position(rng: np.random.Generator, radius: float, clearance: float) 
             return Vec3.from_array(pos)
 
 
-def _trial_scenario(config: MonteCarloConfig, position: Vec3) -> Scenario:
+def _trial_scenario(position: Vec3) -> Scenario:
     """The noiseless one-repetition scene a trial renders, its pinger at
-    ``position``. Raises ConfigError when the config cannot render."""
-    return Scenario(
-        pinger=PingerSource(position=position, frequency=config.carrier_freq,
-                            ping_duration=config.ping_duration,
-                            repetition_interval=config.repetition_interval),
-        sound_speed=config.sound_speed,
-        sample_rate=config.sample_rate,
-        record_duration=config.repetition_interval,
-        noise=NoiseSpec.silent(),
-        seed=0,
-    )
+    ``position``."""
+    interval = MonteCarloConfig.repetition_interval
+    return Scenario(pinger=PingerSource(position=position, repetition_interval=interval),
+                    record_duration=interval, noise=NoiseSpec.silent())
 
 
 def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
@@ -365,7 +354,7 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(cell_index, trial))
     rng = np.random.default_rng(ss)
     position = _sample_position(rng, radius, config.clearance)
-    scenario = _trial_scenario(config, position)
+    scenario = _trial_scenario(position)
     clean = simulator.render_scene(scenario)
     if snr_db is None:
         recording = clean

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import pingerloc
 from pingerloc import read_recording, scenario_to_dict
-from pingerloc import pipeline, scene, simulator, solver
+from pingerloc import pipeline, recording, scene, simulator, solver
 from pingerloc.cli import (EXIT_CONFIG, EXIT_NO_PING, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_PING_FAILED, main)
 from conftest import fast_scenario
@@ -97,18 +97,21 @@ def test_malformed_config_is_config_error(tmp_path, capsys, command, doc, field)
 
 @pytest.mark.parametrize("command", ["simulate", "localize", "montecarlo"])
 def test_carrier_failing_validation_is_config_error(scenario_path, tmp_path, capsys, command):
-    # At 100 kHz the 15 mm precise-quad spacing exceeds half a wavelength.
+    # At 100 kHz the 15 mm precise-quad spacing exceeds half a wavelength. An
+    # eval config cannot set a carrier at all: every trial renders the default.
     if command == "montecarlo":
         doc = {"ranges": [10.0], "snr_db": [None], "trials": 1, "carrier_freq": 100_000.0}
+        error = "config error: eval.carrier_freq: unknown field\n"
     else:
         doc = json.loads(scenario_path.read_text())
         doc["pinger"]["frequency"] = 100_000.0
+        error = "config error: array fails validation: "
     path = tmp_path / "carrier.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     args = [command, "--config", str(path)] + ([] if command == "localize" else ["--out", str(out)])
     assert main(args) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: array fails validation: ")
+    assert capsys.readouterr().err.startswith(error)
     assert not out.exists()
 
 
@@ -219,11 +222,34 @@ def test_render_out_of_memory_exits_1(scenario_path, tmp_path, capsys, monkeypat
         raise MemoryError(message)
 
     monkeypatch.setattr(simulator, "render_scene", out_of_memory)
-    args = ["--out", str(tmp_path / "rec.oogw")] if command == "simulate" else []
+    out = tmp_path / "rec.oogw"
+    args = ["--out", str(out)] if command == "simulate" else []
     assert main([command, "--config", str(scenario_path), *args]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: out of memory: {shown}\n"
+    # simulate checks --out by writing an empty recording; it must not stay.
+    assert not out.exists()
+
+
+def test_simulate_failed_write_leaves_no_recording(scenario_path, tmp_path, capsys,
+                                                    monkeypatch):
+    # The render succeeds and writing its samples fails.
+    real = recording.write_recording
+    calls = []
+
+    def second_write_fails(rec, path):
+        calls.append(rec.samples_per_channel)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        real(rec, path)
+
+    monkeypatch.setattr(recording, "write_recording", second_write_fails)
+    out = tmp_path / "rec.oogw"
+    assert main(["simulate", "--config", str(scenario_path), "--out", str(out)]) == EXIT_CONFIG
+    assert calls[0] == 0 and calls[1] > 0
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -358,13 +384,11 @@ def test_negative_seed_override_is_config_error(scenario_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-# A 60 kHz sample rate breaks Nyquist for the 40 kHz carrier: no trial could
-# render. At 71 m the ping arrives inside the 50 ms repetition interval, but
-# the burst does not end inside it.
+# At 71 m the ping arrives inside the 50 ms repetition interval, but the burst
+# does not end inside it.
 @pytest.mark.parametrize("extra", [{"ranges": [1.0]}, {"ranges": [80.0]}, {"ranges": [71.0]},
-                                   {"ranges": [-5.0]}, {"sample_rate": 60_000.0}],
-                         ids=["below-clearance", "arrives-late", "burst-ends-late", "negative",
-                              "below-nyquist"])
+                                   {"ranges": [-5.0]}],
+                         ids=["below-clearance", "arrives-late", "burst-ends-late", "negative"])
 def test_infeasible_montecarlo_grid_fails_at_load(tmp_path, extra):
     # Run in a child process so that a grid which hangs fails on the timeout
     # instead of stalling the suite.
