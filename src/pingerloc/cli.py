@@ -119,11 +119,17 @@ def _cmd_montecarlo(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if args.out:
-        # Fail on an unwritable path now, not after the whole grid has run.
+        # Fail on an unwritable path now, not after the whole grid has run,
+        # and leave no empty CSV behind when the grid or the write fails.
         open(args.out, "w").close()
-    summary, rows = pipeline.monte_carlo(config)
-    if args.out:
-        pipeline.write_monte_carlo_csv(args.out, summary, rows)
+    try:
+        summary, rows = pipeline.monte_carlo(config)
+        if args.out:
+            pipeline.write_monte_carlo_csv(args.out, summary, rows)
+    except BaseException:
+        if args.out:
+            os.remove(args.out)
+        raise
     doc = summary.to_json_dict()
     if args.json:
         print(json.dumps(doc))

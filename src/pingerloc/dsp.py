@@ -118,29 +118,31 @@ def _butter_bandpass(order: int, f_lo: float, f_hi: float, fs: float) -> np.ndar
     return sos
 
 
-def filter_signal(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
+def filter_signal(sos: np.ndarray, samples: np.ndarray, out: np.ndarray | None = None,
+                  gain: float = 1.0) -> np.ndarray:
     """Causal forward filtering with zero initial state along the last axis,
-    so an (8, n) recording filters row by row in one call. Returns a float64
-    array of the input's shape (empty for an empty last axis, which sosfilt
-    rejects). Rows that end in a nonzero sample (every noisy recording) take
-    one full-length sosfilt call. Rows whose last sample is 0 are filtered
-    together, each only until its tail is quiet, and hold zeros after that
-    (``_filter_to_silence``)."""
+    so an (8, n) recording filters row by row in one call, times ``gain``.
+    Returns a float64 array of the input's shape (empty for an empty last
+    axis, which sosfilt rejects). Unscaled rows that all end in a nonzero
+    sample (every noisy recording) take one full-length sosfilt call.
+    Otherwise each row is filtered only from its first to its last nonzero
+    sample and on until its tail is quiet, and holds zeros elsewhere
+    (``_filter_to_silence``).
+
+    With ``out`` (1-D or 2-D, zeros, a last axis at least as long as the
+    input's), the result is written there instead, each product rounded
+    once to out's dtype, and ``out`` is returned. The input counts as zero
+    past its end, so a short block of bursts filters into a long float32
+    recording without a float64 copy of it."""
     samples = np.asarray(samples)
-    n = samples.shape[-1]
-    if n == 0:
-        return np.zeros(samples.shape)
-    silent_end = samples[..., -1] == 0
-    if not silent_end.any():
-        return sps.sosfilt(sos, samples)
-    rows = samples.reshape(-1, n)
-    silent_end = silent_end.reshape(-1)
-    # Zeroed pages that a cut tail never writes take no memory.
-    out = np.zeros(rows.shape)
-    if not silent_end.all():
-        out[~silent_end] = sps.sosfilt(sos, rows[~silent_end])
-    _filter_to_silence(sos, rows, np.flatnonzero(silent_end), out)
-    return out.reshape(samples.shape)
+    if out is None:
+        if gain == 1.0 and samples.shape[-1] and (samples[..., -1] != 0).all():
+            return sps.sosfilt(sos, samples)
+        # Zeroed pages that a cut tail never writes take no memory.
+        out = np.zeros(samples.shape)
+    rows = samples.reshape(math.prod(samples.shape[:-1]), samples.shape[-1])
+    _filter_to_silence(sos, rows, out.reshape(len(rows), out.shape[-1]), gain)
+    return out
 
 
 # A zero-input tail is cut once every section state is below _QUIET_STATE.
@@ -162,24 +164,24 @@ _QUIET_STATE = 1e-200
 _TAIL_CHUNK = 2048
 
 
-def _filter_to_silence(sos: np.ndarray, rows: np.ndarray, keep: np.ndarray,
-                       out: np.ndarray) -> None:
-    """Filter ``rows[keep]`` into ``out[keep]``, which holds zeros,
-    byte-identical to a full-length filter up to each row's cut. One call
-    filters every row's span (first to last nonzero sample) right-aligned in
-    one buffer; the zero state stays exactly zero through the padding, as
-    through a row's own leading zeros. Then zero-input chunks, counted from
-    each row's own last nonzero sample, run over the rows whose state is not
-    yet quiet, so no row decays into subnormal floats."""
-    n = rows.shape[1]
-    # A bool mask, an eighth of a float64 copy of the rows.
-    nonzero = (rows != 0)[keep]
-    heard = nonzero.any(axis=1)
-    keep, nonzero = keep[heard], nonzero[heard]
+def _filter_to_silence(sos: np.ndarray, rows: np.ndarray, out: np.ndarray,
+                       gain: float) -> None:
+    """Write ``gain`` times the filtered ``rows`` into ``out``, which holds
+    zeros and may be longer (the input is zero past its end), byte-identical
+    to a full-length filter up to each row's cut. One call filters every
+    row's span (first to last nonzero sample) right-aligned in one buffer;
+    the zero state stays exactly zero through the padding, as through a
+    row's own leading zeros. Then zero-input chunks, counted from each row's
+    own last nonzero sample, run over the rows whose state is not yet quiet,
+    so no row decays into subnormal floats."""
+    n = out.shape[1]
+    nonzero = rows != 0
+    keep = np.flatnonzero(nonzero.any(axis=1))
     if not keep.size:
         return
+    nonzero = nonzero[keep]
     start = np.argmax(nonzero, axis=1)
-    stop = n - np.argmax(nonzero[:, ::-1], axis=1)
+    stop = rows.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
     head = int(np.max(stop - start))
     pad = head - (stop - start)
     spans = np.zeros((keep.size, head))
@@ -187,7 +189,7 @@ def _filter_to_silence(sos: np.ndarray, rows: np.ndarray, keep: np.ndarray,
         spans[j, pad[j]:] = rows[k, start[j]:stop[j]]
     spans, zi = sps.sosfilt(sos, spans, zi=np.zeros((len(sos), keep.size, 2)))
     for j, k in enumerate(keep):
-        out[k, start[j]:stop[j]] = spans[j, pad[j]:]
+        np.multiply(spans[j, pad[j]:], gain, out=out[k, start[j]:stop[j]], casting="same_kind")
 
     silence = np.zeros((keep.size, _TAIL_CHUNK))
     while True:
@@ -198,7 +200,8 @@ def _filter_to_silence(sos: np.ndarray, rows: np.ndarray, keep: np.ndarray,
         tail, zi = sps.sosfilt(sos, silence[:keep.size], zi=zi)
         for j, k in enumerate(keep):
             step = min(_TAIL_CHUNK, n - stop[j])
-            out[k, stop[j]:stop[j] + step] = tail[j, :step]
+            np.multiply(tail[j, :step], gain, out=out[k, stop[j]:stop[j] + step],
+                        casting="same_kind")
         stop = stop + _TAIL_CHUNK
 
 
@@ -214,8 +217,9 @@ def _moving_mean_square(samples: np.ndarray, window: int) -> np.ndarray:
     # samples the count ramps up, after them it is ``window``.
     ramp = min(window, n)
     np.divide(csum[1:ramp + 1], np.arange(1, ramp + 1), out=ms[:ramp])
+    # The squares are >= 0, so the cumulative sum never decreases (fl(a + b)
+    # >= a for b >= 0) and no window difference is negative.
     steady = np.subtract(csum[ramp + 1:], csum[1:n - ramp + 1], out=ms[ramp:])
-    np.maximum(steady, 0.0, out=steady)
     steady /= window
     return ms
 

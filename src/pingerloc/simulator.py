@@ -53,35 +53,35 @@ def render_scene(scenario: Scenario) -> MultiChannelRecording:
 
     The source is evaluated only on each burst's samples, from two samples
     before its arrival to two after its end (the margin covers rounding in
-    ``ping_waveform``'s modulo); every other pressure sample is exactly 0,
-    as the full-grid evaluation gives there. Each sample goes through the
-    same elementwise arithmetic either way, so the pressure is the same."""
+    ``ping_waveform``'s modulo), into one float64 block that spans every
+    channel's bursts; every other pressure sample is exactly 0, as the
+    full-grid evaluation gives there. Each sample goes through the same
+    elementwise arithmetic either way, so the pressure is the same. The block
+    is filtered straight into the float32 channels, which hold exactly +0.0
+    wherever no burst or filter tail reaches (the gain is positive, so that
+    is 0.0 * gain)."""
     fs = scenario.sample_rate
     n = int(round(scenario.record_duration * fs))
-    t = np.arange(n) / fs
     pinger = scenario.pinger
     source = pinger.position.as_array()
     fe = scenario.front_end
     sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
 
-    positions = [scenario.array.channel_position(ch) for ch in range(8)]
-    pressure = np.zeros((8, n))
-    for ch, pos in enumerate(positions):
-        r = float(np.linalg.norm(source - pos.as_array()))
+    bursts = []
+    for ch in range(8):
+        r = float(np.linalg.norm(source - scenario.array.channel_position(ch).as_array()))
         delay = r / scenario.sound_speed
         for start in np.arange(delay, n / fs, pinger.repetition_interval):
             i0 = max(math.floor(start * fs) - 2, 0)
             i1 = min(math.ceil((start + pinger.ping_duration) * fs) + 2, n)
-            pressure[ch, i0:i1] = ping_waveform(t[i0:i1] - delay, pinger) / r
-    # Each float64 (8, n) array is dropped before the next copy is made: a
-    # 2 s render holds 64 MB in each.
-    filtered = filter_signal(sos, pressure)
-    del pressure
-    # The product rounds straight into float32, as an in-place product and
-    # astype would, without writing the float64 zeros after each cut tail.
-    channels = np.multiply(filtered, fe.gain, out=np.empty(filtered.shape, np.float32),
-                           casting="same_kind")
-    del filtered
+            bursts.append((ch, i0, i1, delay, r))
+    lo = min((i0 for _, i0, _, _, _ in bursts), default=n)
+    hi = max((i1 for _, _, i1, _, _ in bursts), default=n)
+    block = np.zeros((8, hi - lo))
+    for ch, i0, i1, delay, r in bursts:
+        block[ch, i0 - lo:i1 - lo] = ping_waveform(np.arange(i0, i1) / fs - delay, pinger) / r
+    channels = np.zeros((8, n), np.float32)
+    filter_signal(sos, block, out=channels[:, lo:], gain=fe.gain)
 
     clean = MultiChannelRecording(sample_rate=fs, channels=channels)
     return add_noise(clean, scenario.noise, scenario.seed)

@@ -359,6 +359,19 @@ def test_montecarlo_float32_overflowing_noise_exits_1(tmp_path, capsys):
                             "recording contains non-finite samples\n")
 
 
+def test_montecarlo_failed_grid_leaves_no_csv(tmp_path, capsys):
+    # montecarlo checks --out by creating it before the grid runs; a grid
+    # that fails must not leave that empty CSV behind.
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"ranges": [5.0], "snr_db": [-800.0], "trials": 1}))
+    out = tmp_path / "neg.csv"
+    assert main(["montecarlo", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_montecarlo_determinism(tmp_path):
     cfg = tmp_path / "eval.json"
     cfg.write_text(json.dumps({"ranges": [8.0], "snr_db": [15.0], "trials": 2, "seed": 9}))

@@ -251,11 +251,36 @@ class TestTailCut:
         noisy[:, -1] = 0.5
         assert filter_signal(cascade, noisy).tobytes() == sps.sosfilt(cascade, noisy).tobytes()
         assert filter_signal(cascade, noisy[0]).tobytes() == sps.sosfilt(cascade, noisy[0]).tobytes()
+        scaled = filter_signal(cascade, noisy, gain=self.GAIN)
+        assert scaled.tobytes() == (self.GAIN * sps.sosfilt(cascade, noisy)).tobytes()
         # A noisy row next to silent ones keeps its full-length filter.
         mixed = np.vstack([noisy[:1], self.bursts([5_000], n=20_000)])
         y = filter_signal(cascade, mixed)
         assert y[0].tobytes() == sps.sosfilt(cascade, noisy[0]).tobytes()
         self.check_row(cascade, mixed[1], y[1])
+
+    def test_out_longer_than_input(self, cascade):
+        # The input counts as zero past its end: a short block filtered into
+        # a longer ``out`` equals the zero-padded block filtered, times the
+        # gain, and a float32 ``out`` gets that float64 product rounded once.
+        # One row ends in a nonzero sample at the block's end, so its tail
+        # runs on into ``out``.
+        x = self.bursts([2_000, 2_150, 2_600, None], n=2_600)
+        padded = np.pad(x, ((0, 0), (0, 57_400)))
+        unit = filter_signal(cascade, padded)
+        for k in range(len(x)):
+            self.check_row(cascade, padded[k], unit[k])
+        expected = filter_signal(cascade, padded, gain=self.GAIN)
+        assert expected.tobytes() == (self.GAIN * unit).tobytes()
+        out = np.zeros(padded.shape)
+        assert filter_signal(cascade, x, out=out, gain=self.GAIN) is out
+        assert out.tobytes() == expected.tobytes()
+        out32 = np.zeros(padded.shape, np.float32)
+        filter_signal(cascade, x, out=out32, gain=self.GAIN)
+        assert out32.tobytes() == expected.astype(np.float32).tobytes()
+        row = np.zeros(padded.shape[1], np.float32)
+        filter_signal(cascade, x[2], out=row, gain=self.GAIN)
+        assert row.tobytes() == out32[2].tobytes()
 
 
 def crossings(samples, fs):
@@ -346,6 +371,27 @@ class TestMovingRms:
         x = filter_signal(cascade, np.random.default_rng(n).normal(size=n))
         assert np.array_equal(np.sqrt(_moving_mean_square(x, self.W)),
                               index_array_moving_rms(x, self.W))
+
+    @given(segments=st.lists(st.tuples(st.booleans(), st.integers(1, 400),
+                                       st.integers(-160, 100)), min_size=1, max_size=8),
+           window=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_never_negative(self, segments, window, seed):
+        # The squares are >= 0 and fl(a + b) >= a for b >= 0, so the
+        # cumulative sum never decreases and no window difference needs a
+        # clamp at 0. Rows mix exact-zero stretches with noise from 1e-160
+        # (squares in the subnormals or 0) to 1e100.
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([np.zeros(length) if silent else rng.normal(size=length) * 10.0**e
+                            for silent, length, e in segments])
+        ms = _moving_mean_square(x, window)
+        n, ramp = len(x), min(window, len(x))
+        csum = np.concatenate(([0.0], np.cumsum(np.square(x))))
+        clamped = np.concatenate((
+            csum[1:ramp + 1] / np.arange(1, ramp + 1),
+            np.maximum(csum[ramp + 1:] - csum[1:n - ramp + 1], 0.0) / window))
+        assert np.all(ms >= 0.0) and not np.signbit(ms).any()
+        assert ms.tobytes() == clamped.tobytes()
 
 
 def reference_detect_ping(samples, fs):
@@ -893,3 +939,4 @@ class TestVecdotKernel:
                 batched = np.vecdot(x, y)
                 assert batched.tolist() == [x[r].dot(y[r]) for r in range(rows)]
                 assert np.vecdot(x[:, None], y[:, None])[:, 0].tolist() == batched.tolist()
+

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from datetime import timedelta
 from pathlib import Path
 
@@ -21,12 +22,13 @@ from pingerloc import (
     default_array,
     design_bandpass,
     estimate_delay,
+    filter_signal,
     load_scenario,
     monte_carlo,
     ping_waveform,
     render_scene,
 )
-from pingerloc import simulator
+from pingerloc import pipeline, simulator
 from conftest import FS, SOUND_SPEED, fast_scenario, travel_time
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -253,6 +255,115 @@ class TestRenderTailCut:
         except ConfigError:
             assume(False)
         assert_renders_full_filter(scenario)
+
+
+def full_length_render(scenario):
+    """The render with every channel's pressure in one (8, n) float64 array:
+    each burst evaluated over its span, ``filter_signal`` over the whole
+    array, then the gain product rounded into float32, then the noise. The
+    reference ``render_scene`` must equal byte for byte."""
+    fs = scenario.sample_rate
+    n = int(round(scenario.record_duration * fs))
+    t = np.arange(n) / fs
+    pinger = scenario.pinger
+    fe = scenario.front_end
+    sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
+    source = pinger.position.as_array()
+    pressure = np.zeros((8, n))
+    for ch in range(8):
+        r = float(np.linalg.norm(source - scenario.array.channel_position(ch).as_array()))
+        delay = r / scenario.sound_speed
+        for start in np.arange(delay, n / fs, pinger.repetition_interval):
+            i0 = max(math.floor(start * fs) - 2, 0)
+            i1 = min(math.ceil((start + pinger.ping_duration) * fs) + 2, n)
+            pressure[ch, i0:i1] = ping_waveform(t[i0:i1] - delay, pinger) / r
+    filtered = filter_signal(sos, pressure)
+    channels = np.multiply(filtered, fe.gain, out=np.empty(filtered.shape, np.float32),
+                           casting="same_kind")
+    clean = MultiChannelRecording(sample_rate=fs, channels=channels)
+    return add_noise(clean, scenario.noise, scenario.seed).channels
+
+
+def assert_renders_full_length(scenario):
+    """``render_scene`` equals ``full_length_render``, signbits included.
+    Returns the render's channels."""
+    ours = render_scene(scenario).channels
+    assert ours.tobytes() == full_length_render(scenario).tobytes()
+    return ours
+
+
+class TestRenderOracle:
+    """``render_scene`` filters a block of bursts straight into the float32
+    channels; the full-length render is its reference."""
+
+    @given(direction=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3),
+           distance=st.floats(min_value=0.5, max_value=60.0))
+    @settings(max_examples=25, deadline=timedelta(seconds=5))
+    def test_random_trial_scene(self, direction, distance):
+        v = np.array(direction)
+        assume(np.linalg.norm(v) > 1e-3)
+        x, y, z = v / np.linalg.norm(v) * distance
+        try:
+            scenario = pipeline._trial_scenario(Vec3(x, y, z))
+        except ConfigError:
+            assume(False)
+        assert_renders_full_length(scenario)
+
+    @given(x=st.floats(min_value=-30.0, max_value=30.0),
+           y=st.floats(min_value=-30.0, max_value=30.0),
+           z=st.floats(min_value=-30.0, max_value=30.0),
+           record_duration=st.floats(min_value=0.01, max_value=0.1),
+           repetition=st.floats(min_value=0.05, max_value=1.0),
+           duty=st.floats(min_value=0.01, max_value=0.99),
+           white_sigma=st.sampled_from([0.0, 0.05]))
+    @settings(max_examples=25, deadline=timedelta(seconds=5))
+    def test_multi_repetition_scene(self, x, y, z, record_duration, repetition, duty,
+                                    white_sigma):
+        # One to twenty bursts per channel, any of them cut short by the end
+        # of the recording, with or without noise.
+        interval = repetition * record_duration
+        try:
+            scenario = fast_scenario(Vec3(x, y, z), record_duration=record_duration,
+                                     repetition_interval=interval,
+                                     ping_duration=duty * interval,
+                                     noise=NoiseSpec(white_sigma=white_sigma, interferer_amp=0.0,
+                                                     lowfreq_amp=0.0))
+        except ConfigError:
+            assume(False)
+        assert_renders_full_length(scenario)
+
+    def test_burst_cut_by_end_of_recording(self):
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        scenario = dataclasses.replace(quick, noise=NoiseSpec.silent(), record_duration=0.11)
+        channels = assert_renders_full_length(scenario)
+        assert channels[0, -1] != 0.0
+
+    def test_silent_row(self):
+        # The recording ends within one sample after the farthest channel's
+        # arrival: that channel's burst span holds only zeros, so its row
+        # stays silent while the nearer channels hear the ping.
+        position = Vec3(6.0, 2.0, 1.0)
+        array = default_array()
+        delays = [travel_time(position, array.channel_position(ch), SOUND_SPEED)
+                  for ch in range(8)]
+        far = int(np.argmax(delays))
+        n = math.floor(delays[far] * FS) + 1
+        assert (n - 1) / FS < delays[far] < n / FS
+        scenario = fast_scenario(position, record_duration=n / FS)
+        channels = assert_renders_full_length(scenario)
+        assert not channels[far].any()
+        assert channels[int(np.argmin(delays))].any()
+
+    def test_tail_reaches_end_before_quiet(self):
+        # Every burst ends 100 samples before the recording does, so no
+        # tail is quiet at the last sample.
+        position = Vec3(6.0, 2.0, 1.0)
+        array = default_array()
+        last = max(travel_time(position, array.channel_position(ch), SOUND_SPEED)
+                   for ch in range(8))
+        scenario = fast_scenario(position, record_duration=last + 4e-3 + 100 / FS)
+        channels = assert_renders_full_length(scenario)
+        assert np.all(channels[:, -1] != 0.0)
 
 
 class TestAddNoise:
