@@ -179,10 +179,37 @@ def full_filter_render(scenario):
     return out
 
 
+def full_length_render(scenario):
+    """The render with every channel's pressure in one (8, n) float64 array:
+    each burst evaluated over its span, ``filter_signal`` over the whole
+    array, then the gain product rounded into float32: the noiseless
+    reference ``render_scene`` must equal byte for byte."""
+    fs = scenario.sample_rate
+    n = int(round(scenario.record_duration * fs))
+    t = np.arange(n) / fs
+    pinger = scenario.pinger
+    fe = scenario.front_end
+    sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
+    source = pinger.position.as_array()
+    pressure = np.zeros((8, n))
+    for ch in range(8):
+        r = float(np.linalg.norm(source - scenario.array.channel_position(ch).as_array()))
+        delay = r / scenario.sound_speed
+        for start in np.arange(delay, n / fs, pinger.repetition_interval):
+            i0 = max(math.floor(start * fs) - 2, 0)
+            i1 = min(math.ceil((start + pinger.ping_duration) * fs) + 2, n)
+            pressure[ch, i0:i1] = ping_waveform(t[i0:i1] - delay, pinger) / r
+    filtered = filter_signal(sos, pressure)
+    return np.multiply(filtered, fe.gain, out=np.empty(filtered.shape, np.float32),
+                       casting="same_kind")
+
+
 def assert_renders_full_filter(scenario):
-    """The noiseless render equals ``full_filter_render``; only the sign of
-    some zeros may differ. Returns the render's channels."""
+    """The noiseless render equals ``full_length_render`` byte for byte and
+    ``full_filter_render`` up to the sign of some zeros. Returns the
+    render's channels."""
     ours = render_scene(scenario).channels
+    assert ours.tobytes() == full_length_render(scenario).tobytes()
     reference = full_filter_render(scenario)
     assert np.array_equal(ours, reference)
     differs = ours.view(np.uint32) != reference.view(np.uint32)
@@ -256,46 +283,6 @@ class TestRenderTailCut:
             assume(False)
         assert_renders_full_filter(scenario)
 
-
-def full_length_render(scenario):
-    """The render with every channel's pressure in one (8, n) float64 array:
-    each burst evaluated over its span, ``filter_signal`` over the whole
-    array, then the gain product rounded into float32, then the noise. The
-    reference ``render_scene`` must equal byte for byte."""
-    fs = scenario.sample_rate
-    n = int(round(scenario.record_duration * fs))
-    t = np.arange(n) / fs
-    pinger = scenario.pinger
-    fe = scenario.front_end
-    sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
-    source = pinger.position.as_array()
-    pressure = np.zeros((8, n))
-    for ch in range(8):
-        r = float(np.linalg.norm(source - scenario.array.channel_position(ch).as_array()))
-        delay = r / scenario.sound_speed
-        for start in np.arange(delay, n / fs, pinger.repetition_interval):
-            i0 = max(math.floor(start * fs) - 2, 0)
-            i1 = min(math.ceil((start + pinger.ping_duration) * fs) + 2, n)
-            pressure[ch, i0:i1] = ping_waveform(t[i0:i1] - delay, pinger) / r
-    filtered = filter_signal(sos, pressure)
-    channels = np.multiply(filtered, fe.gain, out=np.empty(filtered.shape, np.float32),
-                           casting="same_kind")
-    clean = MultiChannelRecording(sample_rate=fs, channels=channels)
-    return add_noise(clean, scenario.noise, scenario.seed).channels
-
-
-def assert_renders_full_length(scenario):
-    """``render_scene`` equals ``full_length_render``, signbits included.
-    Returns the render's channels."""
-    ours = render_scene(scenario).channels
-    assert ours.tobytes() == full_length_render(scenario).tobytes()
-    return ours
-
-
-class TestRenderOracle:
-    """``render_scene`` filters a block of bursts straight into the float32
-    channels; the full-length render is its reference."""
-
     @given(direction=st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3),
            distance=st.floats(min_value=0.5, max_value=60.0))
     @settings(max_examples=25, deadline=timedelta(seconds=5))
@@ -307,36 +294,7 @@ class TestRenderOracle:
             scenario = pipeline._trial_scenario(Vec3(x, y, z))
         except ConfigError:
             assume(False)
-        assert_renders_full_length(scenario)
-
-    @given(x=st.floats(min_value=-30.0, max_value=30.0),
-           y=st.floats(min_value=-30.0, max_value=30.0),
-           z=st.floats(min_value=-30.0, max_value=30.0),
-           record_duration=st.floats(min_value=0.01, max_value=0.1),
-           repetition=st.floats(min_value=0.05, max_value=1.0),
-           duty=st.floats(min_value=0.01, max_value=0.99),
-           white_sigma=st.sampled_from([0.0, 0.05]))
-    @settings(max_examples=25, deadline=timedelta(seconds=5))
-    def test_multi_repetition_scene(self, x, y, z, record_duration, repetition, duty,
-                                    white_sigma):
-        # One to twenty bursts per channel, any of them cut short by the end
-        # of the recording, with or without noise.
-        interval = repetition * record_duration
-        try:
-            scenario = fast_scenario(Vec3(x, y, z), record_duration=record_duration,
-                                     repetition_interval=interval,
-                                     ping_duration=duty * interval,
-                                     noise=NoiseSpec(white_sigma=white_sigma, interferer_amp=0.0,
-                                                     lowfreq_amp=0.0))
-        except ConfigError:
-            assume(False)
-        assert_renders_full_length(scenario)
-
-    def test_burst_cut_by_end_of_recording(self):
-        quick = load_scenario(CONFIGS / "scenario_quick.json")
-        scenario = dataclasses.replace(quick, noise=NoiseSpec.silent(), record_duration=0.11)
-        channels = assert_renders_full_length(scenario)
-        assert channels[0, -1] != 0.0
+        assert_renders_full_filter(scenario)
 
     def test_silent_row(self):
         # The recording ends within one sample after the farthest channel's
@@ -350,7 +308,7 @@ class TestRenderOracle:
         n = math.floor(delays[far] * FS) + 1
         assert (n - 1) / FS < delays[far] < n / FS
         scenario = fast_scenario(position, record_duration=n / FS)
-        channels = assert_renders_full_length(scenario)
+        channels = assert_renders_full_filter(scenario)
         assert not channels[far].any()
         assert channels[int(np.argmin(delays))].any()
 
@@ -362,7 +320,7 @@ class TestRenderOracle:
         last = max(travel_time(position, array.channel_position(ch), SOUND_SPEED)
                    for ch in range(8))
         scenario = fast_scenario(position, record_duration=last + 4e-3 + 100 / FS)
-        channels = assert_renders_full_length(scenario)
+        channels = assert_renders_full_filter(scenario)
         assert np.all(channels[:, -1] != 0.0)
 
 
