@@ -9,7 +9,9 @@ which is what the delay estimates feed on.
 Onsets are thresholded against one noise floor, the reference (first
 precise) channel's: the reference scan sets the cutoff and every coarse
 channel is scanned against it. A hydrophone much noisier than the reference
-therefore crosses early.
+therefore crosses early. The coarse channels are filtered and scanned only
+in burst windows around the reference channel's crossings, so a coarse
+crossing far from every reference burst is not seen.
 
 Channel labels are read only in the front end: a ``TdoaSet`` is in quad
 order, its six precise-quad pairs in ``PAIRS`` order.
@@ -17,6 +19,7 @@ order, its six precise-quad pairs in ``PAIRS`` order.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import time
@@ -42,6 +45,7 @@ __all__ = [
     "filter_and_scan",
     "estimate_delay",
     "select_stable_window",
+    "tdoa_from_filtered",
 ]
 
 # Onset detection: a sample is in a ping where the trailing moving RMS over
@@ -275,11 +279,15 @@ def detect_ping(samples: np.ndarray, fs: float,
     a row's prefix are the whole row's, cut at its length."""
     if np.size(samples) == 0:
         return np.empty(0, dtype=np.intp), math.nan if cutoff is None else cutoff
-    w = max(1, int(round(RMS_WINDOW * fs)))
-    ms = _moving_mean_square(samples, w)
+    ms = _moving_mean_square(samples, _rms_window(fs))
     if cutoff is None:
         cutoff = _square_cutoff(ONSET_THRESHOLD * _median_root(ms))
     return np.flatnonzero(ms > cutoff), cutoff
+
+
+def _rms_window(fs: float) -> int:
+    """RMS_WINDOW in samples at ``fs``."""
+    return max(1, int(round(RMS_WINDOW * fs)))
 
 
 def first_onset(onsets: np.ndarray, start: int) -> int:
@@ -352,30 +360,65 @@ def _window_lengths(fs: float) -> tuple[int, int]:
     return win_len, win_len // NUM_SUBWINDOWS
 
 
+# A coarse burst window's filter starts from a state other than the
+# full-length filter's; it is kept once that start transient has decayed
+# below _SETTLE_DECAY of its size, four decades under float64 rounding.
+_SETTLE_DECAY = 1e-20
+
+
+def _settle_samples(sos: np.ndarray) -> float:
+    """Samples over which a start transient of ``sos`` decays below
+    _SETTLE_DECAY of its size: log(_SETTLE_DECAY) / log(r), rounded up, for
+    the slowest pole's radius r; inf for a pole that rounds onto the unit
+    circle (a band a few ulps wide), which never settles. The front end's
+    bandpass (order 4, 30-50 kHz at 500 kHz) settles in 624 samples."""
+    # Each section's poles are the roots of z^2 + a1 z + a2.
+    radius = max(abs(-a1 + sign * cmath.sqrt(a1 * a1 - 4.0 * a2)) / 2.0
+                 for a1, a2 in sos[:, 4:].tolist() for sign in (1.0, -1.0))
+    return math.ceil(math.log(_SETTLE_DECAY) / math.log(radius)) if radius < 1.0 else math.inf
+
+
 def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: HydrophoneArray,
                     sound_speed: float, timing: dict | None = None
                     ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """The localizer's front end. Filters and scans the reference (first
     precise) channel over the whole recording; its scan sets the mean-square
-    cutoff. Then it filters the other seven channels in one
-    ``filter_signal`` call over ``[0, end)`` and scans the coarse ones
-    against that cutoff. ``end`` covers, after the reference channel's last
-    crossing, both the end of the last candidate window and the widest
-    coarse-to-reference distance over ``sound_speed`` (m/s), the most by
-    which a coarse channel can hear a ping after the reference.
+    cutoff. Then it filters the other three precise channels in one
+    ``filter_signal`` call over ``[0, end)``. ``end`` covers, after the
+    reference channel's last crossing, both the end of the last candidate
+    window and the widest coarse-to-reference distance over ``sound_speed``
+    (m/s), the most by which a coarse channel can hear a ping after the
+    reference.
 
-    Returns (rows, onsets): channel -> filtered row and channel -> onset
-    indices (reference and coarse channels). Every row is byte-equal to the
-    same span of ``filter_signal`` over the whole recording, so a coarse
-    channel's onsets are the whole row's crossings of the reference cutoff
-    below ``end``; the reference row is full length. If ``timing`` is a dict
-    it gets the milliseconds spent filtering ("filter", both calls) and
-    scanning ("onset")."""
+    The coarse channels are filtered and scanned against that cutoff only in
+    burst windows. A run [first, last] of reference crossings gives the
+    window [first - before, last + reach), clipped to the recording, where
+    ``reach`` is the bound's margin past a crossing and ``before`` the same
+    distance term plus RMS_WINDOW: a coarse hydrophone nearer the pinger
+    hears it first. Each window is filtered from a prefix of
+    ``_settle_samples(sos)`` plus RMS_WINDOW samples earlier (or from sample
+    0), so that its start transient has decayed and every kept mean square
+    has a full window of its own. The crossings split into runs wherever
+    two are further apart than before + reach + prefix.
+    All windows of a channel lie end to end in one row; one more
+    ``filter_signal`` call filters the four rows and one ``detect_ping`` per
+    row scans them. A crossing in a window's prefix is dropped.
+
+    Returns (rows, onsets): precise channel -> filtered row and channel ->
+    onset indices (reference and coarse channels). Every row is byte-equal
+    to the same span of ``filter_signal`` over the whole recording; the
+    reference row is full length. A coarse channel's onsets are the
+    full-length row's crossings inside its burst windows: a window's filter
+    matches the full-length one to within rounding, so a crossing moves only
+    where a mean square lies within rounding of the cutoff. If ``timing`` is
+    a dict it gets the milliseconds spent filtering ("filter", all three
+    calls) and scanning ("onset")."""
     channels = recording.channels
     fs = recording.sample_rate
     n = channels.shape[1]
     ref = array.precise_channels[0]
-    rest = [*array.precise_channels[1:], *array.coarse_channels]
+    others = list(array.precise_channels[1:])
+    coarse = list(array.coarse_channels)
 
     t_start = time.perf_counter()
     rows = {ref: filter_signal(sos, channels[ref])}
@@ -383,24 +426,48 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     crossings, cutoff = detect_ping(rows[ref], fs)
     t_rest = time.perf_counter()
 
-    end = 0
-    if crossings.size:
-        win_len, sub_len = _window_lengths(fs)
-        lead = np.linalg.norm(array.coarse_positions_array() - array.precise[0].as_array(),
-                              axis=1).max()
-        reach = max((NUM_WINDOWS - 1) * sub_len + win_len,
-                    math.ceil(lead / sound_speed * fs) + 1)
-        end = min(n, int(crossings[-1]) + reach)
+    win_len, sub_len = _window_lengths(fs)
+    lead = np.linalg.norm(array.coarse_positions_array() - array.precise[0].as_array(),
+                          axis=1).max()
+    lag = math.ceil(lead / sound_speed * fs) + 1
+    reach = max((NUM_WINDOWS - 1) * sub_len + win_len, lag)
+    end = min(n, int(crossings[-1]) + reach) if crossings.size else 0
     # filter_signal stops a row that ends in 0 once its tail is quiet; a
     # channel that resumes after the bound runs on in the full-length filter,
     # so such rows are filtered to the end.
     if 0 < end < n and any(channels[ch, end - 1] == 0 and channels[ch, end:].any()
-                           for ch in rest):
+                           for ch in others):
         end = n
-    rows.update(zip(rest, filter_signal(sos, channels[rest, :end])))
+    rows.update(zip(others, filter_signal(sos, channels[others, :end])))
+
+    # Burst windows [first, stop), each filtered from start. A run ends
+    # where the next window's prefix would start past this window's stop, so
+    # only the first window can start at sample 0, where the zero state and
+    # the mean square's ramp are the full-length filter's own. Window j's
+    # kept samples lie in the gathered columns [kept[2j], kept[2j + 1]), and
+    # a column plus shift[j] is its sample.
+    w = _rms_window(fs)
+    before = lag + w
+    prefix = min(n, _settle_samples(sos) + w)
+    spans, kept, shift, column = [], [], [], 0
+    if crossings.size:
+        cuts = np.flatnonzero(np.diff(crossings) > before + reach + prefix)
+        for head, tail in zip(crossings[np.append(0, cuts + 1)].tolist(),
+                              crossings[np.append(cuts, -1)].tolist()):
+            first = max(0, head - before)
+            start, stop = max(0, first - prefix), min(n, tail + reach)
+            spans.append(channels[coarse, start:stop])
+            kept += [column + first - start, column + stop - start]
+            shift.append(start - column)
+            column += stop - start
+    gathered = filter_signal(sos, np.concatenate(spans or [channels[coarse, :0]], axis=1))
     t_coarse = time.perf_counter()
     onsets = {ref: crossings}
-    onsets.update((ch, detect_ping(rows[ch], fs, cutoff)[0]) for ch in array.coarse_channels)
+    for ch, row in zip(coarse, gathered):
+        found = detect_ping(row, fs, cutoff)[0]
+        bounds = np.searchsorted(found, kept).tolist()
+        onsets[ch] = np.concatenate([found[lo:hi] + d for lo, hi, d in
+                                     zip(bounds[::2], bounds[1::2], shift)] or [found])
     t_end = time.perf_counter()
 
     if timing is not None:

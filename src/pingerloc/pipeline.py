@@ -164,10 +164,12 @@ def run_localization(scenario: Scenario,
                      recording: MultiChannelRecording | None = None) -> Iterator[AzimuthReport]:
     """Yield one AzimuthReport per detected ping repetition, in time order.
 
-    With ``recording`` None the scenario is rendered first; otherwise the
-    scenario only supplies geometry, sound speed, and filter band. A ping
-    that fails raises its error, except that a missing ping after the first
-    ends the stream. Deterministic given the scenario seed.
+    With ``recording`` None the scenario is rendered first. Otherwise the
+    scenario supplies geometry, sound speed and filter band, and its
+    pinger's repetition interval and ping duration set how far past each
+    ping's onset the search for the next one resumes. A ping that fails
+    raises its error, except that a missing ping after the first ends the
+    stream. Deterministic given the scenario seed.
     """
     t_start = time.perf_counter()
     if recording is None:

@@ -283,6 +283,33 @@ class TestTailCut:
         assert row.tobytes() == out32[2].tobytes()
 
 
+class TestSettleSamples:
+    """A coarse burst window is kept once the filter's start transient, the
+    zero-input response to a state other than the full-length filter's, has
+    decayed below _SETTLE_DECAY 1e-20 of its size."""
+
+    @pytest.mark.parametrize("design", [(4, 30e3, 50e3, FS), (4, 36e3, 44e3, FS),
+                                        (8, 30e3, 50e3, FS), (4, 30e3, 50e3, 250e3)],
+                             ids=["front-end", "narrow-band", "order-8", "250-kHz"])
+    def test_transient_decays_by_then(self, design):
+        sos = design_bandpass(*design)
+        settle = dsp._settle_samples(sos)
+        noise = np.random.default_rng(3).normal(size=5_000)
+        _, state = sps.sosfilt(sos, noise, zi=np.zeros((len(sos), 2)))
+        transient = sps.sosfilt(sos, np.zeros(settle + 2_000), zi=state)[0]
+        peak = np.abs(transient).max()
+        assert np.abs(transient[settle:]).max() < 2 * dsp._SETTLE_DECAY * peak
+        # Not much later than needed either.
+        assert np.abs(transient[settle * 9 // 10:]).max() > dsp._SETTLE_DECAY * peak
+
+    def test_front_end_band(self, cascade):
+        assert 600 <= dsp._settle_samples(cascade) <= 1_000
+
+    def test_pole_on_the_circle_never_settles(self):
+        ringing = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 1.0]])
+        assert dsp._settle_samples(ringing) == math.inf
+
+
 def crossings(samples, fs):
     """``detect_ping``'s crossings against the channel's own cutoff."""
     return detect_ping(samples, fs)[0]

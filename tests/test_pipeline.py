@@ -99,8 +99,8 @@ class TestRunLocalization:
 
     def test_onsets_detected_once_per_recording(self, monkeypatch):
         # 16 repetitions of the quick scenario: one full-length scan of the
-        # reference channel and one scan of each coarse channel, up to the
-        # end of the last ping's search, serve every ping.
+        # reference channel and one scan of each coarse channel, over its 16
+        # burst windows and their prefixes laid end to end, serve every ping.
         quick = load_scenario(CONFIGS / "scenario_quick.json")
         interval = quick.pinger.repetition_interval
         scenario = dataclasses.replace(quick, record_duration=16 * interval)
@@ -117,9 +117,12 @@ class TestRunLocalization:
         assert [r.ping_index for r in reports] == list(range(16))
         n = int(round(16 * interval * scenario.sample_rate))
         (ref_size, (crossings, cutoff)), *coarse = calls
-        end = int(crossings[-1]) + int(round(dsp.SEARCH_SPAN * FS))
-        assert ref_size == n and end < n
-        assert [size for size, _ in coarse] == [end] * 4
+        windows = burst_windows(scenario, FS, crossings)
+        prefix = coarse_margins(scenario, FS)[2]
+        assert ref_size == n and len(windows) == 16 and 0 < windows[0][0] - prefix
+        assert windows[-1][1] < n
+        width = sum(b - a + prefix for a, b in windows)
+        assert [size for size, _ in coarse] == [width] * 4 and width < n / 3
         assert all(coarse_cutoff == cutoff for _, (_, coarse_cutoff) in coarse)
 
     def test_deterministic_given_seed(self, std_scenario):
@@ -215,21 +218,62 @@ def full_length_onsets(scenario, recording):
     """(onsets, full filter): the reference channel's crossings and every
     coarse channel's crossings of the reference cutoff, all scanned over the
     full-length filter."""
+    fs = recording.sample_rate
     fe = scenario.front_end
-    sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, FS)
+    sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
     full = filter_signal(sos, recording.channels)
     ref = scenario.array.precise_channels[0]
-    crossings, cutoff = dsp.detect_ping(full[ref], FS)
+    crossings, cutoff = dsp.detect_ping(full[ref], fs)
     onsets = {ref: crossings}
     for ch in scenario.array.coarse_channels:
-        onsets[ch], _ = dsp.detect_ping(full[ch], FS, cutoff)
+        onsets[ch], _ = dsp.detect_ping(full[ch], fs, cutoff)
     return onsets, full
 
 
+def coarse_margins(scenario, fs):
+    """(before, reach, prefix) in samples: how far a burst window reaches
+    before and after a reference crossing, and how much earlier its filter
+    starts, as ``filter_and_scan`` derives them."""
+    array = scenario.array
+    ref_pos = array.precise[0].as_array()
+    lead = max(np.linalg.norm(p.as_array() - ref_pos) for p in array.coarse)
+    lag = math.ceil(lead / scenario.sound_speed * fs) + 1
+    w = int(round(dsp.RMS_WINDOW * fs))
+    fe = scenario.front_end
+    sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
+    return lag + w, max(int(round(dsp.SEARCH_SPAN * fs)), lag), dsp._settle_samples(sos) + w
+
+
+def burst_windows(scenario, fs, crossings):
+    """The front end's coarse burst windows [a, b), unclipped: a run of
+    reference crossings [first, last] covers [first - before, last + reach),
+    and a run ends where the next crossing's window and prefix would start
+    past that window."""
+    before, reach, prefix = coarse_margins(scenario, fs)
+    windows = []
+    for c in crossings.tolist():
+        if windows and c - last <= before + reach + prefix:
+            windows[-1][1] = c + reach
+        else:
+            windows.append([c - before, c + reach])
+        last = c
+    return windows
+
+
+def inside(samples, windows):
+    """The samples that lie in one of ``windows``."""
+    keep = np.zeros(len(samples), dtype=bool)
+    for a, b in windows:
+        keep |= (samples >= a) & (samples < b)
+    return samples[keep]
+
+
 class TestFilterAndScan:
-    """The front end filters the seven channels other than the reference
-    only as far as the window search and the coarse onsets read them; every
-    row it returns must be the full-length filter's, byte for byte."""
+    """The front end filters the three precise channels other than the
+    reference only as far as the window search reads them, and the coarse
+    channels only in burst windows around the reference crossings. Every row
+    it returns must be the full-length filter's, byte for byte, and every
+    coarse onset a full-length crossing inside a burst window."""
 
     def check_rows(self, scenario, recording):
         """Compare the front end's rows and onsets with the full filter's;
@@ -237,16 +281,17 @@ class TestFilterAndScan:
         timing = {}
         rows, onsets = _filter_and_scan(recording, scenario, timing)
         expected, full = full_length_onsets(scenario, recording)
-        ref = scenario.array.precise_channels[0]
-        assert sorted(rows) == list(range(8)) and set(timing) == {"filter", "onset"}
+        array = scenario.array
+        ref = array.precise_channels[0]
+        assert list(rows) == list(array.precise_channels) and set(timing) == {"filter", "onset"}
         for ch, row in rows.items():
             assert row.tobytes() == full[ch, :len(row)].tobytes(), ch
         assert len(rows[ref]) == recording.samples_per_channel
-        # The mean square is trailing, so a coarse row's prefix crosses where
-        # the full-length row does, up to the prefix's end.
         assert onsets.keys() == expected.keys()
-        for ch, crossings in onsets.items():
-            assert np.array_equal(crossings, expected[ch][expected[ch] < len(rows[ch])]), ch
+        assert np.array_equal(onsets[ref], expected[ref])
+        windows = burst_windows(scenario, recording.sample_rate, expected[ref])
+        for ch in array.coarse_channels:
+            assert np.array_equal(onsets[ch], inside(expected[ch], windows)), ch
         return rows, onsets, full
 
     def check_searches(self, scenario, recording):
@@ -260,7 +305,7 @@ class TestFilterAndScan:
             search = []
             for filtered in (rows, full):
                 diagnostics = {}
-                tdoa = dsp.tdoa_from_filtered(filtered, FS, scenario.array,
+                tdoa = dsp.tdoa_from_filtered(filtered, recording.sample_rate, scenario.array,
                                               scenario.sound_speed, onsets, onset, diagnostics)
                 search.append((tdoa, diagnostics))
             assert search[0] == search[1]
@@ -272,6 +317,76 @@ class TestFilterAndScan:
         scenario = dataclasses.replace(quick, record_duration=16 * quick.pinger.repetition_interval)
         rows, pings = self.check_searches(scenario, render_scene(scenario))
         assert pings == 16
+
+    @pytest.mark.parametrize("change", [
+        {"front_end": {"analog_band_low": 36_000.0, "analog_band_high": 44_000.0}},
+        {"sample_rate": 400_000.0},
+    ], ids=["narrow-band", "400-kHz"])
+    def test_settle_follows_the_filter(self, change, monkeypatch):
+        # A narrower band settles more slowly, a lower sample rate in fewer
+        # samples: the burst windows' prefixes follow the filter. Past its
+        # prefix, each window of the coarse rows the front end scans matches
+        # the full-length filter to within rounding.
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        front_end = dataclasses.replace(quick.front_end, **change.get("front_end", {}))
+        fs = change.get("sample_rate", FS)
+        scenario = dataclasses.replace(quick, front_end=front_end, sample_rate=fs,
+                                       record_duration=4 * quick.pinger.repetition_interval)
+        assert coarse_margins(scenario, fs)[2] != coarse_margins(quick, FS)[2]
+        recording = render_scene(scenario)
+        rows, pings = self.check_searches(scenario, recording)
+        assert pings == 4
+
+        scanned = []
+        detect_ping = dsp.detect_ping
+
+        def keep_rows(samples, *args):
+            scanned.append(np.asarray(samples))
+            return detect_ping(samples, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dsp, "detect_ping", keep_rows)
+            _filter_and_scan(recording, scenario)
+        _, *coarse_rows = scanned
+        expected, full = full_length_onsets(scenario, recording)
+        coarse = scenario.array.coarse_channels
+        scale = np.abs(full[list(coarse)]).max()
+        n, prefix = recording.samples_per_channel, coarse_margins(scenario, fs)[2]
+        column = 0
+        for a, b in burst_windows(scenario, fs, expected[scenario.array.precise_channels[0]]):
+            a, b = max(0, a), min(n, b)
+            column += a - max(0, a - prefix)
+            for ch, row in zip(coarse, coarse_rows):
+                np.testing.assert_allclose(row[column:column + b - a], full[ch, a:b],
+                                           rtol=0, atol=1e-13 * scale)
+            column += b - a
+        assert [len(row) for row in coarse_rows] == [column] * 4
+
+    def test_coarse_crossing_outside_the_windows_is_dropped(self):
+        # Loud noise on a coarse channel crosses the cutoff in the full-length
+        # filter twice: inside the filter prefix just before the first burst
+        # window, and far from any burst. The front end keeps neither, and
+        # both pings localize as before.
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        scenario = dataclasses.replace(quick, record_duration=2 * quick.pinger.repetition_interval)
+        recording = render_scene(scenario)
+        ref, coarse = scenario.array.precise_channels[0], scenario.array.coarse_channels[0]
+        expected, _ = full_length_onsets(scenario, recording)
+        (a, _), _ = burst_windows(scenario, FS, expected[ref])
+        glitches = [(a - 1_100, a - 700), (15_000, 15_400)]
+        channels = recording.channels.copy()
+        rng = np.random.default_rng(7)
+        for lo, hi in glitches:
+            channels[coarse, lo:hi] += rng.normal(0.0, 0.5, hi - lo).astype(np.float32)
+        glitched = MultiChannelRecording(sample_rate=FS, channels=channels)
+        _, onsets, _ = self.check_rows(scenario, glitched)
+        noisy, _ = full_length_onsets(scenario, glitched)
+        for lo, hi in glitches:
+            assert ((noisy[coarse] >= lo) & (noisy[coarse] < hi + 500)).any()
+            assert not ((onsets[coarse] >= lo) & (onsets[coarse] < hi + 500)).any()
+        reports = [[r.to_json_dict() for r in run_localization(scenario, rec)]
+                   for rec in (recording, glitched)]
+        assert len(reports[0]) == 2 and reports[1] == reports[0]
 
     def test_noiseless_render(self, std_scenario, std_recording):
         rows, pings = self.check_searches(std_scenario, std_recording)
@@ -291,23 +406,25 @@ class TestFilterAndScan:
         assert all(len(row) == onset + 1_500 for row in rows.values())
 
     def test_channel_resuming_past_the_search(self, std_scenario, std_recording):
-        # A precise or coarse channel that is silent at the bound and resumes
-        # later is filtered to the end, as the full-length filter runs
-        # through the gap.
+        # A precise channel that is silent at the bound and resumes later is
+        # filtered to the end, as the full-length filter runs through the
+        # gap. A coarse one is filtered only in its burst window.
         array = std_scenario.array
         for resumed in (array.precise_channels[2], array.coarse_channels[1]):
             channels = std_recording.channels.copy()
             channels[resumed, -1_000:] = channels[resumed, 3_000:4_000]
             rows, _, _ = self.check_rows(std_scenario,
                                          MultiChannelRecording(sample_rate=FS, channels=channels))
-            assert len(rows[resumed]) == std_recording.samples_per_channel
+            assert (len(rows[array.precise_channels[2]]) == std_recording.samples_per_channel) == (
+                resumed == array.precise_channels[2])
 
     def test_silent_recording(self, std_scenario, tmp_path, capsys):
         silent = MultiChannelRecording(sample_rate=FS,
                                        channels=np.zeros((8, 30_000), dtype=np.float32))
-        rows, _, _ = self.check_rows(std_scenario, silent)
+        rows, onsets, _ = self.check_rows(std_scenario, silent)
         ref = std_scenario.array.precise_channels[0]
-        assert [len(row) for ch, row in rows.items() if ch != ref] == [0] * 7
+        assert [len(row) for ch, row in rows.items() if ch != ref] == [0] * 3
+        assert [len(found) for found in onsets.values()] == [0] * 5
         with pytest.raises(NoPingError, match="reference"):
             next(run_localization(std_scenario, recording=silent))
         config, path = tmp_path / "scenario.json", tmp_path / "silent.oogw"
@@ -330,13 +447,23 @@ class TestFilterAndScan:
                              ids=["default-labels", "reversed-labels"])
     @pytest.mark.parametrize("margin", [0.5e-3, 20e-3], ids=["at-the-end", "before-the-end"])
     def test_coarse_onsets_within_the_bound(self, labels, margin):
+        self.check_wide_coarse_quad(labels, margin, coarse_first=False)
+
+    @pytest.mark.parametrize("labels", [tuple(range(8)), tuple(reversed(range(8)))],
+                             ids=["default-labels", "reversed-labels"])
+    def test_coarse_hydrophone_hears_first(self, labels):
+        self.check_wide_coarse_quad(labels, 0.5e-3, coarse_first=True)
+
+    def check_wide_coarse_quad(self, labels, margin, coarse_first):
         # The quick scenario's coarse quad scaled 50 times puts its farthest
         # hydrophone about 20 m, over 13 ms, from the reference: further than
-        # a search span after the reference channel's last crossing. The
-        # pinger sits 10 m out on the line from that hydrophone through the
-        # reference, so it hears every ping last, by that whole distance.
-        # Three pings; the recording ends ``margin`` after the last one's
-        # burst has passed the farthest hydrophone.
+        # a search span from any reference crossing. The pinger sits 10 m out
+        # on the line through the reference and that hydrophone: past the
+        # reference, so that hydrophone hears every ping last, by that whole
+        # distance, or past the hydrophone, so it hears every ping first and
+        # crosses long before the reference does. Three pings; the recording
+        # ends ``margin`` after the last one's burst has passed the
+        # hydrophone farthest from the pinger.
         quick = load_scenario(CONFIGS / "scenario_quick.json")
         coarse = tuple(Vec3.from_array(50.0 * p.as_array()) for p in quick.array.coarse)
         array = HydrophoneArray(precise=quick.array.precise, coarse=coarse, labels=labels)
@@ -344,11 +471,14 @@ class TestFilterAndScan:
         distances = [np.linalg.norm(p.as_array() - ref_pos) for p in coarse]
         farthest = int(np.argmax(distances))
         lead = distances[farthest]
-        source = ref_pos + 10.0 * (ref_pos - coarse[farthest].as_array()) / lead
+        outward = (ref_pos - coarse[farthest].as_array()) / lead
+        source = coarse[farthest].as_array() - 10.0 * outward if coarse_first else (
+            ref_pos + 10.0 * outward)
         pinger = dataclasses.replace(quick.pinger, position=Vec3.from_array(source))
         interval = pinger.repetition_interval
-        duration = (2 * interval + (10.0 + lead) / quick.sound_speed + pinger.ping_duration
-                    + margin)
+        farthest_m = max(np.linalg.norm(source - array.channel_position(ch).as_array())
+                         for ch in range(8))
+        duration = 2 * interval + farthest_m / quick.sound_speed + pinger.ping_duration + margin
         scenario = dataclasses.replace(quick, array=array, pinger=pinger,
                                        record_duration=duration)
         recording = render_scene(scenario)
@@ -356,19 +486,26 @@ class TestFilterAndScan:
         expected, _ = full_length_onsets(scenario, recording)
 
         ref = array.precise_channels[0]
+        far = array.coarse_channels[farthest]
+        lag = int(round(lead / quick.sound_speed * FS))
         for ping in range(3):
             cursor = int(round(ping * interval * FS))
-            assert dsp.first_onset(onsets[ref], cursor) < cursor + interval * FS
+            ref_onset = dsp.first_onset(onsets[ref], cursor)
+            assert ref_onset < cursor + interval * FS
             for ch in array.coarse_channels:
                 onset = dsp.first_onset(onsets[ch], cursor)
                 assert onset == dsp.first_onset(expected[ch], cursor), (ping, ch)
                 assert onset < cursor + interval * FS, (ping, ch)
-        # Only the distance term of the bound reaches the farthest channel's
-        # last onset.
-        last = dsp.first_onset(onsets[array.coarse_channels[farthest]], cursor)
-        assert last >= onsets[ref][-1] + int(round(dsp.SEARCH_SPAN * FS))
-        assert (len(rows[array.coarse_channels[0]]) < recording.samples_per_channel) == (
-            margin > 1e-3)
+            # The farthest hydrophone's burst window reaches that far from
+            # the reference onset, before it or after it.
+            far_onset = dsp.first_onset(onsets[far], cursor)
+            assert (ref_onset - far_onset if coarse_first else far_onset - ref_onset) > lag * 0.9
+        if not coarse_first:
+            # Only the distance term of the bound reaches the farthest
+            # channel's last onset.
+            assert far_onset >= onsets[ref][-1] + int(round(dsp.SEARCH_SPAN * FS))
+            assert (len(rows[array.precise_channels[1]]) < recording.samples_per_channel) == (
+                margin > 1e-3)
 
     def test_default_scenario_reads_a_prefix(self):
         scenario = load_scenario(CONFIGS / "scenario_default.json")
