@@ -149,17 +149,29 @@ def filter_signal(sos: np.ndarray, samples: np.ndarray, out: np.ndarray | None =
     return out
 
 
-# A zero-input tail is cut once every section state is below _QUIET_STATE.
-# That is still a normal float64 (>= 2.2e-308), so the output is cut before
-# it decays into subnormals, whose arithmetic runs some 40x slower. Every
-# output the full filter would give after the cut is near 1e-200 or below:
-# its square and its product with a neighbouring channel's tail sample
-# (whose burst ends within the array's aperture / c, so it is tiny too)
-# underflow to exactly 0.0, and times any front-end gain below 1e150 it
-# rounds to 0 in float32 (smallest subnormal 1.4e-45). Writing 0.0 there
-# changes no energy, correlation or float32 recording, only the sign of
-# some zeros.
+# A zero-input tail is cut once every section state is below a quiet level
+# set by out's dtype: _QUIET_STATE, or for a coarser dtype the larger
+# smallest_subnormal / (gain * _QUIET_MARGIN) (``_quiet_level``).
+#
+# _QUIET_STATE is still a normal float64 (>= 2.2e-308), so the output is cut
+# before it decays into subnormals, whose arithmetic runs some 40x slower.
+# Every output the full filter would give after the cut is near 1e-200 or
+# below: its square and its product with a neighbouring channel's tail
+# sample (whose burst ends within the array's aperture / c, so it is tiny
+# too) underflow to exactly 0.0. A float64 ``out`` with any gain above about
+# 5e-134 keeps this level.
+#
+# A float32 ``out`` holds nothing below its smallest subnormal, 1.4e-45, so
+# its tail is cut far sooner: at 1.4e-56 for the front end's gain of 10.
+# From a state below that level the whole zero-input response of the
+# Butterworth bandpasses this package designs (orders 2-8, bands down to
+# 1 kHz wide, 200 kHz to 1 MHz sampling) stays below 2e7 times the
+# largest state, so gain times every output past the cut is below 1e-2 of
+# the smallest subnormal and rounds to zero in float32, as writing 0.0
+# there does. Either way, the cut changes no energy, correlation or float32
+# recording, only the sign of some zeros.
 _QUIET_STATE = 1e-200
+_QUIET_MARGIN = 1e10
 # Samples per zero-input tail call. The front end's bandpass (order 4,
 # 30-50 kHz at 500 kHz) decays about 32 decades per 1000 samples, so the
 # output at the cut is at most some 65 decades below _QUIET_STATE, still
@@ -195,9 +207,10 @@ def _filter_to_silence(sos: np.ndarray, rows: np.ndarray, out: np.ndarray,
     for j, k in enumerate(keep):
         np.multiply(spans[j, pad[j]:], gain, out=out[k, start[j]:stop[j]], casting="same_kind")
 
+    quiet = _quiet_level(out.dtype, gain)
     silence = np.zeros((keep.size, _TAIL_CHUNK))
     while True:
-        live = (stop < n) & (np.abs(zi).max(axis=(0, 2)) >= _QUIET_STATE)
+        live = (stop < n) & (np.abs(zi).max(axis=(0, 2)) >= quiet)
         if not live.any():
             return
         keep, stop, zi = keep[live], stop[live], zi[:, live]
@@ -207,6 +220,16 @@ def _filter_to_silence(sos: np.ndarray, rows: np.ndarray, out: np.ndarray,
             np.multiply(tail[j, :step], gain, out=out[k, stop[j]:stop[j] + step],
                         casting="same_kind")
         stop = stop + _TAIL_CHUNK
+
+
+def _quiet_level(dtype: np.dtype, gain: float) -> float:
+    """The section state below which a zero-input tail written into ``dtype``
+    at ``gain`` is cut: _QUIET_STATE, or higher where gain times the tail
+    rounds to zero in ``dtype`` sooner."""
+    if not gain:
+        return _QUIET_STATE
+    smallest = float(np.finfo(dtype).smallest_subnormal)
+    return max(_QUIET_STATE, smallest / (abs(gain) * _QUIET_MARGIN))
 
 
 def _moving_mean_square(samples: np.ndarray, window: int) -> np.ndarray:

@@ -11,6 +11,7 @@ plane, in degrees [-90, 90].
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import types
@@ -321,6 +322,7 @@ def octant_of(direction: Vec3) -> OctantId:
     return OctantId(direction.x >= 0, direction.y >= 0, direction.z >= 0)
 
 
+@functools.lru_cache(maxsize=64)
 def check_array(array: HydrophoneArray, frequency: float, sound_speed: float) -> None:
     """Check array geometry against the carrier: every precise-quad pair
     spacing at most half a wavelength (keeps inter-channel delays within half
@@ -329,6 +331,10 @@ def check_array(array: HydrophoneArray, frequency: float, sound_speed: float) ->
     MIN_AXIS_SEPARATION along it (so the octant guess can order arrivals),
     channel labels a permutation of 0..7, and no two hydrophones coincident.
     Raises one ConfigError that lists every violation.
+
+    Memoized: every Monte Carlo trial's ``Scenario`` checks the same frozen
+    array. A raised ConfigError is not cached, so an invalid array raises on
+    every call.
     """
     if frequency <= 0 or sound_speed <= 0:
         raise ConfigError("frequency and sound_speed must be > 0")

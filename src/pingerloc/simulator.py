@@ -30,7 +30,11 @@ def ping_waveform(t: np.ndarray, pinger: PingerSource) -> np.ndarray:
     repeating every repetition_interval, silent before t = 0."""
     t = np.asarray(t, dtype=float)
     period = pinger.repetition_interval
-    u = np.mod(t, period)
+    # np.mod(t, period) is t itself on the open interval (0, period); only
+    # the other samples take the call (at -0.0 it gives +0.0).
+    u = t.copy()
+    wrap = ~((t > 0.0) & (t < period))
+    u[wrap] = np.mod(t[wrap], period)
     in_burst = (t >= 0.0) & (u < pinger.ping_duration)
     out = np.zeros_like(t)
     if not in_burst.any():

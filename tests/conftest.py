@@ -33,6 +33,20 @@ def fast_scenario(position, record_duration=0.05, noise=None, seed=0, **pinger_k
     )
 
 
+def assert_equal_past_float32_cut(ours, oracle):
+    """``ours``, float32 samples whose silent tails were cut, against an
+    ``oracle`` that ran them out: ``np.array_equal``, byte for byte wherever
+    the oracle is nonzero, and each row byte-equal up to its cut and +0.0
+    from there on, where the oracle holds zeros of either sign."""
+    assert np.array_equal(ours, oracle)
+    nonzero = oracle != 0
+    assert ours[nonzero].tobytes() == oracle[nonzero].tobytes()
+    for row, ref in zip(np.atleast_2d(ours), np.atleast_2d(oracle)):
+        differs = np.flatnonzero(row.view(np.uint32) != ref.view(np.uint32))
+        if differs.size:
+            assert not row[differs[0]:].view(np.uint32).any()
+
+
 def travel_time(source, hydrophone, sound_speed):
     """Straight-path travel time (s) from ``source`` to ``hydrophone``."""
     return float(np.linalg.norm(source.as_array() - hydrophone.as_array())) / sound_speed

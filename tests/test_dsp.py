@@ -1,4 +1,5 @@
 import math
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from pingerloc.dsp import (
     first_onset,
     tdoa_from_filtered,
 )
-from conftest import FS, SOUND_SPEED, travel_time
+from conftest import FS, SOUND_SPEED, assert_equal_past_float32_cut, travel_time
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -262,7 +263,8 @@ class TestTailCut:
     def test_out_longer_than_input(self, cascade):
         # The input counts as zero past its end: a short block filtered into
         # a longer ``out`` equals the zero-padded block filtered, times the
-        # gain, and a float32 ``out`` gets that float64 product rounded once.
+        # gain, and a float32 ``out`` gets that float64 product rounded once
+        # up to its tail cut, which comes where the product rounds to zero.
         # One row ends in a nonzero sample at the block's end, so its tail
         # runs on into ``out``.
         x = self.bursts([2_000, 2_150, 2_600, None], n=2_600)
@@ -277,10 +279,36 @@ class TestTailCut:
         assert out.tobytes() == expected.tobytes()
         out32 = np.zeros(padded.shape, np.float32)
         filter_signal(cascade, x, out=out32, gain=self.GAIN)
-        assert out32.tobytes() == expected.astype(np.float32).tobytes()
+        assert_equal_past_float32_cut(out32, expected.astype(np.float32))
         row = np.zeros(padded.shape[1], np.float32)
         filter_signal(cascade, x[2], out=row, gain=self.GAIN)
         assert row.tobytes() == out32[2].tobytes()
+
+    @given(order=st.sampled_from([2, 4, 6, 8]),
+           fs=st.floats(min_value=200e3, max_value=1000e3),
+           width=st.floats(min_value=1e3, max_value=50e3),
+           place=st.floats(min_value=0.0, max_value=1.0),
+           gain_exponent=st.floats(min_value=-3.0, max_value=6.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=50, deadline=timedelta(seconds=5))
+    def test_float32_quiet_level_rounds_tail_to_zero(self, order, fs, width, place,
+                                                     gain_exponent, seed):
+        # A float32 tail is cut once every section state is below
+        # _quiet_level: from any such state, gain times the whole zero-input
+        # response rounds to zero in float32. Past twice the settle samples
+        # it is some 40 decades below its peak.
+        low = 2e3 + place * (fs / 2 - 3e3 - width)
+        sos = design_bandpass(order, low, low + width, fs)
+        gain = 10.0 ** gain_exponent
+        level = dsp._quiet_level(np.dtype(np.float32), gain)
+        assert level > dsp._QUIET_STATE
+        state = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(sos), 2))
+        state *= 0.999 * level / np.abs(state).max()
+        tail, _ = sps.sosfilt(sos, np.zeros(2 * dsp._settle_samples(sos)), zi=state)
+        assert np.abs(tail).max() > 0.0
+        rounded = np.multiply(tail, gain, out=np.empty(tail.shape, np.float32),
+                              casting="same_kind")
+        assert not rounded.any()
 
 
 class TestSettleSamples:

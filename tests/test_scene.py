@@ -22,7 +22,7 @@ from pingerloc import (
     scenario_to_dict,
     true_azimuth_elevation,
 )
-from pingerloc.pipeline import monte_carlo_config_from_dict
+from pingerloc.pipeline import MonteCarloConfig, monte_carlo, monte_carlo_config_from_dict
 from pingerloc.scene import check_array
 
 
@@ -105,6 +105,31 @@ class TestValidateArray:
     def test_bad_frequency_raises(self):
         with pytest.raises(ConfigError):
             check_array(default_array(), 0.0, 1480.0)
+
+    def test_grid_validates_default_array_once(self):
+        # check_array is memoized on (array, frequency, sound_speed): every
+        # trial's Scenario holds the same default array.
+        check_array.cache_clear()
+        config = MonteCarloConfig(ranges=(5.0, 30.0), snr_db=(None,), trials=2, seed=1)
+        monte_carlo(config)
+        info = check_array.cache_info()
+        assert info.misses == 1 and info.currsize == 1
+        assert info.hits >= 3
+
+    def test_invalid_array_raises_on_every_construction(self):
+        # An exception is not cached: each Scenario re-checks the array and
+        # raises the same error.
+        bad = HydrophoneArray(precise=square_quad(0.015), coarse=SPANNING_COARSE)
+        pinger = PingerSource(position=Vec3(10.0, 0.0, 0.0), repetition_interval=0.05)
+        check_array.cache_clear()
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ConfigError, match="array fails validation") as exc:
+                Scenario(array=bad, pinger=pinger, record_duration=0.05)
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1
+        info = check_array.cache_info()
+        assert info.misses == 3 and info.hits == 0 and info.currsize == 0
 
 
 class TestAzimuthElevation:

@@ -29,7 +29,8 @@ from pingerloc import (
     render_scene,
 )
 from pingerloc import pipeline, simulator
-from conftest import FS, SOUND_SPEED, fast_scenario, travel_time
+from conftest import (FS, SOUND_SPEED, assert_equal_past_float32_cut, fast_scenario,
+                      travel_time)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,6 +77,40 @@ class TestSynthesizePing:
         t = np.linspace(-1e-3, 1e-3, 1001)
         x = ping_waveform(t, std_pinger())
         assert np.all(x[t < 0] == 0.0)
+
+    def test_waveform_bit_equal_to_modulo_form(self):
+        # ping_waveform takes np.mod only outside (0, period); the result
+        # equals np.mod over every sample, bit for bit.
+        pinger = std_pinger(repetition_interval=0.05)
+        period = pinger.repetition_interval
+        multiples = np.arange(-3, 8) * period
+        t = np.concatenate([
+            [-0.0, 0.0, -5e-324, 5e-324, -1e-9, 1e-9, -3.5 * period, 7.3 * period,
+             1000 * period + 1e-3],
+            multiples, np.nextafter(multiples, -np.inf), np.nextafter(multiples, np.inf),
+            np.arange(-1_000, 60_000) / FS - 3e-4,
+        ])
+        assert ping_waveform(t, pinger).tobytes() == modulo_form_waveform(t, pinger).tobytes()
+        for scalar in (-0.0, 0.0, 1e-3, period, 2.5 * period):
+            assert (ping_waveform(scalar, pinger).tobytes()
+                    == modulo_form_waveform(scalar, pinger).tobytes())
+
+
+def modulo_form_waveform(t, pinger):
+    """``ping_waveform`` with np.mod taken over every sample."""
+    t = np.asarray(t, dtype=float)
+    u = np.mod(t, pinger.repetition_interval)
+    in_burst = (t >= 0.0) & (u < pinger.ping_duration)
+    out = np.zeros_like(t)
+    ub = u[in_burst]
+    ramp = min(simulator.RAMP_DURATION, pinger.ping_duration / 2.0)
+    env = np.ones_like(ub)
+    rising = ub < ramp
+    env[rising] = 0.5 * (1.0 - np.cos(np.pi * ub[rising] / ramp))
+    falling = ub > pinger.ping_duration - ramp
+    env[falling] = 0.5 * (1.0 - np.cos(np.pi * (pinger.ping_duration - ub[falling]) / ramp))
+    out[in_burst] = pinger.amplitude * env * np.sin(2.0 * np.pi * pinger.frequency * ub)
+    return out
 
 
 def two_distance_array(c1, c2):
@@ -183,7 +218,8 @@ def full_length_render(scenario):
     """The render with every channel's pressure in one (8, n) float64 array:
     each burst evaluated over its span, ``filter_signal`` over the whole
     array, then the gain product rounded into float32: the noiseless
-    reference ``render_scene`` must equal byte for byte."""
+    reference ``render_scene`` must equal byte for byte up to its float32
+    tail cut."""
     fs = scenario.sample_rate
     n = int(round(scenario.record_duration * fs))
     t = np.arange(n) / fs
@@ -205,15 +241,12 @@ def full_length_render(scenario):
 
 
 def assert_renders_full_filter(scenario):
-    """The noiseless render equals ``full_length_render`` byte for byte and
-    ``full_filter_render`` up to the sign of some zeros. Returns the
-    render's channels."""
+    """The noiseless render equals ``full_length_render`` and
+    ``full_filter_render`` up to the sign of the zeros past each row's
+    float32 cut. Returns the render's channels."""
     ours = render_scene(scenario).channels
-    assert ours.tobytes() == full_length_render(scenario).tobytes()
-    reference = full_filter_render(scenario)
-    assert np.array_equal(ours, reference)
-    differs = ours.view(np.uint32) != reference.view(np.uint32)
-    assert np.all(ours[differs] == 0.0)
+    assert_equal_past_float32_cut(ours, full_length_render(scenario))
+    assert_equal_past_float32_cut(ours, full_filter_render(scenario))
     return ours
 
 
@@ -295,6 +328,23 @@ class TestRenderTailCut:
         except ConfigError:
             assume(False)
         assert_renders_full_filter(scenario)
+
+    @pytest.mark.parametrize("distance", [5.0, 30.0])
+    def test_trial_render_filters_in_two_calls(self, distance, monkeypatch):
+        # One call over the bursts and one zero-input tail chunk, after
+        # which every row's state is below the float32 quiet level.
+        scenario = pipeline._trial_scenario(Vec3(0.6 * distance, -0.64 * distance,
+                                                 0.48 * distance))
+        calls = []
+        real = sps.sosfilt
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sps, "sosfilt", counted)
+        render_scene(scenario)
+        assert len(calls) == 2
 
     def test_silent_row(self):
         # The recording ends within one sample after the farthest channel's
