@@ -48,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_loc.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p_loc.add_argument("--timing", action="store_true",
                        help="include per-stage milliseconds in each report, with the "
-                            "recording's render, filter (both front-end filter calls) "
-                            "and onset (channel scan) time on the first report only "
+                            "recording's render, filter (the front end's three filter "
+                            "calls) and onset (channel scans) time on the first report only "
                             "(makes output non-reproducible)")
     p_loc.add_argument("--debug-window", action="store_true",
                        help="dump window-search diagnostics as JSON to stderr")

@@ -150,14 +150,18 @@ def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scena
                        timing=timing, error=error)
 
 
+def _front_end_sos(scenario: Scenario, fs: float) -> np.ndarray:
+    """The scenario's front-end bandpass at ``fs``."""
+    fe = scenario.front_end
+    return dsp.design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
+
+
 def _filter_and_scan(recording: MultiChannelRecording, scenario: Scenario,
                      timing: dict | None = None
                      ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """``dsp.filter_and_scan`` through the scenario's front-end bandpass."""
-    fe = scenario.front_end
-    sos = dsp.design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high,
-                              recording.sample_rate)
-    return dsp.filter_and_scan(recording, sos, scenario.array, scenario.sound_speed, timing)
+    return dsp.filter_and_scan(recording, _front_end_sos(scenario, recording.sample_rate),
+                               scenario.array, scenario.sound_speed, timing)
 
 
 def run_localization(scenario: Scenario,
@@ -351,6 +355,44 @@ def _trial_scenario(position: Vec3) -> Scenario:
                     record_duration=interval, noise=NoiseSpec.silent())
 
 
+def _localize_trial(recording: MultiChannelRecording, scenario: Scenario) -> PingOutcome:
+    """The first ping of a trial's recording through the localizer's chain."""
+    filtered, onsets = _filter_and_scan(recording, scenario)
+    return localize_ping(filtered, recording.sample_rate, scenario, onsets, 0)
+
+
+def _localize_noisy_trial(clean: MultiChannelRecording, scenario: Scenario, trial: int,
+                          radius: float, snr_db: float, noise_seed: int) -> PingOutcome:
+    """``_localize_trial`` on ``clean`` plus white noise calibrated to
+    ``snr_db``. The rows up to the reference (first precise) channel get
+    their noise first: ``add_noise`` draws the channels in order from one
+    generator, so theirs equals the first rows of the whole recording's. The
+    reference row is filtered and scanned as ``dsp.filter_and_scan`` does;
+    without a crossing the chain stops there with the same NoPingError, and
+    the other channels are never drawn (nor can their overflow fail the
+    trial)."""
+    fs = clean.sample_rate
+    fe = scenario.front_end
+    sigma = white_sigma_for_snr(measure_burst_rms(clean, scenario), snr_db,
+                                fe.analog_band_low, fe.analog_band_high, fs)
+    noise = NoiseSpec(white_sigma=sigma, interferer_amp=0.0, lowfreq_amp=0.0)
+
+    def noisy(recording: MultiChannelRecording) -> MultiChannelRecording:
+        try:
+            return simulator.add_noise(recording, noise, noise_seed)
+        except ValueError as exc:
+            raise ValueError(f"trial {trial} at {radius:g} m and {snr_db:g} dB SNR: "
+                             f"{exc}") from None
+
+    ref = scenario.array.precise_channels[0]
+    head = noisy(MultiChannelRecording(sample_rate=fs, channels=clean.channels[:ref + 1]))
+    row = dsp.filter_signal(_front_end_sos(scenario, fs), head.channels[ref])
+    crossings, _ = dsp.detect_ping(row, fs)
+    if not crossings.size:
+        return localize_ping({ref: row}, fs, scenario, {ref: crossings}, 0)
+    return _localize_trial(noisy(clean), scenario)
+
+
 def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
                radius: float, snr_db: float | None) -> dict:
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(cell_index, trial))
@@ -358,31 +400,15 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
     position = _sample_position(rng, radius, config.clearance)
     scenario = _trial_scenario(position)
     clean = simulator.render_scene(scenario)
-    if snr_db is None:
-        recording = clean
-    else:
-        burst_rms = measure_burst_rms(clean, scenario)
-        sigma = white_sigma_for_snr(burst_rms, snr_db,
-                                    scenario.front_end.analog_band_low,
-                                    scenario.front_end.analog_band_high,
-                                    scenario.sample_rate)
-        noise_seed = int(ss.generate_state(1, dtype=np.uint32)[0])
-        try:
-            recording = simulator.add_noise(clean, NoiseSpec(white_sigma=sigma,
-                                                             interferer_amp=0.0,
-                                                             lowfreq_amp=0.0), noise_seed)
-        except ValueError as exc:
-            raise ValueError(f"trial {trial} at {radius:g} m and {snr_db:g} dB SNR: "
-                             f"{exc}") from None
+    outcome = (_localize_trial(clean, scenario) if snr_db is None
+               else _localize_noisy_trial(clean, scenario, trial, radius, snr_db,
+                                          int(ss.generate_state(1, dtype=np.uint32)[0])))
 
     centroid = scenario.array.precise_centroid().as_array()
     true_dir = Vec3.from_array(position.as_array() - centroid)
     true_az, _ = true_azimuth_elevation(true_dir)
     coarse_centroid = scenario.array.coarse_centroid().as_array()
     octant_true = octant_of(Vec3.from_array(position.as_array() - coarse_centroid))
-
-    filtered, onsets = _filter_and_scan(recording, scenario)
-    outcome = localize_ping(filtered, recording.sample_rate, scenario, onsets, 0)
 
     row = {
         "trial": trial,

@@ -95,14 +95,19 @@ def add_noise(recording: MultiChannelRecording, noise: NoiseSpec, seed: int) -> 
     """New recording with per-channel noise added: white Gaussian, a
     narrowband interferer with a per-channel random phase, and low-passed
     white noise rescaled to RMS lowfreq_amp. Deterministic given the seed.
-    A silent spec returns ``recording`` itself, which is read-only."""
+    A silent spec returns ``recording`` itself, which is read-only.
+
+    One generator draws each channel's noise in turn, so the noise of a
+    recording's first k rows is the first k rows of its whole noise:
+    ``add_noise`` on those rows alone gives the same samples."""
     if noise.is_silent():
         return recording
 
     rng = np.random.default_rng(seed)
     fs = recording.sample_rate
     n = recording.samples_per_channel
-    t = np.arange(n) / fs
+    if noise.interferer_amp > 0:
+        t = np.arange(n) / fs
 
     lp_sos = None
     if noise.lowfreq_amp > 0 and 0 < noise.lowfreq_cutoff < fs / 2:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -359,6 +361,36 @@ def test_montecarlo_float32_overflowing_noise_exits_1(tmp_path, capsys):
                             "recording contains non-finite samples\n")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_montecarlo_noise_overflowing_an_undrawn_channel_fails_the_trial(tmp_path, capsys,
+                                                                          monkeypatch):
+    # At -743.5 dB, trial 0 at 5 m draws reference-channel noise that float32
+    # holds, and no ping stands out of it. The other channels' noise, never
+    # drawn, would overflow: the trial is a failed row, not exit 1.
+    drawn = []
+    add_noise = simulator.add_noise
+
+    def spy(recording, noise, seed):
+        if not noise.is_silent():
+            drawn.append((recording.channels.shape, noise, seed))
+        return add_noise(recording, noise, seed)
+
+    monkeypatch.setattr(simulator, "add_noise", spy)
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"ranges": [5.0], "snr_db": [-743.5], "trials": 1}))
+    out = tmp_path / "mc.csv"
+    assert main(["montecarlo", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    row = dict(zip(pipeline.MC_CSV_COLUMNS, out.read_text().splitlines()[1].split(",")))
+    assert (row["az_err_deg"], row["octant_guess"], row["converged"]) == ("180", "", "false")
+
+    [((rows, n), noise, seed)] = drawn
+    assert rows == 1
+    with pytest.raises(ValueError, match="non-finite"):
+        add_noise(MultiChannelRecording(sample_rate=500_000.0,
+                                        channels=np.zeros((8, n), np.float32)), noise, seed)
+
+
 def test_montecarlo_failed_grid_leaves_no_csv(tmp_path, capsys):
     # montecarlo checks --out by creating it before the grid runs; a grid
     # that fails must not leave that empty CSV behind.
@@ -379,6 +411,26 @@ def test_montecarlo_determinism(tmp_path):
     assert main(["montecarlo", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
     assert main(["montecarlo", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# The eval_small outputs the README publishes, on the numpy and scipy it names.
+EVAL_SMALL_SHA256 = {
+    "csv": "5f9ba3657da45dd565240c55814182792cdd2a9a82b60a1678a13b6bab536f27",
+    "json": "e862dc2d63209502b531298188742b86b8d67441ff185d45a64db43764f02e7f",
+}
+
+
+@pytest.mark.skipif(not (np.__version__.startswith("2.4.")
+                         and scipy.__version__.startswith("1.17.")),
+                    reason=f"the published sha256 values hold for numpy 2.4 and scipy 1.17, "
+                           f"not numpy {np.__version__} and scipy {scipy.__version__}")
+def test_eval_small_outputs_match_published_sha256(tmp_path, capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "eval_small.json"
+    out = tmp_path / "mc.csv"
+    assert main(["montecarlo", "--config", str(config), "--out", str(out), "--json"]) == EXIT_OK
+    summary = capsys.readouterr().out
+    assert {"csv": hashlib.sha256(out.read_bytes()).hexdigest(),
+            "json": hashlib.sha256(summary.encode()).hexdigest()} == EVAL_SMALL_SHA256
 
 
 def test_seed_override_changes_output(scenario_path, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import warnings
@@ -29,10 +30,12 @@ from pingerloc import (
     write_monte_carlo_csv,
     write_recording,
 )
+from pingerloc import pipeline, simulator
 from pingerloc.cli import EXIT_NO_PING, main
 from pingerloc.pipeline import (
     FAILED_TRIAL_AZ_ERROR,
     _filter_and_scan,
+    _run_trial,
     _trial_scenario,
     localize_ping,
     measure_burst_rms,
@@ -677,3 +680,64 @@ class TestMonteCarlo:
             assert row["est_az_deg"] is None and row["objective"] is None
         assert summary.success_count == 0
         assert summary.octant_accuracy == 1.0
+
+
+# Two ranges, three trials a cell: every 10 dB trial's reference channel
+# hears no ping, every 20 dB trial's does.
+NOISY_GRID = MonteCarloConfig(ranges=(5.0, 30.0), snr_db=(None, 20.0, 10.0), trials=3, seed=1)
+
+
+def eight_channel_trial(clean, scenario, trial, radius, snr_db, noise_seed):
+    """A noisy trial as the whole recording's noise, then the front end and
+    the chain: the flow that drew every channel before scanning any."""
+    fe = scenario.front_end
+    sigma = white_sigma_for_snr(measure_burst_rms(clean, scenario), snr_db,
+                                fe.analog_band_low, fe.analog_band_high, clean.sample_rate)
+    recording = simulator.add_noise(clean, NoiseSpec(white_sigma=sigma, interferer_amp=0.0,
+                                                     lowfreq_amp=0.0), noise_seed)
+    filtered, onsets = _filter_and_scan(recording, scenario)
+    return localize_ping(filtered, recording.sample_rate, scenario, onsets, 0)
+
+
+class TestNoisyTrial:
+    def test_rows_equal_eight_channel_noise_flow(self, monkeypatch):
+        summary, rows = monte_carlo(NOISY_GRID)
+        monkeypatch.setattr(pipeline, "_localize_noisy_trial", eight_channel_trial)
+        assert monte_carlo(NOISY_GRID) == (summary, rows)
+        failed = [row for row in rows if row["snr_db"] == 10.0]
+        assert len(failed) == 6
+        assert all(row["octant_guess"] == "" and row["iters"] == 0 for row in failed)
+        assert all(row["iters"] > 0 for row in rows if row["snr_db"] == 20.0)
+
+    def test_other_channels_drawn_only_after_a_reference_ping(self, monkeypatch):
+        noisy_rows = []
+        add_noise = simulator.add_noise
+
+        def spy(recording, noise, seed):
+            if not noise.is_silent():
+                noisy_rows.append(recording.channel_count)
+            return add_noise(recording, noise, seed)
+
+        monkeypatch.setattr(simulator, "add_noise", spy)
+        outcomes = {None: [], 20.0: [1, 8], 10.0: [1]}
+        cells = itertools.product(NOISY_GRID.ranges, NOISY_GRID.snr_db)
+        for (cell_index, (radius, snr_db)), trial in itertools.product(
+                enumerate(cells), range(NOISY_GRID.trials)):
+            noisy_rows.clear()
+            _run_trial(NOISY_GRID, cell_index, trial, radius, snr_db)
+            assert noisy_rows == outcomes[snr_db], (radius, snr_db, trial)
+
+    def test_reference_without_ping_is_one_filter_call_and_one_scan(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("filter_signal", "detect_ping"):
+            monkeypatch.setattr(dsp, name, counted(name, getattr(dsp, name)))
+        row = _run_trial(NOISY_GRID, 2, 0, 5.0, 10.0)
+        assert calls == ["filter_signal", "detect_ping"]
+        assert row["az_err_deg"] == FAILED_TRIAL_AZ_ERROR and row["octant_guess"] == ""

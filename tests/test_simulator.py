@@ -416,3 +416,20 @@ class TestAddNoise:
         assert np.array_equal(a.channels, b.channels)
         c = add_noise(rec, spec, seed=12)
         assert not np.array_equal(a.channels, c.channels)
+
+    # A noisy Monte Carlo trial draws its reference row's noise on that
+    # prefix alone, before the other channels' (pipeline._localize_noisy_trial).
+    @given(data=st.data(), rows=st.integers(1, 8), n=st.integers(1, 300),
+           white=st.booleans(), interferer=st.booleans(), lowfreq=st.booleans(),
+           cutoff=st.sampled_from([8_000.0, FS]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_noise_of_first_rows_is_prefix_of_whole(self, data, rows, n, white, interferer,
+                                                     lowfreq, cutoff, seed):
+        spec = NoiseSpec(white_sigma=0.3 * white, interferer_amp=0.2 * interferer,
+                         lowfreq_amp=0.1 * lowfreq, lowfreq_cutoff=cutoff)
+        k = data.draw(st.integers(1, rows), label="k")
+        channels = np.random.default_rng(seed).normal(size=(rows, n)).astype(np.float32)
+        whole = add_noise(MultiChannelRecording(sample_rate=FS, channels=channels), spec, seed)
+        head = add_noise(MultiChannelRecording(sample_rate=FS, channels=channels[:k]), spec,
+                         seed)
+        assert head.channels.tobytes() == whole.channels[:k].tobytes()
