@@ -23,7 +23,7 @@ import cmath
 import functools
 import math
 import time
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -502,45 +502,81 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
 def select_stable_window(recording: MultiChannelRecording, sos: np.ndarray,
                          array: HydrophoneArray, sound_speed: float,
                          start_sample: int = 0) -> TdoaSet:
-    """``filter_and_scan``, then ``tdoa_from_filtered``."""
+    """``filter_and_scan``, then ``tdoa_from_filtered`` for the one ping at
+    or after ``start_sample``; raises the error that ends its search."""
     if recording.channel_count != 8:
         raise ValueError(f"expected 8 channels, got {recording.channel_count}")
     rows, onsets = filter_and_scan(recording, sos, array, sound_speed)
-    return tdoa_from_filtered(rows, recording.sample_rate, array, sound_speed, onsets,
-                              start_sample)
+    [tdoa] = tdoa_from_filtered(rows, recording.sample_rate, array, sound_speed, onsets,
+                                [start_sample])
+    if isinstance(tdoa, Exception):
+        raise tdoa
+    return tdoa
 
 
-def _onset_after(onsets: dict[int, np.ndarray], channel: int, start: int, kind: str) -> int:
-    """first_onset on one channel, whose NoPingError names the channel."""
-    try:
-        return first_onset(onsets[channel], start)
-    except NoPingError:
-        raise NoPingError(f"no ping detected on {kind} channel {channel}") from None
+def _first_at_or_after(onsets: np.ndarray, starts: np.ndarray) -> list[int]:
+    """``first_onset`` of every start in ``starts``, -1 where there is none."""
+    n = len(onsets)
+    return [int(onsets[k]) if k < n else -1 for k in np.searchsorted(onsets, starts).tolist()]
 
 
 def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: HydrophoneArray,
-                       sound_speed: float, onsets: dict[int, np.ndarray],
-                       start_sample: int = 0, diagnostics: dict | None = None) -> TdoaSet:
-    """Stable-window search on already-filtered channels, given their
-    onsets. ``filtered[k]`` is channel k's row, as the mapping
-    ``filter_and_scan`` returns or an (8, n) array. The recording's length
-    is the reference (first precise) row's; the other precise rows need only
-    reach the end of the last candidate window, and the coarse rows are read
-    only through ``onsets``. From the reference channel's
-    first onset at or after ``start_sample``, candidate windows start every
-    sub-window; the one whose six pair delays are most repeatable across
-    its sub-windows wins. Returns the TdoaSet measured over the winning
-    window, plus the coarse quad's onsets. ``sound_speed`` (m/s, the
-    scenario's) bounds every delay by the widest precise spacing over it. If
-    ``diagnostics`` is a dict it is filled with the candidate window starts,
-    their variance scores, and the chosen index."""
-    onset = _onset_after(onsets, array.precise_channels[0], start_sample, "reference")
-    n_total = len(filtered[array.precise_channels[0]])
+                       sound_speed: float, onsets: Mapping[int, np.ndarray],
+                       start_samples: Sequence[int], diagnostics: list | None = None
+                       ) -> list[TdoaSet | NoPingError | UnstableWindowError]:
+    """Stable-window search of every ping of a recording at once, on
+    already-filtered channels given their onsets. ``filtered[k]`` is channel
+    k's row, as the mapping ``filter_and_scan`` returns or an (8, n) array.
+    The recording's length is the reference (first precise) row's; the
+    other precise rows need only reach the end of each ping's last candidate
+    window, and the coarse rows are read only through ``onsets``.
+
+    A ping is the reference channel's first onset at or after one of
+    ``start_samples``. From it, candidate windows start every sub-window;
+    the one whose six pair delays are most repeatable across its
+    sub-windows wins. Returns one result per start sample, in order: the
+    TdoaSet measured over the winning window, plus the coarse quad's first
+    onsets at or after the start sample, or the error that ends that ping's
+    search. The checks run in this order: a reference onset (NoPingError),
+    room for one analysis window after it (NoPingError), a stable window
+    (UnstableWindowError), an onset on every coarse channel (NoPingError).
+    One ``_delays`` call measures every ping's sub-windows and one more
+    every winning window, so each result equals that of the same call with
+    its start sample alone, bit for bit. ``sound_speed`` (m/s, the
+    scenario's) bounds every delay by the widest precise spacing over it.
+    If ``diagnostics`` is a list, it gets one dict per start sample: the
+    candidate window starts, their variance scores and the chosen index, or
+    nothing where the search stopped before scoring."""
+    ref = array.precise_channels[0]
+    starts = np.asarray(start_samples, dtype=np.intp)
+    ping_onsets = _first_at_or_after(onsets[ref], starts)
+    results: list = [None if onset >= 0 else
+                     NoPingError(f"no ping detected on reference channel {ref}")
+                     for onset in ping_onsets]
+    # Filled in place below.
+    searches: list[dict] = [{} for _ in ping_onsets]
+    if diagnostics is not None:
+        diagnostics.extend(searches)
 
     win_len, sub_len = _window_lengths(fs)
-    if sub_len < 2:
+    if sub_len < 2 and any(onset >= 0 for onset in ping_onsets):
         raise ValueError(f"sample rate {fs} Hz too low for {NUM_SUBWINDOWS} sub-windows "
                          f"of a {WINDOW_DURATION} s window")
+    n_total = len(filtered[ref])
+    # Each ping with room for a window: (its index, its candidate starts).
+    searched = []
+    for p, onset in enumerate(ping_onsets):
+        if onset < 0:
+            continue
+        candidates = [onset + k * sub_len for k in range(NUM_WINDOWS)
+                      if onset + k * sub_len + win_len <= n_total]
+        if candidates:
+            searched.append((p, candidates))
+        else:
+            results[p] = NoPingError("no ping: recording too short for one analysis window "
+                                     "after onset")
+    if not searched:
+        return results
 
     # No true delay can exceed the widest spacing over c. The lag search stays
     # inside it: with sub-half-wavelength spacing that excludes the
@@ -548,51 +584,70 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
     max_delay = array.max_precise_spacing() / sound_speed
     max_lag = int(math.ceil(max_delay * fs))
 
-    starts = [onset + k * sub_len for k in range(NUM_WINDOWS)
-              if onset + k * sub_len + win_len <= n_total]
-    if not starts:
-        raise NoPingError("no ping: recording too short for one analysis window after onset")
+    # A ping's candidate w is its sub-windows w .. w + NUM_SUBWINDOWS - 1.
+    # Every ping's sub-windows, from its onset through its last candidate,
+    # lie end to end in one table, and one ``_delays`` call measures each
+    # sub-window's six pair delays, one table column each; a sub-window
+    # without energy leaves NaN in its column and scores its candidates inf.
+    # A candidate scores the summed sample variance of its sub-windows'
+    # delays: one overlapping a glitch or the burst's tail scores high and
+    # loses. Every run of NUM_SUBWINDOWS columns is scored; those that
+    # straddle two pings are never read.
+    rows = [filtered[ch] for ch in array.precise_channels]
 
-    # Candidate w is sub-windows w .. w + NUM_SUBWINDOWS - 1. One ``_delays``
-    # call measures every sub-window's six pair delays, one table column
-    # each; a sub-window without energy leaves NaN in its column and scores
-    # its candidates inf. A candidate scores the summed sample variance of its
-    # sub-windows' delays: one overlapping a glitch or the burst's tail scores
-    # high and loses.
-    quad = np.stack([filtered[ch][onset:starts[-1] + win_len] for ch in array.precise_channels],
-                    dtype=float)
+    def gather(spans: list[tuple[int, int]], length: int) -> np.ndarray:
+        """(4, -1, length): each precise row's samples [a, b) of every span,
+        end to end, cut into runs of ``length``."""
+        return np.stack([np.concatenate([row[a:b] for a, b in spans]) for row in rows],
+                        dtype=float).reshape(4, -1, length)
+
+    table = gather([(c[0], c[-1] + NUM_SUBWINDOWS * sub_len) for _, c in searched], sub_len)
     i, j = np.array(PAIRS).T
-    subs = quad[:, :(len(starts) + NUM_SUBWINDOWS - 1) * sub_len].reshape(4, -1, sub_len)
-    sub_delays, _ = _delays(subs[i], subs[j], fs, min(max_lag, sub_len - 1))
+    sub_delays, _ = _delays(table[i], table[j], fs, min(max_lag, sub_len - 1))
     windows = np.lib.stride_tricks.sliding_window_view(sub_delays, NUM_SUBWINDOWS, axis=1)
     scores = np.var(windows, axis=-1, ddof=1).sum(axis=0)
     scores[np.isnan(scores)] = np.inf
+    scores = scores.tolist()
 
-    best = int(np.argmin(scores))
-    best_var = float(scores[best])
-    if diagnostics is not None:
-        diagnostics["candidate_starts"] = list(starts)
-        diagnostics["variance_scores"] = [float(s) for s in scores]
-        diagnostics["chosen_candidate"] = best
-    if not np.isfinite(best_var):
-        raise UnstableWindowError("unstable window: no candidate produced usable delays")
     max_variance = (MAX_DELAY_SPREAD_SAMPLES / fs) ** 2
-    if best_var > max_variance:
-        raise UnstableWindowError(
-            f"unstable window: best summed delay variance {best_var:.3e} s^2 "
-            f"exceeds limit {max_variance:.3e} s^2"
-        )
+    winners = []
+    first = 0
+    for p, candidates in searched:
+        ping_scores = scores[first:first + len(candidates)]
+        first += len(candidates) + NUM_SUBWINDOWS - 1
+        best_var = min(ping_scores)
+        best = ping_scores.index(best_var)
+        searches[p].update(candidate_starts=candidates, variance_scores=ping_scores,
+                           chosen_candidate=best)
+        if best_var == math.inf:
+            results[p] = UnstableWindowError("unstable window: no candidate produced usable "
+                                             "delays")
+        elif best_var > max_variance:
+            results[p] = UnstableWindowError(
+                f"unstable window: best summed delay variance {best_var:.3e} s^2 "
+                f"exceeds limit {max_variance:.3e} s^2"
+            )
+        else:
+            winners.append((p, candidates[best]))
+    if not winners:
+        return results
 
-    # Noise-pushed estimates snap back to the feasible interval. The winning
+    # Noise-pushed estimates snap back to the feasible interval. A winning
     # window's sub-windows all had energy, so its own slices have too.
-    chosen = starts[best]
-    window = quad[:, chosen - onset:chosen - onset + win_len]
-    delays, peaks = _delays(window[i], window[j], fs, min(max_lag, win_len - 1))
-    return TdoaSet(
-        onset_time_abs=onset / fs,
-        pair_delays=tuple(np.clip(delays, -max_delay, max_delay).tolist()),
-        peak_correlations=tuple(peaks.tolist()),
-        coarse_arrivals=tuple(_onset_after(onsets, ch, start_sample, "coarse") / fs
-                              for ch in array.coarse_channels),
-        window=(chosen, win_len),
-    )
+    quad = gather([(start, start + win_len) for _, start in winners], win_len)
+    delays, peaks = _delays(quad[i], quad[j], fs, min(max_lag, win_len - 1))
+    delays = np.clip(delays, -max_delay, max_delay)
+    coarse = {ch: _first_at_or_after(onsets[ch], starts) for ch in array.coarse_channels}
+    for w, (p, start) in enumerate(winners):
+        missing = [ch for ch, found in coarse.items() if found[p] < 0]
+        if missing:
+            results[p] = NoPingError(f"no ping detected on coarse channel {missing[0]}")
+            continue
+        results[p] = TdoaSet(
+            onset_time_abs=ping_onsets[p] / fs,
+            pair_delays=tuple(delays[:, w].tolist()),
+            peak_correlations=tuple(peaks[:, w].tolist()),
+            coarse_arrivals=tuple(found[p] / fs for found in coarse.values()),
+            window=(start, win_len),
+        )
+    return results

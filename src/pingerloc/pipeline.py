@@ -1,15 +1,18 @@
 """End-to-end localization: recording (simulated or loaded) -> bandpass ->
 stable-window TDOA -> octant guess -> gradient descent -> azimuth report
-stream, plus a Monte Carlo evaluation harness; both run each ping through
+stream, plus a Monte Carlo evaluation harness; both run their pings through
 ``localize_ping``.
 
 Reports serialize as newline-delimited JSON. Timings and window-search
 diagnostics ride on each report but stay out of the serialized stream unless
 asked for, so runs with the same seed are byte-identical. Onsets are detected
 once per recording, in the front end (``dsp.filter_and_scan``), against the
-reference channel's noise floor; each ping reads its own off them. A
-recording's render, filter and onset time is charged to its first report
-only (later ones carry 0.0), so summing a stream counts each cost once.
+reference channel's noise floor. Every ping's search start follows from the
+reference crossings alone, so one ``dsp.tdoa_from_filtered`` call searches
+them all; each ping is then guessed and solved as its outcome is consumed. A
+recording's render, filter, onset and search time is charged to its first
+report only (later ones carry 0.0), so summing a stream counts each cost
+once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import ClassVar, Iterator, Mapping
+from typing import ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -105,7 +108,8 @@ class PingOutcome:
     the failure (one of PING_ERRORS) that stopped the chain; the stages before
     it still fill their fields. ``window_search`` holds the search's candidate
     starts, variance scores and chosen index; ``timing`` each finished stage's
-    milliseconds ("tdoa", "guess", "solve")."""
+    milliseconds ("tdoa", "guess", "solve"), where "tdoa" is the search over
+    every ping of the recording on the first outcome and 0.0 on later ones."""
 
     tdoa: dsp.TdoaSet | None
     guess: guess.OctantGuess | None
@@ -116,38 +120,61 @@ class PingOutcome:
 
 
 def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scenario,
-                  onsets: dict[int, np.ndarray], start_sample: int) -> PingOutcome:
-    """Localize the first ping at or after ``start_sample`` in the filtered
-    channels (channel -> row) given their onsets, both as
+                  onsets: dict[int, np.ndarray],
+                  start_samples: Sequence[int]) -> Iterator[PingOutcome]:
+    """Localize the first ping at or after each of ``start_samples`` in the
+    filtered channels (channel -> row) given their onsets, both as
     ``dsp.filter_and_scan`` returns them; ``dsp.tdoa_from_filtered`` says
-    which samples it reads. Failures in PING_ERRORS are caught and recorded
-    on the outcome; anything else (a bad argument) raises."""
-    tdoa = octant = result = error = None
-    window_search: dict = {}
-    timing: dict[str, float] = {}
-    try:
-        t_stage = time.perf_counter()
-        tdoa = dsp.tdoa_from_filtered(filtered, fs, scenario.array, scenario.sound_speed,
-                                      onsets, start_sample=start_sample,
-                                      diagnostics=window_search)
-        timing["tdoa"] = (time.perf_counter() - t_stage) * 1e3
+    which samples it reads. One search covers every ping, on the first
+    ``next``; then one outcome per start sample is yielded in order, and
+    each ping's octant guess and solve run only when its outcome is asked
+    for, so nothing after the outcome a caller stops at is solved. The
+    search's milliseconds are charged to the first outcome's "tdoa" timing
+    and later outcomes carry 0.0. Failures in PING_ERRORS are recorded on
+    the outcome; anything else (a bad argument) raises."""
+    t_search = time.perf_counter()
+    searches: list[dict] = []
+    tdoas = dsp.tdoa_from_filtered(filtered, fs, scenario.array, scenario.sound_speed, onsets,
+                                   start_samples, diagnostics=searches)
+    search_ms = (time.perf_counter() - t_search) * 1e3
+    for tdoa, window_search in zip(tdoas, searches):
+        octant = result = error = None
+        timing: dict[str, float] = {}
+        if isinstance(tdoa, Exception):
+            tdoa, error = None, tdoa
+        else:
+            timing["tdoa"] = search_ms
+            try:
+                t_stage = time.perf_counter()
+                octant = guess.octant_guess(tdoa.coarse_arrivals, list(scenario.array.coarse),
+                                            min_margin=2.0 / fs)
+                timing["guess"] = (time.perf_counter() - t_stage) * 1e3
 
-        t_stage = time.perf_counter()
-        octant = guess.octant_guess(tdoa.coarse_arrivals, list(scenario.array.coarse),
-                                    min_margin=2.0 / fs)
-        timing["guess"] = (time.perf_counter() - t_stage) * 1e3
+                t_stage = time.perf_counter()
+                result = solver.gradient_descent(octant.init, tdoa, scenario.array,
+                                                 scenario.sound_speed)
+                timing["solve"] = (time.perf_counter() - t_stage) * 1e3
+            except PING_ERRORS as exc:
+                # Drop its frames and its (suppressed) context's: they link
+                # back to the caller holding the outcome, and the cycle would
+                # keep the filtered channels alive until the garbage collector
+                # runs.
+                exc.__context__ = None
+                error = exc.with_traceback(None)
+        search_ms = 0.0
+        yield PingOutcome(tdoa=tdoa, guess=octant, result=result, window_search=window_search,
+                          timing=timing, error=error)
 
-        t_stage = time.perf_counter()
-        result = solver.gradient_descent(octant.init, tdoa, scenario.array, scenario.sound_speed)
-        timing["solve"] = (time.perf_counter() - t_stage) * 1e3
-    except PING_ERRORS as exc:
-        # Drop its frames and its (suppressed) context's: they link back to the
-        # caller holding the outcome, and the cycle would keep the filtered
-        # channels alive until the garbage collector runs.
-        exc.__context__ = None
-        error = exc.with_traceback(None)
-    return PingOutcome(tdoa=tdoa, guess=octant, result=result, window_search=window_search,
-                       timing=timing, error=error)
+
+def _ping_starts(crossings: np.ndarray, skip: int) -> list[int]:
+    """Where each ping's search starts: 0, then ``skip`` samples past each
+    ping's onset, the first crossing at or after the previous start. The
+    last start has no crossing at or after it; its NoPingError ends the
+    stream."""
+    starts = [0]
+    while (k := int(np.searchsorted(crossings, starts[-1]))) < len(crossings):
+        starts.append(int(crossings[k]) + skip)
+    return starts
 
 
 def _front_end_sos(scenario: Scenario, fs: float) -> np.ndarray:
@@ -171,9 +198,9 @@ def run_localization(scenario: Scenario,
     With ``recording`` None the scenario is rendered first. Otherwise the
     scenario supplies geometry, sound speed and filter band, and its
     pinger's repetition interval and ping duration set how far past each
-    ping's onset the search for the next one resumes. A ping that fails
-    raises its error, except that a missing ping after the first ends the
-    stream. Deterministic given the scenario seed.
+    ping's onset the search for the next one resumes (``_ping_starts``).
+    A ping that fails raises its error, except that a missing ping after
+    the first ends the stream. Deterministic given the scenario seed.
     """
     t_start = time.perf_counter()
     if recording is None:
@@ -192,10 +219,8 @@ def run_localization(scenario: Scenario,
     skip = int(round(max(scenario.pinger.repetition_interval - 2e-3, past_burst) * fs))
 
     channels = scenario.array.precise_channels
-    cursor = 0
-    ping_index = 0
-    while True:
-        outcome = localize_ping(filtered, fs, scenario, onsets, cursor)
+    starts = _ping_starts(onsets[channels[0]], skip)
+    for ping_index, outcome in enumerate(localize_ping(filtered, fs, scenario, onsets, starts)):
         if outcome.error is not None:
             if ping_index > 0 and isinstance(outcome.error, dsp.NoPingError):
                 return
@@ -218,8 +243,6 @@ def run_localization(scenario: Scenario,
             },
         )
         recording_timing = dict.fromkeys(recording_timing, 0.0)
-        ping_index += 1
-        cursor = int(round(tdoa.onset_time_abs * fs)) + skip
 
 
 def measure_burst_rms(recording: MultiChannelRecording, scenario: Scenario) -> float:
@@ -358,7 +381,7 @@ def _trial_scenario(position: Vec3) -> Scenario:
 def _localize_trial(recording: MultiChannelRecording, scenario: Scenario) -> PingOutcome:
     """The first ping of a trial's recording through the localizer's chain."""
     filtered, onsets = _filter_and_scan(recording, scenario)
-    return localize_ping(filtered, recording.sample_rate, scenario, onsets, 0)
+    return next(localize_ping(filtered, recording.sample_rate, scenario, onsets, [0]))
 
 
 def _localize_noisy_trial(clean: MultiChannelRecording, scenario: Scenario, trial: int,
@@ -389,7 +412,7 @@ def _localize_noisy_trial(clean: MultiChannelRecording, scenario: Scenario, tria
     row = dsp.filter_signal(_front_end_sos(scenario, fs), head.channels[ref])
     crossings, _ = dsp.detect_ping(row, fs)
     if not crossings.size:
-        return localize_ping({ref: row}, fs, scenario, {ref: crossings}, 0)
+        return next(localize_ping({ref: row}, fs, scenario, {ref: crossings}, [0]))
     return _localize_trial(noisy(clean), scenario)
 
 

@@ -23,6 +23,13 @@ from pingerloc.cli import (EXIT_CONFIG, EXIT_NO_PING, EXIT_NOT_CONVERGED, EXIT_O
 from conftest import fast_scenario
 from pingerloc import MultiChannelRecording, Vec3, write_recording
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# The published sha256 values below hold for these versions only.
+PUBLISHED_VERSIONS = pytest.mark.skipif(
+    not (np.__version__.startswith("2.4.") and scipy.__version__.startswith("1.17.")),
+    reason=f"the published sha256 values hold for numpy 2.4 and scipy 1.17, "
+           f"not numpy {np.__version__} and scipy {scipy.__version__}")
+
 
 @pytest.fixture()
 def scenario_path(tmp_path):
@@ -74,6 +81,43 @@ def test_localize_debug_window(scenario_path, capsys):
     assert main(["localize", "--config", str(scenario_path), "--debug-window"]) == EXIT_OK
     err = capsys.readouterr().err
     assert "variance_scores" in err
+
+
+@pytest.fixture()
+def four_ping_path(tmp_path):
+    """configs/scenario_quick.json recorded for 0.2 s: four pings."""
+    doc = json.loads((CONFIGS / "scenario_quick.json").read_text())
+    path = tmp_path / "four_pings.json"
+    path.write_text(json.dumps({**doc, "record_duration": 0.2}))
+    return path
+
+
+def test_localize_timing_charges_each_recording_cost_once(four_ping_path, capsys):
+    # One window search serves every ping: like the render, filter and
+    # onset time, its milliseconds go to the first report only.
+    assert main(["localize", "--config", str(four_ping_path), "--timing"]) == EXIT_OK
+    first, *rest = [json.loads(line)["timing"] for line in capsys.readouterr().out.splitlines()]
+    assert len(rest) == 3 and min(first.values()) > 0.0
+    for timing in rest:
+        assert timing["render"] == timing["filter"] == timing["onset"] == timing["tdoa"] == 0.0
+        assert min(timing["guess"], timing["solve"]) > 0.0
+
+
+# localize --debug-window on four_ping_path: its report stream and its
+# window-search diagnostics.
+FOUR_PING_SHA256 = {
+    "stdout": "b358e08941e9e4626ead87d71687458fc1a7f1d2d5fa282285af94fa7f6923c4",
+    "stderr": "900c9b180fcb47507cc4811bab6706e3e35bdc3d78521e125530a2326b01220b",
+}
+
+
+@PUBLISHED_VERSIONS
+def test_four_ping_stream_matches_published_sha256(four_ping_path, capsys):
+    assert main(["localize", "--config", str(four_ping_path), "--debug-window"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == len(err.splitlines()) == 4
+    assert {"stdout": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.encode()).hexdigest()} == FOUR_PING_SHA256
 
 
 def test_missing_pinger_field_is_config_error(tmp_path, capsys):
@@ -420,12 +464,9 @@ EVAL_SMALL_SHA256 = {
 }
 
 
-@pytest.mark.skipif(not (np.__version__.startswith("2.4.")
-                         and scipy.__version__.startswith("1.17.")),
-                    reason=f"the published sha256 values hold for numpy 2.4 and scipy 1.17, "
-                           f"not numpy {np.__version__} and scipy {scipy.__version__}")
+@PUBLISHED_VERSIONS
 def test_eval_small_outputs_match_published_sha256(tmp_path, capsys):
-    config = Path(__file__).resolve().parent.parent / "configs" / "eval_small.json"
+    config = CONFIGS / "eval_small.json"
     out = tmp_path / "mc.csv"
     assert main(["montecarlo", "--config", str(config), "--out", str(out), "--json"]) == EXIT_OK
     summary = capsys.readouterr().out

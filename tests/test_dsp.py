@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from datetime import timedelta
 from pathlib import Path
@@ -48,6 +49,15 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 @pytest.fixture(scope="module")
 def cascade():
     return design_bandpass(4, 30_000.0, 50_000.0, FS)
+
+
+def search_one(filtered, array, onsets, start_sample=0):
+    """(result, diagnostics) of ``tdoa_from_filtered`` on one start sample:
+    its TdoaSet or error, and its window-search diagnostics."""
+    diagnostics = []
+    [result] = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets, [start_sample],
+                                  diagnostics)
+    return result, diagnostics[0]
 
 
 def response(sos, freqs):
@@ -709,9 +719,8 @@ class TestSelectStableWindow:
     def test_clean_ping(self, std_recording, std_scenario):
         array = std_scenario.array
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
-        diagnostics = {}
         rows, onsets = filter_and_scan(std_recording, cascade, array, SOUND_SPEED)
-        tdoa = tdoa_from_filtered(rows, FS, array, SOUND_SPEED, onsets, diagnostics=diagnostics)
+        tdoa, diagnostics = search_one(rows, array, onsets)
 
         assert len(tdoa.pair_delays) == len(tdoa.peak_correlations) == 6
         max_delay = array.max_precise_spacing() / SOUND_SPEED
@@ -761,9 +770,8 @@ class TestSelectStableWindow:
                 0.0, amp, glitch_len).astype(np.float32)
         glitched = MultiChannelRecording(sample_rate=FS, channels=channels)
 
-        diagnostics = {}
         rows, onsets = filter_and_scan(glitched, cascade, array, SOUND_SPEED)
-        tdoa = tdoa_from_filtered(rows, FS, array, SOUND_SPEED, onsets, diagnostics=diagnostics)
+        tdoa, _ = search_one(rows, array, onsets)
         # winning window must end before the glitch
         start, length = tdoa.window
         assert start + length <= glitch_start
@@ -890,16 +898,11 @@ class TestSubWindowTable:
         scenario, filtered, onsets = self.case(quick, noiseless, name)
         array = scenario.array
         expected = per_candidate_search(filtered, FS, array, SOUND_SPEED, onsets)
-        diagnostics = {}
-        try:
-            tdoa = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets,
-                                      diagnostics=diagnostics)
-        except UnstableWindowError:
-            tdoa = None
+        tdoa, diagnostics = search_one(filtered, array, onsets)
         assert diagnostics == expected
         scores = expected["variance_scores"]
         if name == "zeroed-search":
-            assert tdoa is None and scores == [math.inf] * NUM_WINDOWS
+            assert isinstance(tdoa, UnstableWindowError) and scores == [math.inf] * NUM_WINDOWS
             return
         assert tdoa.window == (expected["candidate_starts"][expected["chosen_candidate"]],
                                int(round(WINDOW_DURATION * FS)))
@@ -916,9 +919,9 @@ class TestSubWindowTable:
     def test_table_rows_equal_full_correlation(self, quick, noiseless, monkeypatch,
                                                name, candidates):
         # The search makes two batched correlations: every pair of every
-        # sub-window, then every pair of the winning window. Each delay and
-        # peak equals the full-mode np.correlate reference on that pair's
-        # slices, bit for bit; a pair with a zeroed slice is NaN.
+        # sub-window, then every pair of every winning window (here one).
+        # Each delay and peak equals the full-mode np.correlate reference on
+        # that pair's slices, bit for bit; a pair with a zeroed slice is NaN.
         scenario, filtered, onsets = self.case(quick, noiseless, name)
         array = scenario.array
         calls = []
@@ -929,9 +932,7 @@ class TestSubWindowTable:
             return calls[-1][2:]
 
         monkeypatch.setattr(dsp, "_delays", recorded)
-        diagnostics = {}
-        tdoa = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets,
-                                  diagnostics=diagnostics)
+        tdoa, diagnostics = search_one(filtered, array, onsets)
         assert len(diagnostics["candidate_starts"]) == candidates
         sub_windows = candidates + NUM_SUBWINDOWS - 1
         win_len = int(round(WINDOW_DURATION * FS))
@@ -940,7 +941,7 @@ class TestSubWindowTable:
          (win_shape, win_max_lag, delays, peaks)] = calls
         assert table_shape == (len(PAIRS), sub_windows, self.SUB_LEN)
         assert sub_max_lag == min(max_lag, self.SUB_LEN - 1)
-        assert win_shape == (len(PAIRS), win_len)
+        assert win_shape == (len(PAIRS), 1, win_len)
         assert win_max_lag == min(max_lag, win_len - 1)
 
         precise = [filtered[ch] for ch in array.precise_channels]
@@ -967,12 +968,77 @@ class TestSubWindowTable:
         slices = [ch[start:start + win_len] for ch in precise]
         expected = [full_correlation_delay(slices[i], slices[j], FS, win_max_lag)
                     for i, j in PAIRS]
-        assert list(peaks) == [peak for _, peak in expected]
-        assert list(delays) == [delay for delay, _ in expected]
+        assert peaks[:, 0].tolist() == [peak for _, peak in expected]
+        assert delays[:, 0].tolist() == [delay for delay, _ in expected]
         assert tdoa.peak_correlations == tuple(peak for _, peak in expected)
         max_delay = array.max_precise_spacing() / SOUND_SPEED
         assert tdoa.pair_delays == tuple(float(np.clip(delay, -max_delay, max_delay))
                                          for delay, _ in expected)
+
+
+class TestBatchedSearch:
+    """One tdoa_from_filtered call over many start samples gives each of
+    them what the call with that start sample alone gives, bit for bit."""
+
+    SUB_LEN = int(round(WINDOW_DURATION * FS)) // NUM_SUBWINDOWS
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16), pings=st.integers(2, 4),
+           position=st.sampled_from([(10.0, 5.0, -2.0), (-6.0, 8.0, 3.0), (4.0, -12.0, -5.0)]))
+    def test_each_result_equals_its_search_alone(self, cascade, data, seed, pings, position):
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        interval = quick.pinger.repetition_interval
+        pinger = dataclasses.replace(quick.pinger, position=Vec3(*position))
+        scenario = dataclasses.replace(quick, pinger=pinger, seed=seed,
+                                       record_duration=pings * interval)
+        recording = render_scene(scenario)
+        array = scenario.array
+        ref = array.precise_channels[0]
+        filtered = filter_signal(cascade, recording.channels)
+        _, onsets = filter_and_scan(recording, cascade, array, SOUND_SPEED)
+        slots = [int(round(k * interval * FS)) for k in range(pings)]
+        ping_onsets = [first_onset(onsets[ref], slot) for slot in slots]
+
+        # The row ends inside the final ping's search: it keeps 1 to
+        # NUM_WINDOWS - 1 candidates. Crossings past the end are dropped.
+        win_len = int(round(WINDOW_DURATION * FS))
+        kept = data.draw(st.integers(1, NUM_WINDOWS - 1), label="kept")
+        end = (ping_onsets[-1] + (kept - 1) * self.SUB_LEN + win_len
+               + data.draw(st.integers(0, self.SUB_LEN - 1), label="slack"))
+        filtered = filtered[:, :end].copy()
+        onsets = {ch: found[found < end] for ch, found in onsets.items()}
+        # Loud noise over an earlier ping's whole search leaves it no stable
+        # window.
+        glitched = data.draw(st.integers(0, pings - 2), label="glitched")
+        span = int(round(SEARCH_SPAN * FS))
+        rng = np.random.default_rng(seed)
+        filtered[:, ping_onsets[glitched]:ping_onsets[glitched] + span] += rng.normal(
+            0.0, 10.0 * np.max(np.abs(filtered)), (8, span))
+
+        after = data.draw(st.integers(int(onsets[ref][-1]) + 1, end + 2_000), label="after")
+        others = data.draw(st.lists(st.sampled_from(slots) | st.integers(0, end + 2_000),
+                                    max_size=6), label="others")
+        starts = data.draw(st.permutations([after, slots[glitched], slots[-1], *others]),
+                           label="starts")
+        diagnostics = []
+        batched = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets, starts,
+                                     diagnostics)
+        assert len(batched) == len(diagnostics) == len(starts)
+        for start, result, found in zip(starts, batched, diagnostics):
+            alone, alone_found = search_one(filtered, array, onsets, start)
+            # repr tells every float apart, -0.0 from 0.0 too, and an error's
+            # class and message.
+            assert type(result) is type(alone) and repr(result) == repr(alone), start
+            assert repr(found) == repr(alone_found), start
+
+        results = dict(zip(starts, zip(batched, diagnostics)))
+        result, found = results[after]
+        assert isinstance(result, NoPingError) and found == {}
+        assert str(result) == f"no ping detected on reference channel {ref}"
+        result, found = results[slots[glitched]]
+        assert isinstance(result, UnstableWindowError)
+        assert len(found["candidate_starts"]) == NUM_WINDOWS
+        assert len(results[slots[-1]][1]["candidate_starts"]) == kept
 
 
 class TestVecdotKernel:

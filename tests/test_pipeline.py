@@ -30,7 +30,7 @@ from pingerloc import (
     write_monte_carlo_csv,
     write_recording,
 )
-from pingerloc import pipeline, simulator
+from pingerloc import pipeline, simulator, solver
 from pingerloc.cli import EXIT_NO_PING, main
 from pingerloc.pipeline import (
     FAILED_TRIAL_AZ_ERROR,
@@ -91,14 +91,16 @@ class TestRunLocalization:
         assert all(b > a for a, b in zip(starts, starts[1:]))
         azimuths = [r.azimuth for r in reports]
         assert max(azimuths) - min(azimuths) < 0.1
-        # Render, filter and onset detection run once per recording and are
-        # charged once, to the first report; every report keeps the same keys.
+        # Render, filter, onset detection and the window search run once per
+        # recording and are charged once, to the first report; every report
+        # keeps the same keys.
         first, *rest = [r.timing for r in reports]
-        assert first["render"] > 0.0 and first["filter"] > 0.0 and first["onset"] > 0.0
+        assert min(first.values()) > 0.0
         for timing in rest:
             assert set(timing) == set(first)
             assert timing["render"] == timing["filter"] == timing["onset"] == 0.0
-            assert min(timing["tdoa"], timing["guess"], timing["solve"]) > 0.0
+            assert timing["tdoa"] == 0.0
+            assert min(timing["guess"], timing["solve"]) > 0.0
 
     def test_onsets_detected_once_per_recording(self, monkeypatch):
         # 16 repetitions of the quick scenario: one full-length scan of the
@@ -201,6 +203,49 @@ class TestRunLocalization:
         with pytest.raises(DivergedError):
             next(run_localization(std_scenario, recording=std_recording))
 
+    @pytest.fixture(scope="class")
+    def four_pings(self):
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        scenario = dataclasses.replace(quick, record_duration=4 * quick.pinger.repetition_interval)
+        return scenario, render_scene(scenario)
+
+    def test_one_window_search_per_recording(self, four_pings, monkeypatch):
+        # Every ping's sub-windows go through one correlation call and every
+        # winning window through one more; one search per ping made 8.
+        scenario, recording = four_pings
+        calls = []
+        delays = dsp._delays
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return delays(*args)
+
+        monkeypatch.setattr(dsp, "_delays", counted)
+        reports = list(run_localization(scenario, recording))
+        assert [r.ping_index for r in reports] == [0, 1, 2, 3]
+        win_len = reports[0].window[1]
+        assert len(calls) == 2 and calls[1] == (len(dsp.PAIRS), 4, win_len)
+
+    def test_nothing_is_solved_after_a_failed_ping(self, four_pings, monkeypatch):
+        # The second ping's solve diverges: the stream raises there, and the
+        # two pings after it are searched but never solved.
+        scenario, recording = four_pings
+        solves = []
+        gradient_descent = solver.gradient_descent
+
+        def second_diverges(*args, **kwargs):
+            solves.append(args[1].window)
+            if len(solves) == 2:
+                raise DivergedError("diverged: forced")
+            return gradient_descent(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "gradient_descent", second_diverges)
+        stream = run_localization(scenario, recording)
+        assert next(stream).ping_index == 0 and len(solves) == 1
+        with pytest.raises(DivergedError, match="forced"):
+            next(stream)
+        assert len(solves) == 2
+
     def test_invalid_array_is_config_error(self, std_scenario):
         from pingerloc import HydrophoneArray, Scenario
         bad_coarse = (Vec3(0.3, 0.2, 0.1), Vec3(0.2, -0.2, 0.1),
@@ -214,7 +259,7 @@ class TestRunLocalization:
 
 def localize_first(scenario, recording, start_sample=0):
     filtered, onsets = _filter_and_scan(recording, scenario)
-    return localize_ping(filtered, FS, scenario, onsets, start_sample)
+    return next(localize_ping(filtered, FS, scenario, onsets, [start_sample]))
 
 
 def full_length_onsets(scenario, recording):
@@ -301,19 +346,18 @@ class TestFilterAndScan:
         """Every ping's window search reads the same from the front end's
         rows as from the full-length filter; return (rows, ping count)."""
         rows, onsets, full = self.check_rows(scenario, recording)
-        pings = 0
-        for report in run_localization(scenario, recording=recording):
-            # Each ping's search starts at its onset, the first candidate.
-            onset = report.diagnostics["candidate_starts"][0]
-            search = []
-            for filtered in (rows, full):
-                diagnostics = {}
-                tdoa = dsp.tdoa_from_filtered(filtered, recording.sample_rate, scenario.array,
-                                              scenario.sound_speed, onsets, onset, diagnostics)
-                search.append((tdoa, diagnostics))
-            assert search[0] == search[1]
-            pings += 1
-        return rows, pings
+        # Each ping's search starts at its onset, the first candidate.
+        starts = [report.diagnostics["candidate_starts"][0]
+                  for report in run_localization(scenario, recording=recording)]
+        search = []
+        for filtered in (rows, full):
+            diagnostics = []
+            tdoas = dsp.tdoa_from_filtered(filtered, recording.sample_rate, scenario.array,
+                                           scenario.sound_speed, onsets, starts, diagnostics)
+            search.append((tdoas, diagnostics))
+        assert search[0] == search[1]
+        assert all(isinstance(tdoa, dsp.TdoaSet) for tdoa in search[0][0])
+        return rows, len(starts)
 
     def test_sixteen_noisy_repetitions(self):
         quick = load_scenario(CONFIGS / "scenario_quick.json")
@@ -541,6 +585,30 @@ class TestLocalizePing:
         outcome = localize_first(std_scenario, std_recording, std_recording.samples_per_channel)
         assert isinstance(outcome.error, NoPingError)
         assert outcome.tdoa is None and outcome.guess is None and outcome.window_search == {}
+        assert outcome.timing == {}
+
+    def test_outcomes_are_solved_as_they_are_consumed(self, std_scenario, std_recording,
+                                                      monkeypatch):
+        # One search for every start sample on the first next(); each guess
+        # and solve only when its outcome is asked for. The search's time is
+        # the first outcome's.
+        filtered, onsets = _filter_and_scan(std_recording, std_scenario)
+        calls = []
+        for module, name in ((dsp, "tdoa_from_filtered"), (solver, "gradient_descent")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        outcomes = localize_ping(filtered, FS, std_scenario, onsets,
+                                 [0, 0, std_recording.samples_per_channel])
+        assert calls == []
+        first = next(outcomes)
+        assert calls == ["tdoa_from_filtered", "gradient_descent"]
+        second, last = outcomes
+        assert calls == ["tdoa_from_filtered"] + ["gradient_descent"] * 2
+        assert first.tdoa == second.tdoa and first.window_search == second.window_search
+        assert first.timing["tdoa"] > 0.0 and second.timing["tdoa"] == 0.0
+        assert isinstance(last.error, NoPingError) and last.timing == {}
 
 
 class TestSnrCalibration:
@@ -696,7 +764,7 @@ def eight_channel_trial(clean, scenario, trial, radius, snr_db, noise_seed):
     recording = simulator.add_noise(clean, NoiseSpec(white_sigma=sigma, interferer_amp=0.0,
                                                      lowfreq_amp=0.0), noise_seed)
     filtered, onsets = _filter_and_scan(recording, scenario)
-    return localize_ping(filtered, recording.sample_rate, scenario, onsets, 0)
+    return next(localize_ping(filtered, recording.sample_rate, scenario, onsets, [0]))
 
 
 class TestNoisyTrial:
