@@ -8,9 +8,9 @@ Subcommands:
 
 Exit codes: 0 success (localize: every report converged), 1 configuration or
 usage error, a file that cannot be read or written, or a recording too large
-to render or filter in memory, 2 no ping found, 3 reports emitted but at
-least one solve did not converge, 4 a ping failed after detection (unstable
-window, singular geometry or divergence; reports already written stay).
+to render or filter in memory, 2 no ping found (reference or coarse), 3 a
+solve did not converge, 4 a ping failed after detection (unstable window,
+singular geometry or divergence); under 2 and 4 written reports stay.
 """
 
 from __future__ import annotations

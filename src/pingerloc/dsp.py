@@ -9,9 +9,11 @@ which is what the delay estimates feed on.
 Onsets are thresholded against one noise floor, the reference (first
 precise) channel's: the reference scan sets the cutoff and every coarse
 channel is scanned against it. A hydrophone much noisier than the reference
-therefore crosses early. The coarse channels are filtered and scanned only
-in burst windows around the reference channel's crossings, so a coarse
-crossing far from every reference burst is not seen.
+therefore crosses early. A ping is a run of reference crossings, split
+where two are far enough apart that the pings' burst windows do not overlap
+(``scan_reference``). The coarse channels are filtered and scanned only in
+those burst windows, and each ping reads its coarse onsets in its own
+window, so a coarse crossing far from every reference burst is not seen.
 
 Channel labels are read only in the front end: a ``TdoaSet`` is in quad
 order, its six precise-quad pairs in ``PAIRS`` order.
@@ -41,7 +43,7 @@ __all__ = [
     "design_bandpass",
     "filter_signal",
     "detect_ping",
-    "first_onset",
+    "scan_reference",
     "filter_and_scan",
     "estimate_delay",
     "select_stable_window",
@@ -297,9 +299,8 @@ def detect_ping(samples: np.ndarray, fs: float,
     square whose root is at most ONSET_THRESHOLD times the noise floor, the
     median moving RMS of the whole channel (``_median_root``,
     ``_square_cutoff``, so no square root is taken per sample). Meant to run
-    once per channel and recording; ``first_onset`` then reads each ping's
-    onset off the crossings. The mean square is trailing, so the crossings of
-    a row's prefix are the whole row's, cut at its length."""
+    once per channel and recording. The mean square is trailing, so the
+    crossings of a row's prefix are the whole row's, cut at its length."""
     if np.size(samples) == 0:
         return np.empty(0, dtype=np.intp), math.nan if cutoff is None else cutoff
     ms = _moving_mean_square(samples, _rms_window(fs))
@@ -311,15 +312,6 @@ def detect_ping(samples: np.ndarray, fs: float,
 def _rms_window(fs: float) -> int:
     """RMS_WINDOW in samples at ``fs``."""
     return max(1, int(round(RMS_WINDOW * fs)))
-
-
-def first_onset(onsets: np.ndarray, start: int) -> int:
-    """The first of ``detect_ping``'s crossings at or after ``start``. Raises
-    NoPingError when there is none."""
-    k = int(np.searchsorted(onsets, start))
-    if k == len(onsets):
-        raise NoPingError("no ping detected")
-    return int(onsets[k])
 
 
 def estimate_delay(a: np.ndarray, b: np.ndarray, fs: float,
@@ -401,91 +393,112 @@ def _settle_samples(sos: np.ndarray) -> float:
     return math.ceil(math.log(_SETTLE_DECAY) / math.log(radius)) if radius < 1.0 else math.inf
 
 
-def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: HydrophoneArray,
-                    sound_speed: float, timing: dict | None = None
-                    ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """The localizer's front end. Filters and scans the reference (first
-    precise) channel over the whole recording; its scan sets the mean-square
-    cutoff. Then it filters the other three precise channels in one
-    ``filter_signal`` call over ``[0, end)``. ``end`` covers, after the
-    reference channel's last crossing, both the end of the last candidate
-    window and the widest coarse-to-reference distance over ``sound_speed``
-    (m/s), the most by which a coarse channel can hear a ping after the
-    reference.
-
-    The coarse channels are filtered and scanned against that cutoff only in
-    burst windows. A run [first, last] of reference crossings gives the
-    window [first - before, last + reach), clipped to the recording, where
-    ``reach`` is the bound's margin past a crossing and ``before`` the same
-    distance term plus RMS_WINDOW: a coarse hydrophone nearer the pinger
-    hears it first. Each window is filtered from a prefix of
-    ``_settle_samples(sos)`` plus RMS_WINDOW samples earlier (or from sample
-    0), so that its start transient has decayed and every kept mean square
-    has a full window of its own. The crossings split into runs wherever
-    two are further apart than before + reach + prefix.
-    All windows of a channel lie end to end in one row; one more
-    ``filter_signal`` call filters the four rows and one ``detect_ping`` per
-    row scans them. A crossing in a window's prefix is dropped.
-
-    Returns (rows, onsets): precise channel -> filtered row and channel ->
-    onset indices (reference and coarse channels). Every row is byte-equal
-    to the same span of ``filter_signal`` over the whole recording; the
-    reference row is full length. A coarse channel's onsets are the
-    full-length row's crossings inside its burst windows: a window's filter
-    matches the full-length one to within rounding, so a crossing moves only
-    where a mean square lies within rounding of the cutoff. If ``timing`` is
-    a dict it gets the milliseconds spent filtering ("filter", all three
-    calls) and scanning ("onset")."""
-    channels = recording.channels
-    fs = recording.sample_rate
-    n = channels.shape[1]
-    ref = array.precise_channels[0]
-    others = list(array.precise_channels[1:])
-    coarse = list(array.coarse_channels)
-
-    t_start = time.perf_counter()
-    rows = {ref: filter_signal(sos, channels[ref])}
-    t_scan = time.perf_counter()
-    crossings, cutoff = detect_ping(rows[ref], fs)
-    t_rest = time.perf_counter()
-
+def _burst_margins(array: HydrophoneArray, sound_speed: float, fs: float) -> tuple[int, int]:
+    """(before, reach) in samples: a ping's burst window runs from ``before``
+    ahead of its first reference crossing to ``reach`` past its last. reach
+    covers the end of the last candidate window and the widest
+    coarse-to-reference distance over ``sound_speed`` (m/s); before is that
+    distance plus RMS_WINDOW, for a coarse hydrophone nearer the pinger."""
     win_len, sub_len = _window_lengths(fs)
     lead = np.linalg.norm(array.coarse_positions_array() - array.precise[0].as_array(),
                           axis=1).max()
     lag = math.ceil(lead / sound_speed * fs) + 1
-    reach = max((NUM_WINDOWS - 1) * sub_len + win_len, lag)
-    end = min(n, int(crossings[-1]) + reach) if crossings.size else 0
+    return lag + _rms_window(fs), max((NUM_WINDOWS - 1) * sub_len + win_len, lag)
+
+
+def scan_reference(recording: MultiChannelRecording, sos: np.ndarray, array: HydrophoneArray,
+                   sound_speed: float, timing: dict | None = None
+                   ) -> tuple[np.ndarray, float, list[tuple[int, int]]]:
+    """The front end's reference step: filters the reference (first precise)
+    channel over the whole recording and scans it, which sets the mean-square
+    cutoff. Returns (row, cutoff, runs): the filtered row, that cutoff, and
+    its crossings split into runs [first, last], one per ping, where two are
+    at least before + reach apart (``_burst_margins``), so that two pings'
+    burst windows never overlap. A crossing in the first
+    ``_settle_samples(sos)`` plus RMS_WINDOW samples is dropped: the filter
+    starts from zero state, and a DC offset's step rings there. If
+    ``timing`` is a dict it gets the milliseconds spent filtering ("filter")
+    and scanning ("onset")."""
+    fs = recording.sample_rate
+    t_start = time.perf_counter()
+    row = filter_signal(sos, recording.channels[array.precise_channels[0]])
+    t_scan = time.perf_counter()
+    crossings, cutoff = detect_ping(row, fs)
+    crossings = crossings[np.searchsorted(crossings, _settle_samples(sos) + _rms_window(fs)):]
+    gap = sum(_burst_margins(array, sound_speed, fs))
+    runs = [(int(run[0]), int(run[-1]))
+            for run in np.split(crossings, np.flatnonzero(np.diff(crossings) >= gap) + 1)
+            if run.size]
+    if timing is not None:
+        timing["filter"] = (t_scan - t_start) * 1e3
+        timing["onset"] = (time.perf_counter() - t_scan) * 1e3
+    return row, cutoff, runs
+
+
+def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: HydrophoneArray,
+                    sound_speed: float, timing: dict | None = None
+                    ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray],
+                               list[tuple[int, int]]]:
+    """The localizer's front end. ``scan_reference`` filters and scans the
+    reference (first precise) channel and forms its runs, the pings. Then
+    the other three precise channels are filtered in one ``filter_signal``
+    call up to the end of the last run's burst window.
+
+    The coarse channels are filtered and scanned against the reference
+    cutoff only in the burst windows [first - before, last + reach)
+    (``_burst_margins``), clipped to the recording. Each window is filtered
+    from a prefix of ``_settle_samples(sos)`` plus RMS_WINDOW samples
+    earlier (or from sample 0), so that its start transient has decayed and
+    every kept mean square has a full window of its own. All windows of a
+    channel lie end to end in one row; one more ``filter_signal`` call
+    filters the four rows and one ``detect_ping`` per row scans them. A
+    crossing in a window's prefix is dropped.
+
+    Returns (rows, onsets, runs): precise channel -> filtered row, coarse
+    channel -> onset indices, and the reference runs. Every row is
+    byte-equal to the same span of ``filter_signal`` over the whole
+    recording; the reference row is full length. A coarse channel's onsets
+    are the full-length row's crossings inside the burst windows: a window's
+    filter matches the full-length one to within rounding, so a crossing
+    moves only where a mean square lies within rounding of the cutoff. If
+    ``timing`` is a dict it gets the milliseconds spent filtering ("filter",
+    all three calls) and scanning ("onset")."""
+    channels = recording.channels
+    fs = recording.sample_rate
+    n = channels.shape[1]
+    others = list(array.precise_channels[1:])
+    coarse = list(array.coarse_channels)
+
+    row, cutoff, runs = scan_reference(recording, sos, array, sound_speed, timing)
+    t_rest = time.perf_counter()
+    before, reach = _burst_margins(array, sound_speed, fs)
+    end = min(n, runs[-1][1] + reach) if runs else 0
     # filter_signal stops a row that ends in 0 once its tail is quiet; a
     # channel that resumes after the bound runs on in the full-length filter,
     # so such rows are filtered to the end.
     if 0 < end < n and any(channels[ch, end - 1] == 0 and channels[ch, end:].any()
                            for ch in others):
         end = n
+    rows = {array.precise_channels[0]: row}
     rows.update(zip(others, filter_signal(sos, channels[others, :end])))
 
-    # Burst windows [first, stop), each filtered from start. A run ends
-    # where the next window's prefix would start past this window's stop, so
-    # only the first window can start at sample 0, where the zero state and
-    # the mean square's ramp are the full-length filter's own. Window j's
-    # kept samples lie in the gathered columns [kept[2j], kept[2j + 1]), and
-    # a column plus shift[j] is its sample.
-    w = _rms_window(fs)
-    before = lag + w
-    prefix = min(n, _settle_samples(sos) + w)
+    # Burst windows [first, stop), each filtered from start. A run starts
+    # past the prefix and before + reach after the last, so only the first
+    # window can start at sample 0, where the zero state and the mean
+    # square's ramp are the full-length filter's own. Window j keeps gathered
+    # columns [kept[2j], kept[2j + 1]); column + shift[j] is its sample.
+    prefix = min(n, _settle_samples(sos) + _rms_window(fs))
     spans, kept, shift, column = [], [], [], 0
-    if crossings.size:
-        cuts = np.flatnonzero(np.diff(crossings) > before + reach + prefix)
-        for head, tail in zip(crossings[np.append(0, cuts + 1)].tolist(),
-                              crossings[np.append(cuts, -1)].tolist()):
-            first = max(0, head - before)
-            start, stop = max(0, first - prefix), min(n, tail + reach)
-            spans.append(channels[coarse, start:stop])
-            kept += [column + first - start, column + stop - start]
-            shift.append(start - column)
-            column += stop - start
+    for head, tail in runs:
+        first = max(0, head - before)
+        start, stop = max(0, first - prefix), min(n, tail + reach)
+        spans.append(channels[coarse, start:stop])
+        kept += [column + first - start, column + stop - start]
+        shift.append(start - column)
+        column += stop - start
     gathered = filter_signal(sos, np.concatenate(spans or [channels[coarse, :0]], axis=1))
     t_coarse = time.perf_counter()
-    onsets = {ref: crossings}
+    onsets = {}
     for ch, row in zip(coarse, gathered):
         found = detect_ping(row, fs, cutoff)[0]
         bounds = np.searchsorted(found, kept).tolist()
@@ -494,80 +507,71 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     t_end = time.perf_counter()
 
     if timing is not None:
-        timing["filter"] = (t_scan - t_start + t_coarse - t_rest) * 1e3
-        timing["onset"] = (t_rest - t_scan + t_end - t_coarse) * 1e3
-    return rows, onsets
+        timing["filter"] += (t_coarse - t_rest) * 1e3
+        timing["onset"] += (t_end - t_coarse) * 1e3
+    return rows, onsets, runs
 
 
 def select_stable_window(recording: MultiChannelRecording, sos: np.ndarray,
-                         array: HydrophoneArray, sound_speed: float,
-                         start_sample: int = 0) -> TdoaSet:
-    """``filter_and_scan``, then ``tdoa_from_filtered`` for the one ping at
-    or after ``start_sample``; raises the error that ends its search."""
+                         array: HydrophoneArray, sound_speed: float) -> TdoaSet:
+    """``filter_and_scan``, then ``tdoa_from_filtered`` for the recording's
+    first ping; raises the error that ends its search."""
     if recording.channel_count != 8:
         raise ValueError(f"expected 8 channels, got {recording.channel_count}")
-    rows, onsets = filter_and_scan(recording, sos, array, sound_speed)
+    rows, onsets, runs = filter_and_scan(recording, sos, array, sound_speed)
     [tdoa] = tdoa_from_filtered(rows, recording.sample_rate, array, sound_speed, onsets,
-                                [start_sample])
+                                runs[:1])
     if isinstance(tdoa, Exception):
         raise tdoa
     return tdoa
 
 
-def _first_at_or_after(onsets: np.ndarray, starts: np.ndarray) -> list[int]:
-    """``first_onset`` of every start in ``starts``, -1 where there is none."""
-    n = len(onsets)
-    return [int(onsets[k]) if k < n else -1 for k in np.searchsorted(onsets, starts).tolist()]
-
-
 def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: HydrophoneArray,
                        sound_speed: float, onsets: Mapping[int, np.ndarray],
-                       start_samples: Sequence[int], diagnostics: list | None = None
+                       runs: Sequence[tuple[int, int]], diagnostics: list | None = None
                        ) -> list[TdoaSet | NoPingError | UnstableWindowError]:
     """Stable-window search of every ping of a recording at once, on
-    already-filtered channels given their onsets. ``filtered[k]`` is channel
-    k's row, as the mapping ``filter_and_scan`` returns or an (8, n) array.
-    The recording's length is the reference (first precise) row's; the
-    other precise rows need only reach the end of each ping's last candidate
-    window, and the coarse rows are read only through ``onsets``.
+    already-filtered channels given the coarse channels' onsets and the
+    reference runs, as ``filter_and_scan`` returns them (``filtered`` may
+    also be an (8, n) array). The recording's length is the reference (first
+    precise) row's; the other precise rows need only reach the end of each
+    ping's last candidate window.
 
-    A ping is the reference channel's first onset at or after one of
-    ``start_samples``. From it, candidate windows start every sub-window;
-    the one whose six pair delays are most repeatable across its
-    sub-windows wins. Returns one result per start sample, in order: the
-    TdoaSet measured over the winning window, plus the coarse quad's first
-    onsets at or after the start sample, or the error that ends that ping's
-    search. The checks run in this order: a reference onset (NoPingError),
-    room for one analysis window after it (NoPingError), a stable window
+    A ping is a run [first, last] of reference crossings; its onset is
+    ``first``. From it, candidate windows start every sub-window; the one
+    whose six pair delays are most repeatable across its sub-windows wins.
+    Returns one result per run, in order: the TdoaSet measured over the
+    winning window, with each coarse channel's first onset in the ping's
+    burst window (``_burst_margins``), or the error that ends that ping's
+    search. The checks run in this order: room for one analysis window after
+    the onset (NoPingError; only the last run can lack it), a stable window
     (UnstableWindowError), an onset on every coarse channel (NoPingError).
+    Without a run the result is one NoPingError on the reference channel.
     One ``_delays`` call measures every ping's sub-windows and one more
     every winning window, so each result equals that of the same call with
-    its start sample alone, bit for bit. ``sound_speed`` (m/s, the
-    scenario's) bounds every delay by the widest precise spacing over it.
-    If ``diagnostics`` is a list, it gets one dict per start sample: the
-    candidate window starts, their variance scores and the chosen index, or
-    nothing where the search stopped before scoring."""
+    its run alone, bit for bit. ``sound_speed`` (m/s, the scenario's) bounds
+    every delay by the widest precise spacing over it. If ``diagnostics`` is
+    a list, it gets one dict per result: the candidate window starts, their
+    variance scores and the chosen index, or nothing where the search
+    stopped before scoring."""
     ref = array.precise_channels[0]
-    starts = np.asarray(start_samples, dtype=np.intp)
-    ping_onsets = _first_at_or_after(onsets[ref], starts)
-    results: list = [None if onset >= 0 else
-                     NoPingError(f"no ping detected on reference channel {ref}")
-                     for onset in ping_onsets]
+    results: list = ([None] * len(runs) if runs else
+                     [NoPingError(f"no ping detected on reference channel {ref}")])
     # Filled in place below.
-    searches: list[dict] = [{} for _ in ping_onsets]
+    searches: list[dict] = [{} for _ in results]
     if diagnostics is not None:
         diagnostics.extend(searches)
+    if not runs:
+        return results
 
     win_len, sub_len = _window_lengths(fs)
-    if sub_len < 2 and any(onset >= 0 for onset in ping_onsets):
+    if sub_len < 2:
         raise ValueError(f"sample rate {fs} Hz too low for {NUM_SUBWINDOWS} sub-windows "
                          f"of a {WINDOW_DURATION} s window")
     n_total = len(filtered[ref])
     # Each ping with room for a window: (its index, its candidate starts).
     searched = []
-    for p, onset in enumerate(ping_onsets):
-        if onset < 0:
-            continue
+    for p, (onset, _) in enumerate(runs):
         candidates = [onset + k * sub_len for k in range(NUM_WINDOWS)
                       if onset + k * sub_len + win_len <= n_total]
         if candidates:
@@ -637,17 +641,24 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
     quad = gather([(start, start + win_len) for _, start in winners], win_len)
     delays, peaks = _delays(quad[i], quad[j], fs, min(max_lag, win_len - 1))
     delays = np.clip(delays, -max_delay, max_delay)
-    coarse = {ch: _first_at_or_after(onsets[ch], starts) for ch in array.coarse_channels}
+    before, reach = _burst_margins(array, sound_speed, fs)
+
+    def coarse_onset(found: np.ndarray, first: int, last: int) -> int:
+        # The first of ``found`` in run [first, last]'s burst window, or -1.
+        k = int(np.searchsorted(found, first - before))
+        return int(found[k]) if k < len(found) and found[k] < last + reach else -1
+
     for w, (p, start) in enumerate(winners):
-        missing = [ch for ch, found in coarse.items() if found[p] < 0]
-        if missing:
-            results[p] = NoPingError(f"no ping detected on coarse channel {missing[0]}")
+        arrivals = [coarse_onset(onsets[ch], *runs[p]) for ch in array.coarse_channels]
+        if -1 in arrivals:
+            results[p] = NoPingError(f"no ping detected on coarse channel "
+                                     f"{array.coarse_channels[arrivals.index(-1)]}")
             continue
         results[p] = TdoaSet(
-            onset_time_abs=ping_onsets[p] / fs,
+            onset_time_abs=runs[p][0] / fs,
             pair_delays=tuple(delays[:, w].tolist()),
             peak_correlations=tuple(peaks[:, w].tolist()),
-            coarse_arrivals=tuple(found[p] / fs for found in coarse.values()),
+            coarse_arrivals=tuple(arrival / fs for arrival in arrivals),
             window=(start, win_len),
         )
     return results

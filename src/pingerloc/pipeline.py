@@ -7,12 +7,12 @@ Reports serialize as newline-delimited JSON. Timings and window-search
 diagnostics ride on each report but stay out of the serialized stream unless
 asked for, so runs with the same seed are byte-identical. Onsets are detected
 once per recording, in the front end (``dsp.filter_and_scan``), against the
-reference channel's noise floor. Every ping's search start follows from the
-reference crossings alone, so one ``dsp.tdoa_from_filtered`` call searches
-them all; each ping is then guessed and solved as its outcome is consumed. A
-recording's render, filter, onset and search time is charged to its first
-report only (later ones carry 0.0), so summing a stream counts each cost
-once.
+reference channel's noise floor. A ping is a run of reference crossings, so
+every ping is known before any is searched: one ``dsp.tdoa_from_filtered``
+call searches them all, and each ping is then guessed and solved as its
+outcome is consumed. A recording's render, filter, onset and search time is
+charged to its first report only (later ones carry 0.0), so summing a
+stream counts each cost once.
 """
 
 from __future__ import annotations
@@ -120,22 +120,22 @@ class PingOutcome:
 
 
 def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scenario,
-                  onsets: dict[int, np.ndarray],
-                  start_samples: Sequence[int]) -> Iterator[PingOutcome]:
-    """Localize the first ping at or after each of ``start_samples`` in the
-    filtered channels (channel -> row) given their onsets, both as
+                  onsets: Mapping[int, np.ndarray],
+                  runs: Sequence[tuple[int, int]]) -> Iterator[PingOutcome]:
+    """Localize every ping, a run of reference crossings, in the filtered
+    channels (channel -> row) given the coarse onsets, all as
     ``dsp.filter_and_scan`` returns them; ``dsp.tdoa_from_filtered`` says
     which samples it reads. One search covers every ping, on the first
-    ``next``; then one outcome per start sample is yielded in order, and
-    each ping's octant guess and solve run only when its outcome is asked
-    for, so nothing after the outcome a caller stops at is solved. The
-    search's milliseconds are charged to the first outcome's "tdoa" timing
-    and later outcomes carry 0.0. Failures in PING_ERRORS are recorded on
-    the outcome; anything else (a bad argument) raises."""
+    ``next``; then one outcome per run (without a run, one NoPingError) is
+    yielded in order, and each ping's octant guess and solve run only when
+    its outcome is asked for, so nothing after the outcome a caller stops
+    at is solved. The search's milliseconds are charged to the first
+    outcome's "tdoa" timing and later outcomes carry 0.0. Failures in
+    PING_ERRORS are recorded on the outcome; anything else raises."""
     t_search = time.perf_counter()
     searches: list[dict] = []
     tdoas = dsp.tdoa_from_filtered(filtered, fs, scenario.array, scenario.sound_speed, onsets,
-                                   start_samples, diagnostics=searches)
+                                   runs, diagnostics=searches)
     search_ms = (time.perf_counter() - t_search) * 1e3
     for tdoa, window_search in zip(tdoas, searches):
         octant = result = error = None
@@ -166,17 +166,6 @@ def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scena
                           timing=timing, error=error)
 
 
-def _ping_starts(crossings: np.ndarray, skip: int) -> list[int]:
-    """Where each ping's search starts: 0, then ``skip`` samples past each
-    ping's onset, the first crossing at or after the previous start. The
-    last start has no crossing at or after it; its NoPingError ends the
-    stream."""
-    starts = [0]
-    while (k := int(np.searchsorted(crossings, starts[-1]))) < len(crossings):
-        starts.append(int(crossings[k]) + skip)
-    return starts
-
-
 def _front_end_sos(scenario: Scenario, fs: float) -> np.ndarray:
     """The scenario's front-end bandpass at ``fs``."""
     fe = scenario.front_end
@@ -185,7 +174,8 @@ def _front_end_sos(scenario: Scenario, fs: float) -> np.ndarray:
 
 def _filter_and_scan(recording: MultiChannelRecording, scenario: Scenario,
                      timing: dict | None = None
-                     ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+                     ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray],
+                                list[tuple[int, int]]]:
     """``dsp.filter_and_scan`` through the scenario's front-end bandpass."""
     return dsp.filter_and_scan(recording, _front_end_sos(scenario, recording.sample_rate),
                                scenario.array, scenario.sound_speed, timing)
@@ -193,14 +183,16 @@ def _filter_and_scan(recording: MultiChannelRecording, scenario: Scenario,
 
 def run_localization(scenario: Scenario,
                      recording: MultiChannelRecording | None = None) -> Iterator[AzimuthReport]:
-    """Yield one AzimuthReport per detected ping repetition, in time order.
+    """Yield one AzimuthReport per ping, a run of reference crossings
+    (``dsp.scan_reference``), in time order.
 
     With ``recording`` None the scenario is rendered first. Otherwise the
-    scenario supplies geometry, sound speed and filter band, and its
-    pinger's repetition interval and ping duration set how far past each
-    ping's onset the search for the next one resumes (``_ping_starts``).
-    A ping that fails raises its error, except that a missing ping after
-    the first ends the stream. Deterministic given the scenario seed.
+    scenario supplies only geometry, sound speed and filter band: the pings
+    come from the recording, not from the pinger's timing. A ping that fails
+    raises its error (NoPingError when the reference channel has no run),
+    except that a last burst cut off by the recording's end, with no room
+    for one analysis window, ends the stream once a report has been
+    written. Deterministic given the scenario seed.
     """
     t_start = time.perf_counter()
     if recording is None:
@@ -210,19 +202,15 @@ def run_localization(scenario: Scenario,
         raise ConfigError(f"expected an 8-channel recording, got {recording.channel_count}")
 
     fs = recording.sample_rate
-    filtered, onsets = _filter_and_scan(recording, scenario, recording_timing)
-
-    # After a ping is handled, resume the search just ahead of the next
-    # repetition slot. Searching right after the burst instead would trip on
-    # the filters' decaying tails in quiet recordings.
-    past_burst = max(scenario.pinger.ping_duration, dsp.SEARCH_SPAN) + 2.5e-3
-    skip = int(round(max(scenario.pinger.repetition_interval - 2e-3, past_burst) * fs))
+    filtered, onsets, runs = _filter_and_scan(recording, scenario, recording_timing)
 
     channels = scenario.array.precise_channels
-    starts = _ping_starts(onsets[channels[0]], skip)
-    for ping_index, outcome in enumerate(localize_ping(filtered, fs, scenario, onsets, starts)):
+    for ping_index, outcome in enumerate(localize_ping(filtered, fs, scenario, onsets, runs)):
         if outcome.error is not None:
-            if ping_index > 0 and isinstance(outcome.error, dsp.NoPingError):
+            # A NoPingError before any window was scored is the last run's:
+            # no room for one analysis window before the recording ends.
+            if (ping_index > 0 and isinstance(outcome.error, dsp.NoPingError)
+                    and not outcome.window_search):
                 return
             raise outcome.error
         tdoa, result = outcome.tdoa, outcome.result
@@ -380,8 +368,8 @@ def _trial_scenario(position: Vec3) -> Scenario:
 
 def _localize_trial(recording: MultiChannelRecording, scenario: Scenario) -> PingOutcome:
     """The first ping of a trial's recording through the localizer's chain."""
-    filtered, onsets = _filter_and_scan(recording, scenario)
-    return next(localize_ping(filtered, recording.sample_rate, scenario, onsets, [0]))
+    filtered, onsets, runs = _filter_and_scan(recording, scenario)
+    return next(localize_ping(filtered, recording.sample_rate, scenario, onsets, runs[:1]))
 
 
 def _localize_noisy_trial(clean: MultiChannelRecording, scenario: Scenario, trial: int,
@@ -390,10 +378,10 @@ def _localize_noisy_trial(clean: MultiChannelRecording, scenario: Scenario, tria
     ``snr_db``. The rows up to the reference (first precise) channel get
     their noise first: ``add_noise`` draws the channels in order from one
     generator, so theirs equals the first rows of the whole recording's. The
-    reference row is filtered and scanned as ``dsp.filter_and_scan`` does;
-    without a crossing the chain stops there with the same NoPingError, and
-    the other channels are never drawn (nor can their overflow fail the
-    trial)."""
+    reference step (``dsp.scan_reference``) runs on them as in
+    ``dsp.filter_and_scan``; without a run the chain stops there with the
+    same NoPingError, and the other channels are never drawn (nor can their
+    overflow fail the trial)."""
     fs = clean.sample_rate
     fe = scenario.front_end
     sigma = white_sigma_for_snr(measure_burst_rms(clean, scenario), snr_db,
@@ -409,10 +397,10 @@ def _localize_noisy_trial(clean: MultiChannelRecording, scenario: Scenario, tria
 
     ref = scenario.array.precise_channels[0]
     head = noisy(MultiChannelRecording(sample_rate=fs, channels=clean.channels[:ref + 1]))
-    row = dsp.filter_signal(_front_end_sos(scenario, fs), head.channels[ref])
-    crossings, _ = dsp.detect_ping(row, fs)
-    if not crossings.size:
-        return next(localize_ping({ref: row}, fs, scenario, {ref: crossings}, [0]))
+    _, _, runs = dsp.scan_reference(head, _front_end_sos(scenario, fs), scenario.array,
+                                    scenario.sound_speed)
+    if not runs:
+        return next(localize_ping({}, fs, scenario, {}, runs))
     return _localize_trial(noisy(clean), scenario)
 
 

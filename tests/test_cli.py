@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -199,6 +200,73 @@ def test_no_ping_exit_code(scenario_path, tmp_path, capsys):
                      "--recording", str(rec_path)])
         assert code == EXIT_NO_PING
         assert "no ping" in capsys.readouterr().err
+
+
+def quick_scenario(duration, interval=None):
+    """configs/scenario_quick.json recorded for ``duration`` s, its pinger
+    repeating every ``interval`` s (the config's 50 ms by default)."""
+    quick = scene.load_scenario(CONFIGS / "scenario_quick.json")
+    pinger = dataclasses.replace(quick.pinger,
+                                 repetition_interval=interval or quick.pinger.repetition_interval)
+    return dataclasses.replace(quick, pinger=pinger, record_duration=duration)
+
+
+def localize_recording(tmp_path, capsys, scenario, channels):
+    """``localize --recording`` on ``channels`` under ``scenario``: (exit
+    code, reports, stderr)."""
+    config, path = tmp_path / "scenario.json", tmp_path / "recording.oogw"
+    config.write_text(json.dumps(scenario_to_dict(scenario)))
+    write_recording(MultiChannelRecording(sample_rate=scenario.sample_rate, channels=channels),
+                    path)
+    code = main(["localize", "--config", str(config), "--recording", str(path)])
+    out, err = capsys.readouterr()
+    return code, [json.loads(line) for line in out.splitlines()], err
+
+
+@pytest.mark.parametrize("rendered, claimed, pings", [(0.045, 0.05, 9), (0.05, 0.06, 8)],
+                         ids=["45-ms-claimed-50", "50-ms-claimed-60"])
+def test_pings_come_from_the_recording_not_the_claimed_interval(tmp_path, capsys, rendered,
+                                                                claimed, pings):
+    # The pinger repeats every ``rendered`` s over 0.4 s, but the scenario
+    # claims ``claimed``. Each burst is one run of reference crossings, so
+    # every burst is reported, each window within its own burst.
+    recording = simulator.render_scene(quick_scenario(0.4, rendered))
+    code, reports, err = localize_recording(tmp_path, capsys, quick_scenario(0.4, claimed),
+                                            recording.channels)
+    assert (code, err) == (EXIT_OK, "")
+    assert [report["ping_index"] for report in reports] == list(range(pings))
+    offsets = [report["window"][0] - k * rendered * recording.sample_rate
+               for k, report in enumerate(reports)]
+    assert 0 < min(offsets) and max(offsets) - min(offsets) < 1_000
+    assert {report["octant_guess"] for report in reports} == {"++-"}
+
+
+def test_coarse_channel_silent_over_a_burst_is_no_ping(tmp_path, capsys):
+    # A coarse channel zeroed over the second of four bursts. Each ping
+    # reads its coarse onsets in its own burst window, never the next
+    # burst's: ping 0 is reported, and ping 1 ends the stream.
+    scenario = quick_scenario(0.2)
+    coarse = scenario.array.coarse_channels[0]
+    channels = simulator.render_scene(scenario).channels.copy()
+    channels[coarse, 25_000:40_000] = 0.0
+    code, reports, err = localize_recording(tmp_path, capsys, scenario, channels)
+    assert code == EXIT_NO_PING and [report["ping_index"] for report in reports] == [0]
+    assert err == f"error: no ping detected on coarse channel {coarse}\n"
+
+
+@pytest.mark.parametrize("offset", [0.3, 1.0, 5.0])
+def test_dc_offset_keeps_every_ping(tmp_path, capsys, offset):
+    # A constant on every channel is a step into the zero-state bandpass at
+    # sample 0, and its ringing crosses the cutoff in the first samples. The
+    # reference crossings before the filter has settled are dropped, so the
+    # four pings are reported in the same windows as without the offset.
+    scenario = quick_scenario(0.2)
+    channels = simulator.render_scene(scenario).channels
+    clean = localize_recording(tmp_path, capsys, scenario, channels)
+    code, reports, err = localize_recording(tmp_path, capsys, scenario,
+                                            channels + np.float32(offset))
+    assert (code, err) == (EXIT_OK, "") and len(reports) == 4
+    assert [report["window"] for report in reports] == [report["window"] for report in clean[1]]
 
 
 @pytest.mark.parametrize("command, flag, name", [

@@ -38,7 +38,6 @@ from pingerloc.dsp import (
     _moving_mean_square,
     _square_cutoff,
     filter_and_scan,
-    first_onset,
     tdoa_from_filtered,
 )
 from conftest import FS, SOUND_SPEED, assert_equal_past_float32_cut, travel_time
@@ -51,12 +50,12 @@ def cascade():
     return design_bandpass(4, 30_000.0, 50_000.0, FS)
 
 
-def search_one(filtered, array, onsets, start_sample=0):
-    """(result, diagnostics) of ``tdoa_from_filtered`` on one start sample:
-    its TdoaSet or error, and its window-search diagnostics."""
+def search_one(filtered, array, onsets, run):
+    """(result, diagnostics) of ``tdoa_from_filtered`` on one run of
+    reference crossings: its TdoaSet or error, and its window-search
+    diagnostics."""
     diagnostics = []
-    [result] = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets, [start_sample],
-                                  diagnostics)
+    [result] = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets, [run], diagnostics)
     return result, diagnostics[0]
 
 
@@ -367,23 +366,27 @@ class TestDetectPing:
 
     def test_onset_within_half_ms(self, cascade):
         x = self.burst_in_noise(onset_time=0.5, total=1.0, snr_db=20.0)
-        onset = first_onset(crossings(filter_signal(cascade, x), FS), 0)
+        onset = crossings(filter_signal(cascade, x), FS)[0]
         assert abs(onset / FS - 0.5) <= 0.5e-3
 
-    def test_pure_noise_raises(self, cascade):
+    def test_pure_noise_raises(self, cascade, std_scenario):
         rng = np.random.default_rng(3)
-        x = filter_signal(cascade, rng.normal(0.0, 0.1, 200_000))
-        with pytest.raises(NoPingError):
-            first_onset(crossings(x, FS), 0)
+        x = rng.normal(0.0, 0.1, 200_000)
+        assert crossings(filter_signal(cascade, x), FS).size == 0
+        channels = np.zeros((8, x.size), dtype=np.float32)
+        channels[std_scenario.array.precise_channels[0]] = x
+        with pytest.raises(NoPingError, match="reference channel"):
+            select_stable_window(MultiChannelRecording(sample_rate=FS, channels=channels),
+                                 cascade, std_scenario.array, SOUND_SPEED)
 
     def test_first_of_two_bursts(self, cascade):
         x = (self.burst_in_noise(onset_time=0.5, total=3.0, snr_db=30.0)
              + self.burst_in_noise(onset_time=2.5, total=3.0, snr_db=30.0, seed=1))
         onsets = crossings(filter_signal(cascade, x), FS)
-        assert abs(first_onset(onsets, 0) / FS - 0.5) <= 1e-3
+        assert abs(onsets[0] / FS - 0.5) <= 1e-3
         # The same scan serves the later burst.
         assert np.all(np.diff(onsets) > 0)
-        assert abs(first_onset(onsets, int(1.5 * FS)) / FS - 2.5) <= 1e-3
+        assert abs(onsets[onsets >= int(1.5 * FS)][0] / FS - 2.5) <= 1e-3
 
     def test_own_and_given_cutoff(self, cascade):
         x = filter_signal(cascade, self.burst_in_noise(0.1, 0.3, 20.0))
@@ -401,19 +404,30 @@ class TestDetectPing:
             assert np.array_equal(detect_ping(x[:end], FS, cutoff)[0],
                                   onsets[onsets < end]), end
         empty = detect_ping(np.zeros(0), FS)
-        assert empty[0].size == 0 and math.isnan(empty[1])
+        assert empty[0].dtype.kind == "i" and empty[0].size == 0 and math.isnan(empty[1])
         assert detect_ping(np.zeros(0), FS, cutoff)[1] == cutoff
 
-    def test_past_the_last_crossing_raises(self, cascade):
-        onsets = crossings(filter_signal(cascade, self.burst_in_noise(0.1, 0.3, 20.0)), FS)
-        assert first_onset(onsets, int(onsets[-1])) == onsets[-1]
-        with pytest.raises(NoPingError):
-            first_onset(onsets, int(onsets[-1]) + 1)
-        # An empty channel has no crossings at all.
-        empty = crossings(np.zeros(0), FS)
-        assert empty.dtype.kind == "i" and empty.size == 0
-        with pytest.raises(NoPingError):
-            first_onset(empty, 0)
+
+class TestScanReference:
+    def test_runs_split_where_burst_windows_stop_overlapping(self, cascade, std_scenario,
+                                                            monkeypatch):
+        # The reference crossings past the settle prefix split into runs
+        # where two are before + reach apart or more; a crossing inside the
+        # prefix, where a DC offset's step still rings, is dropped.
+        array = std_scenario.array
+        before, reach = dsp._burst_margins(array, SOUND_SPEED, FS)
+        gap = before + reach
+        prefix = dsp._settle_samples(cascade) + int(round(dsp.RMS_WINDOW * FS))
+        first = prefix
+        second = first + 1 + 2 * gap
+        found = np.array([0, prefix - 1, first, first + 2, first + 1 + gap, second, second + 1])
+        monkeypatch.setattr(dsp, "detect_ping", lambda row, fs: (found, 0.5))
+        recording = MultiChannelRecording(sample_rate=FS,
+                                          channels=np.zeros((8, second + 10), dtype=np.float32))
+        timing = {}
+        row, cutoff, runs = dsp.scan_reference(recording, cascade, array, SOUND_SPEED, timing)
+        assert runs == [(first, first + 1 + gap), (second, second + 1)]
+        assert cutoff == 0.5 and len(row) == second + 10 and set(timing) == {"filter", "onset"}
 
 
 def index_array_moving_rms(samples, window):
@@ -719,8 +733,8 @@ class TestSelectStableWindow:
     def test_clean_ping(self, std_recording, std_scenario):
         array = std_scenario.array
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
-        rows, onsets = filter_and_scan(std_recording, cascade, array, SOUND_SPEED)
-        tdoa, diagnostics = search_one(rows, array, onsets)
+        rows, onsets, runs = filter_and_scan(std_recording, cascade, array, SOUND_SPEED)
+        tdoa, diagnostics = search_one(rows, array, onsets, runs[0])
 
         assert len(tdoa.pair_delays) == len(tdoa.peak_correlations) == 6
         max_delay = array.max_precise_spacing() / SOUND_SPEED
@@ -758,7 +772,7 @@ class TestSelectStableWindow:
         array = std_scenario.array
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         ref_filtered = filter_signal(cascade, std_recording.channels[array.precise_channels[0]])
-        onset = first_onset(crossings(ref_filtered, FS), 0)
+        onset = crossings(ref_filtered, FS)[0]
 
         rng = np.random.default_rng(13)
         glitch_start = onset + int(3e-3 * FS)
@@ -770,8 +784,8 @@ class TestSelectStableWindow:
                 0.0, amp, glitch_len).astype(np.float32)
         glitched = MultiChannelRecording(sample_rate=FS, channels=channels)
 
-        rows, onsets = filter_and_scan(glitched, cascade, array, SOUND_SPEED)
-        tdoa, _ = search_one(rows, array, onsets)
+        rows, onsets, runs = filter_and_scan(glitched, cascade, array, SOUND_SPEED)
+        tdoa, _ = search_one(rows, array, onsets, runs[0])
         # winning window must end before the glitch
         start, length = tdoa.window
         assert start + length <= glitch_start
@@ -779,7 +793,7 @@ class TestSelectStableWindow:
     def test_recording_too_short(self, std_recording, std_scenario):
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         ref = filter_signal(cascade, std_recording.channels[0])
-        onset = first_onset(crossings(ref, FS), 0)
+        onset = crossings(ref, FS)[0]
         short = MultiChannelRecording(
             sample_rate=FS, channels=std_recording.channels[:, :onset + 300].copy())
         with pytest.raises(NoPingError):
@@ -800,13 +814,12 @@ class TestSelectStableWindow:
             select_stable_window(rec, cascade, std_scenario.array, SOUND_SPEED)
 
 
-def per_candidate_search(filtered, fs, array, sound_speed, onsets):
+def per_candidate_search(filtered, fs, array, sound_speed, onset):
     """The window search's diagnostics as it scored candidates before each
     sub-window was measured once: every candidate correlates each pair of
     its own NUM_SUBWINDOWS sub-windows with ``estimate_delay``, and a
     candidate with a degenerate sub-window scores inf. Candidates hop by one
     sub-window, which is the old 0.5 ms hop at 500 kHz."""
-    onset = first_onset(onsets[array.precise_channels[0]], 0)
     win_len = int(round(WINDOW_DURATION * fs))
     sub_len = win_len // NUM_SUBWINDOWS
     sub_max_lag = min(int(math.ceil(array.max_precise_spacing() / sound_speed * fs)),
@@ -846,13 +859,13 @@ class TestSubWindowTable:
 
     @staticmethod
     def front_end(scenario, recording, cascade):
-        """(scenario, the full-length filter's rows, the onsets
-        ``filter_and_scan`` finds in them)."""
-        _, onsets = filter_and_scan(recording, cascade, scenario.array, SOUND_SPEED)
-        return scenario, filter_signal(cascade, recording.channels), onsets
+        """(scenario, the full-length filter's rows, the coarse onsets and
+        the first run ``filter_and_scan`` finds in them)."""
+        _, onsets, runs = filter_and_scan(recording, cascade, scenario.array, SOUND_SPEED)
+        return scenario, filter_signal(cascade, recording.channels), onsets, runs[0]
 
     def onset(self, filtered, array):
-        return first_onset(crossings(filtered[array.precise_channels[0]], FS), 0)
+        return crossings(filtered[array.precise_channels[0]], FS)[0]
 
     def zero_precise(self, filtered, array, offset, length):
         """A copy with the second precise channel zeroed over ``length``
@@ -874,12 +887,12 @@ class TestSubWindowTable:
         return out
 
     def case(self, quick, noiseless, name):
-        """(scenario, filtered channels, onsets) of one named case; all but
-        the noiseless ping edit the filtered quick-scenario ping and keep its
-        onsets."""
+        """(scenario, filtered channels, coarse onsets, run) of one named
+        case; all but the noiseless ping edit the filtered quick-scenario
+        ping and keep its onsets and run."""
         if name == "noiseless":
             return noiseless
-        scenario, filtered, onsets = quick
+        scenario, filtered, onsets, run = quick
         array = scenario.array
         edit = {
             "quick": lambda: filtered,
@@ -890,15 +903,15 @@ class TestSubWindowTable:
             "three-candidates": lambda: self.cut_to_three_candidates(filtered, array),
             "glitch": lambda: self.glitch(filtered, array),
         }[name]
-        return scenario, edit(), onsets
+        return scenario, edit(), onsets, run
 
     @pytest.mark.parametrize("name", ["quick", "zeroed-sub-window", "zeroed-search",
                                       "three-candidates", "glitch", "noiseless"])
     def test_diagnostics_equal_per_candidate_scoring(self, quick, noiseless, name):
-        scenario, filtered, onsets = self.case(quick, noiseless, name)
+        scenario, filtered, onsets, run = self.case(quick, noiseless, name)
         array = scenario.array
-        expected = per_candidate_search(filtered, FS, array, SOUND_SPEED, onsets)
-        tdoa, diagnostics = search_one(filtered, array, onsets)
+        expected = per_candidate_search(filtered, FS, array, SOUND_SPEED, run[0])
+        tdoa, diagnostics = search_one(filtered, array, onsets, run)
         assert diagnostics == expected
         scores = expected["variance_scores"]
         if name == "zeroed-search":
@@ -922,7 +935,7 @@ class TestSubWindowTable:
         # sub-window, then every pair of every winning window (here one).
         # Each delay and peak equals the full-mode np.correlate reference on
         # that pair's slices, bit for bit; a pair with a zeroed slice is NaN.
-        scenario, filtered, onsets = self.case(quick, noiseless, name)
+        scenario, filtered, onsets, run = self.case(quick, noiseless, name)
         array = scenario.array
         calls = []
         real = dsp._delays
@@ -932,7 +945,7 @@ class TestSubWindowTable:
             return calls[-1][2:]
 
         monkeypatch.setattr(dsp, "_delays", recorded)
-        tdoa, diagnostics = search_one(filtered, array, onsets)
+        tdoa, diagnostics = search_one(filtered, array, onsets, run)
         assert len(diagnostics["candidate_starts"]) == candidates
         sub_windows = candidates + NUM_SUBWINDOWS - 1
         win_len = int(round(WINDOW_DURATION * FS))
@@ -977,8 +990,8 @@ class TestSubWindowTable:
 
 
 class TestBatchedSearch:
-    """One tdoa_from_filtered call over many start samples gives each of
-    them what the call with that start sample alone gives, bit for bit."""
+    """One tdoa_from_filtered call over many runs gives each of them what
+    the call with that run alone gives, bit for bit."""
 
     SUB_LEN = int(round(WINDOW_DURATION * FS)) // NUM_SUBWINDOWS
 
@@ -995,15 +1008,14 @@ class TestBatchedSearch:
         array = scenario.array
         ref = array.precise_channels[0]
         filtered = filter_signal(cascade, recording.channels)
-        _, onsets = filter_and_scan(recording, cascade, array, SOUND_SPEED)
-        slots = [int(round(k * interval * FS)) for k in range(pings)]
-        ping_onsets = [first_onset(onsets[ref], slot) for slot in slots]
+        _, onsets, runs = filter_and_scan(recording, cascade, array, SOUND_SPEED)
+        assert len(runs) == pings
 
         # The row ends inside the final ping's search: it keeps 1 to
         # NUM_WINDOWS - 1 candidates. Crossings past the end are dropped.
         win_len = int(round(WINDOW_DURATION * FS))
         kept = data.draw(st.integers(1, NUM_WINDOWS - 1), label="kept")
-        end = (ping_onsets[-1] + (kept - 1) * self.SUB_LEN + win_len
+        end = (runs[-1][0] + (kept - 1) * self.SUB_LEN + win_len
                + data.draw(st.integers(0, self.SUB_LEN - 1), label="slack"))
         filtered = filtered[:, :end].copy()
         onsets = {ch: found[found < end] for ch, found in onsets.items()}
@@ -1012,33 +1024,43 @@ class TestBatchedSearch:
         glitched = data.draw(st.integers(0, pings - 2), label="glitched")
         span = int(round(SEARCH_SPAN * FS))
         rng = np.random.default_rng(seed)
-        filtered[:, ping_onsets[glitched]:ping_onsets[glitched] + span] += rng.normal(
+        onset = runs[glitched][0]
+        filtered[:, onset:onset + span] += rng.normal(
             0.0, 10.0 * np.max(np.abs(filtered)), (8, span))
 
-        after = data.draw(st.integers(int(onsets[ref][-1]) + 1, end + 2_000), label="after")
-        others = data.draw(st.lists(st.sampled_from(slots) | st.integers(0, end + 2_000),
-                                    max_size=6), label="others")
-        starts = data.draw(st.permutations([after, slots[glitched], slots[-1], *others]),
-                           label="starts")
+        # A run with no room for one window, and runs anywhere else, whose
+        # burst windows may miss every coarse onset.
+        after = data.draw(st.integers(end - win_len + 1, end + 2_000), label="after")
+        anywhere = st.tuples(st.integers(0, end + 2_000), st.integers(0, 3_000)).map(
+            lambda run: (run[0], run[0] + run[1]))
+        others = data.draw(st.lists(st.sampled_from(runs) | anywhere, max_size=6),
+                           label="others")
+        batch = data.draw(st.permutations([(after, after), runs[glitched], runs[-1], *others]),
+                          label="batch")
         diagnostics = []
-        batched = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets, starts,
+        batched = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets, batch,
                                      diagnostics)
-        assert len(batched) == len(diagnostics) == len(starts)
-        for start, result, found in zip(starts, batched, diagnostics):
-            alone, alone_found = search_one(filtered, array, onsets, start)
+        assert len(batched) == len(diagnostics) == len(batch)
+        for run, result, found in zip(batch, batched, diagnostics):
+            alone, alone_found = search_one(filtered, array, onsets, run)
             # repr tells every float apart, -0.0 from 0.0 too, and an error's
             # class and message.
-            assert type(result) is type(alone) and repr(result) == repr(alone), start
-            assert repr(found) == repr(alone_found), start
+            assert type(result) is type(alone) and repr(result) == repr(alone), run
+            assert repr(found) == repr(alone_found), run
 
-        results = dict(zip(starts, zip(batched, diagnostics)))
-        result, found = results[after]
+        results = dict(zip(batch, zip(batched, diagnostics)))
+        result, found = results[(after, after)]
         assert isinstance(result, NoPingError) and found == {}
-        assert str(result) == f"no ping detected on reference channel {ref}"
-        result, found = results[slots[glitched]]
+        assert str(result).startswith("no ping: recording too short")
+        result, found = results[runs[glitched]]
         assert isinstance(result, UnstableWindowError)
         assert len(found["candidate_starts"]) == NUM_WINDOWS
-        assert len(results[slots[-1]][1]["candidate_starts"]) == kept
+        assert len(results[runs[-1]][1]["candidate_starts"]) == kept
+        # Without a run the recording is one ping that failed.
+        diagnostics = []
+        [result] = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets, [], diagnostics)
+        assert str(result) == f"no ping detected on reference channel {ref}"
+        assert isinstance(result, NoPingError) and diagnostics == [{}]
 
 
 class TestVecdotKernel:

@@ -122,7 +122,7 @@ class TestRunLocalization:
         assert [r.ping_index for r in reports] == list(range(16))
         n = int(round(16 * interval * scenario.sample_rate))
         (ref_size, (crossings, cutoff)), *coarse = calls
-        windows = burst_windows(scenario, FS, crossings)
+        windows = burst_windows(scenario, FS, reference_runs(scenario, FS, crossings))
         prefix = coarse_margins(scenario, FS)[2]
         assert ref_size == n and len(windows) == 16 and 0 < windows[0][0] - prefix
         assert windows[-1][1] < n
@@ -257,9 +257,10 @@ class TestRunLocalization:
                      record_duration=0.05, noise=NoiseSpec.silent(), seed=0)
 
 
-def localize_first(scenario, recording, start_sample=0):
-    filtered, onsets = _filter_and_scan(recording, scenario)
-    return next(localize_ping(filtered, FS, scenario, onsets, [start_sample]))
+def localize_first(scenario, recording, run=None):
+    """The outcome of ``run``, the recording's first run by default."""
+    filtered, onsets, runs = _filter_and_scan(recording, scenario)
+    return next(localize_ping(filtered, FS, scenario, onsets, [run or runs[0]]))
 
 
 def full_length_onsets(scenario, recording):
@@ -292,20 +293,26 @@ def coarse_margins(scenario, fs):
     return lag + w, max(int(round(dsp.SEARCH_SPAN * fs)), lag), dsp._settle_samples(sos) + w
 
 
-def burst_windows(scenario, fs, crossings):
-    """The front end's coarse burst windows [a, b), unclipped: a run of
-    reference crossings [first, last] covers [first - before, last + reach),
-    and a run ends where the next crossing's window and prefix would start
-    past that window."""
+def reference_runs(scenario, fs, crossings):
+    """The pings the front end forms from the reference channel's
+    crossings: the crossings past the settle prefix, split into runs
+    [first, last] where the next crossing is at least before + reach
+    later."""
     before, reach, prefix = coarse_margins(scenario, fs)
-    windows = []
-    for c in crossings.tolist():
-        if windows and c - last <= before + reach + prefix:
-            windows[-1][1] = c + reach
+    runs = []
+    for c in crossings[crossings >= prefix].tolist():
+        if runs and c - runs[-1][1] < before + reach:
+            runs[-1][1] = c
         else:
-            windows.append([c - before, c + reach])
-        last = c
-    return windows
+            runs.append([c, c])
+    return [tuple(run) for run in runs]
+
+
+def burst_windows(scenario, fs, runs):
+    """The front end's coarse burst windows [a, b), unclipped: a run of
+    reference crossings [first, last] covers [first - before, last + reach)."""
+    before, reach, _ = coarse_margins(scenario, fs)
+    return [(first - before, last + reach) for first, last in runs]
 
 
 def inside(samples, windows):
@@ -324,10 +331,10 @@ class TestFilterAndScan:
     coarse onset a full-length crossing inside a burst window."""
 
     def check_rows(self, scenario, recording):
-        """Compare the front end's rows and onsets with the full filter's;
-        return (rows, onsets, full filter)."""
+        """Compare the front end's rows, onsets and runs with the full
+        filter's; return (rows, onsets, runs, full filter)."""
         timing = {}
-        rows, onsets = _filter_and_scan(recording, scenario, timing)
+        rows, onsets, runs = _filter_and_scan(recording, scenario, timing)
         expected, full = full_length_onsets(scenario, recording)
         array = scenario.array
         ref = array.precise_channels[0]
@@ -335,29 +342,30 @@ class TestFilterAndScan:
         for ch, row in rows.items():
             assert row.tobytes() == full[ch, :len(row)].tobytes(), ch
         assert len(rows[ref]) == recording.samples_per_channel
-        assert onsets.keys() == expected.keys()
-        assert np.array_equal(onsets[ref], expected[ref])
-        windows = burst_windows(scenario, recording.sample_rate, expected[ref])
+        assert list(onsets) == list(array.coarse_channels)
+        assert runs == reference_runs(scenario, recording.sample_rate, expected[ref])
+        windows = burst_windows(scenario, recording.sample_rate, runs)
         for ch in array.coarse_channels:
             assert np.array_equal(onsets[ch], inside(expected[ch], windows)), ch
-        return rows, onsets, full
+        return rows, onsets, runs, full
 
     def check_searches(self, scenario, recording):
         """Every ping's window search reads the same from the front end's
         rows as from the full-length filter; return (rows, ping count)."""
-        rows, onsets, full = self.check_rows(scenario, recording)
-        # Each ping's search starts at its onset, the first candidate.
+        rows, onsets, runs, full = self.check_rows(scenario, recording)
+        # Each ping's search starts at its onset, its run's first crossing.
         starts = [report.diagnostics["candidate_starts"][0]
                   for report in run_localization(scenario, recording=recording)]
+        assert starts == [first for first, _ in runs]
         search = []
         for filtered in (rows, full):
             diagnostics = []
             tdoas = dsp.tdoa_from_filtered(filtered, recording.sample_rate, scenario.array,
-                                           scenario.sound_speed, onsets, starts, diagnostics)
+                                           scenario.sound_speed, onsets, runs, diagnostics)
             search.append((tdoas, diagnostics))
         assert search[0] == search[1]
         assert all(isinstance(tdoa, dsp.TdoaSet) for tdoa in search[0][0])
-        return rows, len(starts)
+        return rows, len(runs)
 
     def test_sixteen_noisy_repetitions(self):
         quick = load_scenario(CONFIGS / "scenario_quick.json")
@@ -400,7 +408,8 @@ class TestFilterAndScan:
         scale = np.abs(full[list(coarse)]).max()
         n, prefix = recording.samples_per_channel, coarse_margins(scenario, fs)[2]
         column = 0
-        for a, b in burst_windows(scenario, fs, expected[scenario.array.precise_channels[0]]):
+        runs = reference_runs(scenario, fs, expected[scenario.array.precise_channels[0]])
+        for a, b in burst_windows(scenario, fs, runs):
             a, b = max(0, a), min(n, b)
             column += a - max(0, a - prefix)
             for ch, row in zip(coarse, coarse_rows):
@@ -419,14 +428,14 @@ class TestFilterAndScan:
         recording = render_scene(scenario)
         ref, coarse = scenario.array.precise_channels[0], scenario.array.coarse_channels[0]
         expected, _ = full_length_onsets(scenario, recording)
-        (a, _), _ = burst_windows(scenario, FS, expected[ref])
+        (a, _), _ = burst_windows(scenario, FS, reference_runs(scenario, FS, expected[ref]))
         glitches = [(a - 1_100, a - 700), (15_000, 15_400)]
         channels = recording.channels.copy()
         rng = np.random.default_rng(7)
         for lo, hi in glitches:
             channels[coarse, lo:hi] += rng.normal(0.0, 0.5, hi - lo).astype(np.float32)
         glitched = MultiChannelRecording(sample_rate=FS, channels=channels)
-        _, onsets, _ = self.check_rows(scenario, glitched)
+        _, onsets, _, _ = self.check_rows(scenario, glitched)
         noisy, _ = full_length_onsets(scenario, glitched)
         for lo, hi in glitches:
             assert ((noisy[coarse] >= lo) & (noisy[coarse] < hi + 500)).any()
@@ -444,8 +453,8 @@ class TestFilterAndScan:
     def test_search_past_the_end(self):
         scenario = load_scenario(CONFIGS / "scenario_quick.json")
         recording = render_scene(scenario)
-        _, onsets, _ = self.check_rows(scenario, recording)
-        onset = int(onsets[scenario.array.precise_channels[0]][0])
+        _, _, runs, _ = self.check_rows(scenario, recording)
+        onset = runs[0][0]
         cut = MultiChannelRecording(sample_rate=FS,
                                     channels=recording.channels[:, :onset + 1_500].copy())
         rows, pings = self.check_searches(scenario, cut)
@@ -460,18 +469,18 @@ class TestFilterAndScan:
         for resumed in (array.precise_channels[2], array.coarse_channels[1]):
             channels = std_recording.channels.copy()
             channels[resumed, -1_000:] = channels[resumed, 3_000:4_000]
-            rows, _, _ = self.check_rows(std_scenario,
-                                         MultiChannelRecording(sample_rate=FS, channels=channels))
+            rows, _, _, _ = self.check_rows(
+                std_scenario, MultiChannelRecording(sample_rate=FS, channels=channels))
             assert (len(rows[array.precise_channels[2]]) == std_recording.samples_per_channel) == (
                 resumed == array.precise_channels[2])
 
     def test_silent_recording(self, std_scenario, tmp_path, capsys):
         silent = MultiChannelRecording(sample_rate=FS,
                                        channels=np.zeros((8, 30_000), dtype=np.float32))
-        rows, onsets, _ = self.check_rows(std_scenario, silent)
+        rows, onsets, runs, _ = self.check_rows(std_scenario, silent)
         ref = std_scenario.array.precise_channels[0]
         assert [len(row) for ch, row in rows.items() if ch != ref] == [0] * 3
-        assert [len(found) for found in onsets.values()] == [0] * 5
+        assert [len(found) for found in onsets.values()] == [0] * 4 and runs == []
         with pytest.raises(NoPingError, match="reference"):
             next(run_localization(std_scenario, recording=silent))
         config, path = tmp_path / "scenario.json", tmp_path / "silent.oogw"
@@ -529,28 +538,30 @@ class TestFilterAndScan:
         scenario = dataclasses.replace(quick, array=array, pinger=pinger,
                                        record_duration=duration)
         recording = render_scene(scenario)
-        rows, onsets, _ = self.check_rows(scenario, recording)
+        rows, onsets, runs, _ = self.check_rows(scenario, recording)
         expected, _ = full_length_onsets(scenario, recording)
+        tdoas = dsp.tdoa_from_filtered(rows, FS, array, scenario.sound_speed, onsets, runs)
 
-        ref = array.precise_channels[0]
-        far = array.coarse_channels[farthest]
         lag = int(round(lead / quick.sound_speed * FS))
-        for ping in range(3):
+        assert len(tdoas) == 3
+        for ping, tdoa in enumerate(tdoas):
+            # Each coarse onset is the channel's first full-length crossing
+            # of this repetition.
             cursor = int(round(ping * interval * FS))
-            ref_onset = dsp.first_onset(onsets[ref], cursor)
-            assert ref_onset < cursor + interval * FS
-            for ch in array.coarse_channels:
-                onset = dsp.first_onset(onsets[ch], cursor)
-                assert onset == dsp.first_onset(expected[ch], cursor), (ping, ch)
+            ref_onset = round(tdoa.onset_time_abs * FS)
+            assert cursor <= ref_onset < cursor + interval * FS
+            arrivals = [round(arrival * FS) for arrival in tdoa.coarse_arrivals]
+            for ch, onset in zip(array.coarse_channels, arrivals):
+                assert onset == expected[ch][expected[ch] >= cursor][0], (ping, ch)
                 assert onset < cursor + interval * FS, (ping, ch)
             # The farthest hydrophone's burst window reaches that far from
             # the reference onset, before it or after it.
-            far_onset = dsp.first_onset(onsets[far], cursor)
+            far_onset = arrivals[farthest]
             assert (ref_onset - far_onset if coarse_first else far_onset - ref_onset) > lag * 0.9
         if not coarse_first:
             # Only the distance term of the bound reaches the farthest
             # channel's last onset.
-            assert far_onset >= onsets[ref][-1] + int(round(dsp.SEARCH_SPAN * FS))
+            assert far_onset >= runs[-1][1] + int(round(dsp.SEARCH_SPAN * FS))
             assert (len(rows[array.precise_channels[1]]) < recording.samples_per_channel) == (
                 margin > 1e-3)
 
@@ -582,25 +593,26 @@ class TestLocalizePing:
         assert set(outcome.timing) == {"tdoa", "guess"}
 
     def test_no_ping_past_the_end(self, std_scenario, std_recording):
-        outcome = localize_first(std_scenario, std_recording, std_recording.samples_per_channel)
+        n = std_recording.samples_per_channel
+        outcome = localize_first(std_scenario, std_recording, (n, n))
         assert isinstance(outcome.error, NoPingError)
         assert outcome.tdoa is None and outcome.guess is None and outcome.window_search == {}
         assert outcome.timing == {}
 
     def test_outcomes_are_solved_as_they_are_consumed(self, std_scenario, std_recording,
                                                       monkeypatch):
-        # One search for every start sample on the first next(); each guess
-        # and solve only when its outcome is asked for. The search's time is
-        # the first outcome's.
-        filtered, onsets = _filter_and_scan(std_recording, std_scenario)
+        # One search for every run on the first next(); each guess and solve
+        # only when its outcome is asked for. The search's time is the first
+        # outcome's.
+        filtered, onsets, [run] = _filter_and_scan(std_recording, std_scenario)
         calls = []
         for module, name in ((dsp, "tdoa_from_filtered"), (solver, "gradient_descent")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        outcomes = localize_ping(filtered, FS, std_scenario, onsets,
-                                 [0, 0, std_recording.samples_per_channel])
+        n = std_recording.samples_per_channel
+        outcomes = localize_ping(filtered, FS, std_scenario, onsets, [run, run, (n, n)])
         assert calls == []
         first = next(outcomes)
         assert calls == ["tdoa_from_filtered", "gradient_descent"]
@@ -763,8 +775,8 @@ def eight_channel_trial(clean, scenario, trial, radius, snr_db, noise_seed):
                                 fe.analog_band_low, fe.analog_band_high, clean.sample_rate)
     recording = simulator.add_noise(clean, NoiseSpec(white_sigma=sigma, interferer_amp=0.0,
                                                      lowfreq_amp=0.0), noise_seed)
-    filtered, onsets = _filter_and_scan(recording, scenario)
-    return next(localize_ping(filtered, recording.sample_rate, scenario, onsets, [0]))
+    filtered, onsets, runs = _filter_and_scan(recording, scenario)
+    return next(localize_ping(filtered, recording.sample_rate, scenario, onsets, runs[:1]))
 
 
 class TestNoisyTrial:
