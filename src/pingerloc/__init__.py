@@ -14,8 +14,6 @@ from .scene import (
     default_array,
     load_scenario,
     octant_of,
-    scenario_from_dict,
-    scenario_to_dict,
     true_azimuth_elevation,
 )
 from .recording import (

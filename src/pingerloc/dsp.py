@@ -11,8 +11,10 @@ precise) channel's: the reference scan sets the cutoff and every coarse
 channel is scanned against it. A hydrophone much noisier than the reference
 therefore crosses early. A ping is a run of reference crossings, split
 where two are far enough apart that the pings' burst windows do not overlap
-(``scan_reference``). The coarse channels are filtered and scanned only in
-those burst windows, and each ping reads its coarse onsets in its own
+(``scan_reference``). That reference step runs once per recording and its
+result is passed to the rest of the front end (``filter_and_scan``). The
+coarse channels are filtered and scanned only in the burst windows, where
+each ping's coarse onsets are picked once, the first crossing in its own
 window, so a coarse crossing far from every reference burst is not seen.
 
 Channel labels are read only in the front end: a ``TdoaSet`` is in quad
@@ -65,8 +67,6 @@ WINDOW_DURATION = 2e-3  # s
 NUM_WINDOWS = 8
 NUM_SUBWINDOWS = 4
 MAX_DELAY_SPREAD_SAMPLES = 0.5
-# Seconds from the onset to the end of the last candidate window.
-SEARCH_SPAN = (NUM_WINDOWS - 1) * WINDOW_DURATION / NUM_SUBWINDOWS + WINDOW_DURATION
 
 # The one definition of pair order: the six precise-quad pairs as (i, j) quad indices, i < j.
 PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
@@ -409,16 +409,16 @@ def _burst_margins(array: HydrophoneArray, sound_speed: float, fs: float) -> tup
 def scan_reference(recording: MultiChannelRecording, sos: np.ndarray, array: HydrophoneArray,
                    sound_speed: float, timing: dict | None = None
                    ) -> tuple[np.ndarray, float, list[tuple[int, int]]]:
-    """The front end's reference step: filters the reference (first precise)
-    channel over the whole recording and scans it, which sets the mean-square
-    cutoff. Returns (row, cutoff, runs): the filtered row, that cutoff, and
-    its crossings split into runs [first, last], one per ping, where two are
-    at least before + reach apart (``_burst_margins``), so that two pings'
-    burst windows never overlap. A crossing in the first
-    ``_settle_samples(sos)`` plus RMS_WINDOW samples is dropped: the filter
-    starts from zero state, and a DC offset's step rings there. If
-    ``timing`` is a dict it gets the milliseconds spent filtering ("filter")
-    and scanning ("onset")."""
+    """The front end's reference step, run once per recording and passed to
+    ``filter_and_scan``: filters the reference (first precise) channel over
+    the whole recording and scans it, which sets the mean-square cutoff.
+    Returns (row, cutoff, runs): the filtered row, that cutoff, and its
+    crossings split into runs [first, last], one per ping, where two are at
+    least before + reach apart (``_burst_margins``), so that two pings' burst
+    windows never overlap. A crossing in the first ``_settle_samples(sos)``
+    plus RMS_WINDOW samples is dropped: the filter starts from zero state,
+    and a DC offset's step rings there. If ``timing`` is a dict it gets the
+    milliseconds spent filtering ("filter") and scanning ("onset")."""
     fs = recording.sample_rate
     t_start = time.perf_counter()
     row = filter_signal(sos, recording.channels[array.precise_channels[0]])
@@ -436,13 +436,14 @@ def scan_reference(recording: MultiChannelRecording, sos: np.ndarray, array: Hyd
 
 
 def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: HydrophoneArray,
-                    sound_speed: float, timing: dict | None = None
-                    ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray],
-                               list[tuple[int, int]]]:
-    """The localizer's front end. ``scan_reference`` filters and scans the
-    reference (first precise) channel and forms its runs, the pings. Then
-    the other three precise channels are filtered in one ``filter_signal``
-    call up to the end of the last run's burst window.
+                    sound_speed: float, reference: tuple[np.ndarray, float, list[tuple[int, int]]],
+                    timing: dict | None = None
+                    ) -> tuple[dict[int, np.ndarray], dict[int, list[int]]]:
+    """The localizer's front end past its reference step: ``reference`` is
+    the (row, cutoff, runs) that ``scan_reference`` returned for the
+    recording's reference channel, and its row is used as it is. The other
+    three precise channels are filtered in one ``filter_signal`` call up to
+    the end of the last run's burst window.
 
     The coarse channels are filtered and scanned against the reference
     cutoff only in the burst windows [first - before, last + reach)
@@ -454,23 +455,25 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     filters the four rows and one ``detect_ping`` per row scans them. A
     crossing in a window's prefix is dropped.
 
-    Returns (rows, onsets, runs): precise channel -> filtered row, coarse
-    channel -> onset indices, and the reference runs. Every row is
-    byte-equal to the same span of ``filter_signal`` over the whole
-    recording; the reference row is full length. A coarse channel's onsets
-    are the full-length row's crossings inside the burst windows: a window's
-    filter matches the full-length one to within rounding, so a crossing
-    moves only where a mean square lies within rounding of the cutoff. If
-    ``timing`` is a dict it gets the milliseconds spent filtering ("filter",
-    all three calls) and scanning ("onset")."""
+    Returns (rows, onsets): precise channel -> filtered row, and coarse
+    channel -> one onset per run, the first crossing in that run's burst
+    window, or -1 where there is none. Only this function knows the burst
+    windows; runs lie at least before + reach apart, so no two overlap.
+    Every row is byte-equal to the same span of ``filter_signal`` over the
+    whole recording; the reference row is full length. A coarse onset is the
+    full-length row's first crossing in the window: a window's filter
+    matches the full-length one to within rounding, so a crossing moves only
+    where a mean square lies within rounding of the cutoff. If ``timing`` is
+    the dict that ``scan_reference`` filled, the milliseconds spent filtering
+    ("filter") and scanning ("onset") here are added to its own."""
     channels = recording.channels
     fs = recording.sample_rate
     n = channels.shape[1]
     others = list(array.precise_channels[1:])
     coarse = list(array.coarse_channels)
+    reference_row, cutoff, runs = reference
 
-    row, cutoff, runs = scan_reference(recording, sos, array, sound_speed, timing)
-    t_rest = time.perf_counter()
+    t_start = time.perf_counter()
     before, reach = _burst_margins(array, sound_speed, fs)
     end = min(n, runs[-1][1] + reach) if runs else 0
     # filter_signal stops a row that ends in 0 once its tail is quiet; a
@@ -479,7 +482,7 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     if 0 < end < n and any(channels[ch, end - 1] == 0 and channels[ch, end:].any()
                            for ch in others):
         end = n
-    rows = {array.precise_channels[0]: row}
+    rows = {array.precise_channels[0]: reference_row}
     rows.update(zip(others, filter_signal(sos, channels[others, :end])))
 
     # Burst windows [first, stop), each filtered from start. A run starts
@@ -502,58 +505,60 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     for ch, row in zip(coarse, gathered):
         found = detect_ping(row, fs, cutoff)[0]
         bounds = np.searchsorted(found, kept).tolist()
-        onsets[ch] = np.concatenate([found[lo:hi] + d for lo, hi, d in
-                                     zip(bounds[::2], bounds[1::2], shift)] or [found])
+        onsets[ch] = [int(found[lo]) + d if lo < hi else -1
+                      for lo, hi, d in zip(bounds[::2], bounds[1::2], shift)]
     t_end = time.perf_counter()
 
     if timing is not None:
-        timing["filter"] += (t_coarse - t_rest) * 1e3
+        timing["filter"] += (t_coarse - t_start) * 1e3
         timing["onset"] += (t_end - t_coarse) * 1e3
-    return rows, onsets, runs
+    return rows, onsets
 
 
 def select_stable_window(recording: MultiChannelRecording, sos: np.ndarray,
                          array: HydrophoneArray, sound_speed: float) -> TdoaSet:
-    """``filter_and_scan``, then ``tdoa_from_filtered`` for the recording's
-    first ping; raises the error that ends its search."""
+    """``scan_reference`` and ``filter_and_scan``, then
+    ``tdoa_from_filtered`` for the recording's first ping; raises the error
+    that ends its search."""
     if recording.channel_count != 8:
         raise ValueError(f"expected 8 channels, got {recording.channel_count}")
-    rows, onsets, runs = filter_and_scan(recording, sos, array, sound_speed)
+    reference = scan_reference(recording, sos, array, sound_speed)
+    rows, onsets = filter_and_scan(recording, sos, array, sound_speed, reference)
     [tdoa] = tdoa_from_filtered(rows, recording.sample_rate, array, sound_speed, onsets,
-                                runs[:1])
+                                reference[2][:1])
     if isinstance(tdoa, Exception):
         raise tdoa
     return tdoa
 
 
 def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: HydrophoneArray,
-                       sound_speed: float, onsets: Mapping[int, np.ndarray],
+                       sound_speed: float, onsets: Mapping[int, Sequence[int]],
                        runs: Sequence[tuple[int, int]], diagnostics: list | None = None
                        ) -> list[TdoaSet | NoPingError | UnstableWindowError]:
     """Stable-window search of every ping of a recording at once, on
-    already-filtered channels given the coarse channels' onsets and the
-    reference runs, as ``filter_and_scan`` returns them (``filtered`` may
-    also be an (8, n) array). The recording's length is the reference (first
-    precise) row's; the other precise rows need only reach the end of each
-    ping's last candidate window.
+    already-filtered channels given the reference runs (``scan_reference``)
+    and, per coarse channel, one onset per run, -1 for none
+    (``filter_and_scan``); ``filtered`` may also be an (8, n) array. The
+    recording's length is the reference (first precise) row's; the other
+    precise rows need only reach the end of each ping's last candidate
+    window.
 
     A ping is a run [first, last] of reference crossings; its onset is
     ``first``. From it, candidate windows start every sub-window; the one
     whose six pair delays are most repeatable across its sub-windows wins.
     Returns one result per run, in order: the TdoaSet measured over the
-    winning window, with each coarse channel's first onset in the ping's
-    burst window (``_burst_margins``), or the error that ends that ping's
-    search. The checks run in this order: room for one analysis window after
-    the onset (NoPingError; only the last run can lack it), a stable window
-    (UnstableWindowError), an onset on every coarse channel (NoPingError).
-    Without a run the result is one NoPingError on the reference channel.
-    One ``_delays`` call measures every ping's sub-windows and one more
-    every winning window, so each result equals that of the same call with
-    its run alone, bit for bit. ``sound_speed`` (m/s, the scenario's) bounds
-    every delay by the widest precise spacing over it. If ``diagnostics`` is
-    a list, it gets one dict per result: the candidate window starts, their
-    variance scores and the chosen index, or nothing where the search
-    stopped before scoring."""
+    winning window, with run p's coarse onsets ``onsets[ch][p]``, or the error
+    that ends that ping's search. The checks run in this order: room for one
+    analysis window after the onset (NoPingError; only the last run can lack
+    it), a stable window (UnstableWindowError), an onset other than -1 on
+    every coarse channel (NoPingError). Without a run the result is one
+    NoPingError on the reference channel. One ``_delays`` call measures every
+    ping's sub-windows and one more every winning window, so each result
+    equals that of the same call with its run alone, bit for bit.
+    ``sound_speed`` (m/s, the scenario's) bounds every delay by the widest
+    precise spacing over it. If ``diagnostics`` is a list, it gets one dict
+    per result: the candidate window starts, their variance scores and the
+    chosen index, or nothing where the search stopped before scoring."""
     ref = array.precise_channels[0]
     results: list = ([None] * len(runs) if runs else
                      [NoPingError(f"no ping detected on reference channel {ref}")])
@@ -641,15 +646,8 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
     quad = gather([(start, start + win_len) for _, start in winners], win_len)
     delays, peaks = _delays(quad[i], quad[j], fs, min(max_lag, win_len - 1))
     delays = np.clip(delays, -max_delay, max_delay)
-    before, reach = _burst_margins(array, sound_speed, fs)
-
-    def coarse_onset(found: np.ndarray, first: int, last: int) -> int:
-        # The first of ``found`` in run [first, last]'s burst window, or -1.
-        k = int(np.searchsorted(found, first - before))
-        return int(found[k]) if k < len(found) and found[k] < last + reach else -1
-
     for w, (p, start) in enumerate(winners):
-        arrivals = [coarse_onset(onsets[ch], *runs[p]) for ch in array.coarse_channels]
+        arrivals = [onsets[ch][p] for ch in array.coarse_channels]
         if -1 in arrivals:
             results[p] = NoPingError(f"no ping detected on coarse channel "
                                      f"{array.coarse_channels[arrivals.index(-1)]}")

@@ -6,13 +6,14 @@ stream, plus a Monte Carlo evaluation harness; both run their pings through
 Reports serialize as newline-delimited JSON. Timings and window-search
 diagnostics ride on each report but stay out of the serialized stream unless
 asked for, so runs with the same seed are byte-identical. Onsets are detected
-once per recording, in the front end (``dsp.filter_and_scan``), against the
-reference channel's noise floor. A ping is a run of reference crossings, so
-every ping is known before any is searched: one ``dsp.tdoa_from_filtered``
+once per recording, in the front end (``dsp.scan_reference``, then
+``dsp.filter_and_scan``), against the reference channel's noise floor; a Monte
+Carlo trial takes the same front end. A ping is a run of reference crossings,
+so every ping is known before any is searched: one ``dsp.tdoa_from_filtered``
 call searches them all, and each ping is then guessed and solved as its
 outcome is consumed. A recording's render, filter, onset and search time is
-charged to its first report only (later ones carry 0.0), so summing a
-stream counts each cost once.
+charged to its first report only (later ones carry 0.0), so summing a stream
+counts each cost once.
 """
 
 from __future__ import annotations
@@ -120,18 +121,19 @@ class PingOutcome:
 
 
 def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scenario,
-                  onsets: Mapping[int, np.ndarray],
+                  onsets: Mapping[int, Sequence[int]],
                   runs: Sequence[tuple[int, int]]) -> Iterator[PingOutcome]:
-    """Localize every ping, a run of reference crossings, in the filtered
-    channels (channel -> row) given the coarse onsets, all as
-    ``dsp.filter_and_scan`` returns them; ``dsp.tdoa_from_filtered`` says
-    which samples it reads. One search covers every ping, on the first
-    ``next``; then one outcome per run (without a run, one NoPingError) is
-    yielded in order, and each ping's octant guess and solve run only when
-    its outcome is asked for, so nothing after the outcome a caller stops
-    at is solved. The search's milliseconds are charged to the first
-    outcome's "tdoa" timing and later outcomes carry 0.0. Failures in
-    PING_ERRORS are recorded on the outcome; anything else raises."""
+    """Localize every ping, a run of reference crossings
+    (``dsp.scan_reference``), in the filtered channels (channel -> row)
+    given each run's coarse onsets, as ``dsp.filter_and_scan`` returns them;
+    ``dsp.tdoa_from_filtered`` says which samples it reads. One search
+    covers every ping, on the first ``next``; then one outcome per run
+    (without a run, one NoPingError) is yielded in order, and each ping's
+    octant guess and solve run only when its outcome is asked for, so
+    nothing after the outcome a caller stops at is solved. The search's
+    milliseconds are charged to the first outcome's "tdoa" timing and later
+    outcomes carry 0.0. Failures in PING_ERRORS are recorded on the outcome;
+    anything else raises."""
     t_search = time.perf_counter()
     searches: list[dict] = []
     tdoas = dsp.tdoa_from_filtered(filtered, fs, scenario.array, scenario.sound_speed, onsets,
@@ -174,11 +176,15 @@ def _front_end_sos(scenario: Scenario, fs: float) -> np.ndarray:
 
 def _filter_and_scan(recording: MultiChannelRecording, scenario: Scenario,
                      timing: dict | None = None
-                     ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray],
+                     ) -> tuple[dict[int, np.ndarray], dict[int, list[int]],
                                 list[tuple[int, int]]]:
-    """``dsp.filter_and_scan`` through the scenario's front-end bandpass."""
-    return dsp.filter_and_scan(recording, _front_end_sos(scenario, recording.sample_rate),
-                               scenario.array, scenario.sound_speed, timing)
+    """(rows, onsets, runs): ``dsp.scan_reference``, then
+    ``dsp.filter_and_scan``, through the scenario's front-end bandpass."""
+    sos = _front_end_sos(scenario, recording.sample_rate)
+    reference = dsp.scan_reference(recording, sos, scenario.array, scenario.sound_speed, timing)
+    rows, onsets = dsp.filter_and_scan(recording, sos, scenario.array, scenario.sound_speed,
+                                       reference, timing)
+    return rows, onsets, reference[2]
 
 
 def run_localization(scenario: Scenario,
@@ -366,27 +372,25 @@ def _trial_scenario(position: Vec3) -> Scenario:
                     record_duration=interval, noise=NoiseSpec.silent())
 
 
-def _localize_trial(recording: MultiChannelRecording, scenario: Scenario) -> PingOutcome:
-    """The first ping of a trial's recording through the localizer's chain."""
-    filtered, onsets, runs = _filter_and_scan(recording, scenario)
-    return next(localize_ping(filtered, recording.sample_rate, scenario, onsets, runs[:1]))
-
-
-def _localize_noisy_trial(clean: MultiChannelRecording, scenario: Scenario, trial: int,
-                          radius: float, snr_db: float, noise_seed: int) -> PingOutcome:
-    """``_localize_trial`` on ``clean`` plus white noise calibrated to
-    ``snr_db``. The rows up to the reference (first precise) channel get
-    their noise first: ``add_noise`` draws the channels in order from one
-    generator, so theirs equals the first rows of the whole recording's. The
-    reference step (``dsp.scan_reference``) runs on them as in
-    ``dsp.filter_and_scan``; without a run the chain stops there with the
-    same NoPingError, and the other channels are never drawn (nor can their
-    overflow fail the trial)."""
+def _localize_trial(clean: MultiChannelRecording, scenario: Scenario, trial: int,
+                    radius: float, snr_db: float | None, noise_seed: int) -> PingOutcome:
+    """The first ping of ``clean`` plus white noise calibrated to ``snr_db``
+    (none for None) through the localizer's chain. The rows up to the
+    reference (first precise) channel get their noise first: ``add_noise``
+    draws the channels in order from one generator, so theirs equals the
+    first rows of the whole recording's. The reference step
+    (``dsp.scan_reference``) runs once, on them; without a run the chain
+    stops there with a NoPingError, and the other channels are never drawn
+    (nor can their overflow fail the trial). Otherwise the whole noisy
+    recording goes through ``dsp.filter_and_scan`` with that reference
+    step's result."""
     fs = clean.sample_rate
-    fe = scenario.front_end
-    sigma = white_sigma_for_snr(measure_burst_rms(clean, scenario), snr_db,
-                                fe.analog_band_low, fe.analog_band_high, fs)
-    noise = NoiseSpec(white_sigma=sigma, interferer_amp=0.0, lowfreq_amp=0.0)
+    noise = NoiseSpec.silent()
+    if snr_db is not None:
+        fe = scenario.front_end
+        sigma = white_sigma_for_snr(measure_burst_rms(clean, scenario), snr_db,
+                                    fe.analog_band_low, fe.analog_band_high, fs)
+        noise = NoiseSpec(white_sigma=sigma, interferer_amp=0.0, lowfreq_amp=0.0)
 
     def noisy(recording: MultiChannelRecording) -> MultiChannelRecording:
         try:
@@ -395,13 +399,16 @@ def _localize_noisy_trial(clean: MultiChannelRecording, scenario: Scenario, tria
             raise ValueError(f"trial {trial} at {radius:g} m and {snr_db:g} dB SNR: "
                              f"{exc}") from None
 
-    ref = scenario.array.precise_channels[0]
+    sos = _front_end_sos(scenario, fs)
+    array, sound_speed = scenario.array, scenario.sound_speed
+    ref = array.precise_channels[0]
     head = noisy(MultiChannelRecording(sample_rate=fs, channels=clean.channels[:ref + 1]))
-    _, _, runs = dsp.scan_reference(head, _front_end_sos(scenario, fs), scenario.array,
-                                    scenario.sound_speed)
+    reference = dsp.scan_reference(head, sos, array, sound_speed)
+    runs = reference[2][:1]
     if not runs:
         return next(localize_ping({}, fs, scenario, {}, runs))
-    return _localize_trial(noisy(clean), scenario)
+    filtered, onsets = dsp.filter_and_scan(noisy(clean), sos, array, sound_speed, reference)
+    return next(localize_ping(filtered, fs, scenario, onsets, runs))
 
 
 def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
@@ -411,9 +418,8 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
     position = _sample_position(rng, radius, config.clearance)
     scenario = _trial_scenario(position)
     clean = simulator.render_scene(scenario)
-    outcome = (_localize_trial(clean, scenario) if snr_db is None
-               else _localize_noisy_trial(clean, scenario, trial, radius, snr_db,
-                                          int(ss.generate_state(1, dtype=np.uint32)[0])))
+    outcome = _localize_trial(clean, scenario, trial, radius, snr_db,
+                              int(ss.generate_state(1, dtype=np.uint32)[0]))
 
     centroid = scenario.array.precise_centroid().as_array()
     true_dir = Vec3.from_array(position.as_array() - centroid)

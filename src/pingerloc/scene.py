@@ -37,8 +37,6 @@ __all__ = [
     "default_array",
     "config_from_dict",
     "load_config",
-    "scenario_from_dict",
-    "scenario_to_dict",
     "load_scenario",
 ]
 
@@ -440,13 +438,6 @@ def load_config(cls, path: str | Path, context: str):
     except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"cannot read {context} file {path}: {exc}") from exc
     return config_from_dict(cls, doc, context)
-
-
-def scenario_from_dict(d: dict) -> Scenario:
-    return config_from_dict(Scenario, d, "scenario")
-
-
-scenario_to_dict = dataclasses.asdict
 
 
 def load_scenario(path: str | Path) -> Scenario:

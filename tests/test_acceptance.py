@@ -253,13 +253,12 @@ def test_criterion_6_detectability_at_30m():
 
 
 def test_criterion_7_determinism(tmp_path):
-    from pingerloc import scenario_to_dict
     from conftest import fast_scenario
 
     scenario = fast_scenario(Vec3(10.0, 5.0, -2.0),
                              noise=NoiseSpec(white_sigma=0.01), seed=77)
     spath = tmp_path / "scenario.json"
-    spath.write_text(json.dumps(scenario_to_dict(scenario)))
+    spath.write_text(json.dumps(dataclasses.asdict(scenario)))
     loc = []
     for tag in ("a", "b"):
         out = tmp_path / f"loc_{tag}.ndjson"

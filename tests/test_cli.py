@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import pingerloc
-from pingerloc import read_recording, scenario_to_dict
+from pingerloc import read_recording
 from pingerloc import pipeline, recording, scene, simulator, solver
 from pingerloc.cli import (EXIT_CONFIG, EXIT_NO_PING, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_PING_FAILED, main)
@@ -36,7 +36,7 @@ PUBLISHED_VERSIONS = pytest.mark.skipif(
 def scenario_path(tmp_path):
     scenario = fast_scenario(Vec3(10.0, 5.0, -2.0))
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario_to_dict(scenario)))
+    path.write_text(json.dumps(dataclasses.asdict(scenario)))
     return path
 
 
@@ -173,7 +173,7 @@ def test_ping_failure_keeps_earlier_reports(tmp_path, monkeypatch):
     scenario = fast_scenario(Vec3(10.0, 5.0, -2.0), record_duration=0.1,
                              repetition_interval=0.05)
     path = tmp_path / "two_pings.json"
-    path.write_text(json.dumps(scenario_to_dict(scenario)))
+    path.write_text(json.dumps(dataclasses.asdict(scenario)))
     real = solver.gradient_descent
     calls = []
 
@@ -215,7 +215,7 @@ def localize_recording(tmp_path, capsys, scenario, channels):
     """``localize --recording`` on ``channels`` under ``scenario``: (exit
     code, reports, stderr)."""
     config, path = tmp_path / "scenario.json", tmp_path / "recording.oogw"
-    config.write_text(json.dumps(scenario_to_dict(scenario)))
+    config.write_text(json.dumps(dataclasses.asdict(scenario)))
     write_recording(MultiChannelRecording(sample_rate=scenario.sample_rate, channels=channels),
                     path)
     code = main(["localize", "--config", str(config), "--recording", str(path)])
@@ -542,6 +542,36 @@ def test_eval_small_outputs_match_published_sha256(tmp_path, capsys):
             "json": hashlib.sha256(summary.encode()).hexdigest()} == EVAL_SMALL_SHA256
 
 
+# The report stream (stdout) and --debug-window diagnostics (stderr) of
+# localize, and the recording simulate writes, for both scenario configs.
+SCENARIO_SHA256 = {
+    "scenario_quick.json": {
+        "stdout": "b3b19cb452309c9d1c589b895e9197e4faa7ad204391a39067aa8d623adfc976",
+        "stderr": "d22fa40cd8a45133cd0ec610fabe6451179e8cdb7a7aac00022b01b2630062b7",
+        "recording": "83b63852117d1d7e891102dffcc9e7590a444cd5e091eb12cf69a45add256db8",
+    },
+    "scenario_default.json": {
+        "stdout": "eb2e2b838bfaa99b3efc97295e4f78275a0ad3921448a6ded7c656823f464714",
+        "stderr": "99e9041468be4033c71626a00f531487e31bfb276ebe43902a94a376ae99e18e",
+        "recording": "c1aa11a8a403ff8b1076e3d05f9f05d655f6eb738cc19b01bf290e195690f058",
+    },
+}
+
+
+@PUBLISHED_VERSIONS
+@pytest.mark.parametrize("name", list(SCENARIO_SHA256))
+def test_scenario_outputs_match_published_sha256(tmp_path, capsys, name):
+    config = str(CONFIGS / name)
+    assert main(["localize", "--config", config, "--debug-window"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    recording = tmp_path / "recording.oogw"
+    assert main(["simulate", "--config", config, "--out", str(recording)]) == EXIT_OK
+    assert {"stdout": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.encode()).hexdigest(),
+            "recording": hashlib.sha256(recording.read_bytes()).hexdigest()
+            } == SCENARIO_SHA256[name]
+
+
 def test_seed_override_changes_output(scenario_path, tmp_path):
     noisy = json.loads(scenario_path.read_text())
     noisy["noise"] = {"white_sigma": 0.02}
@@ -659,7 +689,7 @@ def valid_scenarios(draw):
         "seed": draw(st.integers(min_value=0, max_value=2**32 - 1)),
     }
     try:
-        scene.scenario_from_dict(doc)
+        scene.config_from_dict(scene.Scenario, doc, "scenario")
     except scene.ConfigError:
         assume(False)
     return doc

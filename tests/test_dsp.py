@@ -31,7 +31,6 @@ from pingerloc.dsp import (
     NUM_SUBWINDOWS,
     NUM_WINDOWS,
     PAIRS,
-    SEARCH_SPAN,
     WINDOW_DURATION,
     UnstableWindowError,
     _median_root,
@@ -48,6 +47,19 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 @pytest.fixture(scope="module")
 def cascade():
     return design_bandpass(4, 30_000.0, 50_000.0, FS)
+
+
+def front_end(recording, cascade, array):
+    """(rows, onsets, runs): the reference step, then ``filter_and_scan``
+    with its result."""
+    reference = dsp.scan_reference(recording, cascade, array, SOUND_SPEED)
+    return *filter_and_scan(recording, cascade, array, SOUND_SPEED, reference), reference[2]
+
+
+def search_span(fs):
+    """Samples from a ping's onset to the end of its last candidate window."""
+    win_len, sub_len = dsp._window_lengths(fs)
+    return (NUM_WINDOWS - 1) * sub_len + win_len
 
 
 def search_one(filtered, array, onsets, run):
@@ -430,6 +442,45 @@ class TestScanReference:
         assert cutoff == 0.5 and len(row) == second + 10 and set(timing) == {"filter", "onset"}
 
 
+class TestCoarseOnsets:
+    """filter_and_scan picks each run's coarse onsets once: one per run and
+    coarse channel, the first crossing in the run's burst window, or -1."""
+
+    @pytest.fixture(scope="class")
+    def quick(self):
+        """The quick scenario recorded for 0.2 s, four pings, and its render."""
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        scenario = dataclasses.replace(quick, record_duration=0.2)
+        return scenario, render_scene(scenario)
+
+    def test_first_full_length_crossing_in_each_burst_window(self, cascade, quick):
+        scenario, recording = quick
+        array = scenario.array
+        _, onsets, runs = front_end(recording, cascade, array)
+        assert len(runs) == 4 and list(onsets) == list(array.coarse_channels)
+        full = filter_signal(cascade, recording.channels)
+        _, cutoff = detect_ping(full[array.precise_channels[0]], FS)
+        before, reach = dsp._burst_margins(array, SOUND_SPEED, FS)
+        for ch in array.coarse_channels:
+            found = detect_ping(full[ch], FS, cutoff)[0]
+            assert onsets[ch] == [int(found[(found >= first - before) & (found < last + reach)][0])
+                                  for first, last in runs], ch
+
+    def test_channel_silent_over_a_burst_has_no_onset_there(self, cascade, quick):
+        # Coarse channel 4 zeroed over samples 25,000-40,000, the second of
+        # the four bursts: -1 for ping 1 there, and every other onset found.
+        scenario, recording = quick
+        array = scenario.array
+        assert array.coarse_channels[0] == 4
+        channels = recording.channels.copy()
+        channels[4, 25_000:40_000] = 0.0
+        _, onsets, runs = front_end(MultiChannelRecording(sample_rate=FS, channels=channels),
+                                    cascade, array)
+        assert len(runs) == 4
+        assert [[onset == -1 for onset in onsets[ch]] for ch in array.coarse_channels] == [
+            [False, True, False, False]] + [[False] * 4] * 3
+
+
 def index_array_moving_rms(samples, window):
     """The moving RMS as first written, with three n-length index arrays."""
     x2 = np.square(np.asarray(samples, dtype=float))
@@ -733,7 +784,7 @@ class TestSelectStableWindow:
     def test_clean_ping(self, std_recording, std_scenario):
         array = std_scenario.array
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
-        rows, onsets, runs = filter_and_scan(std_recording, cascade, array, SOUND_SPEED)
+        rows, onsets, runs = front_end(std_recording, cascade, array)
         tdoa, diagnostics = search_one(rows, array, onsets, runs[0])
 
         assert len(tdoa.pair_delays) == len(tdoa.peak_correlations) == 6
@@ -784,7 +835,7 @@ class TestSelectStableWindow:
                 0.0, amp, glitch_len).astype(np.float32)
         glitched = MultiChannelRecording(sample_rate=FS, channels=channels)
 
-        rows, onsets, runs = filter_and_scan(glitched, cascade, array, SOUND_SPEED)
+        rows, onsets, runs = front_end(glitched, cascade, array)
         tdoa, _ = search_one(rows, array, onsets, runs[0])
         # winning window must end before the glitch
         start, length = tdoa.window
@@ -861,7 +912,7 @@ class TestSubWindowTable:
     def front_end(scenario, recording, cascade):
         """(scenario, the full-length filter's rows, the coarse onsets and
         the first run ``filter_and_scan`` finds in them)."""
-        _, onsets, runs = filter_and_scan(recording, cascade, scenario.array, SOUND_SPEED)
+        _, onsets, runs = front_end(recording, cascade, scenario.array)
         return scenario, filter_signal(cascade, recording.channels), onsets, runs[0]
 
     def onset(self, filtered, array):
@@ -898,8 +949,7 @@ class TestSubWindowTable:
             "quick": lambda: filtered,
             "zeroed-sub-window": lambda: self.zero_precise(filtered, array, 2 * self.SUB_LEN,
                                                            self.SUB_LEN),
-            "zeroed-search": lambda: self.zero_precise(filtered, array, 0,
-                                                       int(round(SEARCH_SPAN * FS))),
+            "zeroed-search": lambda: self.zero_precise(filtered, array, 0, search_span(FS)),
             "three-candidates": lambda: self.cut_to_three_candidates(filtered, array),
             "glitch": lambda: self.glitch(filtered, array),
         }[name]
@@ -995,6 +1045,15 @@ class TestBatchedSearch:
 
     SUB_LEN = int(round(WINDOW_DURATION * FS)) // NUM_SUBWINDOWS
 
+    @staticmethod
+    def run_onsets(crossings, runs, array):
+        """Per coarse channel, each run's first crossing in its burst window,
+        or -1: the onsets ``filter_and_scan`` picks for its own runs."""
+        before, reach = dsp._burst_margins(array, SOUND_SPEED, FS)
+        return {ch: [int(next(iter(found[(found >= first - before) & (found < last + reach)]),
+                              -1)) for first, last in runs]
+                for ch, found in crossings.items()}
+
     @settings(max_examples=12, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**16), pings=st.integers(2, 4),
            position=st.sampled_from([(10.0, 5.0, -2.0), (-6.0, 8.0, 3.0), (4.0, -12.0, -5.0)]))
@@ -1008,7 +1067,7 @@ class TestBatchedSearch:
         array = scenario.array
         ref = array.precise_channels[0]
         filtered = filter_signal(cascade, recording.channels)
-        _, onsets, runs = filter_and_scan(recording, cascade, array, SOUND_SPEED)
+        _, cutoff, runs = dsp.scan_reference(recording, cascade, array, SOUND_SPEED)
         assert len(runs) == pings
 
         # The row ends inside the final ping's search: it keeps 1 to
@@ -1018,11 +1077,12 @@ class TestBatchedSearch:
         end = (runs[-1][0] + (kept - 1) * self.SUB_LEN + win_len
                + data.draw(st.integers(0, self.SUB_LEN - 1), label="slack"))
         filtered = filtered[:, :end].copy()
-        onsets = {ch: found[found < end] for ch, found in onsets.items()}
+        # Each coarse channel's crossings in the row, which ends at ``end``.
+        crossings = {ch: detect_ping(filtered[ch], FS, cutoff)[0] for ch in array.coarse_channels}
         # Loud noise over an earlier ping's whole search leaves it no stable
         # window.
         glitched = data.draw(st.integers(0, pings - 2), label="glitched")
-        span = int(round(SEARCH_SPAN * FS))
+        span = search_span(FS)
         rng = np.random.default_rng(seed)
         onset = runs[glitched][0]
         filtered[:, onset:onset + span] += rng.normal(
@@ -1038,11 +1098,12 @@ class TestBatchedSearch:
         batch = data.draw(st.permutations([(after, after), runs[glitched], runs[-1], *others]),
                           label="batch")
         diagnostics = []
-        batched = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets, batch,
-                                     diagnostics)
+        batched = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED,
+                                     self.run_onsets(crossings, batch, array), batch, diagnostics)
         assert len(batched) == len(diagnostics) == len(batch)
         for run, result, found in zip(batch, batched, diagnostics):
-            alone, alone_found = search_one(filtered, array, onsets, run)
+            alone, alone_found = search_one(filtered, array,
+                                            self.run_onsets(crossings, [run], array), run)
             # repr tells every float apart, -0.0 from 0.0 too, and an error's
             # class and message.
             assert type(result) is type(alone) and repr(result) == repr(alone), run
@@ -1058,7 +1119,8 @@ class TestBatchedSearch:
         assert len(results[runs[-1]][1]["candidate_starts"]) == kept
         # Without a run the recording is one ping that failed.
         diagnostics = []
-        [result] = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets, [], diagnostics)
+        [result] = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED,
+                                      self.run_onsets(crossings, [], array), [], diagnostics)
         assert str(result) == f"no ping detected on reference channel {ref}"
         assert isinstance(result, NoPingError) and diagnostics == [{}]
 

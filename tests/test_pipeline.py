@@ -25,7 +25,6 @@ from pingerloc import (
     monte_carlo,
     render_scene,
     run_localization,
-    scenario_to_dict,
     true_azimuth_elevation,
     write_monte_carlo_csv,
     write_recording,
@@ -279,6 +278,12 @@ def full_length_onsets(scenario, recording):
     return onsets, full
 
 
+def search_span(fs):
+    """Samples from a ping's onset to the end of its last candidate window."""
+    win_len, sub_len = dsp._window_lengths(fs)
+    return (dsp.NUM_WINDOWS - 1) * sub_len + win_len
+
+
 def coarse_margins(scenario, fs):
     """(before, reach, prefix) in samples: how far a burst window reaches
     before and after a reference crossing, and how much earlier its filter
@@ -290,7 +295,7 @@ def coarse_margins(scenario, fs):
     w = int(round(dsp.RMS_WINDOW * fs))
     fe = scenario.front_end
     sos = design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
-    return lag + w, max(int(round(dsp.SEARCH_SPAN * fs)), lag), dsp._settle_samples(sos) + w
+    return lag + w, max(search_span(fs), lag), dsp._settle_samples(sos) + w
 
 
 def reference_runs(scenario, fs, crossings):
@@ -315,20 +320,17 @@ def burst_windows(scenario, fs, runs):
     return [(first - before, last + reach) for first, last in runs]
 
 
-def inside(samples, windows):
-    """The samples that lie in one of ``windows``."""
-    keep = np.zeros(len(samples), dtype=bool)
-    for a, b in windows:
-        keep |= (samples >= a) & (samples < b)
-    return samples[keep]
+def first_inside(samples, windows):
+    """Per window [a, b), the first of ``samples`` in it, or -1."""
+    return [int(next(iter(samples[(samples >= a) & (samples < b)]), -1)) for a, b in windows]
 
 
 class TestFilterAndScan:
     """The front end filters the three precise channels other than the
     reference only as far as the window search reads them, and the coarse
     channels only in burst windows around the reference crossings. Every row
-    it returns must be the full-length filter's, byte for byte, and every
-    coarse onset a full-length crossing inside a burst window."""
+    it returns must be the full-length filter's, byte for byte, and each
+    run's coarse onset the first full-length crossing in its burst window."""
 
     def check_rows(self, scenario, recording):
         """Compare the front end's rows, onsets and runs with the full
@@ -346,7 +348,7 @@ class TestFilterAndScan:
         assert runs == reference_runs(scenario, recording.sample_rate, expected[ref])
         windows = burst_windows(scenario, recording.sample_rate, runs)
         for ch in array.coarse_channels:
-            assert np.array_equal(onsets[ch], inside(expected[ch], windows)), ch
+            assert onsets[ch] == first_inside(expected[ch], windows), ch
         return rows, onsets, runs, full
 
     def check_searches(self, scenario, recording):
@@ -437,9 +439,10 @@ class TestFilterAndScan:
         glitched = MultiChannelRecording(sample_rate=FS, channels=channels)
         _, onsets, _, _ = self.check_rows(scenario, glitched)
         noisy, _ = full_length_onsets(scenario, glitched)
+        found = np.array(onsets[coarse])
         for lo, hi in glitches:
             assert ((noisy[coarse] >= lo) & (noisy[coarse] < hi + 500)).any()
-            assert not ((onsets[coarse] >= lo) & (onsets[coarse] < hi + 500)).any()
+            assert not ((found >= lo) & (found < hi + 500)).any()
         reports = [[r.to_json_dict() for r in run_localization(scenario, rec)]
                    for rec in (recording, glitched)]
         assert len(reports[0]) == 2 and reports[1] == reports[0]
@@ -484,7 +487,7 @@ class TestFilterAndScan:
         with pytest.raises(NoPingError, match="reference"):
             next(run_localization(std_scenario, recording=silent))
         config, path = tmp_path / "scenario.json", tmp_path / "silent.oogw"
-        config.write_text(json.dumps(scenario_to_dict(std_scenario)))
+        config.write_text(json.dumps(dataclasses.asdict(std_scenario)))
         write_recording(silent, path)
         assert main(["localize", "--config", str(config), "--recording", str(path)]) == EXIT_NO_PING
         assert "no ping" in capsys.readouterr().err
@@ -561,7 +564,7 @@ class TestFilterAndScan:
         if not coarse_first:
             # Only the distance term of the bound reaches the farthest
             # channel's last onset.
-            assert far_onset >= runs[-1][1] + int(round(dsp.SEARCH_SPAN * FS))
+            assert far_onset >= runs[-1][1] + search_span(FS)
             assert (len(rows[array.precise_channels[1]]) < recording.samples_per_channel) == (
                 margin > 1e-3)
 
@@ -605,6 +608,8 @@ class TestLocalizePing:
         # only when its outcome is asked for. The search's time is the first
         # outcome's.
         filtered, onsets, [run] = _filter_and_scan(std_recording, std_scenario)
+        # The onsets of [run, run, (n, n)]: the third run has none.
+        onsets = {ch: [onset, onset, -1] for ch, [onset] in onsets.items()}
         calls = []
         for module, name in ((dsp, "tdoa_from_filtered"), (solver, "gradient_descent")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
@@ -768,21 +773,37 @@ NOISY_GRID = MonteCarloConfig(ranges=(5.0, 30.0), snr_db=(None, 20.0, 10.0), tri
 
 
 def eight_channel_trial(clean, scenario, trial, radius, snr_db, noise_seed):
-    """A noisy trial as the whole recording's noise, then the front end and
-    the chain: the flow that drew every channel before scanning any."""
-    fe = scenario.front_end
-    sigma = white_sigma_for_snr(measure_burst_rms(clean, scenario), snr_db,
-                                fe.analog_band_low, fe.analog_band_high, clean.sample_rate)
-    recording = simulator.add_noise(clean, NoiseSpec(white_sigma=sigma, interferer_amp=0.0,
-                                                     lowfreq_amp=0.0), noise_seed)
+    """A trial as the whole recording's noise (none for snr_db None), then
+    the front end and the chain: the flow that drew every channel before
+    scanning any, and scanned the reference inside the front end."""
+    recording = clean
+    if snr_db is not None:
+        fe = scenario.front_end
+        sigma = white_sigma_for_snr(measure_burst_rms(clean, scenario), snr_db,
+                                    fe.analog_band_low, fe.analog_band_high, clean.sample_rate)
+        recording = simulator.add_noise(clean, NoiseSpec(white_sigma=sigma, interferer_amp=0.0,
+                                                         lowfreq_amp=0.0), noise_seed)
     filtered, onsets, runs = _filter_and_scan(recording, scenario)
     return next(localize_ping(filtered, recording.sample_rate, scenario, onsets, runs[:1]))
+
+
+@pytest.fixture()
+def dsp_calls(monkeypatch):
+    """The names of the dsp.filter_signal and dsp.detect_ping calls, in
+    order; the render binds its own filter_signal and is not counted."""
+    calls = []
+    for name in ("filter_signal", "detect_ping"):
+        def counted(*args, _fn=getattr(dsp, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(dsp, name, counted)
+    return calls
 
 
 class TestNoisyTrial:
     def test_rows_equal_eight_channel_noise_flow(self, monkeypatch):
         summary, rows = monte_carlo(NOISY_GRID)
-        monkeypatch.setattr(pipeline, "_localize_noisy_trial", eight_channel_trial)
+        monkeypatch.setattr(pipeline, "_localize_trial", eight_channel_trial)
         assert monte_carlo(NOISY_GRID) == (summary, rows)
         failed = [row for row in rows if row["snr_db"] == 10.0]
         assert len(failed) == 6
@@ -807,17 +828,19 @@ class TestNoisyTrial:
             _run_trial(NOISY_GRID, cell_index, trial, radius, snr_db)
             assert noisy_rows == outcomes[snr_db], (radius, snr_db, trial)
 
-    def test_reference_without_ping_is_one_filter_call_and_one_scan(self, monkeypatch):
-        calls = []
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("filter_signal", "detect_ping"):
-            monkeypatch.setattr(dsp, name, counted(name, getattr(dsp, name)))
+    def test_reference_without_ping_is_one_filter_call_and_one_scan(self, dsp_calls):
         row = _run_trial(NOISY_GRID, 2, 0, 5.0, 10.0)
-        assert calls == ["filter_signal", "detect_ping"]
+        assert dsp_calls == ["filter_signal", "detect_ping"]
         assert row["az_err_deg"] == FAILED_TRIAL_AZ_ERROR and row["octant_guess"] == ""
+
+    @pytest.mark.parametrize("cell_index, snr_db", [(0, None), (1, 20.0)],
+                             ids=["noiseless", "20-dB"])
+    def test_reference_is_filtered_and_scanned_once(self, dsp_calls, cell_index, snr_db):
+        # The reference step (one filter call, one scan), then the other
+        # precise channels in one filter call and the coarse burst windows
+        # in one more, each coarse row scanned once. The reference row the
+        # trial scanned is reused, noisy or not.
+        row = _run_trial(NOISY_GRID, cell_index, 0, 5.0, snr_db)
+        assert dsp_calls == ["filter_signal", "detect_ping", "filter_signal", "filter_signal",
+                             *["detect_ping"] * 4]
+        assert row["iters"] > 0

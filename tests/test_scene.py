@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -18,12 +19,15 @@ from pingerloc import (
     default_array,
     octant_guess,
     octant_of,
-    scenario_from_dict,
-    scenario_to_dict,
     true_azimuth_elevation,
 )
 from pingerloc.pipeline import MonteCarloConfig, monte_carlo, monte_carlo_config_from_dict
-from pingerloc.scene import check_array
+from pingerloc.scene import check_array, config_from_dict
+
+
+def decode_scenario(doc):
+    """A parsed scenario document decoded as ``load_scenario`` decodes one."""
+    return config_from_dict(Scenario, doc, "scenario")
 
 
 def square_quad(side, z=0.0):
@@ -222,19 +226,19 @@ class TestInvariants:
 
 class TestJson:
     def test_round_trip(self, std_scenario):
-        doc = scenario_to_dict(std_scenario)
-        assert scenario_from_dict(doc) == std_scenario
+        doc = dataclasses.asdict(std_scenario)
+        assert decode_scenario(doc) == std_scenario
 
     def test_missing_pinger_names_field(self):
         with pytest.raises(ConfigError, match="pinger"):
-            scenario_from_dict({"sound_speed": 1480.0})
+            decode_scenario({"sound_speed": 1480.0})
 
     def test_missing_position_names_field(self):
         with pytest.raises(ConfigError, match="position"):
-            scenario_from_dict({"pinger": {"frequency": 40000.0}})
+            decode_scenario({"pinger": {"frequency": 40000.0}})
 
     def test_defaults_fill_in(self):
-        scenario = scenario_from_dict(
+        scenario = decode_scenario(
             {"pinger": {"position": {"x": 10.0, "y": 0.0, "z": 0.0}}})
         assert scenario.array == default_array()
         assert scenario.sample_rate == 500_000.0
@@ -269,18 +273,18 @@ def json_paths(doc, prefix=()):
 
 
 MALFORMED = [
-    ("noise-number", scenario_from_dict, QUICK, ("noise",), 5, r"scenario\.noise"),
-    ("noise-string", scenario_from_dict, QUICK, ("noise",), "loud", r"scenario\.noise"),
-    ("misspelled-key", scenario_from_dict, QUICK, ("nosie",), {}, r"scenario\.nosie"),
-    ("null-number", scenario_from_dict, QUICK, ("sound_speed",), None, "sound_speed"),
-    ("huge-int", scenario_from_dict, QUICK, ("sound_speed",), 10**400, "sound_speed"),
-    ("nan", scenario_from_dict, QUICK, ("sound_speed",), float("nan"), "sound_speed"),
-    ("bool-number", scenario_from_dict, QUICK, ("sound_speed",), True, "sound_speed"),
-    ("fractional-seed", scenario_from_dict, QUICK, ("seed",), 2.7, "seed"),
-    ("number-list", scenario_from_dict, QUICK, ("array", "precise"), 3, r"array\.precise"),
-    ("nested-string", scenario_from_dict, QUICK, ("array", "precise", 2, "x"), "0.2",
+    ("noise-number", decode_scenario, QUICK, ("noise",), 5, r"scenario\.noise"),
+    ("noise-string", decode_scenario, QUICK, ("noise",), "loud", r"scenario\.noise"),
+    ("misspelled-key", decode_scenario, QUICK, ("nosie",), {}, r"scenario\.nosie"),
+    ("null-number", decode_scenario, QUICK, ("sound_speed",), None, "sound_speed"),
+    ("huge-int", decode_scenario, QUICK, ("sound_speed",), 10**400, "sound_speed"),
+    ("nan", decode_scenario, QUICK, ("sound_speed",), float("nan"), "sound_speed"),
+    ("bool-number", decode_scenario, QUICK, ("sound_speed",), True, "sound_speed"),
+    ("fractional-seed", decode_scenario, QUICK, ("seed",), 2.7, "seed"),
+    ("number-list", decode_scenario, QUICK, ("array", "precise"), 3, r"array\.precise"),
+    ("nested-string", decode_scenario, QUICK, ("array", "precise", 2, "x"), "0.2",
      r"scenario\.array\.precise\[2\]\.x"),
-    ("missing-nested", scenario_from_dict, QUICK, ("pinger", "position"), DELETE,
+    ("missing-nested", decode_scenario, QUICK, ("pinger", "position"), DELETE,
      r"pinger\.position"),
     ("eval-number-list", monte_carlo_config_from_dict, EVAL, ("ranges",), 5, "ranges"),
     ("eval-misspelled-key", monte_carlo_config_from_dict, EVAL, ("clearence",), 3, "clearence"),
@@ -302,14 +306,15 @@ class TestConfigCodec:
             decode(replaced(base, path, value))
 
     def test_integral_numbers_load_as_before(self):
-        scenario = scenario_from_dict(replaced(QUICK, ("seed",), 3.0))
+        scenario = decode_scenario(replaced(QUICK, ("seed",), 3.0))
         assert scenario.seed == 3 and isinstance(scenario.seed, int)
-        assert scenario_from_dict(replaced(QUICK, ("sound_speed",), 1500)).sound_speed == 1500.0
+        assert decode_scenario(replaced(QUICK, ("sound_speed",), 1500)).sound_speed == 1500.0
 
     @pytest.mark.parametrize("name", ["scenario_quick.json", "scenario_default.json"])
     def test_config_file_round_trips_byte_for_byte(self, name):
         text = (CONFIGS / name).read_text()
-        assert json.dumps(scenario_to_dict(load_scenario(CONFIGS / name)), indent=2) + "\n" == text
+        scenario = load_scenario(CONFIGS / name)
+        assert json.dumps(dataclasses.asdict(scenario), indent=2) + "\n" == text
 
     json_values = st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
@@ -322,6 +327,6 @@ class TestConfigCodec:
     @settings(max_examples=300, deadline=None)
     def test_any_replaced_value_loads_or_is_config_error(self, path, value):
         try:
-            assert isinstance(scenario_from_dict(replaced(QUICK, path, value)), Scenario)
+            assert isinstance(decode_scenario(replaced(QUICK, path, value)), Scenario)
         except ConfigError:
             pass

@@ -418,7 +418,7 @@ class TestAddNoise:
         assert not np.array_equal(a.channels, c.channels)
 
     # A noisy Monte Carlo trial draws its reference row's noise on that
-    # prefix alone, before the other channels' (pipeline._localize_noisy_trial).
+    # prefix alone, before the other channels' (pipeline._localize_trial).
     @given(data=st.data(), rows=st.integers(1, 8), n=st.integers(1, 300),
            white=st.booleans(), interferer=st.booleans(), lowfreq=st.booleans(),
            cutoff=st.sampled_from([8_000.0, FS]), seed=st.integers(0, 2**32 - 1))
