@@ -17,11 +17,8 @@ from .scene import (
     true_azimuth_elevation,
 )
 from .recording import (
-    BadMagicError,
     MultiChannelRecording,
     RecordingFormatError,
-    TruncatedPayloadError,
-    VersionMismatchError,
     read_recording,
     write_recording,
 )
@@ -45,7 +42,6 @@ from .solver import (
 )
 from .guess import OctantGuess, initial_point, octant_guess
 from .pipeline import (
-    AzimuthReport,
     MonteCarloConfig,
     MonteCarloSummary,
     monte_carlo,

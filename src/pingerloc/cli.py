@@ -6,11 +6,15 @@ Subcommands:
     montecarlo  eval JSON -> CSV of trials + JSON summary
     validate    load a scenario, checking its array against the carrier
 
+localize writes one line per ping: a report, or for a failed ping (no ping
+on a coarse channel, unstable window, singular geometry or divergence) a
+failure record, with an ``error: <class>: <message>`` line on stderr; the
+stream goes on past it.
+
 Exit codes: 0 success (localize: every report converged), 1 configuration or
 usage error, a file that cannot be read or written, or a recording too large
-to render or filter in memory, 2 no ping found (reference or coarse), 3 a
-solve did not converge, 4 a ping failed after detection (unstable window,
-singular geometry or divergence); under 2 and 4 written reports stay.
+to render or filter in memory, 2 no ping found on the reference channel (no
+line is written), 3 a solve did not converge, 4 some ping failed.
 """
 
 from __future__ import annotations
@@ -47,11 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_loc.add_argument("--out", default=None, help="write NDJSON here instead of stdout")
     p_loc.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p_loc.add_argument("--timing", action="store_true",
-                       help="include per-stage milliseconds in each report, with the "
+                       help="include per-stage milliseconds in each line, with the "
                             "recording's render, filter (the front end's three filter "
                             "calls), onset (channel scans) and tdoa (one window search over "
-                            "every ping) time on the first report only (makes output "
-                            "non-reproducible)")
+                            "every ping) time on the first line only, report or failure "
+                            "record (makes output non-reproducible)")
     p_loc.add_argument("--debug-window", action="store_true",
                        help="dump window-search diagnostics as JSON to stderr")
 
@@ -93,25 +97,33 @@ def _cmd_simulate(args) -> int:
 def _cmd_localize(args) -> int:
     scenario = _load_scenario(args.config, args.seed)
     loaded = rec.read_recording(args.recording) if args.recording else None
+    channels = scenario.array.precise_channels
 
     out = open(args.out, "w") if args.out else sys.stdout
-    all_converged = True
+    all_converged, any_failed = True, False
     try:
-        for report in pipeline.run_localization(scenario, recording=loaded):
-            out.write(json.dumps(report.to_json_dict(include_timing=args.timing)) + "\n")
-            all_converged = all_converged and report.converged
+        for outcome in pipeline.run_localization(scenario, recording=loaded):
+            out.write(json.dumps(outcome.to_json_dict(include_timing=args.timing)) + "\n")
+            if outcome.error is not None:
+                any_failed = True
+                print(f"error: {type(outcome.error).__name__}: {outcome.error}", file=sys.stderr)
+            all_converged = all_converged and outcome.converged
             if args.debug_window:
-                print(json.dumps({"ping_index": report.ping_index, "window": list(report.window),
-                                  **report.diagnostics}), file=sys.stderr)
+                line = {"ping_index": outcome.ping_index}
+                if outcome.tdoa is not None:
+                    line["window"] = list(outcome.tdoa.window)
+                    line["pair_delays_us"] = {
+                        f"{channels[i]}-{channels[j]}": delay * 1e6
+                        for (i, j), delay in zip(dsp.PAIRS, outcome.tdoa.pair_delays)}
+                print(json.dumps({**line, **outcome.window_search}), file=sys.stderr)
     except dsp.NoPingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PING
-    except pipeline.PING_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_PING_FAILED
     finally:
         if args.out:
             out.close()
+    if any_failed:
+        return EXIT_PING_FAILED
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 
 

@@ -1,18 +1,19 @@
 """End-to-end localization: recording (simulated or loaded) -> bandpass ->
-stable-window TDOA -> octant guess -> gradient descent -> azimuth report
-stream, plus a Monte Carlo evaluation harness; both run their pings through
-``localize_ping``.
+stable-window TDOA -> octant guess -> gradient descent -> one ``PingOutcome``
+per ping, plus a Monte Carlo evaluation harness; both run their pings
+through ``localize_ping``.
 
-Reports serialize as newline-delimited JSON. Timings and window-search
-diagnostics ride on each report but stay out of the serialized stream unless
-asked for, so runs with the same seed are byte-identical. Onsets are detected
-once per recording, in the front end (``dsp.scan_reference``, then
+An outcome serializes as one NDJSON line: a report for a solved ping, a
+failure record for a failed one. Timings and window-search diagnostics ride
+on each outcome but stay out of the serialized stream unless asked for, so
+runs with the same seed are byte-identical. Onsets are detected once per
+recording, in the front end (``dsp.scan_reference``, then
 ``dsp.filter_and_scan``), against the reference channel's noise floor; a Monte
 Carlo trial takes the same front end. A ping is a run of reference crossings,
 so every ping is known before any is searched: one ``dsp.tdoa_from_filtered``
 call searches them all, and each ping is then guessed and solved as its
 outcome is consumed. A recording's render, filter, onset and search time is
-charged to its first report only (later ones carry 0.0), so summing a stream
+charged to its first outcome only (later ones carry 0.0), so summing a stream
 counts each cost once.
 """
 
@@ -22,7 +23,7 @@ import csv
 import itertools
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import ClassVar, Iterator, Mapping, Sequence
 
@@ -43,7 +44,6 @@ from .scene import (
 )
 
 __all__ = [
-    "AzimuthReport",
     "PingOutcome",
     "MonteCarloConfig",
     "MonteCarloSummary",
@@ -63,7 +63,7 @@ FAILED_TRIAL_AZ_ERROR = 180.0
 
 MC_CSV_COLUMNS = [
     "trial", "range_m", "snr_db", "true_az_deg", "est_az_deg", "az_err_deg",
-    "octant_true", "octant_guess", "converged", "objective", "iters",
+    "octant_true", "octant_guess", "converged", "objective", "iters", "failure",
 ]
 
 PING_ERRORS = (dsp.NoPingError, dsp.UnstableWindowError, solver.SingularGeometryError,
@@ -71,53 +71,59 @@ PING_ERRORS = (dsp.NoPingError, dsp.UnstableWindowError, solver.SingularGeometry
 
 
 @dataclass(frozen=True)
-class AzimuthReport:
-    """One localized ping. ``window`` is (start sample, length) of the chosen
-    analysis window; ``timing`` holds per-stage milliseconds; ``diagnostics``
-    the pair delays (us) and ``PingOutcome.window_search``."""
+class PingOutcome:
+    """Ping ``ping_index`` through window search -> octant guess -> solve.
+    ``error`` is the failure (one of PING_ERRORS) that stopped the chain; the
+    stages before it still fill their fields. ``window_search`` holds the
+    search's candidate starts, variance scores and chosen index; ``timing``
+    each stage's milliseconds ("tdoa", "guess", "solve" as far as the chain
+    got), where "tdoa" is the search over every ping of the recording on the
+    first outcome and 0.0 on later ones."""
 
     ping_index: int
-    azimuth: float
-    elevation: float
-    range: float
-    octant_guess: str
-    objective: float
-    converged: bool
-    window: tuple[int, int]
-    timing: dict[str, float]
-    diagnostics: dict
-
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        doc = {
-            "ping_index": self.ping_index,
-            "azimuth": self.azimuth,
-            "elevation": self.elevation,
-            "range": self.range,
-            "octant_guess": self.octant_guess,
-            "objective": self.objective,
-            "converged": self.converged,
-            "window": list(self.window),
-        }
-        if include_timing:
-            doc["timing"] = self.timing
-        return doc
-
-
-@dataclass(frozen=True)
-class PingOutcome:
-    """One ping through window search -> octant guess -> solve. ``error`` is
-    the failure (one of PING_ERRORS) that stopped the chain; the stages before
-    it still fill their fields. ``window_search`` holds the search's candidate
-    starts, variance scores and chosen index; ``timing`` each finished stage's
-    milliseconds ("tdoa", "guess", "solve"), where "tdoa" is the search over
-    every ping of the recording on the first outcome and 0.0 on later ones."""
-
     tdoa: dsp.TdoaSet | None
     guess: guess.OctantGuess | None
     result: solver.SolverResult | None
     window_search: dict
     timing: dict[str, float]
     error: Exception | None
+
+    @property
+    def azimuth(self) -> float:
+        """The solved azimuth (degrees), NaN for a failed ping."""
+        return self.result.azimuth if self.result else math.nan
+
+    @property
+    def converged(self) -> bool:
+        return self.result is not None and self.result.converged
+
+    @property
+    def octant_guess(self) -> str:
+        """The guessed octant, like "++-", or "" before the guess."""
+        return self.guess.octant.as_string() if self.guess else ""
+
+    def to_json_dict(self, include_timing: bool = False) -> dict:
+        """The report of a solved ping; for a failed one, a failure record of
+        its index, error class and message. ``window`` is the chosen
+        analysis window's (start sample, length)."""
+        if self.error is not None:
+            doc = {"ping_index": self.ping_index, "error": type(self.error).__name__,
+                   "message": str(self.error)}
+        else:
+            result = self.result
+            doc = {
+                "ping_index": self.ping_index,
+                "azimuth": result.azimuth,
+                "elevation": result.elevation,
+                "range": result.range,
+                "octant_guess": self.octant_guess,
+                "objective": result.objective,
+                "converged": result.converged,
+                "window": list(self.tdoa.window),
+            }
+        if include_timing:
+            doc["timing"] = self.timing
+        return doc
 
 
 def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scenario,
@@ -128,24 +134,23 @@ def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scena
     given each run's coarse onsets, as ``dsp.filter_and_scan`` returns them;
     ``dsp.tdoa_from_filtered`` says which samples it reads. One search
     covers every ping, on the first ``next``; then one outcome per run
-    (without a run, one NoPingError) is yielded in order, and each ping's
-    octant guess and solve run only when its outcome is asked for, so
-    nothing after the outcome a caller stops at is solved. The search's
-    milliseconds are charged to the first outcome's "tdoa" timing and later
-    outcomes carry 0.0. Failures in PING_ERRORS are recorded on the outcome;
-    anything else raises."""
+    (without a run, one NoPingError) is yielded in order, numbered from 0,
+    and each ping's octant guess and solve run only when its outcome is
+    asked for, so nothing after the outcome a caller stops at is solved.
+    The search's milliseconds are charged to the first outcome's "tdoa"
+    timing and later outcomes carry 0.0. Failures in PING_ERRORS are
+    recorded on the outcome; anything else raises."""
     t_search = time.perf_counter()
     searches: list[dict] = []
     tdoas = dsp.tdoa_from_filtered(filtered, fs, scenario.array, scenario.sound_speed, onsets,
                                    runs, diagnostics=searches)
     search_ms = (time.perf_counter() - t_search) * 1e3
-    for tdoa, window_search in zip(tdoas, searches):
+    for ping_index, (tdoa, window_search) in enumerate(zip(tdoas, searches)):
         octant = result = error = None
-        timing: dict[str, float] = {}
+        timing = {"tdoa": search_ms}
         if isinstance(tdoa, Exception):
             tdoa, error = None, tdoa
         else:
-            timing["tdoa"] = search_ms
             try:
                 t_stage = time.perf_counter()
                 octant = guess.octant_guess(tdoa.coarse_arrivals, list(scenario.array.coarse),
@@ -164,8 +169,8 @@ def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scena
                 exc.__context__ = None
                 error = exc.with_traceback(None)
         search_ms = 0.0
-        yield PingOutcome(tdoa=tdoa, guess=octant, result=result, window_search=window_search,
-                          timing=timing, error=error)
+        yield PingOutcome(ping_index=ping_index, tdoa=tdoa, guess=octant, result=result,
+                          window_search=window_search, timing=timing, error=error)
 
 
 def _front_end_sos(scenario: Scenario, fs: float) -> np.ndarray:
@@ -188,17 +193,20 @@ def _filter_and_scan(recording: MultiChannelRecording, scenario: Scenario,
 
 
 def run_localization(scenario: Scenario,
-                     recording: MultiChannelRecording | None = None) -> Iterator[AzimuthReport]:
-    """Yield one AzimuthReport per ping, a run of reference crossings
-    (``dsp.scan_reference``), in time order.
+                     recording: MultiChannelRecording | None = None) -> Iterator[PingOutcome]:
+    """Yield every ping's PingOutcome, a ping being a run of reference
+    crossings (``dsp.scan_reference``), in time order; a failed ping's
+    outcome carries its error and the stream goes on. The recording's
+    render, filter and onset milliseconds are merged into the first
+    outcome's timing (later outcomes carry 0.0).
 
     With ``recording`` None the scenario is rendered first. Otherwise the
     scenario supplies only geometry, sound speed and filter band: the pings
-    come from the recording, not from the pinger's timing. A ping that fails
-    raises its error (NoPingError when the reference channel has no run),
-    except that a last burst cut off by the recording's end, with no room
-    for one analysis window, ends the stream once a report has been
-    written. Deterministic given the scenario seed.
+    come from the recording, not from the pinger's timing. A NoPingError
+    before any window was scored is not a ping's outcome: without any run
+    (or with a lone run too close to the end for one analysis window) it
+    raises, and a last burst cut off by the recording's end ends the stream
+    once an outcome has been yielded. Deterministic given the scenario seed.
     """
     t_start = time.perf_counter()
     if recording is None:
@@ -210,32 +218,14 @@ def run_localization(scenario: Scenario,
     fs = recording.sample_rate
     filtered, onsets, runs = _filter_and_scan(recording, scenario, recording_timing)
 
-    channels = scenario.array.precise_channels
-    for ping_index, outcome in enumerate(localize_ping(filtered, fs, scenario, onsets, runs)):
-        if outcome.error is not None:
-            # A NoPingError before any window was scored is the last run's:
-            # no room for one analysis window before the recording ends.
-            if (ping_index > 0 and isinstance(outcome.error, dsp.NoPingError)
-                    and not outcome.window_search):
-                return
-            raise outcome.error
-        tdoa, result = outcome.tdoa, outcome.result
-        yield AzimuthReport(
-            ping_index=ping_index,
-            azimuth=result.azimuth,
-            elevation=result.elevation,
-            range=result.range,
-            octant_guess=outcome.guess.octant.as_string(),
-            objective=result.objective,
-            converged=result.converged,
-            window=tdoa.window,
-            timing={**recording_timing, **outcome.timing},
-            diagnostics={
-                "pair_delays_us": {f"{channels[i]}-{channels[j]}": delay * 1e6
-                                   for (i, j), delay in zip(dsp.PAIRS, tdoa.pair_delays)},
-                **outcome.window_search,
-            },
-        )
+    for outcome in localize_ping(filtered, fs, scenario, onsets, runs):
+        # No window scored: no run at all, or the last run's burst is cut
+        # off by the recording's end.
+        if isinstance(outcome.error, dsp.NoPingError) and not outcome.window_search:
+            if outcome.ping_index == 0:
+                raise outcome.error
+            return
+        yield replace(outcome, timing={**recording_timing, **outcome.timing})
         recording_timing = dict.fromkeys(recording_timing, 0.0)
 
 
@@ -435,16 +425,16 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
         "est_az_deg": None,
         "az_err_deg": FAILED_TRIAL_AZ_ERROR,
         "octant_true": octant_true.as_string(),
-        "octant_guess": outcome.guess.octant.as_string() if outcome.guess else "",
-        "converged": False,
+        "octant_guess": outcome.octant_guess,
+        "converged": outcome.converged,
         "objective": None,
         "iters": 0,
+        "failure": type(outcome.error).__name__ if outcome.error else None,
     }
     result = outcome.result
     if result is not None:
         row["est_az_deg"] = result.azimuth
         row["az_err_deg"] = _azimuth_error_deg(result.azimuth, true_az)
-        row["converged"] = result.converged
         row["objective"] = result.objective
         row["iters"] = result.iterations
     return row

@@ -24,9 +24,6 @@ import numpy as np
 __all__ = [
     "MultiChannelRecording",
     "RecordingFormatError",
-    "BadMagicError",
-    "VersionMismatchError",
-    "TruncatedPayloadError",
     "write_recording",
     "read_recording",
 ]
@@ -38,19 +35,9 @@ MAX_SAMPLE_RATE = 2**32 - 1  # Hz, the most the header's u32 holds
 
 
 class RecordingFormatError(ValueError):
-    """Base class for malformed recording files."""
-
-
-class BadMagicError(RecordingFormatError):
-    pass
-
-
-class VersionMismatchError(RecordingFormatError):
-    pass
-
-
-class TruncatedPayloadError(RecordingFormatError):
-    pass
+    """A malformed recording file: a short header, a bad magic, another
+    format version, or a payload shorter or longer than the header claims.
+    The message says which."""
 
 
 @dataclass(frozen=True)
@@ -114,18 +101,18 @@ def read_recording(path: str | Path) -> MultiChannelRecording:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
-            raise TruncatedPayloadError(f"{path}: file shorter than header")
+            raise RecordingFormatError(f"{path}: file shorter than header")
         magic, version, channel_count, sample_rate, n_samples = _HEADER.unpack(header)
         if magic != MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+            raise RecordingFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
         if version != FORMAT_VERSION:
-            raise VersionMismatchError(
+            raise RecordingFormatError(
                 f"{path}: format version {version}, this reader supports {FORMAT_VERSION}"
             )
         payload = fh.read()
     expected = channel_count * n_samples * 4
     if len(payload) < expected:
-        raise TruncatedPayloadError(
+        raise RecordingFormatError(
             f"{path}: header claims {n_samples} samples x {channel_count} channels "
             f"({expected} bytes), payload holds {len(payload)}"
         )

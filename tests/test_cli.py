@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import pingerloc
 from pingerloc import read_recording
-from pingerloc import pipeline, recording, scene, simulator, solver
+from pingerloc import dsp, pipeline, recording, scene, simulator, solver
 from pingerloc.cli import (EXIT_CONFIG, EXIT_NO_PING, EXIT_NOT_CONVERGED, EXIT_OK,
                            EXIT_PING_FAILED, main)
 from conftest import fast_scenario
@@ -93,6 +93,14 @@ def four_ping_path(tmp_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def four_ping_render():
+    """configs/scenario_quick.json recorded for 0.2 s (four pings), and its
+    channels."""
+    scenario = quick_scenario(0.2)
+    return scenario, simulator.render_scene(scenario).channels
+
+
 def test_localize_timing_charges_each_recording_cost_once(four_ping_path, capsys):
     # One window search serves every ping: like the render, filter and
     # onset time, its milliseconds go to the first report only.
@@ -119,6 +127,31 @@ def test_four_ping_stream_matches_published_sha256(four_ping_path, capsys):
     assert len(out.splitlines()) == len(err.splitlines()) == 4
     assert {"stdout": hashlib.sha256(out.encode()).hexdigest(),
             "stderr": hashlib.sha256(err.encode()).hexdigest()} == FOUR_PING_SHA256
+
+
+def test_debug_window_keys_pair_delays_by_channel_label(four_ping_render, tmp_path, capsys):
+    # The same hydrophones heard through reversed channel labels: the same
+    # window search and delays, keyed by the labels of each precise-quad pair.
+    scenario, channels = four_ping_render
+    labels = tuple(reversed(range(8)))
+    relabelled = dataclasses.replace(
+        scenario, array=dataclasses.replace(scenario.array, labels=labels))
+    lines = []
+    for scene_, rows in ((scenario, channels), (relabelled, channels[list(labels)])):
+        config, path = tmp_path / "scenario.json", tmp_path / "recording.oogw"
+        config.write_text(json.dumps(dataclasses.asdict(scene_)))
+        write_recording(MultiChannelRecording(sample_rate=scenario.sample_rate, channels=rows),
+                        path)
+        assert main(["localize", "--config", str(config), "--recording", str(path),
+                     "--debug-window"]) == EXIT_OK
+        lines.append([json.loads(line) for line in capsys.readouterr().err.splitlines()])
+    keys = [f"{labels[i]}-{labels[j]}" for i, j in dsp.PAIRS]
+    assert len(lines[1]) == 4
+    for base, moved in zip(*lines):
+        delays = base.pop("pair_delays_us")
+        assert list(delays) == [f"{i}-{j}" for i, j in dsp.PAIRS]
+        assert moved.pop("pair_delays_us") == dict(zip(keys, delays.values()))
+        assert moved == base
 
 
 def test_missing_pinger_field_is_config_error(tmp_path, capsys):
@@ -163,9 +196,11 @@ def test_carrier_failing_validation_is_config_error(scenario_path, tmp_path, cap
 
 
 def test_ping_failure_exit_code(scenario_path, capsys, diverging_solver):
+    # The failed ping writes a failure record in place of its report.
     assert main(["localize", "--config", str(scenario_path)]) == EXIT_PING_FAILED
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert [json.loads(line) for line in captured.out.splitlines()] == [
+        {"ping_index": 0, "error": "DivergedError", "message": "diverged: forced"}]
     assert captured.err == "error: DivergedError: diverged: forced\n"
 
 
@@ -186,7 +221,23 @@ def test_ping_failure_keeps_earlier_reports(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "gradient_descent", second_diverges)
     out = tmp_path / "reports.ndjson"
     assert main(["localize", "--config", str(path), "--out", str(out)]) == EXIT_PING_FAILED
-    assert [json.loads(line)["ping_index"] for line in out.read_text().splitlines()] == [0]
+    first, second = [json.loads(line) for line in out.read_text().splitlines()]
+    assert first["ping_index"] == 0 and first["converged"] is True
+    assert second == {"ping_index": 1, "error": "DivergedError", "message": "diverged: forced"}
+
+
+def test_failed_first_ping_carries_the_recording_costs(four_ping_path, capsys,
+                                                       diverging_solver):
+    # Every ping fails: the first failure record carries the render, filter,
+    # onset and search time, and later records carry 0.0.
+    assert main(["localize", "--config", str(four_ping_path), "--timing"]) == EXIT_PING_FAILED
+    first, *rest = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert first["error"] == "DivergedError" and len(rest) == 3
+    assert min(first["timing"][key] for key in ("render", "filter", "onset", "tdoa")) > 0.0
+    for record in rest:
+        assert record["error"] == "DivergedError"
+        timing = record["timing"]
+        assert timing["render"] == timing["filter"] == timing["onset"] == timing["tdoa"] == 0.0
 
 
 def test_no_ping_exit_code(scenario_path, tmp_path, capsys):
@@ -199,7 +250,8 @@ def test_no_ping_exit_code(scenario_path, tmp_path, capsys):
         code = main(["localize", "--config", str(scenario_path),
                      "--recording", str(rec_path)])
         assert code == EXIT_NO_PING
-        assert "no ping" in capsys.readouterr().err
+        # Not a ping's failure: no line is written.
+        assert capsys.readouterr() == ("", "error: no ping detected on reference channel 0\n")
 
 
 def quick_scenario(duration, interval=None):
@@ -244,14 +296,36 @@ def test_pings_come_from_the_recording_not_the_claimed_interval(tmp_path, capsys
 def test_coarse_channel_silent_over_a_burst_is_no_ping(tmp_path, capsys):
     # A coarse channel zeroed over the second of four bursts. Each ping
     # reads its coarse onsets in its own burst window, never the next
-    # burst's: ping 0 is reported, and ping 1 ends the stream.
+    # burst's: ping 1 is a NoPingError record, and the others are reported.
     scenario = quick_scenario(0.2)
     coarse = scenario.array.coarse_channels[0]
     channels = simulator.render_scene(scenario).channels.copy()
     channels[coarse, 25_000:40_000] = 0.0
     code, reports, err = localize_recording(tmp_path, capsys, scenario, channels)
-    assert code == EXIT_NO_PING and [report["ping_index"] for report in reports] == [0]
-    assert err == f"error: no ping detected on coarse channel {coarse}\n"
+    message = f"no ping detected on coarse channel {coarse}"
+    assert code == EXIT_PING_FAILED and [report["ping_index"] for report in reports] == [0, 1, 2, 3]
+    assert reports[1] == {"ping_index": 1, "error": "NoPingError", "message": message}
+    assert all(reports[k]["octant_guess"] == "++-" for k in (0, 2, 3))
+    assert err == f"error: NoPingError: {message}\n"
+
+
+def test_failed_ping_does_not_end_the_stream(tmp_path, capsys):
+    # Eight pings over 0.4 s. Precise channel 1's samples 51,000-66,000 are
+    # overwritten by its own samples 7,500-22,500, so ping 2's burst does not
+    # line up across the precise channels and its window is unstable. It
+    # writes one failure record, and pings 3-7 are reported after it.
+    scenario = quick_scenario(0.4)
+    channels = simulator.render_scene(scenario).channels.copy()
+    ch = scenario.array.precise_channels[1]
+    channels[ch, 51_000:66_000] = channels[ch, 7_500:22_500]
+    code, reports, err = localize_recording(tmp_path, capsys, scenario, channels)
+    assert code == EXIT_PING_FAILED
+    assert [report["ping_index"] for report in reports] == list(range(8))
+    failed = reports.pop(2)
+    assert set(failed) == {"ping_index", "error", "message"}
+    assert failed["error"] == "UnstableWindowError"
+    assert all(report["converged"] and report["octant_guess"] == "++-" for report in reports)
+    assert err == f"error: UnstableWindowError: {failed['message']}\n"
 
 
 @pytest.mark.parametrize("offset", [0.3, 1.0, 5.0])
@@ -494,7 +568,8 @@ def test_montecarlo_noise_overflowing_an_undrawn_channel_fails_the_trial(tmp_pat
     assert main(["montecarlo", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().err == ""
     row = dict(zip(pipeline.MC_CSV_COLUMNS, out.read_text().splitlines()[1].split(",")))
-    assert (row["az_err_deg"], row["octant_guess"], row["converged"]) == ("180", "", "false")
+    assert (row["az_err_deg"], row["octant_guess"], row["converged"], row["failure"]) == (
+        "180", "", "false", "NoPingError")
 
     [((rows, n), noise, seed)] = drawn
     assert rows == 1
@@ -527,7 +602,7 @@ def test_montecarlo_determinism(tmp_path):
 
 # The eval_small outputs the README publishes, on the numpy and scipy it names.
 EVAL_SMALL_SHA256 = {
-    "csv": "5f9ba3657da45dd565240c55814182792cdd2a9a82b60a1678a13b6bab536f27",
+    "csv": "a4a5e1ba46c0ab572fea887dc07fb0e79bf6e58e93a9de49cce457a11621c667",
     "json": "e862dc2d63209502b531298188742b86b8d67441ff185d45a64db43764f02e7f",
 }
 
@@ -704,6 +779,67 @@ def test_random_valid_scenario_ends_in_exit_code(tmp_path, doc):
     code, err = run_cli(["localize", "--config", str(path)])
     assert code in EXIT_CODES
     assert "Traceback" not in err
+
+
+REPORT_KEYS = {"ping_index", "azimuth", "elevation", "range", "octant_guess", "objective",
+               "converged", "window"}
+FAILURE_KEYS = {"ping_index", "error", "message"}
+PING_ERROR_NAMES = {error.__name__ for error in pipeline.PING_ERRORS}
+SAMPLES = 100_000  # in 0.2 s at 500 kHz
+REPETITION = 25_000  # samples from one ping to the next
+# A damaged span, 500 to 20,000 samples long, starts anywhere, or in the
+# first 8,000 samples of a repetition, where its burst reaches the array.
+anywhere = st.integers(min_value=0, max_value=SAMPLES - 1)
+near_a_burst = st.builds(lambda k, offset: REPETITION * k + offset,
+                         st.integers(min_value=0, max_value=3),
+                         st.integers(min_value=0, max_value=8_000))
+damage = st.tuples(st.sampled_from(["zero", "splice"]), st.integers(min_value=0, max_value=7),
+                   anywhere | near_a_burst, st.integers(min_value=500, max_value=20_000),
+                   anywhere)
+
+
+@given(damages=st.lists(damage, min_size=1, max_size=3))
+@settings(max_examples=20, deadline=PER_EXAMPLE,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_damaged_recording_gives_one_line_per_ping(four_ping_render, tmp_path, damages):
+    # Spans zeroed, or overwritten with the same channel's samples from
+    # elsewhere: every ping writes one report or one failure record, in
+    # order, and the exit code says which.
+    scenario, clean = four_ping_render
+    channels = clean.copy()
+    for op, ch, at, length, source in damages:
+        length = min(length, SAMPLES - at, SAMPLES - source)
+        channels[ch, at:at + length] = 0.0 if op == "zero" else clean[ch, source:source + length]
+    config, path = tmp_path / "scenario.json", tmp_path / "damaged.oogw"
+    config.write_text(json.dumps(dataclasses.asdict(scenario)))
+    write_recording(MultiChannelRecording(sample_rate=scenario.sample_rate, channels=channels),
+                    path)
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"run{k}.ndjson"
+        code, err = run_cli(["localize", "--config", str(config), "--recording", str(path),
+                             "--out", str(out)])
+        runs.append((code, out.read_bytes(), err))
+    assert runs[0] == runs[1]
+
+    code, out, err = runs[0]
+    assert code in {EXIT_OK, EXIT_NO_PING, EXIT_NOT_CONVERGED, EXIT_PING_FAILED}
+    assert "Traceback" not in err
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [line["ping_index"] for line in lines] == list(range(len(lines)))
+    failures = [line for line in lines if "error" in line]
+    assert all(set(line) == FAILURE_KEYS and line["error"] in PING_ERROR_NAMES
+               for line in failures)
+    assert all(set(line) == REPORT_KEYS for line in lines if "error" not in line)
+    if code == EXIT_NO_PING:
+        assert lines == [] and err.startswith("error: no ping")
+    else:
+        assert lines
+        assert code == (EXIT_PING_FAILED if failures else
+                        EXIT_OK if all(line["converged"] for line in lines) else
+                        EXIT_NOT_CONVERGED)
+        assert err == "".join(f"error: {line['error']}: {line['message']}\n"
+                              for line in failures)
 
 
 # Whatever the grid, montecarlo either runs (exit 0) or refuses the config

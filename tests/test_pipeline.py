@@ -57,11 +57,11 @@ class TestRunLocalization:
         true_az, true_el = true_azimuth_elevation(
             Vec3.from_array(np.array([10.0, 5.0, -2.0]) - centroid))
         assert abs((report.azimuth - true_az + 180) % 360 - 180) < 0.05
-        assert abs(report.elevation - true_el) < 0.1
+        assert abs(report.result.elevation - true_el) < 0.1
         # and within the coarser origin-referenced figure
         assert abs((report.azimuth - 26.565 + 180) % 360 - 180) < 0.5
         assert report.octant_guess == "++-"
-        assert report.objective >= 0.0
+        assert report.result.objective >= 0.0
         assert 0.0 <= report.azimuth < 360.0
         assert set(report.timing) == {"render", "filter", "onset", "tdoa", "guess", "solve"}
 
@@ -77,7 +77,7 @@ class TestRunLocalization:
             Vec3.from_array(scenario.pinger.position.as_array() - centroid))
         assert abs((report.azimuth - true_az + 180) % 360 - 180) < 0.05
         max_delay_us = scenario.array.max_precise_spacing() / 1500.0 * 1e6
-        delays_us = report.diagnostics["pair_delays_us"].values()
+        delays_us = [delay * 1e6 for delay in report.tdoa.pair_delays]
         assert len(delays_us) == 6
         assert all(abs(d) <= max_delay_us for d in delays_us)
 
@@ -86,7 +86,7 @@ class TestRunLocalization:
                                  repetition_interval=0.05)
         reports = list(run_localization(scenario))
         assert [r.ping_index for r in reports] == [0, 1, 2]
-        starts = [r.window[0] for r in reports]
+        starts = [r.tdoa.window[0] for r in reports]
         assert all(b > a for a, b in zip(starts, starts[1:]))
         azimuths = [r.azimuth for r in reports]
         assert max(azimuths) - min(azimuths) < 0.1
@@ -146,12 +146,13 @@ class TestRunLocalization:
 
     def test_report_carries_window_search(self, std_scenario, std_recording):
         report = next(run_localization(std_scenario, recording=std_recording))
-        diagnostics = report.diagnostics
-        assert len(diagnostics["pair_delays_us"]) == 6
-        assert len(diagnostics["variance_scores"]) == len(diagnostics["candidate_starts"])
-        chosen = diagnostics["candidate_starts"][diagnostics["chosen_candidate"]]
-        assert chosen == report.window[0]
-        assert "diagnostics" not in report.to_json_dict(include_timing=True)
+        search = report.window_search
+        assert len(report.tdoa.pair_delays) == 6
+        assert len(search["variance_scores"]) == len(search["candidate_starts"])
+        chosen = search["candidate_starts"][search["chosen_candidate"]]
+        assert chosen == report.tdoa.window[0]
+        doc = report.to_json_dict(include_timing=True)
+        assert not {"window_search", "pair_delays_us", "candidate_starts"} & set(doc)
 
     def test_stream_end_leaves_no_reference_cycle(self, std_scenario, std_recording):
         # The stream ends on a caught NoPingError. A cycle through its frames
@@ -178,7 +179,7 @@ class TestRunLocalization:
         # Row labels[k] of the relabelled recording holds the quick render's
         # row k, the channel its default labels give hydrophone k: the same
         # hydrophones heard through other channels must give the same stream,
-        # and the same pair delays under the new labels' keys.
+        # the same pair delays in quad order and the same window search.
         scenario, recording = quick_render
         assert scenario.array.labels == tuple(range(8)) != labels
         channels = np.empty_like(recording.channels)
@@ -190,17 +191,18 @@ class TestRunLocalization:
         assert base
         assert ([json.dumps(r.to_json_dict()) for r in moved]
                 == [json.dumps(r.to_json_dict()) for r in base])
-        keys = [f"{labels[i]}-{labels[j]}" for i, j in dsp.PAIRS]
         for b, m in zip(base, moved):
-            delays = b.diagnostics["pair_delays_us"]
-            assert list(delays) == [f"{i}-{j}" for i, j in dsp.PAIRS]
-            assert m.diagnostics == {**b.diagnostics,
-                                     "pair_delays_us": dict(zip(keys, delays.values()))}
-            assert list(m.diagnostics["pair_delays_us"]) == keys
+            assert m.tdoa.pair_delays == b.tdoa.pair_delays
+            assert m.window_search == b.window_search
 
-    def test_solver_failure_is_raised(self, std_scenario, std_recording, diverging_solver):
-        with pytest.raises(DivergedError):
-            next(run_localization(std_scenario, recording=std_recording))
+    def test_solver_failure_is_recorded(self, std_scenario, std_recording, diverging_solver):
+        # The failed ping's outcome keeps the stages before the solve.
+        [outcome] = run_localization(std_scenario, recording=std_recording)
+        assert isinstance(outcome.error, DivergedError) and outcome.result is None
+        assert outcome.tdoa is not None and outcome.octant_guess == "++-"
+        assert not outcome.converged and math.isnan(outcome.azimuth)
+        assert outcome.to_json_dict() == {"ping_index": 0, "error": "DivergedError",
+                                          "message": "diverged: forced"}
 
     @pytest.fixture(scope="class")
     def four_pings(self):
@@ -222,12 +224,12 @@ class TestRunLocalization:
         monkeypatch.setattr(dsp, "_delays", counted)
         reports = list(run_localization(scenario, recording))
         assert [r.ping_index for r in reports] == [0, 1, 2, 3]
-        win_len = reports[0].window[1]
+        win_len = reports[0].tdoa.window[1]
         assert len(calls) == 2 and calls[1] == (len(dsp.PAIRS), 4, win_len)
 
-    def test_nothing_is_solved_after_a_failed_ping(self, four_pings, monkeypatch):
-        # The second ping's solve diverges: the stream raises there, and the
-        # two pings after it are searched but never solved.
+    def test_stream_goes_on_after_a_failed_ping(self, four_pings, monkeypatch):
+        # The second ping's solve diverges: its outcome carries the error,
+        # and the pings after it are solved, each only when it is asked for.
         scenario, recording = four_pings
         solves = []
         gradient_descent = solver.gradient_descent
@@ -241,9 +243,10 @@ class TestRunLocalization:
         monkeypatch.setattr(solver, "gradient_descent", second_diverges)
         stream = run_localization(scenario, recording)
         assert next(stream).ping_index == 0 and len(solves) == 1
-        with pytest.raises(DivergedError, match="forced"):
-            next(stream)
-        assert len(solves) == 2
+        failed = next(stream)
+        assert (failed.ping_index, str(failed.error), len(solves)) == (1, "diverged: forced", 2)
+        assert [outcome.ping_index for outcome in stream if outcome.converged] == [2, 3]
+        assert len(solves) == 4
 
     def test_invalid_array_is_config_error(self, std_scenario):
         from pingerloc import HydrophoneArray, Scenario
@@ -356,7 +359,7 @@ class TestFilterAndScan:
         rows as from the full-length filter; return (rows, ping count)."""
         rows, onsets, runs, full = self.check_rows(scenario, recording)
         # Each ping's search starts at its onset, its run's first crossing.
-        starts = [report.diagnostics["candidate_starts"][0]
+        starts = [report.window_search["candidate_starts"][0]
                   for report in run_localization(scenario, recording=recording)]
         assert starts == [first for first, _ in runs]
         search = []
@@ -600,7 +603,8 @@ class TestLocalizePing:
         outcome = localize_first(std_scenario, std_recording, (n, n))
         assert isinstance(outcome.error, NoPingError)
         assert outcome.tdoa is None and outcome.guess is None and outcome.window_search == {}
-        assert outcome.timing == {}
+        # The search's milliseconds are charged even to a ping it failed.
+        assert set(outcome.timing) == {"tdoa"}
 
     def test_outcomes_are_solved_as_they_are_consumed(self, std_scenario, std_recording,
                                                       monkeypatch):
@@ -625,7 +629,8 @@ class TestLocalizePing:
         assert calls == ["tdoa_from_filtered"] + ["gradient_descent"] * 2
         assert first.tdoa == second.tdoa and first.window_search == second.window_search
         assert first.timing["tdoa"] > 0.0 and second.timing["tdoa"] == 0.0
-        assert isinstance(last.error, NoPingError) and last.timing == {}
+        assert isinstance(last.error, NoPingError) and last.timing == {"tdoa": 0.0}
+        assert [outcome.ping_index for outcome in (first, second, last)] == [0, 1, 2]
 
 
 class TestSnrCalibration:
@@ -669,6 +674,7 @@ class TestMonteCarlo:
             assert row["converged"]
             assert row["iters"] > 0
             assert row["octant_guess"] == row["octant_true"]
+            assert row["failure"] is None
 
     def test_csv_layout(self, small_run, tmp_path):
         _, summary, rows = small_run
@@ -676,7 +682,10 @@ class TestMonteCarlo:
         write_monte_carlo_csv(path, summary, rows)
         lines = path.read_text().strip().splitlines()
         assert lines[0].split(",")[:3] == ["trial", "range_m", "snr_db"]
+        assert lines[0].split(",")[-2:] == ["iters", "failure"]
         assert len(lines) == 1 + 3 + 1  # header, trials, summary
+        # No trial failed, and the summary row leaves the column empty.
+        assert all(line.endswith(",") for line in lines[1:])
         assert lines[-1].startswith("summary,")
 
     def test_deterministic(self):
@@ -763,6 +772,7 @@ class TestMonteCarlo:
             assert row["az_err_deg"] == FAILED_TRIAL_AZ_ERROR
             assert row["iters"] == 0
             assert row["est_az_deg"] is None and row["objective"] is None
+            assert row["failure"] == "DivergedError"
         assert summary.success_count == 0
         assert summary.octant_accuracy == 1.0
 
@@ -808,7 +818,9 @@ class TestNoisyTrial:
         failed = [row for row in rows if row["snr_db"] == 10.0]
         assert len(failed) == 6
         assert all(row["octant_guess"] == "" and row["iters"] == 0 for row in failed)
-        assert all(row["iters"] > 0 for row in rows if row["snr_db"] == 20.0)
+        assert all(row["failure"] == "NoPingError" for row in failed)
+        assert all(row["iters"] > 0 and row["failure"] is None
+                   for row in rows if row["snr_db"] == 20.0)
 
     def test_other_channels_drawn_only_after_a_reference_ping(self, monkeypatch):
         noisy_rows = []
