@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_loc.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p_loc.add_argument("--timing", action="store_true",
                        help="include per-stage milliseconds in each line, with the "
-                            "recording's render, filter (the front end's three filter "
+                            "recording's render, filter (the front end's two filter "
                             "calls), onset (channel scans) and tdoa (one window search over "
                             "every ping) time on the first line only, report or failure "
                             "record (makes output non-reproducible)")
@@ -115,7 +116,11 @@ def _cmd_localize(args) -> int:
                     line["pair_delays_us"] = {
                         f"{channels[i]}-{channels[j]}": delay * 1e6
                         for (i, j), delay in zip(dsp.PAIRS, outcome.tdoa.pair_delays)}
-                print(json.dumps({**line, **outcome.window_search}), file=sys.stderr)
+                line.update(outcome.window_search)
+                if "variance_scores" in line:  # inf where a sub-window has no energy
+                    line["variance_scores"] = [score if math.isfinite(score) else None
+                                               for score in line["variance_scores"]]
+                print(json.dumps(line, allow_nan=False), file=sys.stderr)
     except dsp.NoPingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PING

@@ -12,10 +12,11 @@ channel is scanned against it. A hydrophone much noisier than the reference
 therefore crosses early. A ping is a run of reference crossings, split
 where two are far enough apart that the pings' burst windows do not overlap
 (``scan_reference``). That reference step runs once per recording and its
-result is passed to the rest of the front end (``filter_and_scan``). The
-coarse channels are filtered and scanned only in the burst windows, where
-each ping's coarse onsets are picked once, the first crossing in its own
-window, so a coarse crossing far from every reference burst is not seen.
+result is passed to the rest of the front end (``filter_and_scan``). Every
+other channel is filtered, and the coarse ones scanned, only in the burst
+windows, where each ping's coarse onsets are picked once, the first crossing
+in its own window, so a coarse crossing far from every reference burst is
+not seen.
 
 Channel labels are read only in the front end: a ``TdoaSet`` is in quad
 order, its six precise-quad pairs in ``PAIRS`` order.
@@ -441,31 +442,31 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
                     ) -> tuple[dict[int, np.ndarray], dict[int, list[int]]]:
     """The localizer's front end past its reference step: ``reference`` is
     the (row, cutoff, runs) that ``scan_reference`` returned for the
-    recording's reference channel, and its row is used as it is. The other
-    three precise channels are filtered in one ``filter_signal`` call up to
-    the end of the last run's burst window.
+    recording's reference channel, and its row is used as it is.
 
-    The coarse channels are filtered and scanned against the reference
-    cutoff only in the burst windows [first - before, last + reach)
-    (``_burst_margins``), clipped to the recording. Each window is filtered
-    from a prefix of ``_settle_samples(sos)`` plus RMS_WINDOW samples
-    earlier (or from sample 0), so that its start transient has decayed and
-    every kept mean square has a full window of its own. All windows of a
-    channel lie end to end in one row; one more ``filter_signal`` call
-    filters the four rows and one ``detect_ping`` per row scans them. A
-    crossing in a window's prefix is dropped.
+    The other seven channels are filtered only in the burst windows
+    [first - before, last + reach) (``_burst_margins``), clipped to the
+    recording. Each window is filtered from a prefix of
+    ``_settle_samples(sos)`` plus RMS_WINDOW samples earlier (or from
+    sample 0), so that its start transient has decayed and every kept mean
+    square has a full window of its own. All windows of a channel lie end
+    to end in one row; one ``filter_signal`` call filters the seven rows,
+    and one ``detect_ping`` per coarse row scans it against the reference
+    cutoff. A crossing in a window's prefix is dropped.
 
     Returns (rows, onsets): precise channel -> filtered row, and coarse
     channel -> one onset per run, the first crossing in that run's burst
     window, or -1 where there is none. Only this function knows the burst
     windows; runs lie at least before + reach apart, so no two overlap.
-    Every row is byte-equal to the same span of ``filter_signal`` over the
-    whole recording; the reference row is full length. A coarse onset is the
-    full-length row's first crossing in the window: a window's filter
-    matches the full-length one to within rounding, so a crossing moves only
-    where a mean square lies within rounding of the cutoff. If ``timing`` is
-    the dict that ``scan_reference`` filled, the milliseconds spent filtering
-    ("filter") and scanning ("onset") here are added to its own."""
+    The reference row is full length; each other row holds its windows,
+    zeros between them, and ends with the last window. A window matches the
+    full-length filter to within rounding: a coarse crossing moves only
+    where a mean square lies within rounding of the cutoff, and the search
+    reads a ping or noise bit for bit alike, but a channel silent since
+    before its window rings with what the window before it left in the
+    filter. If ``timing`` is the dict that ``scan_reference`` filled, the
+    milliseconds spent filtering ("filter") and scanning ("onset") here are
+    added to its own."""
     channels = recording.channels
     fs = recording.sample_rate
     n = channels.shape[1]
@@ -475,34 +476,28 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
 
     t_start = time.perf_counter()
     before, reach = _burst_margins(array, sound_speed, fs)
-    end = min(n, runs[-1][1] + reach) if runs else 0
-    # filter_signal stops a row that ends in 0 once its tail is quiet; a
-    # channel that resumes after the bound runs on in the full-length filter,
-    # so such rows are filtered to the end.
-    if 0 < end < n and any(channels[ch, end - 1] == 0 and channels[ch, end:].any()
-                           for ch in others):
-        end = n
-    rows = {array.precise_channels[0]: reference_row}
-    rows.update(zip(others, filter_signal(sos, channels[others, :end])))
-
     # Burst windows [first, stop), each filtered from start. A run starts
     # past the prefix and before + reach after the last, so only the first
     # window can start at sample 0, where the zero state and the mean
     # square's ramp are the full-length filter's own. Window j keeps gathered
     # columns [kept[2j], kept[2j + 1]); column + shift[j] is its sample.
     prefix = min(n, _settle_samples(sos) + _rms_window(fs))
-    spans, kept, shift, column = [], [], [], 0
+    spans, kept, shift, column, stop = [], [], [], 0, 0
     for head, tail in runs:
         first = max(0, head - before)
         start, stop = max(0, first - prefix), min(n, tail + reach)
-        spans.append(channels[coarse, start:stop])
+        spans.append(channels[others + coarse, start:stop])
         kept += [column + first - start, column + stop - start]
         shift.append(start - column)
         column += stop - start
-    gathered = filter_signal(sos, np.concatenate(spans or [channels[coarse, :0]], axis=1))
+    gathered = filter_signal(sos, np.concatenate([channels[others + coarse, :0], *spans], axis=1))
+    precise = np.zeros((len(others), stop))
+    for a, b, d in zip(kept[::2], kept[1::2], shift):
+        precise[:, a + d:b + d] = gathered[:len(others), a:b]
+    rows = {array.precise_channels[0]: reference_row, **dict(zip(others, precise))}
     t_coarse = time.perf_counter()
     onsets = {}
-    for ch, row in zip(coarse, gathered):
+    for ch, row in zip(coarse, gathered[len(others):]):
         found = detect_ping(row, fs, cutoff)[0]
         bounds = np.searchsorted(found, kept).tolist()
         onsets[ch] = [int(found[lo]) + d if lo < hi else -1
@@ -539,9 +534,9 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
     already-filtered channels given the reference runs (``scan_reference``)
     and, per coarse channel, one onset per run, -1 for none
     (``filter_and_scan``); ``filtered`` may also be an (8, n) array. The
-    recording's length is the reference (first precise) row's; the other
-    precise rows need only reach the end of each ping's last candidate
-    window.
+    recording's length is the reference (first precise) row's; of the other
+    precise rows only each ping's samples from its onset to the end of its
+    last candidate window are read.
 
     A ping is a run [first, last] of reference crossings; its onset is
     ``first``. From it, candidate windows start every sub-window; the one

@@ -263,14 +263,14 @@ def quick_scenario(duration, interval=None):
     return dataclasses.replace(quick, pinger=pinger, record_duration=duration)
 
 
-def localize_recording(tmp_path, capsys, scenario, channels):
-    """``localize --recording`` on ``channels`` under ``scenario``: (exit
-    code, reports, stderr)."""
+def localize_recording(tmp_path, capsys, scenario, channels, *flags):
+    """``localize --recording`` on ``channels`` under ``scenario``, with
+    ``flags``: (exit code, reports, stderr)."""
     config, path = tmp_path / "scenario.json", tmp_path / "recording.oogw"
     config.write_text(json.dumps(dataclasses.asdict(scenario)))
     write_recording(MultiChannelRecording(sample_rate=scenario.sample_rate, channels=channels),
                     path)
-    code = main(["localize", "--config", str(config), "--recording", str(path)])
+    code = main(["localize", "--config", str(config), "--recording", str(path), *flags])
     out, err = capsys.readouterr()
     return code, [json.loads(line) for line in out.splitlines()], err
 
@@ -307,6 +307,30 @@ def test_coarse_channel_silent_over_a_burst_is_no_ping(tmp_path, capsys):
     assert reports[1] == {"ping_index": 1, "error": "NoPingError", "message": message}
     assert all(reports[k]["octant_guess"] == "++-" for k in (0, 2, 3))
     assert err == f"error: NoPingError: {message}\n"
+
+
+@pytest.mark.parametrize("silent, unusable", [((25_000, 50_000), []), ((0, 50_000), [0, 1])],
+                         ids=["second-burst", "first-two-bursts"])
+def test_debug_window_is_strict_json(four_ping_render, tmp_path, capsys, silent, unusable):
+    # Precise channel 2 zeroed over ``silent``. Candidate windows with a
+    # sub-window without energy score inf, which every candidate of the
+    # ``unusable`` pings does. Every --debug-window line is still RFC 8259
+    # JSON, with null for such a score.
+    scenario, channels = four_ping_render
+    channels = channels.copy()
+    channels[scenario.array.precise_channels[2], slice(*silent)] = 0.0
+    _, reports, err = localize_recording(tmp_path, capsys, scenario, channels,
+                                         "--debug-window")
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    lines = [json.loads(line, parse_constant=refuse)
+             for line in err.splitlines() if not line.startswith("error: ")]
+    assert [line["ping_index"] for line in lines] == [report["ping_index"] for report in reports]
+    assert [k for k, line in enumerate(lines) if None in line["variance_scores"]] == unusable
+    assert all(lines[k]["variance_scores"] == [None] * 8 for k in unusable)
+    assert reports[1]["error"] == "UnstableWindowError"
 
 
 def test_failed_ping_does_not_end_the_stream(tmp_path, capsys):

@@ -329,35 +329,55 @@ def first_inside(samples, windows):
 
 
 class TestFilterAndScan:
-    """The front end filters the three precise channels other than the
-    reference only as far as the window search reads them, and the coarse
-    channels only in burst windows around the reference crossings. Every row
-    it returns must be the full-length filter's, byte for byte, and each
-    run's coarse onset the first full-length crossing in its burst window."""
+    """The front end filters every channel but the reference only in burst
+    windows around the reference crossings. The reference row must be the
+    full-length filter's, byte for byte; every other precise row must be it
+    over each run's read span, within rounding over the rest of the burst
+    windows, and zero outside them; each run's coarse onset must be the first
+    full-length crossing in its burst window."""
 
-    def check_rows(self, scenario, recording):
+    def check_rows(self, scenario, recording, silent_residue=False):
         """Compare the front end's rows, onsets and runs with the full
-        filter's; return (rows, onsets, runs, full filter)."""
+        filter's; return (rows, onsets, runs, full filter). With
+        ``silent_residue``, a read sample may differ where the full-length
+        filter holds a subnormal: the channel has not yet heard the burst, and
+        the full-length filter still rings with the previous ping's tail."""
         timing = {}
         rows, onsets, runs = _filter_and_scan(recording, scenario, timing)
         expected, full = full_length_onsets(scenario, recording)
+        fs, n = recording.sample_rate, recording.samples_per_channel
         array = scenario.array
         ref = array.precise_channels[0]
         assert list(rows) == list(array.precise_channels) and set(timing) == {"filter", "onset"}
-        for ch, row in rows.items():
-            assert row.tobytes() == full[ch, :len(row)].tobytes(), ch
-        assert len(rows[ref]) == recording.samples_per_channel
+        assert rows[ref].tobytes() == full[ref].tobytes()
+        assert runs == reference_runs(scenario, fs, expected[ref])
+        reach = coarse_margins(scenario, fs)[1]
+        windows = [(max(0, a), min(n, b)) for a, b in burst_windows(scenario, fs, runs)]
+        scale = np.abs(full[list(array.precise_channels)]).max()
+        for ch in array.precise_channels[1:]:
+            row = rows[ch]
+            assert len(row) == (windows[-1][1] if runs else 0), ch
+            outside = np.ones(len(row), dtype=bool)
+            for (first, _), (a, b) in zip(runs, windows):
+                outside[a:b] = False
+                np.testing.assert_allclose(row[a:b], full[ch, a:b], rtol=0, atol=1e-13 * scale)
+                span = slice(first, min(n, first + reach))
+                differ = row[span] != full[ch, span]
+                if silent_residue:
+                    assert (np.abs(full[ch, span][differ]) < np.finfo(float).tiny).all()
+                    assert (np.abs(row[span][differ]) < 1e-160 * scale).all()
+                else:
+                    assert not differ.any(), (ch, first)
+            assert not row[outside].any(), ch
         assert list(onsets) == list(array.coarse_channels)
-        assert runs == reference_runs(scenario, recording.sample_rate, expected[ref])
-        windows = burst_windows(scenario, recording.sample_rate, runs)
         for ch in array.coarse_channels:
             assert onsets[ch] == first_inside(expected[ch], windows), ch
         return rows, onsets, runs, full
 
-    def check_searches(self, scenario, recording):
+    def check_searches(self, scenario, recording, silent_residue=False):
         """Every ping's window search reads the same from the front end's
         rows as from the full-length filter; return (rows, ping count)."""
-        rows, onsets, runs, full = self.check_rows(scenario, recording)
+        rows, onsets, runs, full = self.check_rows(scenario, recording, silent_residue)
         # Each ping's search starts at its onset, its run's first crossing.
         starts = [report.window_search["candidate_starts"][0]
                   for report in run_localization(scenario, recording=recording)]
@@ -377,6 +397,49 @@ class TestFilterAndScan:
         scenario = dataclasses.replace(quick, record_duration=16 * quick.pinger.repetition_interval)
         rows, pings = self.check_searches(scenario, render_scene(scenario))
         assert pings == 16
+
+    def test_sixteen_noiseless_repetitions(self):
+        # Every burst window starts in silence, where the window before it
+        # has left some 1e-140 of a burst in the filter state; that rounds
+        # away at the burst's first samples. Where a precise channel hears
+        # the burst a sample or two after the reference onset, the search
+        # reads that residue there, and the full-length filter's subnormal
+        # ringing of the previous ping: the two differ, the searches do not.
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        scenario = dataclasses.replace(quick, noise=NoiseSpec.silent(),
+                                       record_duration=16 * quick.pinger.repetition_interval)
+        rows, pings = self.check_searches(scenario, render_scene(scenario), silent_residue=True)
+        assert pings == 16
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_noise_seeds_search_as_the_full_length_filter(self, seed):
+        # Across noise draws, the window search reads the burst-window rows
+        # as it reads the full-length filter: the same onsets, candidates
+        # and windows, and the same pair delays to within 1e-12 s.
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        scenario = dataclasses.replace(quick, seed=seed, record_duration=0.8)
+        recording = render_scene(scenario)
+        rows, onsets, runs = _filter_and_scan(recording, scenario)
+        expected, full = full_length_onsets(scenario, recording)
+        windows = burst_windows(scenario, FS, runs)
+        assert len(runs) == 16
+        assert onsets == {ch: first_inside(expected[ch], windows)
+                          for ch in scenario.array.coarse_channels}
+        searches = []
+        for filtered in (rows, full):
+            diagnostics = []
+            tdoas = dsp.tdoa_from_filtered(filtered, FS, scenario.array, scenario.sound_speed,
+                                           onsets, runs, diagnostics)
+            searches.append((tdoas, diagnostics))
+        (tdoas, diagnostics), (full_tdoas, full_diagnostics) = searches
+        assert [d["chosen_candidate"] for d in diagnostics] == [
+            d["chosen_candidate"] for d in full_diagnostics]
+        for tdoa, full_tdoa in zip(tdoas, full_tdoas, strict=True):
+            assert tdoa.window == full_tdoa.window
+            assert tdoa.onset_time_abs == full_tdoa.onset_time_abs
+            assert tdoa.coarse_arrivals == full_tdoa.coarse_arrivals
+            np.testing.assert_allclose(tdoa.pair_delays, full_tdoa.pair_delays,
+                                       rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("change", [
         {"front_end": {"analog_band_low": 36_000.0, "analog_band_high": 44_000.0}},
@@ -468,17 +531,18 @@ class TestFilterAndScan:
         assert all(len(row) == onset + 1_500 for row in rows.values())
 
     def test_channel_resuming_past_the_search(self, std_scenario, std_recording):
-        # A precise channel that is silent at the bound and resumes later is
-        # filtered to the end, as the full-length filter runs through the
-        # gap. A coarse one is filtered only in its burst window.
+        # A channel that is silent at the end of the last burst window and
+        # resumes later, precise or coarse, is filtered only in its burst
+        # window: the front end's precise rows end with that window.
         array = std_scenario.array
         for resumed in (array.precise_channels[2], array.coarse_channels[1]):
             channels = std_recording.channels.copy()
             channels[resumed, -1_000:] = channels[resumed, 3_000:4_000]
-            rows, _, _, _ = self.check_rows(
+            rows, _, runs, _ = self.check_rows(
                 std_scenario, MultiChannelRecording(sample_rate=FS, channels=channels))
-            assert (len(rows[array.precise_channels[2]]) == std_recording.samples_per_channel) == (
-                resumed == array.precise_channels[2])
+            end = burst_windows(std_scenario, FS, runs)[-1][1]
+            assert end < std_recording.samples_per_channel - 1_000
+            assert all(len(rows[ch]) == end for ch in array.precise_channels[1:])
 
     def test_silent_recording(self, std_scenario, tmp_path, capsys):
         silent = MultiChannelRecording(sample_rate=FS,
@@ -565,8 +629,9 @@ class TestFilterAndScan:
             far_onset = arrivals[farthest]
             assert (ref_onset - far_onset if coarse_first else far_onset - ref_onset) > lag * 0.9
         if not coarse_first:
-            # Only the distance term of the bound reaches the farthest
-            # channel's last onset.
+            # Only the distance term of reach takes the last burst window,
+            # and with it the precise rows, to the farthest channel's last
+            # onset.
             assert far_onset >= runs[-1][1] + search_span(FS)
             assert (len(rows[array.precise_channels[1]]) < recording.samples_per_channel) == (
                 margin > 1e-3)
@@ -848,11 +913,11 @@ class TestNoisyTrial:
     @pytest.mark.parametrize("cell_index, snr_db", [(0, None), (1, 20.0)],
                              ids=["noiseless", "20-dB"])
     def test_reference_is_filtered_and_scanned_once(self, dsp_calls, cell_index, snr_db):
-        # The reference step (one filter call, one scan), then the other
-        # precise channels in one filter call and the coarse burst windows
-        # in one more, each coarse row scanned once. The reference row the
-        # trial scanned is reused, noisy or not.
+        # The reference step (one filter call, one scan), then the burst
+        # windows of the other seven channels in one filter call, each
+        # coarse row scanned once. The reference row the trial scanned is
+        # reused, noisy or not.
         row = _run_trial(NOISY_GRID, cell_index, 0, 5.0, snr_db)
-        assert dsp_calls == ["filter_signal", "detect_ping", "filter_signal", "filter_signal",
+        assert dsp_calls == ["filter_signal", "detect_ping", "filter_signal",
                              *["detect_ping"] * 4]
         assert row["iters"] > 0
