@@ -13,10 +13,11 @@ therefore crosses early. A ping is a run of reference crossings, split
 where two are far enough apart that the pings' burst windows do not overlap
 (``scan_reference``). That reference step runs once per recording and its
 result is passed to the rest of the front end (``filter_and_scan``). Every
-other channel is filtered, and the coarse ones scanned, only in the burst
-windows, where each ping's coarse onsets are picked once, the first crossing
-in its own window, so a coarse crossing far from every reference burst is
-not seen.
+other channel is filtered, each window from zero state, and the coarse ones
+scanned, only in the burst windows. Each ping's coarse onsets are picked
+there once, the first crossing in its own window, so a coarse crossing far
+from every reference burst, or later than the array's travel time allows,
+is not seen.
 
 Channel labels are read only in the front end: a ``TdoaSet`` is in quad
 order, its six precise-quad pairs in ``PAIRS`` order.
@@ -396,10 +397,12 @@ def _settle_samples(sos: np.ndarray) -> float:
 
 def _burst_margins(array: HydrophoneArray, sound_speed: float, fs: float) -> tuple[int, int]:
     """(before, reach) in samples: a ping's burst window runs from ``before``
-    ahead of its first reference crossing to ``reach`` past its last. reach
-    covers the end of the last candidate window and the widest
-    coarse-to-reference distance over ``sound_speed`` (m/s); before is that
-    distance plus RMS_WINDOW, for a coarse hydrophone nearer the pinger."""
+    ahead of its first reference crossing to ``reach`` past it, or to lag
+    past its last, whichever is later. lag is the widest coarse-to-reference
+    distance over ``sound_speed`` (m/s), so no coarse hydrophone hears the
+    burst later; reach is the larger of lag and the end of the last candidate
+    window; before is lag plus RMS_WINDOW, for a coarse hydrophone nearer the
+    pinger."""
     win_len, sub_len = _window_lengths(fs)
     lead = np.linalg.norm(array.coarse_positions_array() - array.precise[0].as_array(),
                           axis=1).max()
@@ -445,14 +448,14 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     recording's reference channel, and its row is used as it is.
 
     The other seven channels are filtered only in the burst windows
-    [first - before, last + reach) (``_burst_margins``), clipped to the
-    recording. Each window is filtered from a prefix of
-    ``_settle_samples(sos)`` plus RMS_WINDOW samples earlier (or from
-    sample 0), so that its start transient has decayed and every kept mean
-    square has a full window of its own. All windows of a channel lie end
-    to end in one row; one ``filter_signal`` call filters the seven rows,
-    and one ``detect_ping`` per coarse row scans it against the reference
-    cutoff. A crossing in a window's prefix is dropped.
+    [first - before, max(first + reach, last + lag)) (``_burst_margins``),
+    clipped to the recording, each from zero state from
+    ``_settle_samples(sos)`` plus RMS_WINDOW samples earlier (or from sample
+    0), so that its start transient has decayed and every kept mean square
+    has a full window of its own (at sample 0, the zeros ahead of it count).
+    The windows are the rows of one block, filtered in one ``filter_signal``
+    call; one ``detect_ping`` per coarse channel scans its rows end to end
+    against the reference cutoff. A crossing in a window's prefix is dropped.
 
     Returns (rows, onsets): precise channel -> filtered row, and coarse
     channel -> one onset per run, the first crossing in that run's burst
@@ -462,11 +465,10 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     zeros between them, and ends with the last window. A window matches the
     full-length filter to within rounding: a coarse crossing moves only
     where a mean square lies within rounding of the cutoff, and the search
-    reads a ping or noise bit for bit alike, but a channel silent since
-    before its window rings with what the window before it left in the
-    filter. If ``timing`` is the dict that ``scan_reference`` filled, the
-    milliseconds spent filtering ("filter") and scanning ("onset") here are
-    added to its own."""
+    reads a ping or noise bit for bit alike; a channel silent over a window
+    reads exactly 0.0 there. If ``timing`` is the dict that
+    ``scan_reference`` filled, the milliseconds spent filtering ("filter")
+    and scanning ("onset") here are added to its own."""
     channels = recording.channels
     fs = recording.sample_rate
     n = channels.shape[1]
@@ -476,32 +478,30 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
 
     t_start = time.perf_counter()
     before, reach = _burst_margins(array, sound_speed, fs)
-    # Burst windows [first, stop), each filtered from start. A run starts
-    # past the prefix and before + reach after the last, so only the first
-    # window can start at sample 0, where the zero state and the mean
-    # square's ramp are the full-length filter's own. Window j keeps gathered
-    # columns [kept[2j], kept[2j + 1]); column + shift[j] is its sample.
-    prefix = min(n, _settle_samples(sos) + _rms_window(fs))
-    spans, kept, shift, column, stop = [], [], [], 0, 0
-    for head, tail in runs:
-        first = max(0, head - before)
-        start, stop = max(0, first - prefix), min(n, tail + reach)
-        spans.append(channels[others + coarse, start:stop])
-        kept += [column + first - start, column + stop - start]
-        shift.append(start - column)
-        column += stop - start
-    gathered = filter_signal(sos, np.concatenate([channels[others + coarse, :0], *spans], axis=1))
-    precise = np.zeros((len(others), stop))
-    for a, b, d in zip(kept[::2], kept[1::2], shift):
-        precise[:, a + d:b + d] = gathered[:len(others), a:b]
+    lag = before - _rms_window(fs)
+    prefix = _settle_samples(sos) + _rms_window(fs)
+    # Run p keeps [first, stop) of its window [start, stop), right-aligned in
+    # row p of a zero block, where the zero state stays zero up to it. In a
+    # channel's rows end to end, sample s of window p is column s - shift[p].
+    kept = [(max(0, head - before), min(n, max(head + reach, tail + lag))) for head, tail in runs]
+    starts = [max(0, first - prefix) for first, _ in kept]
+    width = max((stop - start for start, (_, stop) in zip(starts, kept)), default=0)
+    shift = [stop - width * (p + 1) for p, (_, stop) in enumerate(kept)]
+    block = np.zeros((len(others + coarse), len(runs), width))
+    for p, (start, (_, stop)) in enumerate(zip(starts, kept)):
+        block[:, p, width - stop + start:] = channels[others + coarse, start:stop]
+    block = filter_signal(sos, block).reshape(len(others + coarse), -1)
+    precise = np.zeros((len(others), kept[-1][1] if runs else 0))
+    for (first, stop), d in zip(kept, shift):
+        precise[:, first:stop] = block[:len(others), first - d:stop - d]
     rows = {array.precise_channels[0]: reference_row, **dict(zip(others, precise))}
     t_coarse = time.perf_counter()
+    columns = [(first - d, stop - d) for (first, stop), d in zip(kept, shift)]
     onsets = {}
-    for ch, row in zip(coarse, gathered[len(others):]):
+    for ch, row in zip(coarse, block[len(others):]):
         found = detect_ping(row, fs, cutoff)[0]
-        bounds = np.searchsorted(found, kept).tolist()
         onsets[ch] = [int(found[lo]) + d if lo < hi else -1
-                      for lo, hi, d in zip(bounds[::2], bounds[1::2], shift)]
+                      for (lo, hi), d in zip(np.searchsorted(found, columns).tolist(), shift)]
     t_end = time.perf_counter()
 
     if timing is not None:

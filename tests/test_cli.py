@@ -309,13 +309,44 @@ def test_coarse_channel_silent_over_a_burst_is_no_ping(tmp_path, capsys):
     assert err == f"error: NoPingError: {message}\n"
 
 
-@pytest.mark.parametrize("silent, unusable", [((25_000, 50_000), []), ((0, 50_000), [0, 1])],
+def test_coarse_crossing_later_than_the_travel_time_is_no_onset(tmp_path, capsys):
+    # Coarse channel 4 is silent from ping 1's burst window start to 3,000
+    # samples past its reference onset, and then holds a burst slice of its
+    # own. That crossing comes later than the search span and than the last
+    # reference crossing plus the travel time from the reference, so it is
+    # not ping 1's onset: ping 1 is a NoPingError record.
+    scenario = quick_scenario(0.2)
+    array, fs = scenario.array, scenario.sample_rate
+    recording = simulator.render_scene(scenario)
+    fe = scenario.front_end
+    sos = dsp.design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
+    _, cutoff, runs = dsp.scan_reference(recording, sos, array, scenario.sound_speed)
+    (head, _), (first, last), *_ = runs
+    before, reach = dsp._burst_margins(array, scenario.sound_speed, fs)
+    coarse = array.coarse_channels[0]
+    channels = recording.channels.copy()
+    channels[coarse, first - before:first + 3_000] = 0.0
+    channels[coarse, first + 3_000:first + 4_500] = channels[coarse, head:head + 1_500]
+    full = dsp.filter_signal(sos, channels[coarse])
+    found = dsp.detect_ping(full, fs, cutoff)[0]
+    onset = found[found >= first - before][0]
+    lag = before - dsp._rms_window(fs)
+    assert max(first + reach, last + lag) <= onset < last + reach
+    code, reports, err = localize_recording(tmp_path, capsys, scenario, channels)
+    message = f"no ping detected on coarse channel {coarse}"
+    assert code == EXIT_PING_FAILED and [report["ping_index"] for report in reports] == [0, 1, 2, 3]
+    assert reports[1] == {"ping_index": 1, "error": "NoPingError", "message": message}
+    assert all(reports[k]["octant_guess"] == "++-" for k in (0, 2, 3))
+
+
+@pytest.mark.parametrize("silent, unusable", [((25_000, 50_000), [1]), ((0, 50_000), [0, 1])],
                          ids=["second-burst", "first-two-bursts"])
 def test_debug_window_is_strict_json(four_ping_render, tmp_path, capsys, silent, unusable):
     # Precise channel 2 zeroed over ``silent``. Candidate windows with a
     # sub-window without energy score inf, which every candidate of the
-    # ``unusable`` pings does. Every --debug-window line is still RFC 8259
-    # JSON, with null for such a score.
+    # ``unusable`` pings does: each burst window is filtered from zero state,
+    # so a channel silent over it reads exactly 0.0 there. Every
+    # --debug-window line is still RFC 8259 JSON, with null for such a score.
     scenario, channels = four_ping_render
     channels = channels.copy()
     channels[scenario.array.precise_channels[2], slice(*silent)] = 0.0

@@ -461,10 +461,12 @@ class TestCoarseOnsets:
         full = filter_signal(cascade, recording.channels)
         _, cutoff = detect_ping(full[array.precise_channels[0]], FS)
         before, reach = dsp._burst_margins(array, SOUND_SPEED, FS)
+        lag = before - dsp._rms_window(FS)
         for ch in array.coarse_channels:
             found = detect_ping(full[ch], FS, cutoff)[0]
-            assert onsets[ch] == [int(found[(found >= first - before) & (found < last + reach)][0])
-                                  for first, last in runs], ch
+            assert onsets[ch] == [
+                int(found[(found >= first - before) & (found < max(first + reach, last + lag))][0])
+                for first, last in runs], ch
 
     def test_channel_silent_over_a_burst_has_no_onset_there(self, cascade, quick):
         # Coarse channel 4 zeroed over samples 25,000-40,000, the second of
@@ -1050,8 +1052,10 @@ class TestBatchedSearch:
         """Per coarse channel, each run's first crossing in its burst window,
         or -1: the onsets ``filter_and_scan`` picks for its own runs."""
         before, reach = dsp._burst_margins(array, SOUND_SPEED, FS)
-        return {ch: [int(next(iter(found[(found >= first - before) & (found < last + reach)]),
-                              -1)) for first, last in runs]
+        lag = before - dsp._rms_window(FS)
+        return {ch: [int(next(iter(found[(found >= first - before)
+                                         & (found < max(first + reach, last + lag))]), -1))
+                     for first, last in runs]
                 for ch, found in crossings.items()}
 
     @settings(max_examples=12, deadline=None)

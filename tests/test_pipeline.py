@@ -318,9 +318,12 @@ def reference_runs(scenario, fs, crossings):
 
 def burst_windows(scenario, fs, runs):
     """The front end's coarse burst windows [a, b), unclipped: a run of
-    reference crossings [first, last] covers [first - before, last + reach)."""
-    before, reach, _ = coarse_margins(scenario, fs)
-    return [(first - before, last + reach) for first, last in runs]
+    reference crossings [first, last] covers [first - before, max(first +
+    search, last + lag)), where search is the search span and lag = before
+    - RMS_WINDOW the travel-time term."""
+    before, _, _ = coarse_margins(scenario, fs)
+    lag = before - int(round(dsp.RMS_WINDOW * fs))
+    return [(first - before, max(first + search_span(fs), last + lag)) for first, last in runs]
 
 
 def first_inside(samples, windows):
@@ -340,8 +343,9 @@ class TestFilterAndScan:
         """Compare the front end's rows, onsets and runs with the full
         filter's; return (rows, onsets, runs, full filter). With
         ``silent_residue``, a read sample may differ where the full-length
-        filter holds a subnormal: the channel has not yet heard the burst, and
-        the full-length filter still rings with the previous ping's tail."""
+        filter holds a subnormal: the channel has not yet heard the burst, the
+        full-length filter still rings with the previous ping's tail, and the
+        window, filtered from zero state, holds exactly 0.0."""
         timing = {}
         rows, onsets, runs = _filter_and_scan(recording, scenario, timing)
         expected, full = full_length_onsets(scenario, recording)
@@ -365,7 +369,7 @@ class TestFilterAndScan:
                 differ = row[span] != full[ch, span]
                 if silent_residue:
                     assert (np.abs(full[ch, span][differ]) < np.finfo(float).tiny).all()
-                    assert (np.abs(row[span][differ]) < 1e-160 * scale).all()
+                    assert not row[span][differ].any()
                 else:
                     assert not differ.any(), (ch, first)
             assert not row[outside].any(), ch
@@ -399,12 +403,11 @@ class TestFilterAndScan:
         assert pings == 16
 
     def test_sixteen_noiseless_repetitions(self):
-        # Every burst window starts in silence, where the window before it
-        # has left some 1e-140 of a burst in the filter state; that rounds
-        # away at the burst's first samples. Where a precise channel hears
-        # the burst a sample or two after the reference onset, the search
-        # reads that residue there, and the full-length filter's subnormal
-        # ringing of the previous ping: the two differ, the searches do not.
+        # Every burst window starts in silence and is filtered from zero
+        # state. Where a precise channel hears the burst a sample or two
+        # after the reference onset, the search reads exactly 0.0 there, and
+        # the full-length filter's subnormal ringing of the previous ping:
+        # the two differ, the searches do not.
         quick = load_scenario(CONFIGS / "scenario_quick.json")
         scenario = dataclasses.replace(quick, noise=NoiseSpec.silent(),
                                        record_duration=16 * quick.pinger.repetition_interval)
@@ -512,6 +515,23 @@ class TestFilterAndScan:
         reports = [[r.to_json_dict() for r in run_localization(scenario, rec)]
                    for rec in (recording, glitched)]
         assert len(reports[0]) == 2 and reports[1] == reports[0]
+
+    def test_channel_silent_over_a_window_reads_zero(self):
+        # Precise channel 2 zeroed over samples 25,000-50,000, which hold the
+        # second of four bursts with its whole burst window and filter
+        # prefix. Each window is filtered from zero state, so the row is
+        # exactly 0.0 over that window, not what the window before it left
+        # in the filter.
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        scenario = dataclasses.replace(quick, record_duration=0.2)
+        ch = scenario.array.precise_channels[2]
+        channels = render_scene(scenario).channels.copy()
+        channels[ch, 25_000:50_000] = 0.0
+        rows, _, runs = _filter_and_scan(MultiChannelRecording(sample_rate=FS, channels=channels),
+                                         scenario)
+        a, b = burst_windows(scenario, FS, runs)[1]
+        assert 25_000 <= a - coarse_margins(scenario, FS)[2] and b <= 50_000
+        assert not rows[ch][a:b].any()
 
     def test_noiseless_render(self, std_scenario, std_recording):
         rows, pings = self.check_searches(std_scenario, std_recording)
