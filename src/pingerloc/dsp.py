@@ -17,7 +17,8 @@ other channel is filtered, each window from zero state, and the coarse ones
 scanned, only in the burst windows. Each ping's coarse onsets are picked
 there once, the first crossing in its own window, so a coarse crossing far
 from every reference burst, or later than the array's travel time allows,
-is not seen.
+is not seen. The window search reads the one record of all this in place
+(``FrontEnd``), which keeps only the reference channel at full length.
 
 Channel labels are read only in the front end: a ``TdoaSet`` is in quad
 order, its six precise-quad pairs in ``PAIRS`` order.
@@ -29,7 +30,7 @@ import cmath
 import functools
 import math
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from .scene import HydrophoneArray
 __all__ = [
     "PAIRS",
     "TdoaSet",
+    "FrontEnd",
     "NoPingError",
     "UnstableWindowError",
     "DegenerateSignalError",
@@ -100,6 +102,26 @@ class TdoaSet:
     peak_correlations: tuple[float, ...]
     coarse_arrivals: tuple[float, ...]
     window: tuple[int, int]
+
+
+@dataclass(frozen=True, eq=False)
+class FrontEnd:
+    """A recording through the front end (``filter_and_scan``), all that the
+    window search reads: ``reference``, the reference (first precise)
+    channel filtered over the whole recording, the ``cutoff`` its scan set
+    and its crossings split into pings [first, last] (``runs``). The other
+    precise channels are kept only as their filtered burst windows: quad
+    channel k + 1's over run p is ``windows[k, p]``, column c sample
+    ``offsets[p] + c``. Per coarse channel, ``onsets`` has each run's onset,
+    -1 for none."""
+
+    sample_rate: float
+    reference: np.ndarray
+    cutoff: float
+    runs: tuple[tuple[int, int], ...]
+    windows: np.ndarray
+    offsets: tuple[int, ...]
+    onsets: Mapping[int, list[int]]
 
 
 def design_bandpass(order: int, f_lo: float, f_hi: float, fs: float) -> np.ndarray:
@@ -441,11 +463,10 @@ def scan_reference(recording: MultiChannelRecording, sos: np.ndarray, array: Hyd
 
 def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: HydrophoneArray,
                     sound_speed: float, reference: tuple[np.ndarray, float, list[tuple[int, int]]],
-                    timing: dict | None = None
-                    ) -> tuple[dict[int, np.ndarray], dict[int, list[int]]]:
+                    timing: dict | None = None) -> FrontEnd:
     """The localizer's front end past its reference step: ``reference`` is
     the (row, cutoff, runs) that ``scan_reference`` returned for the
-    recording's reference channel, and its row is used as it is.
+    recording's reference channel, and its row is kept as it is.
 
     The other seven channels are filtered only in the burst windows
     [first - before, max(first + reach, last + lag)) (``_burst_margins``),
@@ -456,13 +477,12 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     The windows are the rows of one block, filtered in one ``filter_signal``
     call; one ``detect_ping`` per coarse channel scans its rows end to end
     against the reference cutoff. A crossing in a window's prefix is dropped.
+    Without a run, no other channel is read, filtered or scanned.
 
-    Returns (rows, onsets): precise channel -> filtered row, and coarse
-    channel -> one onset per run, the first crossing in that run's burst
-    window, or -1 where there is none. Only this function knows the burst
-    windows; runs lie at least before + reach apart, so no two overlap.
-    The reference row is full length; each other row holds its windows,
-    zeros between them, and ends with the last window. A window matches the
+    Returns the ``FrontEnd`` record, the other precise channels' rows of
+    that block in it, and each run's coarse onsets: the first crossing in
+    its burst window. Only this function knows the burst windows; runs lie
+    at least before + reach apart, so no two overlap. A window matches the
     full-length filter to within rounding: a coarse crossing moves only
     where a mean square lies within rounding of the cutoff, and the search
     reads a ping or noise bit for bit alike; a channel silent over a window
@@ -475,30 +495,31 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     others = list(array.precise_channels[1:])
     coarse = list(array.coarse_channels)
     reference_row, cutoff, runs = reference
+    if not runs:
+        return FrontEnd(fs, reference_row, cutoff, (), np.zeros((len(others), 0, 0)), (),
+                        {ch: [] for ch in coarse})
 
     t_start = time.perf_counter()
     before, reach = _burst_margins(array, sound_speed, fs)
     lag = before - _rms_window(fs)
     prefix = _settle_samples(sos) + _rms_window(fs)
     # Run p keeps [first, stop) of its window [start, stop), right-aligned in
-    # row p of a zero block, where the zero state stays zero up to it. In a
-    # channel's rows end to end, sample s of window p is column s - shift[p].
+    # row p of a zero block, where the zero state stays zero up to it: column
+    # c of row p is sample offsets[p] + c.
     kept = [(max(0, head - before), min(n, max(head + reach, tail + lag))) for head, tail in runs]
     starts = [max(0, first - prefix) for first, _ in kept]
-    width = max((stop - start for start, (_, stop) in zip(starts, kept)), default=0)
-    shift = [stop - width * (p + 1) for p, (_, stop) in enumerate(kept)]
+    width = max(stop - start for start, (_, stop) in zip(starts, kept))
+    offsets = [stop - width for _, stop in kept]
     block = np.zeros((len(others + coarse), len(runs), width))
     for p, (start, (_, stop)) in enumerate(zip(starts, kept)):
         block[:, p, width - stop + start:] = channels[others + coarse, start:stop]
-    block = filter_signal(sos, block).reshape(len(others + coarse), -1)
-    precise = np.zeros((len(others), kept[-1][1] if runs else 0))
-    for (first, stop), d in zip(kept, shift):
-        precise[:, first:stop] = block[:len(others), first - d:stop - d]
-    rows = {array.precise_channels[0]: reference_row, **dict(zip(others, precise))}
+    block = filter_signal(sos, block)
     t_coarse = time.perf_counter()
+    # Sample s of window p is column s - shift[p] of a channel's rows end to end.
+    shift = [d - p * width for p, d in enumerate(offsets)]
     columns = [(first - d, stop - d) for (first, stop), d in zip(kept, shift)]
     onsets = {}
-    for ch, row in zip(coarse, block[len(others):]):
+    for ch, row in zip(coarse, block[len(others):].reshape(len(coarse), -1)):
         found = detect_ping(row, fs, cutoff)[0]
         onsets[ch] = [int(found[lo]) + d if lo < hi else -1
                       for (lo, hi), d in zip(np.searchsorted(found, columns).tolist(), shift)]
@@ -507,7 +528,8 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     if timing is not None:
         timing["filter"] += (t_coarse - t_start) * 1e3
         timing["onset"] += (t_end - t_coarse) * 1e3
-    return rows, onsets
+    return FrontEnd(fs, reference_row, cutoff, tuple(runs), block[:len(others)], tuple(offsets),
+                    onsets)
 
 
 def select_stable_window(recording: MultiChannelRecording, sos: np.ndarray,
@@ -517,58 +539,47 @@ def select_stable_window(recording: MultiChannelRecording, sos: np.ndarray,
     that ends its search."""
     if recording.channel_count != 8:
         raise ValueError(f"expected 8 channels, got {recording.channel_count}")
-    reference = scan_reference(recording, sos, array, sound_speed)
-    rows, onsets = filter_and_scan(recording, sos, array, sound_speed, reference)
-    [tdoa] = tdoa_from_filtered(rows, recording.sample_rate, array, sound_speed, onsets,
-                                reference[2][:1])
+    row, cutoff, runs = scan_reference(recording, sos, array, sound_speed)
+    front = filter_and_scan(recording, sos, array, sound_speed, (row, cutoff, runs[:1]))
+    [(tdoa, _)] = tdoa_from_filtered(front, array, sound_speed)
     if isinstance(tdoa, Exception):
         raise tdoa
     return tdoa
 
 
-def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: HydrophoneArray,
-                       sound_speed: float, onsets: Mapping[int, Sequence[int]],
-                       runs: Sequence[tuple[int, int]], diagnostics: list | None = None
-                       ) -> list[TdoaSet | NoPingError | UnstableWindowError]:
-    """Stable-window search of every ping of a recording at once, on
-    already-filtered channels given the reference runs (``scan_reference``)
-    and, per coarse channel, one onset per run, -1 for none
-    (``filter_and_scan``); ``filtered`` may also be an (8, n) array. The
-    recording's length is the reference (first precise) row's; of the other
-    precise rows only each ping's samples from its onset to the end of its
-    last candidate window are read.
+def tdoa_from_filtered(front: FrontEnd, array: HydrophoneArray, sound_speed: float
+                       ) -> list[tuple[TdoaSet | NoPingError | UnstableWindowError, dict]]:
+    """Stable-window search of every ping of a recording at once, reading
+    its ``FrontEnd`` record in place: the recording's length is the
+    reference row's, and of each ping's precise samples only those from its
+    onset to the end of its last candidate window are read.
 
     A ping is a run [first, last] of reference crossings; its onset is
     ``first``. From it, candidate windows start every sub-window; the one
     whose six pair delays are most repeatable across its sub-windows wins.
-    Returns one result per run, in order: the TdoaSet measured over the
-    winning window, with run p's coarse onsets ``onsets[ch][p]``, or the error
-    that ends that ping's search. The checks run in this order: room for one
-    analysis window after the onset (NoPingError; only the last run can lack
-    it), a stable window (UnstableWindowError), an onset other than -1 on
-    every coarse channel (NoPingError). Without a run the result is one
-    NoPingError on the reference channel. One ``_delays`` call measures every
-    ping's sub-windows and one more every winning window, so each result
-    equals that of the same call with its run alone, bit for bit.
-    ``sound_speed`` (m/s, the scenario's) bounds every delay by the widest
-    precise spacing over it. If ``diagnostics`` is a list, it gets one dict
-    per result: the candidate window starts, their variance scores and the
-    chosen index, or nothing where the search stopped before scoring."""
-    ref = array.precise_channels[0]
-    results: list = ([None] * len(runs) if runs else
-                     [NoPingError(f"no ping detected on reference channel {ref}")])
-    # Filled in place below.
-    searches: list[dict] = [{} for _ in results]
-    if diagnostics is not None:
-        diagnostics.extend(searches)
+    Returns one (result, search) pair per run, in order: the TdoaSet
+    measured over the winning window, or the error that ends the search. The
+    checks run in this order: room for one analysis window after the onset
+    (NoPingError; only the last run can lack it), a stable window
+    (UnstableWindowError), an onset other than -1 on every coarse channel
+    (NoPingError). Without a run the result is one NoPingError on the
+    reference channel. The search is a dict of the candidate window starts,
+    their variance scores and the chosen index, empty where the search
+    stopped before scoring. One ``_delays`` call measures every ping's
+    sub-windows and one more every winning window, so each result equals
+    that of the same call with its run alone, bit for bit. ``sound_speed``
+    (m/s) bounds every delay by the widest precise spacing over it."""
+    fs, runs, offsets = front.sample_rate, front.runs, front.offsets
     if not runs:
-        return results
+        return [(NoPingError(f"no ping detected on reference channel "
+                             f"{array.precise_channels[0]}"), {})]
+    results, searches = [None] * len(runs), [{} for _ in runs]
 
     win_len, sub_len = _window_lengths(fs)
     if sub_len < 2:
         raise ValueError(f"sample rate {fs} Hz too low for {NUM_SUBWINDOWS} sub-windows "
                          f"of a {WINDOW_DURATION} s window")
-    n_total = len(filtered[ref])
+    n_total = len(front.reference)
     # Each ping with room for a window: (its index, its candidate starts).
     searched = []
     for p, (onset, _) in enumerate(runs):
@@ -580,7 +591,7 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
             results[p] = NoPingError("no ping: recording too short for one analysis window "
                                      "after onset")
     if not searched:
-        return results
+        return list(zip(results, searches))
 
     # No true delay can exceed the widest spacing over c. The lag search stays
     # inside it: with sub-half-wavelength spacing that excludes the
@@ -597,15 +608,14 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
     # delays: one overlapping a glitch or the burst's tail scores high and
     # loses. Every run of NUM_SUBWINDOWS columns is scored; those that
     # straddle two pings are never read.
-    rows = [filtered[ch] for ch in array.precise_channels]
+    def gather(spans: list[tuple[int, int, int]], length: int) -> np.ndarray:
+        """(4, -1, length): the precise quad's samples [a, b) of every span
+        (p, a, b), run p's, end to end, cut into runs of ``length``."""
+        return np.concatenate([np.vstack((front.reference[a:b],
+                                          front.windows[:, p, a - offsets[p]:b - offsets[p]]))
+                               for p, a, b in spans], axis=1, dtype=float).reshape(4, -1, length)
 
-    def gather(spans: list[tuple[int, int]], length: int) -> np.ndarray:
-        """(4, -1, length): each precise row's samples [a, b) of every span,
-        end to end, cut into runs of ``length``."""
-        return np.stack([np.concatenate([row[a:b] for a, b in spans]) for row in rows],
-                        dtype=float).reshape(4, -1, length)
-
-    table = gather([(c[0], c[-1] + NUM_SUBWINDOWS * sub_len) for _, c in searched], sub_len)
+    table = gather([(p, c[0], c[-1] + NUM_SUBWINDOWS * sub_len) for p, c in searched], sub_len)
     i, j = np.array(PAIRS).T
     sub_delays, _ = _delays(table[i], table[j], fs, min(max_lag, sub_len - 1))
     windows = np.lib.stride_tricks.sliding_window_view(sub_delays, NUM_SUBWINDOWS, axis=1)
@@ -634,15 +644,15 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
         else:
             winners.append((p, candidates[best]))
     if not winners:
-        return results
+        return list(zip(results, searches))
 
     # Noise-pushed estimates snap back to the feasible interval. A winning
     # window's sub-windows all had energy, so its own slices have too.
-    quad = gather([(start, start + win_len) for _, start in winners], win_len)
+    quad = gather([(p, start, start + win_len) for p, start in winners], win_len)
     delays, peaks = _delays(quad[i], quad[j], fs, min(max_lag, win_len - 1))
     delays = np.clip(delays, -max_delay, max_delay)
     for w, (p, start) in enumerate(winners):
-        arrivals = [onsets[ch][p] for ch in array.coarse_channels]
+        arrivals = [front.onsets[ch][p] for ch in array.coarse_channels]
         if -1 in arrivals:
             results[p] = NoPingError(f"no ping detected on coarse channel "
                                      f"{array.coarse_channels[arrivals.index(-1)]}")
@@ -654,4 +664,4 @@ def tdoa_from_filtered(filtered: Mapping[int, np.ndarray], fs: float, array: Hyd
             coarse_arrivals=tuple(arrival / fs for arrival in arrivals),
             window=(start, win_len),
         )
-    return results
+    return list(zip(results, searches))

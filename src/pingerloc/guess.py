@@ -8,6 +8,7 @@ diagonal. Only onset times are needed, no correlation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,24 +46,29 @@ def octant_guess(coarse_arrivals: Sequence[float], coarse_positions: Sequence[Ve
         raise ValueError(f"expected 4 coarse arrivals, got shape {arrivals.shape}")
     if not np.all(np.isfinite(arrivals)):
         raise ValueError("coarse arrivals must be finite")
-    positions = np.array([p.as_array() for p in coarse_positions])
+    hi, lo, centroid = _axis_pairs(tuple(coarse_positions))
+    diff = arrivals[lo] - arrivals[hi]
+    octant = OctantId(*(diff >= 0.0))
+    margin = float(np.abs(diff).min())
+    return OctantGuess(octant=octant, init=initial_point(octant, centroid), margin=margin,
+                       low_confidence=margin < min_margin)
+
+
+@functools.lru_cache(maxsize=64)
+def _axis_pairs(quad: tuple[Vec3, ...]) -> tuple[np.ndarray, np.ndarray, Vec3]:
+    """(hi, lo, centroid) of a coarse quad, made once per quad: per axis its
+    first widest pair in index order, and its centroid. A ValueError is not
+    cached: it is raised on every call."""
+    positions = np.array([p.as_array() for p in quad])
     if positions.shape != (4, 3):
         raise ValueError(f"expected 4 coarse positions, got shape {positions.shape}")
-
-    # Each axis's widest pair: its first maximum and first minimum, which are
-    # the first widest pair in index order.
     hi, lo = positions.argmax(axis=0), positions.argmin(axis=0)
     for name, separation in zip("xyz", np.ptp(positions, axis=0)):
         if separation < MIN_AXIS_SEPARATION:
             raise ValueError(f"unresolvable axis {name}: coarse quad separation "
                              f"{separation:.3e} m")
-    diff = arrivals[lo] - arrivals[hi]
-    octant = OctantId(*(diff >= 0.0))
-    margin = float(np.abs(diff).min())
-    centroid = Vec3.from_array(positions.mean(axis=0))
-    init = initial_point(octant, centroid)
-    return OctantGuess(octant=octant, init=init, margin=margin,
-                       low_confidence=margin < min_margin)
+    hi.flags.writeable = lo.flags.writeable = False
+    return hi, lo, Vec3.from_array(positions.mean(axis=0))
 
 
 def initial_point(octant: OctantId, centroid: Vec3) -> Vec3:

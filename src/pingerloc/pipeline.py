@@ -9,12 +9,12 @@ on each outcome but stay out of the serialized stream unless asked for, so
 runs with the same seed are byte-identical. Onsets are detected once per
 recording, in the front end (``dsp.scan_reference``, then
 ``dsp.filter_and_scan``), against the reference channel's noise floor; a Monte
-Carlo trial takes the same front end. A ping is a run of reference crossings,
-so every ping is known before any is searched: one ``dsp.tdoa_from_filtered``
-call searches them all, and each ping is then guessed and solved as its
-outcome is consumed. A recording's render, filter, onset and search time is
-charged to its first outcome only (later ones carry 0.0), so summing a stream
-counts each cost once.
+Carlo trial takes the same front end. Its result is one ``dsp.FrontEnd``
+record, which keeps only the reference channel at full length and the other
+precise channels as their filtered burst windows. Every ping, a run of
+reference crossings, is known before any is searched: one
+``dsp.tdoa_from_filtered`` call reads the record in place and searches them
+all, and a recording's costs are charged to its first outcome only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import ClassVar, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -126,26 +126,18 @@ class PingOutcome:
         return doc
 
 
-def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scenario,
-                  onsets: Mapping[int, Sequence[int]],
-                  runs: Sequence[tuple[int, int]]) -> Iterator[PingOutcome]:
-    """Localize every ping, a run of reference crossings
-    (``dsp.scan_reference``), in the filtered channels (channel -> row)
-    given each run's coarse onsets, as ``dsp.filter_and_scan`` returns them;
-    ``dsp.tdoa_from_filtered`` says which samples it reads. One search
-    covers every ping, on the first ``next``; then one outcome per run
-    (without a run, one NoPingError) is yielded in order, numbered from 0,
-    and each ping's octant guess and solve run only when its outcome is
-    asked for, so nothing after the outcome a caller stops at is solved.
-    The search's milliseconds are charged to the first outcome's "tdoa"
-    timing and later outcomes carry 0.0. Failures in PING_ERRORS are
-    recorded on the outcome; anything else raises."""
+def localize_ping(front: dsp.FrontEnd, scenario: Scenario) -> Iterator[PingOutcome]:
+    """Localize every ping, a run of reference crossings, of a front-end
+    record (``dsp.filter_and_scan``). One search (``dsp.tdoa_from_filtered``)
+    covers every ping, on the first ``next``, and its milliseconds are the
+    first outcome's "tdoa" timing (later ones carry 0.0). Then one outcome
+    per run (without a run, one NoPingError) is yielded in order, numbered
+    from 0, each ping guessed and solved only when its outcome is asked for;
+    a failure in PING_ERRORS is recorded on it, anything else raises."""
     t_search = time.perf_counter()
-    searches: list[dict] = []
-    tdoas = dsp.tdoa_from_filtered(filtered, fs, scenario.array, scenario.sound_speed, onsets,
-                                   runs, diagnostics=searches)
+    searches = dsp.tdoa_from_filtered(front, scenario.array, scenario.sound_speed)
     search_ms = (time.perf_counter() - t_search) * 1e3
-    for ping_index, (tdoa, window_search) in enumerate(zip(tdoas, searches)):
+    for ping_index, (tdoa, window_search) in enumerate(searches):
         octant = result = error = None
         timing = {"tdoa": search_ms}
         if isinstance(tdoa, Exception):
@@ -153,8 +145,8 @@ def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scena
         else:
             try:
                 t_stage = time.perf_counter()
-                octant = guess.octant_guess(tdoa.coarse_arrivals, list(scenario.array.coarse),
-                                            min_margin=2.0 / fs)
+                octant = guess.octant_guess(tdoa.coarse_arrivals, scenario.array.coarse,
+                                            min_margin=2.0 / front.sample_rate)
                 timing["guess"] = (time.perf_counter() - t_stage) * 1e3
 
                 t_stage = time.perf_counter()
@@ -164,7 +156,7 @@ def localize_ping(filtered: Mapping[int, np.ndarray], fs: float, scenario: Scena
             except PING_ERRORS as exc:
                 # Drop its frames and its (suppressed) context's: they link
                 # back to the caller holding the outcome, and the cycle would
-                # keep the filtered channels alive until the garbage collector
+                # keep the front-end record alive until the garbage collector
                 # runs.
                 exc.__context__ = None
                 error = exc.with_traceback(None)
@@ -177,19 +169,6 @@ def _front_end_sos(scenario: Scenario, fs: float) -> np.ndarray:
     """The scenario's front-end bandpass at ``fs``."""
     fe = scenario.front_end
     return dsp.design_bandpass(fe.analog_order, fe.analog_band_low, fe.analog_band_high, fs)
-
-
-def _filter_and_scan(recording: MultiChannelRecording, scenario: Scenario,
-                     timing: dict | None = None
-                     ) -> tuple[dict[int, np.ndarray], dict[int, list[int]],
-                                list[tuple[int, int]]]:
-    """(rows, onsets, runs): ``dsp.scan_reference``, then
-    ``dsp.filter_and_scan``, through the scenario's front-end bandpass."""
-    sos = _front_end_sos(scenario, recording.sample_rate)
-    reference = dsp.scan_reference(recording, sos, scenario.array, scenario.sound_speed, timing)
-    rows, onsets = dsp.filter_and_scan(recording, sos, scenario.array, scenario.sound_speed,
-                                       reference, timing)
-    return rows, onsets, reference[2]
 
 
 def run_localization(scenario: Scenario,
@@ -215,10 +194,12 @@ def run_localization(scenario: Scenario,
     if recording.channel_count != 8:
         raise ConfigError(f"expected an 8-channel recording, got {recording.channel_count}")
 
-    fs = recording.sample_rate
-    filtered, onsets, runs = _filter_and_scan(recording, scenario, recording_timing)
+    sos = _front_end_sos(scenario, recording.sample_rate)
+    array, sound_speed = scenario.array, scenario.sound_speed
+    reference = dsp.scan_reference(recording, sos, array, sound_speed, recording_timing)
+    front = dsp.filter_and_scan(recording, sos, array, sound_speed, reference, recording_timing)
 
-    for outcome in localize_ping(filtered, fs, scenario, onsets, runs):
+    for outcome in localize_ping(front, scenario):
         # No window scored: no run at all, or the last run's burst is cut
         # off by the recording's end.
         if isinstance(outcome.error, dsp.NoPingError) and not outcome.window_search:
@@ -369,11 +350,10 @@ def _localize_trial(clean: MultiChannelRecording, scenario: Scenario, trial: int
     reference (first precise) channel get their noise first: ``add_noise``
     draws the channels in order from one generator, so theirs equals the
     first rows of the whole recording's. The reference step
-    (``dsp.scan_reference``) runs once, on them; without a run the chain
-    stops there with a NoPingError, and the other channels are never drawn
-    (nor can their overflow fail the trial). Otherwise the whole noisy
-    recording goes through ``dsp.filter_and_scan`` with that reference
-    step's result."""
+    (``dsp.scan_reference``) runs once, on them. Only with a run are the
+    other channels drawn (so only then can their overflow fail the trial),
+    and the whole noisy recording goes through ``dsp.filter_and_scan`` with
+    that step's first run; without one, that reads no other channel."""
     fs = clean.sample_rate
     noise = NoiseSpec.silent()
     if snr_db is not None:
@@ -393,12 +373,10 @@ def _localize_trial(clean: MultiChannelRecording, scenario: Scenario, trial: int
     array, sound_speed = scenario.array, scenario.sound_speed
     ref = array.precise_channels[0]
     head = noisy(MultiChannelRecording(sample_rate=fs, channels=clean.channels[:ref + 1]))
-    reference = dsp.scan_reference(head, sos, array, sound_speed)
-    runs = reference[2][:1]
-    if not runs:
-        return next(localize_ping({}, fs, scenario, {}, runs))
-    filtered, onsets = dsp.filter_and_scan(noisy(clean), sos, array, sound_speed, reference)
-    return next(localize_ping(filtered, fs, scenario, onsets, runs))
+    row, cutoff, runs = dsp.scan_reference(head, sos, array, sound_speed)
+    front = dsp.filter_and_scan(noisy(clean) if runs else head, sos, array, sound_speed,
+                                (row, cutoff, runs[:1]))
+    return next(localize_ping(front, scenario))
 
 
 def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
@@ -411,46 +389,40 @@ def _run_trial(config: MonteCarloConfig, cell_index: int, trial: int,
     outcome = _localize_trial(clean, scenario, trial, radius, snr_db,
                               int(ss.generate_state(1, dtype=np.uint32)[0]))
 
-    centroid = scenario.array.precise_centroid().as_array()
-    true_dir = Vec3.from_array(position.as_array() - centroid)
-    true_az, _ = true_azimuth_elevation(true_dir)
-    coarse_centroid = scenario.array.coarse_centroid().as_array()
-    octant_true = octant_of(Vec3.from_array(position.as_array() - coarse_centroid))
+    pos, array = position.as_array(), scenario.array
+    true_az, _ = true_azimuth_elevation(Vec3.from_array(pos - array.precise_centroid().as_array()))
+    octant_true = octant_of(Vec3.from_array(pos - array.coarse_centroid().as_array()))
 
-    row = {
+    result = outcome.result
+    return {
         "trial": trial,
         "range_m": radius,
         "snr_db": snr_db,
         "true_az_deg": true_az,
-        "est_az_deg": None,
-        "az_err_deg": FAILED_TRIAL_AZ_ERROR,
+        "est_az_deg": result.azimuth if result else None,
+        "az_err_deg": (_azimuth_error_deg(result.azimuth, true_az) if result
+                       else FAILED_TRIAL_AZ_ERROR),
         "octant_true": octant_true.as_string(),
         "octant_guess": outcome.octant_guess,
         "converged": outcome.converged,
-        "objective": None,
-        "iters": 0,
+        "objective": result.objective if result else None,
+        "iters": result.iterations if result else 0,
         "failure": type(outcome.error).__name__ if outcome.error else None,
     }
-    result = outcome.result
-    if result is not None:
-        row["est_az_deg"] = result.azimuth
-        row["az_err_deg"] = _azimuth_error_deg(result.azimuth, true_az)
-        row["objective"] = result.objective
-        row["iters"] = result.iterations
-    return row
 
 
 def _aggregate(rows: list[dict], threshold: float) -> dict:
     """Trials, successes (converged, azimuth error under ``threshold``) as
     count and fraction, azimuth-error p50/p90/max and octant accuracy."""
     errors = np.array([r["az_err_deg"] for r in rows])
+    p50, p90 = np.percentile(errors, [50, 90]).tolist()
     successes = sum(1 for r in rows if r["converged"] and r["az_err_deg"] < threshold)
     return {
         "trials": len(rows),
         "success_count": successes,
         "success_fraction": successes / len(rows),
-        "az_err_p50": float(np.percentile(errors, 50)),
-        "az_err_p90": float(np.percentile(errors, 90)),
+        "az_err_p50": p50,
+        "az_err_p90": p90,
         "az_err_max": float(errors.max()),
         "octant_accuracy": sum(r["octant_guess"] == r["octant_true"] for r in rows) / len(rows),
     }

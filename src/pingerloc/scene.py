@@ -141,22 +141,30 @@ class HydrophoneArray:
         return self.all_positions()[idx]
 
     def precise_positions_array(self) -> np.ndarray:
-        """Precise-quad positions as a (4, 3) array, quad order."""
-        return np.array([p.as_array() for p in self.precise])
+        """Precise-quad positions as a read-only (4, 3) array, quad order."""
+        return _quad_geometry(self.precise)[0]
 
     def coarse_positions_array(self) -> np.ndarray:
-        return np.array([p.as_array() for p in self.coarse])
+        return _quad_geometry(self.coarse)[0]
 
     def precise_centroid(self) -> Vec3:
-        return Vec3.from_array(self.precise_positions_array().mean(axis=0))
+        return _quad_geometry(self.precise)[1]
 
     def coarse_centroid(self) -> Vec3:
-        return Vec3.from_array(self.coarse_positions_array().mean(axis=0))
+        return _quad_geometry(self.coarse)[1]
 
     def max_precise_spacing(self) -> float:
         pos = self.precise_positions_array()
         dists = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
         return float(dists.max())
+
+
+@functools.lru_cache(maxsize=64)
+def _quad_geometry(quad: tuple[Vec3, ...]) -> tuple[np.ndarray, Vec3]:
+    """(positions, centroid) of a quad, made once for every solve: read-only."""
+    positions = np.array([p.as_array() for p in quad])
+    positions.flags.writeable = False
+    return positions, Vec3.from_array(positions.mean(axis=0))
 
 
 @dataclass(frozen=True)

@@ -57,13 +57,13 @@ def render_scene(scenario: Scenario) -> MultiChannelRecording:
 
     The source is evaluated only on each burst's samples, from two samples
     before its arrival to two after its end (the margin covers rounding in
-    ``ping_waveform``'s modulo), into one float64 block that spans every
-    channel's bursts; every other pressure sample is exactly 0, as the
-    full-grid evaluation gives there. Each sample goes through the same
-    elementwise arithmetic either way, so the pressure is the same. The block
-    is filtered straight into the float32 channels, which hold exactly +0.0
-    wherever no burst or filter tail reaches (the gain is positive, so that
-    is 0.0 * gain)."""
+    ``ping_waveform``'s modulo), all in one call, each divided by its own r,
+    into one float64 block that spans every channel's bursts; every other
+    pressure sample is exactly 0, as the full-grid evaluation gives there.
+    Each sample goes through the same elementwise arithmetic either way, so
+    the pressure is the same. The block is filtered straight into the float32
+    channels, which hold exactly +0.0 wherever no burst or filter tail reaches
+    (the gain is positive, so that is 0.0 * gain)."""
     fs = scenario.sample_rate
     n = int(round(scenario.record_duration * fs))
     pinger = scenario.pinger
@@ -82,8 +82,12 @@ def render_scene(scenario: Scenario) -> MultiChannelRecording:
     lo = min((i0 for _, i0, _, _, _ in bursts), default=n)
     hi = max((i1 for _, _, i1, _, _ in bursts), default=n)
     block = np.zeros((8, hi - lo))
-    for ch, i0, i1, delay, r in bursts:
-        block[ch, i0 - lo:i1 - lo] = ping_waveform(np.arange(i0, i1) / fs - delay, pinger) / r
+    if bursts:
+        sizes = [i1 - i0 for _, i0, i1, _, _ in bursts]
+        t = np.concatenate([np.arange(i0, i1) / fs - delay for _, i0, i1, delay, _ in bursts])
+        pressure = ping_waveform(t, pinger) / np.repeat([r for *_, r in bursts], sizes)
+        for (ch, i0, i1, _, _), burst in zip(bursts, np.split(pressure, np.cumsum(sizes)[:-1])):
+            block[ch, i0 - lo:i1 - lo] = burst
     channels = np.zeros((8, n), np.float32)
     filter_signal(sos, block, out=channels[:, lo:], gain=fe.gain)
 

@@ -142,7 +142,7 @@ def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
 
     G, g = prob.objective_and_grad(p)
     evaluations = 1
-    if not np.isfinite(G):
+    if not math.isfinite(G):
         raise DivergedError("diverged: non-finite objective at initial point")
 
     alpha = _INITIAL_STEP
@@ -168,7 +168,7 @@ def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
             sy = float(s @ y)
             if sy > 0.0:
                 alpha = float(s @ s) / sy
-        alpha = float(np.clip(alpha, 1e-10, _ALPHA_MAX))
+        alpha = min(max(alpha, 1e-10), _ALPHA_MAX)
 
         accepted = False
         trial = alpha
@@ -176,7 +176,7 @@ def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
             p_new = p - trial * g
             G_new, g_new = prob.objective_and_grad(p_new)
             evaluations += 1
-            if np.isfinite(G_new) and G_new <= G - _ARMIJO_C1 * trial * gg:
+            if math.isfinite(G_new) and G_new <= G - _ARMIJO_C1 * trial * gg:
                 accepted = True
                 break
             trial *= _BETA
@@ -195,9 +195,9 @@ def gradient_descent(init: Vec3, tdoa: TdoaSet, array: HydrophoneArray,
             break
 
     direction = p - centroid
-    if np.linalg.norm(direction) > 1e-12:
+    rng = float(np.linalg.norm(direction))
+    if rng > 1e-12:
         azimuth, elevation = true_azimuth_elevation(Vec3.from_array(direction))
-        rng = float(np.linalg.norm(direction))
     else:
         azimuth, elevation, rng = 0.0, 0.0, 0.0
 

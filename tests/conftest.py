@@ -12,7 +12,7 @@ from pingerloc import (
     render_scene,
     solver,
 )
-from pingerloc.dsp import PAIRS
+from pingerloc.dsp import PAIRS, FrontEnd
 
 SOUND_SPEED = 1480.0
 FS = 500_000.0
@@ -45,6 +45,18 @@ def assert_equal_past_float32_cut(ours, oracle):
         differs = np.flatnonzero(row.view(np.uint32) != ref.view(np.uint32))
         if differs.size:
             assert not row[differs[0]:].view(np.uint32).any()
+
+
+def full_record(filtered, array, onsets, runs, fs=FS):
+    """A front-end record over full-length filtered channels ``filtered``
+    (8, n), so the window search can read edited or full-length rows: every
+    run's window of the other precise channels is their whole row (a
+    read-only view), at offset 0."""
+    others = filtered[list(array.precise_channels[1:])]
+    return FrontEnd(sample_rate=fs, reference=filtered[array.precise_channels[0]],
+                    cutoff=np.nan, runs=tuple(runs),
+                    windows=np.broadcast_to(others[:, None], (3, len(runs), filtered.shape[1])),
+                    offsets=(0,) * len(runs), onsets=onsets)
 
 
 def travel_time(source, hydrophone, sound_speed):

@@ -39,7 +39,7 @@ from pingerloc.dsp import (
     filter_and_scan,
     tdoa_from_filtered,
 )
-from conftest import FS, SOUND_SPEED, assert_equal_past_float32_cut, travel_time
+from conftest import FS, SOUND_SPEED, assert_equal_past_float32_cut, full_record, travel_time
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -50,10 +50,10 @@ def cascade():
 
 
 def front_end(recording, cascade, array):
-    """(rows, onsets, runs): the reference step, then ``filter_and_scan``
+    """The front-end record: the reference step, then ``filter_and_scan``
     with its result."""
     reference = dsp.scan_reference(recording, cascade, array, SOUND_SPEED)
-    return *filter_and_scan(recording, cascade, array, SOUND_SPEED, reference), reference[2]
+    return filter_and_scan(recording, cascade, array, SOUND_SPEED, reference)
 
 
 def search_span(fs):
@@ -62,13 +62,11 @@ def search_span(fs):
     return (NUM_WINDOWS - 1) * sub_len + win_len
 
 
-def search_one(filtered, array, onsets, run):
-    """(result, diagnostics) of ``tdoa_from_filtered`` on one run of
-    reference crossings: its TdoaSet or error, and its window-search
+def search_one(front, array):
+    """(result, diagnostics) of ``tdoa_from_filtered`` on the record's first
+    run of reference crossings: its TdoaSet or error, and its window-search
     diagnostics."""
-    diagnostics = []
-    [result] = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED, onsets, [run], diagnostics)
-    return result, diagnostics[0]
+    return tdoa_from_filtered(front, array, SOUND_SPEED)[0]
 
 
 def response(sos, freqs):
@@ -456,7 +454,8 @@ class TestCoarseOnsets:
     def test_first_full_length_crossing_in_each_burst_window(self, cascade, quick):
         scenario, recording = quick
         array = scenario.array
-        _, onsets, runs = front_end(recording, cascade, array)
+        front = front_end(recording, cascade, array)
+        onsets, runs = front.onsets, front.runs
         assert len(runs) == 4 and list(onsets) == list(array.coarse_channels)
         full = filter_signal(cascade, recording.channels)
         _, cutoff = detect_ping(full[array.precise_channels[0]], FS)
@@ -476,9 +475,10 @@ class TestCoarseOnsets:
         assert array.coarse_channels[0] == 4
         channels = recording.channels.copy()
         channels[4, 25_000:40_000] = 0.0
-        _, onsets, runs = front_end(MultiChannelRecording(sample_rate=FS, channels=channels),
-                                    cascade, array)
-        assert len(runs) == 4
+        front = front_end(MultiChannelRecording(sample_rate=FS, channels=channels),
+                          cascade, array)
+        onsets = front.onsets
+        assert len(front.runs) == 4
         assert [[onset == -1 for onset in onsets[ch]] for ch in array.coarse_channels] == [
             [False, True, False, False]] + [[False] * 4] * 3
 
@@ -786,8 +786,7 @@ class TestSelectStableWindow:
     def test_clean_ping(self, std_recording, std_scenario):
         array = std_scenario.array
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
-        rows, onsets, runs = front_end(std_recording, cascade, array)
-        tdoa, diagnostics = search_one(rows, array, onsets, runs[0])
+        tdoa, diagnostics = search_one(front_end(std_recording, cascade, array), array)
 
         assert len(tdoa.pair_delays) == len(tdoa.peak_correlations) == 6
         max_delay = array.max_precise_spacing() / SOUND_SPEED
@@ -837,8 +836,7 @@ class TestSelectStableWindow:
                 0.0, amp, glitch_len).astype(np.float32)
         glitched = MultiChannelRecording(sample_rate=FS, channels=channels)
 
-        rows, onsets, runs = front_end(glitched, cascade, array)
-        tdoa, _ = search_one(rows, array, onsets, runs[0])
+        tdoa, _ = search_one(front_end(glitched, cascade, array), array)
         # winning window must end before the glitch
         start, length = tdoa.window
         assert start + length <= glitch_start
@@ -914,8 +912,8 @@ class TestSubWindowTable:
     def front_end(scenario, recording, cascade):
         """(scenario, the full-length filter's rows, the coarse onsets and
         the first run ``filter_and_scan`` finds in them)."""
-        _, onsets, runs = front_end(recording, cascade, scenario.array)
-        return scenario, filter_signal(cascade, recording.channels), onsets, runs[0]
+        front = front_end(recording, cascade, scenario.array)
+        return scenario, filter_signal(cascade, recording.channels), front.onsets, front.runs[0]
 
     def onset(self, filtered, array):
         return crossings(filtered[array.precise_channels[0]], FS)[0]
@@ -963,7 +961,7 @@ class TestSubWindowTable:
         scenario, filtered, onsets, run = self.case(quick, noiseless, name)
         array = scenario.array
         expected = per_candidate_search(filtered, FS, array, SOUND_SPEED, run[0])
-        tdoa, diagnostics = search_one(filtered, array, onsets, run)
+        tdoa, diagnostics = search_one(full_record(filtered, array, onsets, [run]), array)
         assert diagnostics == expected
         scores = expected["variance_scores"]
         if name == "zeroed-search":
@@ -997,7 +995,7 @@ class TestSubWindowTable:
             return calls[-1][2:]
 
         monkeypatch.setattr(dsp, "_delays", recorded)
-        tdoa, diagnostics = search_one(filtered, array, onsets, run)
+        tdoa, diagnostics = search_one(full_record(filtered, array, onsets, [run]), array)
         assert len(diagnostics["candidate_starts"]) == candidates
         sub_windows = candidates + NUM_SUBWINDOWS - 1
         win_len = int(round(WINDOW_DURATION * FS))
@@ -1101,19 +1099,20 @@ class TestBatchedSearch:
                            label="others")
         batch = data.draw(st.permutations([(after, after), runs[glitched], runs[-1], *others]),
                           label="batch")
-        diagnostics = []
-        batched = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED,
-                                     self.run_onsets(crossings, batch, array), batch, diagnostics)
-        assert len(batched) == len(diagnostics) == len(batch)
-        for run, result, found in zip(batch, batched, diagnostics):
-            alone, alone_found = search_one(filtered, array,
-                                            self.run_onsets(crossings, [run], array), run)
+        batched = tdoa_from_filtered(
+            full_record(filtered, array, self.run_onsets(crossings, batch, array), batch),
+            array, SOUND_SPEED)
+        assert len(batched) == len(batch)
+        for run, (result, found) in zip(batch, batched):
+            alone, alone_found = search_one(
+                full_record(filtered, array, self.run_onsets(crossings, [run], array), [run]),
+                array)
             # repr tells every float apart, -0.0 from 0.0 too, and an error's
             # class and message.
             assert type(result) is type(alone) and repr(result) == repr(alone), run
             assert repr(found) == repr(alone_found), run
 
-        results = dict(zip(batch, zip(batched, diagnostics)))
+        results = dict(zip(batch, batched))
         result, found = results[(after, after)]
         assert isinstance(result, NoPingError) and found == {}
         assert str(result).startswith("no ping: recording too short")
@@ -1122,11 +1121,11 @@ class TestBatchedSearch:
         assert len(found["candidate_starts"]) == NUM_WINDOWS
         assert len(results[runs[-1]][1]["candidate_starts"]) == kept
         # Without a run the recording is one ping that failed.
-        diagnostics = []
-        [result] = tdoa_from_filtered(filtered, FS, array, SOUND_SPEED,
-                                      self.run_onsets(crossings, [], array), [], diagnostics)
+        [(result, found)] = tdoa_from_filtered(
+            full_record(filtered, array, self.run_onsets(crossings, [], array), []),
+            array, SOUND_SPEED)
         assert str(result) == f"no ping detected on reference channel {ref}"
-        assert isinstance(result, NoPingError) and diagnostics == [{}]
+        assert isinstance(result, NoPingError) and found == {}
 
 
 class TestVecdotKernel:

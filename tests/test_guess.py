@@ -83,6 +83,15 @@ class TestOctantGuess:
         with pytest.raises(ValueError, match="axis z"):
             octant_guess([0.01, 0.011, 0.012, 0.013], flat)
 
+    def test_unresolvable_quad_raises_on_every_call(self):
+        # The per-quad geometry is cached only once it is computed: a quad
+        # that fails raises again, whatever the arrivals.
+        flat = (Vec3(0.3, 0.2, 0.0), Vec3(-0.3, 0.2, 0.0),
+                Vec3(0.3, -0.2, 0.0), Vec3(-0.3, -0.2, 0.0))
+        for arrivals in ([0.01, 0.011, 0.012, 0.013], [0.01] * 4, [0.01, 0.011, 0.012, 0.013]):
+            with pytest.raises(ValueError, match="unresolvable axis z"):
+                octant_guess(arrivals, flat)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             octant_guess([0.01] * 3, COARSE)

@@ -33,7 +33,7 @@ from pingerloc import pipeline, simulator, solver
 from pingerloc.cli import EXIT_NO_PING, main
 from pingerloc.pipeline import (
     FAILED_TRIAL_AZ_ERROR,
-    _filter_and_scan,
+    _front_end_sos,
     _run_trial,
     _trial_scenario,
     localize_ping,
@@ -41,7 +41,7 @@ from pingerloc.pipeline import (
     monte_carlo_config_from_dict,
     white_sigma_for_snr,
 )
-from conftest import FS, fast_scenario
+from conftest import FS, fast_scenario, full_record
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -259,10 +259,25 @@ class TestRunLocalization:
                      record_duration=0.05, noise=NoiseSpec.silent(), seed=0)
 
 
+def front_end(recording, scenario, timing=None):
+    """The front-end record of ``recording``: the reference step, then
+    ``dsp.filter_and_scan`` with its result, through the scenario's band."""
+    sos = _front_end_sos(scenario, recording.sample_rate)
+    array, sound_speed = scenario.array, scenario.sound_speed
+    reference = dsp.scan_reference(recording, sos, array, sound_speed, timing)
+    return dsp.filter_and_scan(recording, sos, array, sound_speed, reference, timing)
+
+
+def precise_end(front):
+    """Where the record's last burst window of the other precise channels
+    ends, 0 without a run."""
+    return front.offsets[-1] + front.windows.shape[-1] if front.runs else 0
+
+
 def localize_first(scenario, recording, run=None):
     """The outcome of ``run``, the recording's first run by default."""
-    filtered, onsets, runs = _filter_and_scan(recording, scenario)
-    return next(localize_ping(filtered, FS, scenario, onsets, [run or runs[0]]))
+    front = front_end(recording, scenario)
+    return next(localize_ping(dataclasses.replace(front, runs=(run or front.runs[0],)), scenario))
 
 
 def full_length_onsets(scenario, recording):
@@ -333,73 +348,86 @@ def first_inside(samples, windows):
 
 class TestFilterAndScan:
     """The front end filters every channel but the reference only in burst
-    windows around the reference crossings. The reference row must be the
-    full-length filter's, byte for byte; every other precise row must be it
-    over each run's read span, within rounding over the rest of the burst
-    windows, and zero outside them; each run's coarse onset must be the first
+    windows around the reference crossings. The record's reference row must
+    be the full-length filter's, byte for byte; every other precise channel's
+    window must be it over each run's read span, and within rounding over
+    the rest of its burst window; each run's coarse onset must be the first
     full-length crossing in its burst window."""
 
     def check_rows(self, scenario, recording, silent_residue=False):
-        """Compare the front end's rows, onsets and runs with the full
-        filter's; return (rows, onsets, runs, full filter). With
-        ``silent_residue``, a read sample may differ where the full-length
-        filter holds a subnormal: the channel has not yet heard the burst, the
-        full-length filter still rings with the previous ping's tail, and the
-        window, filtered from zero state, holds exactly 0.0."""
+        """Compare the front end's record with the full filter; return
+        (record, full filter). With ``silent_residue``, a read sample may
+        differ where the full-length filter holds a subnormal: the channel
+        has not yet heard the burst, the full-length filter still rings with
+        the previous ping's tail, and the window, filtered from zero state,
+        holds exactly 0.0."""
         timing = {}
-        rows, onsets, runs = _filter_and_scan(recording, scenario, timing)
+        front = front_end(recording, scenario, timing)
         expected, full = full_length_onsets(scenario, recording)
         fs, n = recording.sample_rate, recording.samples_per_channel
         array = scenario.array
-        ref = array.precise_channels[0]
-        assert list(rows) == list(array.precise_channels) and set(timing) == {"filter", "onset"}
-        assert rows[ref].tobytes() == full[ref].tobytes()
-        assert runs == reference_runs(scenario, fs, expected[ref])
+        runs = list(front.runs)
+        assert front.sample_rate == fs and set(timing) == {"filter", "onset"}
+        assert front.reference.tobytes() == full[array.precise_channels[0]].tobytes()
+        assert runs == reference_runs(scenario, fs, expected[array.precise_channels[0]])
         reach = coarse_margins(scenario, fs)[1]
         windows = [(max(0, a), min(n, b)) for a, b in burst_windows(scenario, fs, runs)]
+        width = front.windows.shape[-1]
+        assert front.windows.shape == (3, len(runs), width)
+        # Each window ends where its burst window does.
+        assert [d + width for d in front.offsets] == [b for _, b in windows]
         scale = np.abs(full[list(array.precise_channels)]).max()
-        for ch in array.precise_channels[1:]:
-            row = rows[ch]
-            assert len(row) == (windows[-1][1] if runs else 0), ch
-            outside = np.ones(len(row), dtype=bool)
-            for (first, _), (a, b) in zip(runs, windows):
-                outside[a:b] = False
-                np.testing.assert_allclose(row[a:b], full[ch, a:b], rtol=0, atol=1e-13 * scale)
-                span = slice(first, min(n, first + reach))
-                differ = row[span] != full[ch, span]
+        for rows, ch in zip(front.windows, array.precise_channels[1:]):
+            for row, d, (first, _), (a, b) in zip(rows, front.offsets, runs, windows):
+                np.testing.assert_allclose(row[a - d:b - d], full[ch, a:b],
+                                           rtol=0, atol=1e-13 * scale)
+                stop = min(n, first + reach)
+                read = row[first - d:stop - d]
+                differ = read != full[ch, first:stop]
                 if silent_residue:
-                    assert (np.abs(full[ch, span][differ]) < np.finfo(float).tiny).all()
-                    assert not row[span][differ].any()
+                    assert (np.abs(full[ch, first:stop][differ]) < np.finfo(float).tiny).all()
+                    assert not read[differ].any()
                 else:
                     assert not differ.any(), (ch, first)
-            assert not row[outside].any(), ch
-        assert list(onsets) == list(array.coarse_channels)
+        assert list(front.onsets) == list(array.coarse_channels)
         for ch in array.coarse_channels:
-            assert onsets[ch] == first_inside(expected[ch], windows), ch
-        return rows, onsets, runs, full
+            assert front.onsets[ch] == first_inside(expected[ch], windows), ch
+        return front, full
 
     def check_searches(self, scenario, recording, silent_residue=False):
         """Every ping's window search reads the same from the front end's
-        rows as from the full-length filter; return (rows, ping count)."""
-        rows, onsets, runs, full = self.check_rows(scenario, recording, silent_residue)
+        record as from the full-length filter; return (record, ping count)."""
+        front, full = self.check_rows(scenario, recording, silent_residue)
         # Each ping's search starts at its onset, its run's first crossing.
         starts = [report.window_search["candidate_starts"][0]
                   for report in run_localization(scenario, recording=recording)]
-        assert starts == [first for first, _ in runs]
-        search = []
-        for filtered in (rows, full):
-            diagnostics = []
-            tdoas = dsp.tdoa_from_filtered(filtered, recording.sample_rate, scenario.array,
-                                           scenario.sound_speed, onsets, runs, diagnostics)
-            search.append((tdoas, diagnostics))
+        assert starts == [first for first, _ in front.runs]
+        search = [dsp.tdoa_from_filtered(record, scenario.array, scenario.sound_speed)
+                  for record in (front, full_record(full, scenario.array, front.onsets,
+                                                    front.runs, recording.sample_rate))]
         assert search[0] == search[1]
-        assert all(isinstance(tdoa, dsp.TdoaSet) for tdoa in search[0][0])
-        return rows, len(runs)
+        assert all(isinstance(tdoa, dsp.TdoaSet) for tdoa, _ in search[0])
+        return front, len(front.runs)
+
+    def test_record_keeps_only_the_reference_at_full_length(self):
+        # Sixteen pings in 0.8 s: no array in the record but the reference
+        # row is as long as the recording, in any of its dimensions.
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        scenario = dataclasses.replace(quick, record_duration=0.8)
+        recording = render_scene(scenario)
+        front = front_end(recording, scenario)
+        n = recording.samples_per_channel
+        assert len(front.runs) == 16 and front.reference.shape == (n,)
+        arrays = [value for value in vars(front).values()
+                  if isinstance(value, np.ndarray) and value is not front.reference]
+        assert arrays and all(max(value.shape) < n for value in arrays)
+        assert all(len(value) < n for value in (front.runs, front.offsets,
+                                                *front.onsets.values()))
 
     def test_sixteen_noisy_repetitions(self):
         quick = load_scenario(CONFIGS / "scenario_quick.json")
         scenario = dataclasses.replace(quick, record_duration=16 * quick.pinger.repetition_interval)
-        rows, pings = self.check_searches(scenario, render_scene(scenario))
+        _, pings = self.check_searches(scenario, render_scene(scenario))
         assert pings == 16
 
     def test_sixteen_noiseless_repetitions(self):
@@ -411,7 +439,7 @@ class TestFilterAndScan:
         quick = load_scenario(CONFIGS / "scenario_quick.json")
         scenario = dataclasses.replace(quick, noise=NoiseSpec.silent(),
                                        record_duration=16 * quick.pinger.repetition_interval)
-        rows, pings = self.check_searches(scenario, render_scene(scenario), silent_residue=True)
+        _, pings = self.check_searches(scenario, render_scene(scenario), silent_residue=True)
         assert pings == 16
 
     @pytest.mark.parametrize("seed", range(10))
@@ -422,18 +450,15 @@ class TestFilterAndScan:
         quick = load_scenario(CONFIGS / "scenario_quick.json")
         scenario = dataclasses.replace(quick, seed=seed, record_duration=0.8)
         recording = render_scene(scenario)
-        rows, onsets, runs = _filter_and_scan(recording, scenario)
+        front = front_end(recording, scenario)
         expected, full = full_length_onsets(scenario, recording)
-        windows = burst_windows(scenario, FS, runs)
-        assert len(runs) == 16
-        assert onsets == {ch: first_inside(expected[ch], windows)
-                          for ch in scenario.array.coarse_channels}
-        searches = []
-        for filtered in (rows, full):
-            diagnostics = []
-            tdoas = dsp.tdoa_from_filtered(filtered, FS, scenario.array, scenario.sound_speed,
-                                           onsets, runs, diagnostics)
-            searches.append((tdoas, diagnostics))
+        windows = burst_windows(scenario, FS, front.runs)
+        assert len(front.runs) == 16
+        assert front.onsets == {ch: first_inside(expected[ch], windows)
+                                for ch in scenario.array.coarse_channels}
+        searches = [zip(*dsp.tdoa_from_filtered(record, scenario.array, scenario.sound_speed))
+                    for record in (front, full_record(full, scenario.array, front.onsets,
+                                                      front.runs))]
         (tdoas, diagnostics), (full_tdoas, full_diagnostics) = searches
         assert [d["chosen_candidate"] for d in diagnostics] == [
             d["chosen_candidate"] for d in full_diagnostics]
@@ -454,13 +479,13 @@ class TestFilterAndScan:
         # prefix, each window of the coarse rows the front end scans matches
         # the full-length filter to within rounding.
         quick = load_scenario(CONFIGS / "scenario_quick.json")
-        front_end = dataclasses.replace(quick.front_end, **change.get("front_end", {}))
+        band = dataclasses.replace(quick.front_end, **change.get("front_end", {}))
         fs = change.get("sample_rate", FS)
-        scenario = dataclasses.replace(quick, front_end=front_end, sample_rate=fs,
+        scenario = dataclasses.replace(quick, front_end=band, sample_rate=fs,
                                        record_duration=4 * quick.pinger.repetition_interval)
         assert coarse_margins(scenario, fs)[2] != coarse_margins(quick, FS)[2]
         recording = render_scene(scenario)
-        rows, pings = self.check_searches(scenario, recording)
+        _, pings = self.check_searches(scenario, recording)
         assert pings == 4
 
         scanned = []
@@ -472,7 +497,7 @@ class TestFilterAndScan:
 
         with monkeypatch.context() as patch:
             patch.setattr(dsp, "detect_ping", keep_rows)
-            _filter_and_scan(recording, scenario)
+            front_end(recording, scenario)
         _, *coarse_rows = scanned
         expected, full = full_length_onsets(scenario, recording)
         coarse = scenario.array.coarse_channels
@@ -506,9 +531,9 @@ class TestFilterAndScan:
         for lo, hi in glitches:
             channels[coarse, lo:hi] += rng.normal(0.0, 0.5, hi - lo).astype(np.float32)
         glitched = MultiChannelRecording(sample_rate=FS, channels=channels)
-        _, onsets, _, _ = self.check_rows(scenario, glitched)
+        front, _ = self.check_rows(scenario, glitched)
         noisy, _ = full_length_onsets(scenario, glitched)
-        found = np.array(onsets[coarse])
+        found = np.array(front.onsets[coarse])
         for lo, hi in glitches:
             assert ((noisy[coarse] >= lo) & (noisy[coarse] < hi + 500)).any()
             assert not ((found >= lo) & (found < hi + 500)).any()
@@ -527,28 +552,28 @@ class TestFilterAndScan:
         ch = scenario.array.precise_channels[2]
         channels = render_scene(scenario).channels.copy()
         channels[ch, 25_000:50_000] = 0.0
-        rows, _, runs = _filter_and_scan(MultiChannelRecording(sample_rate=FS, channels=channels),
-                                         scenario)
-        a, b = burst_windows(scenario, FS, runs)[1]
+        front = front_end(MultiChannelRecording(sample_rate=FS, channels=channels), scenario)
+        a, b = burst_windows(scenario, FS, front.runs)[1]
         assert 25_000 <= a - coarse_margins(scenario, FS)[2] and b <= 50_000
-        assert not rows[ch][a:b].any()
+        d = front.offsets[1]
+        assert not front.windows[1, 1, a - d:b - d].any()
 
     def test_noiseless_render(self, std_scenario, std_recording):
-        rows, pings = self.check_searches(std_scenario, std_recording)
+        front, pings = self.check_searches(std_scenario, std_recording)
         assert pings == 1
         # The search reads a few ms past the onset of a 50 ms recording.
-        assert len(rows[std_scenario.array.precise_channels[1]]) < std_recording.samples_per_channel
+        assert precise_end(front) < std_recording.samples_per_channel
 
     def test_search_past_the_end(self):
         scenario = load_scenario(CONFIGS / "scenario_quick.json")
         recording = render_scene(scenario)
-        _, _, runs, _ = self.check_rows(scenario, recording)
-        onset = runs[0][0]
+        front, _ = self.check_rows(scenario, recording)
+        onset = front.runs[0][0]
         cut = MultiChannelRecording(sample_rate=FS,
                                     channels=recording.channels[:, :onset + 1_500].copy())
-        rows, pings = self.check_searches(scenario, cut)
+        front, pings = self.check_searches(scenario, cut)
         assert pings == 1
-        assert all(len(row) == onset + 1_500 for row in rows.values())
+        assert len(front.reference) == precise_end(front) == onset + 1_500
 
     def test_channel_resuming_past_the_search(self, std_scenario, std_recording):
         # A channel that is silent at the end of the last burst window and
@@ -558,19 +583,18 @@ class TestFilterAndScan:
         for resumed in (array.precise_channels[2], array.coarse_channels[1]):
             channels = std_recording.channels.copy()
             channels[resumed, -1_000:] = channels[resumed, 3_000:4_000]
-            rows, _, runs, _ = self.check_rows(
+            front, _ = self.check_rows(
                 std_scenario, MultiChannelRecording(sample_rate=FS, channels=channels))
-            end = burst_windows(std_scenario, FS, runs)[-1][1]
+            end = burst_windows(std_scenario, FS, front.runs)[-1][1]
             assert end < std_recording.samples_per_channel - 1_000
-            assert all(len(rows[ch]) == end for ch in array.precise_channels[1:])
+            assert precise_end(front) == end
 
     def test_silent_recording(self, std_scenario, tmp_path, capsys):
         silent = MultiChannelRecording(sample_rate=FS,
                                        channels=np.zeros((8, 30_000), dtype=np.float32))
-        rows, onsets, runs, _ = self.check_rows(std_scenario, silent)
-        ref = std_scenario.array.precise_channels[0]
-        assert [len(row) for ch, row in rows.items() if ch != ref] == [0] * 3
-        assert [len(found) for found in onsets.values()] == [0] * 4 and runs == []
+        front, _ = self.check_rows(std_scenario, silent)
+        assert front.windows.size == 0 and precise_end(front) == 0
+        assert [len(found) for found in front.onsets.values()] == [0] * 4 and front.runs == ()
         with pytest.raises(NoPingError, match="reference"):
             next(run_localization(std_scenario, recording=silent))
         config, path = tmp_path / "scenario.json", tmp_path / "silent.oogw"
@@ -585,9 +609,9 @@ class TestFilterAndScan:
         scenario = dataclasses.replace(
             load_scenario(CONFIGS / "scenario_quick.json"),
             array=HydrophoneArray(precise=array.precise, coarse=array.coarse, labels=labels))
-        rows, pings = self.check_searches(scenario, render_scene(scenario))
+        front, pings = self.check_searches(scenario, render_scene(scenario))
         assert pings == 1
-        assert len(rows[labels[1]]) < scenario.record_duration * FS
+        assert precise_end(front) < scenario.record_duration * FS
 
     @pytest.mark.parametrize("labels", [tuple(range(8)), tuple(reversed(range(8)))],
                              ids=["default-labels", "reversed-labels"])
@@ -628,9 +652,9 @@ class TestFilterAndScan:
         scenario = dataclasses.replace(quick, array=array, pinger=pinger,
                                        record_duration=duration)
         recording = render_scene(scenario)
-        rows, onsets, runs, _ = self.check_rows(scenario, recording)
+        front, _ = self.check_rows(scenario, recording)
         expected, _ = full_length_onsets(scenario, recording)
-        tdoas = dsp.tdoa_from_filtered(rows, FS, array, scenario.sound_speed, onsets, runs)
+        tdoas = [tdoa for tdoa, _ in dsp.tdoa_from_filtered(front, array, scenario.sound_speed)]
 
         lag = int(round(lead / quick.sound_speed * FS))
         assert len(tdoas) == 3
@@ -652,18 +676,15 @@ class TestFilterAndScan:
             # Only the distance term of reach takes the last burst window,
             # and with it the precise rows, to the farthest channel's last
             # onset.
-            assert far_onset >= runs[-1][1] + search_span(FS)
-            assert (len(rows[array.precise_channels[1]]) < recording.samples_per_channel) == (
-                margin > 1e-3)
+            assert far_onset >= front.runs[-1][1] + search_span(FS)
+            assert (precise_end(front) < recording.samples_per_channel) == (margin > 1e-3)
 
     def test_default_scenario_reads_a_prefix(self):
         scenario = load_scenario(CONFIGS / "scenario_default.json")
         recording = render_scene(scenario)
-        rows, pings = self.check_searches(scenario, recording)
+        front, pings = self.check_searches(scenario, recording)
         assert pings == 1
-        n = recording.samples_per_channel
-        ref = scenario.array.precise_channels[0]
-        assert all(len(row) < n / 50 for ch, row in rows.items() if ch != ref)
+        assert precise_end(front) < recording.samples_per_channel / 50
 
 
 class TestLocalizePing:
@@ -696,17 +717,21 @@ class TestLocalizePing:
         # One search for every run on the first next(); each guess and solve
         # only when its outcome is asked for. The search's time is the first
         # outcome's.
-        filtered, onsets, [run] = _filter_and_scan(std_recording, std_scenario)
-        # The onsets of [run, run, (n, n)]: the third run has none.
-        onsets = {ch: [onset, onset, -1] for ch, [onset] in onsets.items()}
+        front = front_end(std_recording, std_scenario)
+        [run] = front.runs
+        n = std_recording.samples_per_channel
+        # The record of [run, run, (n, n)]: the third run has no onsets.
+        front = dataclasses.replace(
+            front, runs=(run, run, (n, n)), windows=front.windows[:, [0, 0, 0]],
+            offsets=front.offsets * 3,
+            onsets={ch: [onset, onset, -1] for ch, [onset] in front.onsets.items()})
         calls = []
         for module, name in ((dsp, "tdoa_from_filtered"), (solver, "gradient_descent")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        n = std_recording.samples_per_channel
-        outcomes = localize_ping(filtered, FS, std_scenario, onsets, [run, run, (n, n)])
+        outcomes = localize_ping(front, std_scenario)
         assert calls == []
         first = next(outcomes)
         assert calls == ["tdoa_from_filtered", "gradient_descent"]
@@ -878,8 +903,7 @@ def eight_channel_trial(clean, scenario, trial, radius, snr_db, noise_seed):
                                     fe.analog_band_low, fe.analog_band_high, clean.sample_rate)
         recording = simulator.add_noise(clean, NoiseSpec(white_sigma=sigma, interferer_amp=0.0,
                                                          lowfreq_amp=0.0), noise_seed)
-    filtered, onsets, runs = _filter_and_scan(recording, scenario)
-    return next(localize_ping(filtered, recording.sample_rate, scenario, onsets, runs[:1]))
+    return next(localize_ping(front_end(recording, scenario), scenario))
 
 
 @pytest.fixture()

@@ -146,6 +146,31 @@ class TestGradientDescent:
         assert abs(result.elevation - true_el) < 0.1
         assert result.iterations <= 5000
 
+    def test_equal_arrays_solve_identically(self):
+        # The per-array geometry is cached by value: an array built anew that
+        # compares equal solves to the same result.
+        truth = Vec3(8.0, 3.0, -4.0)
+        tdoa = geometric_tdoa(ARRAY, truth, C)
+        init = initial_point(octant_of(truth), ARRAY.coarse_centroid())
+        rebuilt = HydrophoneArray(precise=tuple(Vec3(p.x, p.y, p.z) for p in ARRAY.precise),
+                                  coarse=tuple(Vec3(p.x, p.y, p.z) for p in ARRAY.coarse),
+                                  labels=ARRAY.labels)
+        assert rebuilt == ARRAY and rebuilt is not ARRAY
+        assert gradient_descent(init, tdoa, rebuilt, C) == gradient_descent(init, tdoa, ARRAY, C)
+
+    def test_cached_positions_are_read_only(self):
+        # A caller cannot change the positions every later solve reads.
+        truth = Vec3(8.0, 3.0, -4.0)
+        tdoa = geometric_tdoa(ARRAY, truth, C)
+        init = initial_point(octant_of(truth), ARRAY.coarse_centroid())
+        before = gradient_descent(init, tdoa, ARRAY, C)
+        for positions in (ARRAY.precise_positions_array(), ARRAY.coarse_positions_array()):
+            with pytest.raises(ValueError, match="read-only"):
+                positions[0, 0] = 1.0
+        assert ARRAY.precise_positions_array()[0].tolist() == list(
+            ARRAY.precise[0].as_array())
+        assert gradient_descent(init, tdoa, ARRAY, C) == before
+
     def test_azimuth_matches_convention_exactly(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERS", 50)
         tdoa = geometric_tdoa(ARRAY, Vec3(8.0, 3.0, -4.0), C)
