@@ -9,11 +9,12 @@ which is what the delay estimates feed on.
 Onsets are thresholded against one noise floor, the reference (first
 precise) channel's: the reference scan sets the cutoff and every coarse
 channel is scanned against it. A hydrophone much noisier than the reference
-therefore crosses early. A ping is a run of reference crossings, split
-where two are far enough apart that the pings' burst windows do not overlap
-(``scan_reference``). That reference step runs once per recording and its
-result is passed to the rest of the front end (``filter_and_scan``). Every
-other channel is filtered, each window from zero state, and the coarse ones
+therefore crosses early. A ping is a run of reference crossings with room
+for one analysis window after its first; runs split where two are far
+enough apart that the pings' burst windows do not overlap. That scan alone
+decides what a ping is, runs once per recording (``scan_reference``), and
+is passed to the rest of the front end (``filter_and_scan``). Every other
+channel is filtered, each window from zero state, and the coarse ones
 scanned, only in the burst windows. Each ping's coarse onsets are picked
 there once, the first crossing in its own window, so a coarse crossing far
 from every reference burst, or later than the array's travel time allows,
@@ -443,8 +444,10 @@ def scan_reference(recording: MultiChannelRecording, sos: np.ndarray, array: Hyd
     least before + reach apart (``_burst_margins``), so that two pings' burst
     windows never overlap. A crossing in the first ``_settle_samples(sos)``
     plus RMS_WINDOW samples is dropped: the filter starts from zero state,
-    and a DC offset's step rings there. If ``timing`` is a dict it gets the
-    milliseconds spent filtering ("filter") and scanning ("onset")."""
+    and a DC offset's step rings there. So is a run cut off by the end, with
+    no room for one analysis window (first + window > samples); only the
+    last can be one, as reach spans a window. If ``timing`` is a dict it
+    gets the milliseconds spent filtering ("filter") and scanning ("onset")."""
     fs = recording.sample_rate
     t_start = time.perf_counter()
     row = filter_signal(sos, recording.channels[array.precise_channels[0]])
@@ -454,7 +457,7 @@ def scan_reference(recording: MultiChannelRecording, sos: np.ndarray, array: Hyd
     gap = sum(_burst_margins(array, sound_speed, fs))
     runs = [(int(run[0]), int(run[-1]))
             for run in np.split(crossings, np.flatnonzero(np.diff(crossings) >= gap) + 1)
-            if run.size]
+            if run.size and run[0] + _window_lengths(fs)[0] <= len(row)]
     if timing is not None:
         timing["filter"] = (t_scan - t_start) * 1e3
         timing["onset"] = (time.perf_counter() - t_scan) * 1e3
@@ -486,9 +489,9 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     full-length filter to within rounding: a coarse crossing moves only
     where a mean square lies within rounding of the cutoff, and the search
     reads a ping or noise bit for bit alike; a channel silent over a window
-    reads exactly 0.0 there. If ``timing`` is the dict that
-    ``scan_reference`` filled, the milliseconds spent filtering ("filter")
-    and scanning ("onset") here are added to its own."""
+    reads exactly 0.0 there. If ``timing`` is a dict, the milliseconds
+    spent filtering ("filter") and scanning ("onset") here are added to
+    those already there, such as ``scan_reference``'s (to 0.0 if absent)."""
     channels = recording.channels
     fs = recording.sample_rate
     n = channels.shape[1]
@@ -526,8 +529,8 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     t_end = time.perf_counter()
 
     if timing is not None:
-        timing["filter"] += (t_coarse - t_start) * 1e3
-        timing["onset"] += (t_end - t_coarse) * 1e3
+        timing["filter"] = timing.get("filter", 0.0) + (t_coarse - t_start) * 1e3
+        timing["onset"] = timing.get("onset", 0.0) + (t_end - t_coarse) * 1e3
     return FrontEnd(fs, reference_row, cutoff, tuple(runs), block[:len(others)], tuple(offsets),
                     onsets)
 
@@ -554,44 +557,39 @@ def tdoa_from_filtered(front: FrontEnd, array: HydrophoneArray, sound_speed: flo
     reference row's, and of each ping's precise samples only those from its
     onset to the end of its last candidate window are read.
 
-    A ping is a run [first, last] of reference crossings; its onset is
-    ``first``. From it, candidate windows start every sub-window; the one
-    whose six pair delays are most repeatable across its sub-windows wins.
-    Returns one (result, search) pair per run, in order: the TdoaSet
-    measured over the winning window, or the error that ends the search. The
-    checks run in this order: room for one analysis window after the onset
-    (NoPingError; only the last run can lack it), a stable window
-    (UnstableWindowError), an onset other than -1 on every coarse channel
-    (NoPingError). Without a run the result is one NoPingError on the
-    reference channel. The search is a dict of the candidate window starts,
-    their variance scores and the chosen index, empty where the search
-    stopped before scoring. One ``_delays`` call measures every ping's
-    sub-windows and one more every winning window, so each result equals
-    that of the same call with its run alone, bit for bit. ``sound_speed``
-    (m/s) bounds every delay by the widest precise spacing over it."""
+    A ping is a run [first, last] of reference crossings with room for one
+    analysis window after its onset, ``first``: ``scan_reference`` keeps
+    only such runs, and a record with a run that has no room is refused
+    (ValueError). From the onset, candidate windows start every sub-window,
+    as many as fit; the one whose six pair delays are most repeatable across
+    its sub-windows wins. Returns one (result, search) pair per run, in
+    order: the TdoaSet measured over the winning window, or the error that
+    ends the search: UnstableWindowError, or past a stable window an onset
+    of -1 on some coarse channel (NoPingError). The search is a dict
+    of the candidate window starts, their variance scores and the chosen
+    index. Without a run the result is one NoPingError on the reference
+    channel, with an empty search. One ``_delays`` call measures every
+    ping's sub-windows and one more every winning window, so each result
+    equals that of the same call with its run alone, bit for bit.
+    ``sound_speed`` (m/s) bounds every delay by the widest precise spacing
+    over it."""
     fs, runs, offsets = front.sample_rate, front.runs, front.offsets
     if not runs:
         return [(NoPingError(f"no ping detected on reference channel "
                              f"{array.precise_channels[0]}"), {})]
-    results, searches = [None] * len(runs), [{} for _ in runs]
 
     win_len, sub_len = _window_lengths(fs)
     if sub_len < 2:
         raise ValueError(f"sample rate {fs} Hz too low for {NUM_SUBWINDOWS} sub-windows "
                          f"of a {WINDOW_DURATION} s window")
     n_total = len(front.reference)
-    # Each ping with room for a window: (its index, its candidate starts).
-    searched = []
-    for p, (onset, _) in enumerate(runs):
-        candidates = [onset + k * sub_len for k in range(NUM_WINDOWS)
-                      if onset + k * sub_len + win_len <= n_total]
-        if candidates:
-            searched.append((p, candidates))
-        else:
-            results[p] = NoPingError("no ping: recording too short for one analysis window "
-                                     "after onset")
-    if not searched:
-        return list(zip(results, searches))
+    # Each ping's candidate window starts.
+    starts = [[onset + k * sub_len for k in range(NUM_WINDOWS)
+               if onset + k * sub_len + win_len <= n_total] for onset, _ in runs]
+    if not all(starts):
+        raise ValueError(f"run {runs[starts.index([])]} leaves no room for a "
+                         f"{win_len}-sample analysis window in {n_total} samples")
+    results, searches = [None] * len(runs), []
 
     # No true delay can exceed the widest spacing over c. The lag search stays
     # inside it: with sub-half-wavelength spacing that excludes the
@@ -615,7 +613,8 @@ def tdoa_from_filtered(front: FrontEnd, array: HydrophoneArray, sound_speed: flo
                                           front.windows[:, p, a - offsets[p]:b - offsets[p]]))
                                for p, a, b in spans], axis=1, dtype=float).reshape(4, -1, length)
 
-    table = gather([(p, c[0], c[-1] + NUM_SUBWINDOWS * sub_len) for p, c in searched], sub_len)
+    table = gather([(p, c[0], c[-1] + NUM_SUBWINDOWS * sub_len) for p, c in enumerate(starts)],
+                   sub_len)
     i, j = np.array(PAIRS).T
     sub_delays, _ = _delays(table[i], table[j], fs, min(max_lag, sub_len - 1))
     windows = np.lib.stride_tricks.sliding_window_view(sub_delays, NUM_SUBWINDOWS, axis=1)
@@ -626,13 +625,13 @@ def tdoa_from_filtered(front: FrontEnd, array: HydrophoneArray, sound_speed: flo
     max_variance = (MAX_DELAY_SPREAD_SAMPLES / fs) ** 2
     winners = []
     first = 0
-    for p, candidates in searched:
+    for p, candidates in enumerate(starts):
         ping_scores = scores[first:first + len(candidates)]
         first += len(candidates) + NUM_SUBWINDOWS - 1
         best_var = min(ping_scores)
         best = ping_scores.index(best_var)
-        searches[p].update(candidate_starts=candidates, variance_scores=ping_scores,
-                           chosen_candidate=best)
+        searches.append({"candidate_starts": candidates, "variance_scores": ping_scores,
+                         "chosen_candidate": best})
         if best_var == math.inf:
             results[p] = UnstableWindowError("unstable window: no candidate produced usable "
                                              "delays")

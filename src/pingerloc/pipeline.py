@@ -51,10 +51,7 @@ __all__ = [
     "run_localization",
     "monte_carlo",
     "write_monte_carlo_csv",
-    "measure_burst_rms",
-    "white_sigma_for_snr",
     "monte_carlo_config_from_dict",
-    "FAILED_TRIAL_AZ_ERROR",
 ]
 
 # Azimuth error charged to a trial whose pipeline failed outright (no ping,
@@ -127,13 +124,14 @@ class PingOutcome:
 
 
 def localize_ping(front: dsp.FrontEnd, scenario: Scenario) -> Iterator[PingOutcome]:
-    """Localize every ping, a run of reference crossings, of a front-end
-    record (``dsp.filter_and_scan``). One search (``dsp.tdoa_from_filtered``)
-    covers every ping, on the first ``next``, and its milliseconds are the
-    first outcome's "tdoa" timing (later ones carry 0.0). Then one outcome
-    per run (without a run, one NoPingError) is yielded in order, numbered
-    from 0, each ping guessed and solved only when its outcome is asked for;
-    a failure in PING_ERRORS is recorded on it, anything else raises."""
+    """Localize every ping of a front-end record (``dsp.filter_and_scan``),
+    a run of reference crossings with room for one analysis window. One
+    search (``dsp.tdoa_from_filtered``) covers every ping, on the first
+    ``next``, and its milliseconds are the first outcome's "tdoa" timing
+    (later ones carry 0.0). Then one outcome per run (without a run, one
+    NoPingError) is yielded in order, numbered from 0, each ping guessed and
+    solved only when its outcome is asked for; a failure in PING_ERRORS is
+    recorded on it, anything else raises."""
     t_search = time.perf_counter()
     searches = dsp.tdoa_from_filtered(front, scenario.array, scenario.sound_speed)
     search_ms = (time.perf_counter() - t_search) * 1e3
@@ -173,19 +171,18 @@ def _front_end_sos(scenario: Scenario, fs: float) -> np.ndarray:
 
 def run_localization(scenario: Scenario,
                      recording: MultiChannelRecording | None = None) -> Iterator[PingOutcome]:
-    """Yield every ping's PingOutcome, a ping being a run of reference
-    crossings (``dsp.scan_reference``), in time order; a failed ping's
-    outcome carries its error and the stream goes on. The recording's
-    render, filter and onset milliseconds are merged into the first
-    outcome's timing (later outcomes carry 0.0).
+    """Yield every ping's PingOutcome in time order, a ping being a run of
+    reference crossings with room for one analysis window
+    (``dsp.scan_reference``, which drops a burst cut off by the recording's
+    end); a failed ping's outcome carries its error and the stream goes on.
+    The recording's render, filter and onset milliseconds are merged into
+    the first outcome's timing (later outcomes carry 0.0).
 
     With ``recording`` None the scenario is rendered first. Otherwise the
     scenario supplies only geometry, sound speed and filter band: the pings
-    come from the recording, not from the pinger's timing. A NoPingError
-    before any window was scored is not a ping's outcome: without any run
-    (or with a lone run too close to the end for one analysis window) it
-    raises, and a last burst cut off by the recording's end ends the stream
-    once an outcome has been yielded. Deterministic given the scenario seed.
+    come from the recording, not from the pinger's timing. Without any ping
+    the reference channel's NoPingError is no ping's outcome: it raises.
+    Deterministic given the scenario seed.
     """
     t_start = time.perf_counter()
     if recording is None:
@@ -199,13 +196,9 @@ def run_localization(scenario: Scenario,
     reference = dsp.scan_reference(recording, sos, array, sound_speed, recording_timing)
     front = dsp.filter_and_scan(recording, sos, array, sound_speed, reference, recording_timing)
 
+    if not front.runs:
+        raise next(localize_ping(front, scenario)).error
     for outcome in localize_ping(front, scenario):
-        # No window scored: no run at all, or the last run's burst is cut
-        # off by the recording's end.
-        if isinstance(outcome.error, dsp.NoPingError) and not outcome.window_search:
-            if outcome.ping_index == 0:
-                raise outcome.error
-            return
         yield replace(outcome, timing={**recording_timing, **outcome.timing})
         recording_timing = dict.fromkeys(recording_timing, 0.0)
 

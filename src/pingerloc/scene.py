@@ -193,7 +193,8 @@ class PingerSource:
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive noise: white Gaussian, a narrowband interferer, and
-    low-passed broadband noise in the thruster band."""
+    low-passed broadband noise in the thruster band. Low-passed noise needs
+    a cutoff in (0, Nyquist): ``Scenario`` checks it against its rate."""
 
     white_sigma: float = 0.01
     interferer_amp: float = 0.02
@@ -295,6 +296,9 @@ class Scenario:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.noise.lowfreq_amp > 0 and not 0 < self.noise.lowfreq_cutoff < self.sample_rate / 2:
+            raise ConfigError(f"noise.lowfreq_cutoff {self.noise.lowfreq_cutoff} Hz must be above "
+                              f"0 and below Nyquist {self.sample_rate / 2} Hz")
         # The pinger must be heard on every channel, so off every hydrophone
         # and within the recording. math.dist does not overflow at 1e200 m.
         source = self.pinger.position.as_array()

@@ -99,7 +99,8 @@ def add_noise(recording: MultiChannelRecording, noise: NoiseSpec, seed: int) -> 
     """New recording with per-channel noise added: white Gaussian, a
     narrowband interferer with a per-channel random phase, and low-passed
     white noise rescaled to RMS lowfreq_amp. Deterministic given the seed.
-    A silent spec returns ``recording`` itself, which is read-only.
+    A silent spec returns ``recording`` itself, which is read-only. A
+    low-pass cutoff outside (0, Nyquist) raises ValueError.
 
     One generator draws each channel's noise in turn, so the noise of a
     recording's first k rows is the first k rows of its whole noise:
@@ -113,8 +114,10 @@ def add_noise(recording: MultiChannelRecording, noise: NoiseSpec, seed: int) -> 
     if noise.interferer_amp > 0:
         t = np.arange(n) / fs
 
-    lp_sos = None
-    if noise.lowfreq_amp > 0 and 0 < noise.lowfreq_cutoff < fs / 2:
+    if noise.lowfreq_amp > 0:
+        if not 0 < noise.lowfreq_cutoff < fs / 2:
+            raise ValueError(f"lowfreq_cutoff {noise.lowfreq_cutoff} Hz is not above 0 and "
+                             f"below Nyquist {fs / 2} Hz")
         lp_sos = sps.butter(2, noise.lowfreq_cutoff, btype="lowpass", output="sos", fs=fs)
 
     out = np.empty_like(recording.channels, dtype=np.float32)
@@ -128,9 +131,7 @@ def add_noise(recording: MultiChannelRecording, noise: NoiseSpec, seed: int) -> 
                 2.0 * np.pi * noise.interferer_freq * t + phase
             )
         if noise.lowfreq_amp > 0:
-            raw = rng.normal(0.0, 1.0, n)
-            if lp_sos is not None:
-                raw = sps.sosfilt(lp_sos, raw)
+            raw = sps.sosfilt(lp_sos, rng.normal(0.0, 1.0, n))
             rms = float(np.sqrt(np.mean(np.square(raw))))
             if rms > 0:
                 total = total + noise.lowfreq_amp / rms * raw

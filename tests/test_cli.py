@@ -254,6 +254,52 @@ def test_no_ping_exit_code(scenario_path, tmp_path, capsys):
         assert capsys.readouterr() == ("", "error: no ping detected on reference channel 0\n")
 
 
+def test_burst_cut_off_by_the_end_is_no_ping(tmp_path, capsys):
+    # The quick scene recorded for 58.5 ms: its second burst's reference
+    # onset leaves no room for one 2 ms analysis window before the end. The
+    # reference scan drops that run, so the record holds one run, and one
+    # report is written.
+    scenario = quick_scenario(0.0585)
+    recording = simulator.render_scene(scenario)
+    array, fs = scenario.array, recording.sample_rate
+    sos = pipeline._front_end_sos(scenario, fs)
+    row, cutoff, runs = dsp.scan_reference(recording, sos, array, scenario.sound_speed)
+    front = dsp.filter_and_scan(recording, sos, array, scenario.sound_speed, (row, cutoff, runs))
+    [(first, last)] = front.runs
+    gap = sum(dsp._burst_margins(array, scenario.sound_speed, fs))
+    cut_off = dsp.detect_ping(row, fs)[0][-1]
+    assert cut_off >= last + gap and front.windows.shape[1] == 1
+
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps(dataclasses.asdict(scenario)))
+    assert main(["localize", "--config", str(config)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert [json.loads(line)["ping_index"] for line in out.splitlines()] == [0] and err == ""
+
+
+def test_lone_burst_cut_off_by_the_end_is_no_ping(tmp_path, capsys):
+    # A pinger 71.5 m out is heard 48.3 ms into the quick scene's 50 ms:
+    # its only burst has no room for one analysis window, so the recording
+    # holds no ping.
+    doc = json.loads((CONFIGS / "scenario_quick.json").read_text())
+    doc["pinger"]["position"] = {"x": 71.5, "y": 0.0, "z": 0.0}
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps(doc))
+    assert main(["localize", "--config", str(config)]) == EXIT_NO_PING
+    assert capsys.readouterr() == ("", "error: no ping detected on reference channel 0\n")
+
+
+def test_noise_cutoff_at_nyquist_is_config_error(tmp_path, capsys):
+    # Low-passed noise needs a cutoff above 0 and below Nyquist (250 kHz).
+    doc = json.loads((CONFIGS / "scenario_quick.json").read_text())
+    doc["noise"]["lowfreq_cutoff"] = 250_000.0
+    config = tmp_path / "cutoff.json"
+    config.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: noise.lowfreq_cutoff 250000.0 Hz must be "
+                                       "above 0 and below Nyquist 250000.0 Hz\n")
+
+
 def quick_scenario(duration, interval=None):
     """configs/scenario_quick.json recorded for ``duration`` s, its pinger
     repeating every ``interval`` s (the config's 50 ms by default)."""

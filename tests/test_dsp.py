@@ -423,21 +423,55 @@ class TestScanReference:
                                                             monkeypatch):
         # The reference crossings past the settle prefix split into runs
         # where two are before + reach apart or more; a crossing inside the
-        # prefix, where a DC offset's step still rings, is dropped.
+        # prefix, where a DC offset's step still rings, is dropped. So is a
+        # last run whose first crossing leaves no room for one analysis
+        # window before the recording ends.
         array = std_scenario.array
         before, reach = dsp._burst_margins(array, SOUND_SPEED, FS)
         gap = before + reach
         prefix = dsp._settle_samples(cascade) + int(round(dsp.RMS_WINDOW * FS))
+        win_len = int(round(WINDOW_DURATION * FS))
         first = prefix
         second = first + 1 + 2 * gap
         found = np.array([0, prefix - 1, first, first + 2, first + 1 + gap, second, second + 1])
         monkeypatch.setattr(dsp, "detect_ping", lambda row, fs: (found, 0.5))
-        recording = MultiChannelRecording(sample_rate=FS,
-                                          channels=np.zeros((8, second + 10), dtype=np.float32))
-        timing = {}
-        row, cutoff, runs = dsp.scan_reference(recording, cascade, array, SOUND_SPEED, timing)
-        assert runs == [(first, first + 1 + gap), (second, second + 1)]
-        assert cutoff == 0.5 and len(row) == second + 10 and set(timing) == {"filter", "onset"}
+        for n, kept in ((second + win_len, 2), (second + win_len - 1, 1)):
+            recording = MultiChannelRecording(sample_rate=FS,
+                                              channels=np.zeros((8, n), dtype=np.float32))
+            timing = {}
+            row, cutoff, runs = dsp.scan_reference(recording, cascade, array, SOUND_SPEED, timing)
+            assert runs == [(first, first + 1 + gap), (second, second + 1)][:kept]
+            assert cutoff == 0.5 and len(row) == n and set(timing) == {"filter", "onset"}
+
+    @pytest.fixture(scope="class")
+    def two_pings(self):
+        """The quick scene recorded for 0.1 s: bursts from about samples
+        3,860 and 28,860."""
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        return quick, render_scene(dataclasses.replace(quick, record_duration=0.1)).channels
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 50_000) | st.builds(lambda k, d: 25_000 * k + 3_860 + d,
+                                                st.integers(0, 1), st.integers(-300, 1_500)))
+    def test_every_run_has_room_for_a_window(self, cascade, two_pings, n):
+        # Cut anywhere, above all inside a burst: no run of the record
+        # breaks first + window <= samples, and only the last run of the
+        # split crossings can be dropped for it.
+        scenario, channels = two_pings
+        array = scenario.array
+        recording = MultiChannelRecording(sample_rate=FS, channels=channels[:, :n])
+        reference = dsp.scan_reference(recording, cascade, array, SOUND_SPEED)
+        front = filter_and_scan(recording, cascade, array, SOUND_SPEED, reference)
+        win_len = int(round(WINDOW_DURATION * FS))
+        assert all(first + win_len <= n for first, _ in front.runs)
+
+        row, _, runs = reference
+        found = detect_ping(row, FS)[0]
+        found = found[found >= dsp._settle_samples(cascade) + dsp._rms_window(FS)]
+        gap = sum(dsp._burst_margins(array, SOUND_SPEED, FS))
+        split = [(int(run[0]), int(run[-1]))
+                 for run in np.split(found, np.flatnonzero(np.diff(found) >= gap) + 1) if run.size]
+        assert runs == split or (runs == split[:-1] and split[-1][0] + win_len > n)
 
 
 class TestCoarseOnsets:
@@ -842,12 +876,14 @@ class TestSelectStableWindow:
         assert start + length <= glitch_start
 
     def test_recording_too_short(self, std_recording, std_scenario):
+        # A burst with no room for one window after its onset is no ping:
+        # the reference scan drops its run.
         cascade = design_bandpass(4, 30_000.0, 50_000.0, FS)
         ref = filter_signal(cascade, std_recording.channels[0])
         onset = crossings(ref, FS)[0]
         short = MultiChannelRecording(
             sample_rate=FS, channels=std_recording.channels[:, :onset + 300].copy())
-        with pytest.raises(NoPingError):
+        with pytest.raises(NoPingError, match="no ping detected on reference channel 0"):
             select_stable_window(short, cascade, std_scenario.array, SOUND_SPEED)
 
     def test_no_ping_at_all(self, std_scenario):
@@ -1090,15 +1126,13 @@ class TestBatchedSearch:
         filtered[:, onset:onset + span] += rng.normal(
             0.0, 10.0 * np.max(np.abs(filtered)), (8, span))
 
-        # A run with no room for one window, and runs anywhere else, whose
-        # burst windows may miss every coarse onset.
-        after = data.draw(st.integers(end - win_len + 1, end + 2_000), label="after")
-        anywhere = st.tuples(st.integers(0, end + 2_000), st.integers(0, 3_000)).map(
+        # Runs anywhere with room for one window, whose burst windows may
+        # miss every coarse onset.
+        anywhere = st.tuples(st.integers(0, end - win_len), st.integers(0, 3_000)).map(
             lambda run: (run[0], run[0] + run[1]))
         others = data.draw(st.lists(st.sampled_from(runs) | anywhere, max_size=6),
                            label="others")
-        batch = data.draw(st.permutations([(after, after), runs[glitched], runs[-1], *others]),
-                          label="batch")
+        batch = data.draw(st.permutations([runs[glitched], runs[-1], *others]), label="batch")
         batched = tdoa_from_filtered(
             full_record(filtered, array, self.run_onsets(crossings, batch, array), batch),
             array, SOUND_SPEED)
@@ -1113,13 +1147,19 @@ class TestBatchedSearch:
             assert repr(found) == repr(alone_found), run
 
         results = dict(zip(batch, batched))
-        result, found = results[(after, after)]
-        assert isinstance(result, NoPingError) and found == {}
-        assert str(result).startswith("no ping: recording too short")
         result, found = results[runs[glitched]]
         assert isinstance(result, UnstableWindowError)
         assert len(found["candidate_starts"]) == NUM_WINDOWS
         assert len(results[runs[-1]][1]["candidate_starts"]) == kept
+        # A run with no room for one window is no ping (``scan_reference``
+        # drops it): a record that holds one, anywhere, is refused.
+        after = data.draw(st.integers(end - win_len + 1, end + 2_000), label="after")
+        at = data.draw(st.integers(0, len(batch)), label="at")
+        refused = [*batch[:at], (after, after), *batch[at:]]
+        with pytest.raises(ValueError, match=rf"run \({after}, {after}\) leaves no room"):
+            tdoa_from_filtered(
+                full_record(filtered, array, self.run_onsets(crossings, refused, array), refused),
+                array, SOUND_SPEED)
         # Without a run the recording is one ping that failed.
         [(result, found)] = tdoa_from_filtered(
             full_record(filtered, array, self.run_onsets(crossings, [], array), []),

@@ -705,12 +705,12 @@ class TestLocalizePing:
         assert set(outcome.timing) == {"tdoa", "guess"}
 
     def test_no_ping_past_the_end(self, std_scenario, std_recording):
+        # A run with no room for one analysis window is no ping: the
+        # reference scan never makes one, and a record that holds one is
+        # refused as input, not failed as a ping.
         n = std_recording.samples_per_channel
-        outcome = localize_first(std_scenario, std_recording, (n, n))
-        assert isinstance(outcome.error, NoPingError)
-        assert outcome.tdoa is None and outcome.guess is None and outcome.window_search == {}
-        # The search's milliseconds are charged even to a ping it failed.
-        assert set(outcome.timing) == {"tdoa"}
+        with pytest.raises(ValueError, match=rf"run \({n}, {n}\) leaves no room"):
+            localize_first(std_scenario, std_recording, (n, n))
 
     def test_outcomes_are_solved_as_they_are_consumed(self, std_scenario, std_recording,
                                                       monkeypatch):
@@ -719,10 +719,9 @@ class TestLocalizePing:
         # outcome's.
         front = front_end(std_recording, std_scenario)
         [run] = front.runs
-        n = std_recording.samples_per_channel
-        # The record of [run, run, (n, n)]: the third run has no onsets.
+        # The record of [run, run, run]: the third has no coarse onsets.
         front = dataclasses.replace(
-            front, runs=(run, run, (n, n)), windows=front.windows[:, [0, 0, 0]],
+            front, runs=(run, run, run), windows=front.windows[:, [0, 0, 0]],
             offsets=front.offsets * 3,
             onsets={ch: [onset, onset, -1] for ch, [onset] in front.onsets.items()})
         calls = []
@@ -740,7 +739,27 @@ class TestLocalizePing:
         assert first.tdoa == second.tdoa and first.window_search == second.window_search
         assert first.timing["tdoa"] > 0.0 and second.timing["tdoa"] == 0.0
         assert isinstance(last.error, NoPingError) and last.timing == {"tdoa": 0.0}
+        # A coarse channel's missing onset fails a ping that was searched.
+        assert "coarse channel" in str(last.error) and last.tdoa is None
+        assert last.window_search == first.window_search
         assert [outcome.ping_index for outcome in (first, second, last)] == [0, 1, 2]
+
+
+class TestFrontEndTiming:
+    def test_fresh_dict_gets_both_keys(self, std_scenario, std_recording):
+        # filter_and_scan adds its milliseconds to a dict that
+        # scan_reference did not fill, too.
+        sos = _front_end_sos(std_scenario, FS)
+        array, sound_speed = std_scenario.array, std_scenario.sound_speed
+        reference = dsp.scan_reference(std_recording, sos, array, sound_speed)
+        timing = {}
+        front = dsp.filter_and_scan(std_recording, sos, array, sound_speed, reference, timing)
+        assert front.runs and list(timing) == ["filter", "onset"]
+        assert min(timing.values()) >= 0.0
+
+    def test_localization_timing_keys_in_order(self, std_scenario, std_recording):
+        [outcome] = run_localization(std_scenario, recording=std_recording)
+        assert list(outcome.timing) == ["render", "filter", "onset", "tdoa", "guess", "solve"]
 
 
 class TestSnrCalibration:

@@ -219,6 +219,17 @@ class TestInvariants:
         with pytest.raises(ConfigError):
             NoiseSpec(white_sigma=-0.1)
 
+    @pytest.mark.parametrize("cutoff", [0.0, 250_000.0, 300_000.0])
+    def test_lowpass_cutoff_outside_the_band(self, cutoff):
+        # Low-passed noise at 500 kHz needs a cutoff in (0, 250 kHz); without
+        # low-passed noise the cutoff is not read.
+        noise = ("noise", "lowfreq_cutoff")
+        with pytest.raises(ConfigError, match=f"noise.lowfreq_cutoff {cutoff} Hz"):
+            decode_scenario(replaced(QUICK, noise, cutoff))
+        doc = replaced(replaced(QUICK, noise, cutoff), ("noise", "lowfreq_amp"), 0.0)
+        assert decode_scenario(doc).noise.lowfreq_cutoff == cutoff
+        assert decode_scenario(replaced(QUICK, noise, 249_999.0)).noise.lowfreq_amp > 0
+
     def test_quad_counts(self):
         with pytest.raises(ConfigError):
             HydrophoneArray(precise=default_array().precise[:3], coarse=SPANNING_COARSE)

@@ -379,6 +379,14 @@ class TestAddNoise:
         return MultiChannelRecording(sample_rate=FS,
                                      channels=np.zeros((channels, n), dtype=np.float32))
 
+    @pytest.mark.parametrize("cutoff", [0.0, FS / 2, 300_000.0])
+    def test_out_of_band_lowpass_cutoff_raises(self, cutoff):
+        # No unfiltered noise stands in for low-passed noise.
+        spec = NoiseSpec(white_sigma=0.0, interferer_amp=0.0, lowfreq_amp=0.05,
+                         lowfreq_cutoff=cutoff)
+        with pytest.raises(ValueError, match=f"lowfreq_cutoff {cutoff} Hz"):
+            add_noise(self.zero_recording(), spec, seed=1)
+
     def test_silent_spec_is_identity(self, std_recording):
         out = add_noise(std_recording, NoiseSpec.silent(), seed=1)
         assert out is std_recording
@@ -421,7 +429,7 @@ class TestAddNoise:
     # prefix alone, before the other channels' (pipeline._localize_trial).
     @given(data=st.data(), rows=st.integers(1, 8), n=st.integers(1, 300),
            white=st.booleans(), interferer=st.booleans(), lowfreq=st.booleans(),
-           cutoff=st.sampled_from([8_000.0, FS]), seed=st.integers(0, 2**32 - 1))
+           cutoff=st.sampled_from([8_000.0, 120_000.0]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_noise_of_first_rows_is_prefix_of_whole(self, data, rows, n, white, interferer,
                                                      lowfreq, cutoff, seed):
