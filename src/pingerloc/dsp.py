@@ -15,11 +15,15 @@ enough apart that the pings' burst windows do not overlap. That scan alone
 decides what a ping is, runs once per recording (``scan_reference``), and
 is passed to the rest of the front end (``filter_and_scan``). Every other
 channel is filtered, each window from zero state, and the coarse ones
-scanned, only in the burst windows. Each ping's coarse onsets are picked
-there once, the first crossing in its own window, so a coarse crossing far
-from every reference burst, or later than the array's travel time allows,
-is not seen. The window search reads the one record of all this in place
-(``FrontEnd``), which keeps only the reference channel at full length.
+scanned, only in the burst windows, each window with a running sum of its
+own. Each ping's coarse onsets are picked there once, the first crossing
+in its own window, so a coarse crossing far from every reference burst, or
+later than the array's travel time allows, is not seen. A coarse window is
+read first only up to that travel time past the ping's first reference
+crossing, where its onset lies unless the channel hears the burst faintly;
+only a window without a crossing by then is read again to its end. The
+window search reads the one record of all this in place (``FrontEnd``),
+which keeps only the reference channel at full length.
 
 Channel labels are read only in the front end: a ``TdoaSet`` is in quad
 order, its six precise-quad pairs in ``PAIRS`` order.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import time
 from collections.abc import Mapping
@@ -113,8 +118,9 @@ class FrontEnd:
     and its crossings split into pings [first, last] (``runs``). The other
     precise channels are kept only as their filtered burst windows: quad
     channel k + 1's over run p is ``windows[k, p]``, column c sample
-    ``offsets[p] + c``. Per coarse channel, ``onsets`` has each run's onset,
-    -1 for none."""
+    ``offsets[p] + c``, a block of their own. Per coarse channel,
+    ``onsets`` has each run's onset, -1 for none; the coarse windows
+    themselves are not kept."""
 
     sample_rate: float
     reference: np.ndarray
@@ -260,20 +266,20 @@ def _quiet_level(dtype: np.dtype, gain: float) -> float:
 
 
 def _moving_mean_square(samples: np.ndarray, window: int) -> np.ndarray:
-    """Trailing mean square over the last ``window`` samples (shorter at the
-    start)."""
+    """Trailing mean square over the last ``window`` samples along the last
+    axis (shorter at the start), each row with its own cumulative sum."""
     ms = np.square(np.asarray(samples, dtype=float))
-    n = len(ms)
-    csum = np.empty(n + 1)
-    csum[0] = 0.0
-    np.cumsum(ms, out=csum[1:])
+    n = ms.shape[-1]
+    csum = np.empty(ms.shape[:-1] + (n + 1,))
+    csum[..., 0] = 0.0
+    np.cumsum(ms, axis=-1, out=csum[..., 1:])
     # The mean square overwrites the squares: over the first ``window``
-    # samples the count ramps up, after them it is ``window``.
+    # samples of a row the count ramps up, after them it is ``window``.
     ramp = min(window, n)
-    np.divide(csum[1:ramp + 1], np.arange(1, ramp + 1), out=ms[:ramp])
+    np.divide(csum[..., 1:ramp + 1], np.arange(1, ramp + 1), out=ms[..., :ramp])
     # The squares are >= 0, so the cumulative sum never decreases (fl(a + b)
     # >= a for b >= 0) and no window difference is negative.
-    steady = np.subtract(csum[ramp + 1:], csum[1:n - ramp + 1], out=ms[ramp:])
+    steady = np.subtract(csum[..., ramp + 1:], csum[..., 1:n - ramp + 1], out=ms[..., ramp:])
     steady /= window
     return ms
 
@@ -318,9 +324,11 @@ def _square_cutoff(threshold: float) -> float:
 
 def detect_ping(samples: np.ndarray, fs: float,
                 cutoff: float | None = None) -> tuple[np.ndarray, float]:
-    """(crossings, cutoff): the ascending indices of one channel's samples
-    whose trailing mean square over RMS_WINDOW exceeds ``cutoff``, and that
-    cutoff. With ``cutoff`` None it is the channel's own: the largest mean
+    """(crossings, cutoff): the ascending flat indices of the samples whose
+    trailing mean square over RMS_WINDOW exceeds ``cutoff``, and that
+    cutoff. ``samples`` is one channel, or rows of windows scanned along the
+    last axis, each with its own running sum (``_moving_mean_square``).
+    With ``cutoff`` None it is the one channel's own: the largest mean
     square whose root is at most ONSET_THRESHOLD times the noise floor, the
     median moving RMS of the whole channel (``_median_root``,
     ``_square_cutoff``, so no square root is taken per sample). Meant to run
@@ -476,22 +484,30 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     clipped to the recording, each from zero state from
     ``_settle_samples(sos)`` plus RMS_WINDOW samples earlier (or from sample
     0), so that its start transient has decayed and every kept mean square
-    has a full window of its own (at sample 0, the zeros ahead of it count).
-    The windows are the rows of one block, filtered in one ``filter_signal``
-    call; one ``detect_ping`` per coarse channel scans its rows end to end
-    against the reference cutoff. A crossing in a window's prefix is dropped.
-    Without a run, no other channel is read, filtered or scanned.
+    has a full window of its own; a crossing in that prefix is dropped. The
+    other precise channels' windows are one block, filtered in one
+    ``filter_signal`` call. The coarse windows take at most two passes of
+    one loop, each one ``filter_signal`` call and one ``detect_ping`` per
+    coarse channel over its rows, every row one window scanned against the
+    reference cutoff with a running sum of its own. The first pass reads
+    each window only to first + lag + 1, as a coarse onset lies within lag
+    of the reference onset unless the channel hears the burst faintly; the
+    second re-reads the whole window of each (channel, run) pair with no
+    crossing by then. Its prefix is the first pass's row bit for bit, so a
+    run's coarse onset is its window's first crossing, whichever pass finds
+    it. Without a run, no other channel is read, filtered or scanned.
 
-    Returns the ``FrontEnd`` record, the other precise channels' rows of
-    that block in it, and each run's coarse onsets: the first crossing in
-    its burst window. Only this function knows the burst windows; runs lie
-    at least before + reach apart, so no two overlap. A window matches the
-    full-length filter to within rounding: a coarse crossing moves only
-    where a mean square lies within rounding of the cutoff, and the search
-    reads a ping or noise bit for bit alike; a channel silent over a window
-    reads exactly 0.0 there. If ``timing`` is a dict, the milliseconds
-    spent filtering ("filter") and scanning ("onset") here are added to
-    those already there, such as ``scan_reference``'s (to 0.0 if absent)."""
+    Returns the ``FrontEnd`` record. Only this function knows the burst
+    windows; runs lie at least before + reach apart, so no two overlap. A
+    window matches the full-length filter to within rounding: the search
+    reads a ping or noise bit for bit alike, and a channel silent over a
+    window reads exactly 0.0 there. A coarse crossing moves only where a
+    mean square lies within rounding of the cutoff, or where the
+    full-length scan's one running sum, carrying the earlier pings' energy,
+    rounds a window's leading squares away (silent input). If ``timing`` is
+    a dict, the milliseconds spent filtering ("filter") and scanning
+    ("onset") here are added to those already there, such as
+    ``scan_reference``'s (to 0.0 if absent)."""
     channels = recording.channels
     fs = recording.sample_rate
     n = channels.shape[1]
@@ -506,33 +522,57 @@ def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: Hy
     before, reach = _burst_margins(array, sound_speed, fs)
     lag = before - _rms_window(fs)
     prefix = _settle_samples(sos) + _rms_window(fs)
-    # Run p keeps [first, stop) of its window [start, stop), right-aligned in
-    # row p of a zero block, where the zero state stays zero up to it: column
-    # c of row p is sample offsets[p] + c.
+    # Run p's burst window keeps [first, stop) and is filtered from start.
     kept = [(max(0, head - before), min(n, max(head + reach, tail + lag))) for head, tail in runs]
     starts = [max(0, first - prefix) for first, _ in kept]
-    width = max(stop - start for start, (_, stop) in zip(starts, kept))
-    offsets = [stop - width for _, stop in kept]
-    block = np.zeros((len(others + coarse), len(runs), width))
-    for p, (start, (_, stop)) in enumerate(zip(starts, kept)):
-        block[:, p, width - stop + start:] = channels[others + coarse, start:stop]
-    block = filter_signal(sos, block)
-    t_coarse = time.perf_counter()
-    # Sample s of window p is column s - shift[p] of a channel's rows end to end.
-    shift = [d - p * width for p, d in enumerate(offsets)]
-    columns = [(first - d, stop - d) for (first, stop), d in zip(kept, shift)]
-    onsets = {}
-    for ch, row in zip(coarse, block[len(others):].reshape(len(coarse), -1)):
-        found = detect_ping(row, fs, cutoff)[0]
-        onsets[ch] = [int(found[lo]) + d if lo < hi else -1
-                      for (lo, hi), d in zip(np.searchsorted(found, columns).tolist(), shift)]
-    t_end = time.perf_counter()
+    stops = [stop for _, stop in kept]
+    # The other precise channels' windows, each right-aligned in row p of a
+    # zero block, where the zero state stays zero up to it: column c of row
+    # p is sample offsets[p] + c.
+    width = max(stop - start for start, stop in zip(starts, stops))
+    offsets = [stop - width for stop in stops]
+    windows = np.zeros((len(others), len(runs), width))
+    for p, (start, stop) in enumerate(zip(starts, stops)):
+        windows[:, p, width - stop + start:] = channels[others, start:stop]
+    windows = filter_signal(sos, windows)
+    filter_s, onset_s = time.perf_counter() - t_start, 0.0
+
+    # A coarse onset lies within lag of its run's first reference crossing,
+    # so each coarse window is filtered and scanned first only up to that
+    # bound; a (channel, run) pair with no crossing there is filtered and
+    # scanned again to its stop. Each window is a row from column 0.
+    onsets = {ch: [-1] * len(runs) for ch in coarse}
+    bound = [min(stop, head + lag + 1) for (head, _), stop in zip(runs, stops)]
+    todo = [(ch, p) for ch in coarse for p in range(len(runs))]
+    for ends in (bound, stops):
+        if not todo:
+            break
+        t_filter = time.perf_counter()
+        cols = max(ends[p] - starts[p] for _, p in todo)
+        block = np.zeros((len(todo), cols))
+        for row, (ch, p) in zip(block, todo):
+            row[:ends[p] - starts[p]] = channels[ch, starts[p]:ends[p]]
+        block = filter_signal(sos, block)
+        t_scan = time.perf_counter()
+        r = 0
+        for ch, pairs in itertools.groupby(todo, key=lambda pair: pair[0]):
+            scanned = [p for _, p in pairs]
+            found = detect_ping(block[r:r + len(scanned)], fs, cutoff)[0]
+            # Row k's kept columns, as flat indices of the scanned rows.
+            spans = [(k * cols + kept[p][0] - starts[p], k * cols + ends[p] - starts[p])
+                     for k, p in enumerate(scanned)]
+            for k, (p, (lo, hi)) in enumerate(zip(scanned, np.searchsorted(found, spans).tolist())):
+                if lo < hi:
+                    onsets[ch][p] = int(found[lo]) - k * cols + starts[p]
+            r += len(scanned)
+        filter_s += t_scan - t_filter
+        onset_s += time.perf_counter() - t_scan
+        todo = [(ch, p) for ch, p in todo if onsets[ch][p] < 0 and ends[p] < stops[p]]
 
     if timing is not None:
-        timing["filter"] = timing.get("filter", 0.0) + (t_coarse - t_start) * 1e3
-        timing["onset"] = timing.get("onset", 0.0) + (t_end - t_coarse) * 1e3
-    return FrontEnd(fs, reference_row, cutoff, tuple(runs), block[:len(others)], tuple(offsets),
-                    onsets)
+        timing["filter"] = timing.get("filter", 0.0) + filter_s * 1e3
+        timing["onset"] = timing.get("onset", 0.0) + onset_s * 1e3
+    return FrontEnd(fs, reference_row, cutoff, tuple(runs), windows, tuple(offsets), onsets)
 
 
 def select_stable_window(recording: MultiChannelRecording, sos: np.ndarray,

@@ -99,25 +99,25 @@ def add_noise(recording: MultiChannelRecording, noise: NoiseSpec, seed: int) -> 
     """New recording with per-channel noise added: white Gaussian, a
     narrowband interferer with a per-channel random phase, and low-passed
     white noise rescaled to RMS lowfreq_amp. Deterministic given the seed.
-    A silent spec returns ``recording`` itself, which is read-only. A
-    low-pass cutoff outside (0, Nyquist) raises ValueError.
+    A silent spec, or a recording without samples, returns ``recording``
+    itself, which is read-only. A low-pass cutoff outside (0, Nyquist)
+    raises ValueError, with or without samples.
 
     One generator draws each channel's noise in turn, so the noise of a
     recording's first k rows is the first k rows of its whole noise:
     ``add_noise`` on those rows alone gives the same samples."""
-    if noise.is_silent():
+    fs = recording.sample_rate
+    n = recording.samples_per_channel
+    if noise.lowfreq_amp > 0 and not 0 < noise.lowfreq_cutoff < fs / 2:
+        raise ValueError(f"lowfreq_cutoff {noise.lowfreq_cutoff} Hz is not above 0 and "
+                         f"below Nyquist {fs / 2} Hz")
+    if noise.is_silent() or n == 0:
         return recording
 
     rng = np.random.default_rng(seed)
-    fs = recording.sample_rate
-    n = recording.samples_per_channel
     if noise.interferer_amp > 0:
         t = np.arange(n) / fs
-
     if noise.lowfreq_amp > 0:
-        if not 0 < noise.lowfreq_cutoff < fs / 2:
-            raise ValueError(f"lowfreq_cutoff {noise.lowfreq_cutoff} Hz is not above 0 and "
-                             f"below Nyquist {fs / 2} Hz")
         lp_sos = sps.butter(2, noise.lowfreq_cutoff, btype="lowpass", output="sos", fs=fs)
 
     out = np.empty_like(recording.channels, dtype=np.float32)

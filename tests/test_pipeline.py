@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pingerloc import (
     ConfigError,
@@ -104,7 +106,8 @@ class TestRunLocalization:
     def test_onsets_detected_once_per_recording(self, monkeypatch):
         # 16 repetitions of the quick scenario: one full-length scan of the
         # reference channel and one scan of each coarse channel, over its 16
-        # burst windows and their prefixes laid end to end, serve every ping.
+        # burst windows as rows, each from its filter start only to the
+        # travel-time bound past its run's first crossing, serve every ping.
         quick = load_scenario(CONFIGS / "scenario_quick.json")
         interval = quick.pinger.repetition_interval
         scenario = dataclasses.replace(quick, record_duration=16 * interval)
@@ -113,20 +116,23 @@ class TestRunLocalization:
 
         def counted(samples, *args, **kwargs):
             result = detect_ping(samples, *args, **kwargs)
-            calls.append((np.size(samples), result))
+            calls.append((np.shape(samples), result))
             return result
 
         monkeypatch.setattr(dsp, "detect_ping", counted)
         reports = list(run_localization(scenario))
         assert [r.ping_index for r in reports] == list(range(16))
         n = int(round(16 * interval * scenario.sample_rate))
-        (ref_size, (crossings, cutoff)), *coarse = calls
-        windows = burst_windows(scenario, FS, reference_runs(scenario, FS, crossings))
-        prefix = coarse_margins(scenario, FS)[2]
-        assert ref_size == n and len(windows) == 16 and 0 < windows[0][0] - prefix
+        (ref_shape, (crossings, cutoff)), *coarse = calls
+        runs = reference_runs(scenario, FS, crossings)
+        windows = burst_windows(scenario, FS, runs)
+        before, _, prefix = coarse_margins(scenario, FS)
+        lag = before - int(round(dsp.RMS_WINDOW * FS))
+        assert ref_shape == (n,) and len(windows) == 16 and 0 < windows[0][0] - prefix
         assert windows[-1][1] < n
-        width = sum(b - a + prefix for a, b in windows)
-        assert [size for size, _ in coarse] == [width] * 4 and width < n / 3
+        cols = {first + lag + 1 - (a - prefix) for (first, _), (a, _) in zip(runs, windows)}
+        assert len(cols) == 1
+        assert [shape for shape, _ in coarse] == [(16, *cols)] * 4 and 16 * cols.pop() < n / 10
         assert all(coarse_cutoff == cutoff for _, (_, coarse_cutoff) in coarse)
 
     def test_deterministic_given_seed(self, std_scenario):
@@ -341,9 +347,37 @@ def burst_windows(scenario, fs, runs):
     return [(first - before, max(first + search_span(fs), last + lag)) for first, last in runs]
 
 
+def window_onsets(scenario, recording, runs, cutoff):
+    """Each run's coarse onsets as its burst window's own full-width scan:
+    per coarse channel, the window filtered alone from zero state from its
+    prefix on (or from sample 0), scanned against ``cutoff`` with a running
+    sum of its own; the first crossing past the prefix, or -1."""
+    fs, n = recording.sample_rate, recording.samples_per_channel
+    sos = _front_end_sos(scenario, fs)
+    prefix = coarse_margins(scenario, fs)[2]
+    onsets = {ch: [] for ch in scenario.array.coarse_channels}
+    for a, b in burst_windows(scenario, fs, runs):
+        a, b = max(0, a), min(n, b)
+        start = max(0, a - prefix)
+        for ch, found in onsets.items():
+            crossings, _ = dsp.detect_ping(filter_signal(sos, recording.channels[ch, start:b]),
+                                           fs, cutoff)
+            crossings = crossings[crossings >= a - start]
+            found.append(int(crossings[0]) + start if crossings.size else -1)
+    return onsets
+
+
 def first_inside(samples, windows):
     """Per window [a, b), the first of ``samples`` in it, or -1."""
     return [int(next(iter(samples[(samples >= a) & (samples < b)]), -1)) for a, b in windows]
+
+
+@pytest.fixture(scope="module")
+def three_pings():
+    """The quick scenario recorded for three repetitions, and its render."""
+    quick = load_scenario(CONFIGS / "scenario_quick.json")
+    scenario = dataclasses.replace(quick, record_duration=3 * quick.pinger.repetition_interval)
+    return scenario, render_scene(scenario)
 
 
 class TestFilterAndScan:
@@ -352,7 +386,8 @@ class TestFilterAndScan:
     be the full-length filter's, byte for byte; every other precise channel's
     window must be it over each run's read span, and within rounding over
     the rest of its burst window; each run's coarse onset must be the first
-    full-length crossing in its burst window."""
+    crossing of its burst window's own scan, and, where noise makes the
+    full-length scan agree, its first full-length crossing there."""
 
     def check_rows(self, scenario, recording, silent_residue=False):
         """Compare the front end's record with the full filter; return
@@ -360,7 +395,9 @@ class TestFilterAndScan:
         differ where the full-length filter holds a subnormal: the channel
         has not yet heard the burst, the full-length filter still rings with
         the previous ping's tail, and the window, filtered from zero state,
-        holds exactly 0.0."""
+        holds exactly 0.0; and a coarse onset is checked only against its
+        window's own scan, since the full-length scan's running sum carries
+        the earlier pings' energy."""
         timing = {}
         front = front_end(recording, scenario, timing)
         expected, full = full_length_onsets(scenario, recording)
@@ -390,8 +427,11 @@ class TestFilterAndScan:
                 else:
                     assert not differ.any(), (ch, first)
         assert list(front.onsets) == list(array.coarse_channels)
+        own = window_onsets(scenario, recording, runs, front.cutoff)
         for ch in array.coarse_channels:
-            assert front.onsets[ch] == first_inside(expected[ch], windows), ch
+            assert front.onsets[ch] == own[ch], ch
+            if not silent_residue:
+                assert front.onsets[ch] == first_inside(expected[ch], windows), ch
         return front, full
 
     def check_searches(self, scenario, recording, silent_residue=False):
@@ -423,6 +463,11 @@ class TestFilterAndScan:
         assert arrays and all(max(value.shape) < n for value in arrays)
         assert all(len(value) < n for value in (front.runs, front.offsets,
                                                 *front.onsets.values()))
+        # The precise windows are a block of their own: the record keeps no
+        # coarse row alive.
+        windows = front.windows
+        assert windows.shape[:2] == (3, 16)
+        assert windows.base is None or windows.base.nbytes == windows.nbytes
 
     def test_sixteen_noisy_repetitions(self):
         quick = load_scenario(CONFIGS / "scenario_quick.json")
@@ -435,12 +480,21 @@ class TestFilterAndScan:
         # state. Where a precise channel hears the burst a sample or two
         # after the reference onset, the search reads exactly 0.0 there, and
         # the full-length filter's subnormal ringing of the previous ping:
-        # the two differ, the searches do not.
+        # the two differ, the searches do not. Each window's coarse scan
+        # keeps a running sum of its own: in the full-length scan, the sum
+        # of the earlier pings' energy absorbs a ping's leading squares, and
+        # every ping past the first crosses 3-4 samples later there.
         quick = load_scenario(CONFIGS / "scenario_quick.json")
         scenario = dataclasses.replace(quick, noise=NoiseSpec.silent(),
                                        record_duration=16 * quick.pinger.repetition_interval)
-        _, pings = self.check_searches(scenario, render_scene(scenario), silent_residue=True)
+        recording = render_scene(scenario)
+        front, pings = self.check_searches(scenario, recording, silent_residue=True)
         assert pings == 16
+        expected, _ = full_length_onsets(scenario, recording)
+        windows = burst_windows(scenario, FS, front.runs)
+        for ch in scenario.array.coarse_channels:
+            late = [b - a for a, b in zip(front.onsets[ch], first_inside(expected[ch], windows))]
+            assert late[0] == 0 and all(3 <= d <= 4 for d in late[1:]), ch
 
     @pytest.mark.parametrize("seed", range(10))
     def test_noise_seeds_search_as_the_full_length_filter(self, seed):
@@ -502,17 +556,20 @@ class TestFilterAndScan:
         expected, full = full_length_onsets(scenario, recording)
         coarse = scenario.array.coarse_channels
         scale = np.abs(full[list(coarse)]).max()
-        n, prefix = recording.samples_per_channel, coarse_margins(scenario, fs)[2]
-        column = 0
+        n, (before, _, prefix) = recording.samples_per_channel, coarse_margins(scenario, fs)
+        lag = before - int(round(dsp.RMS_WINDOW * fs))
         runs = reference_runs(scenario, fs, expected[scenario.array.precise_channels[0]])
-        for a, b in burst_windows(scenario, fs, runs):
-            a, b = max(0, a), min(n, b)
-            column += a - max(0, a - prefix)
-            for ch, row in zip(coarse, coarse_rows):
-                np.testing.assert_allclose(row[column:column + b - a], full[ch, a:b],
+        # Row k of each coarse scan is run k's window from its filter start
+        # to the travel-time bound, from column 0.
+        cols = 0
+        for k, ((first, _), (a, b)) in enumerate(zip(runs, burst_windows(scenario, fs, runs))):
+            a, b = max(0, a), min(n, b, first + lag + 1)
+            start = max(0, a - prefix)
+            for ch, rows in zip(coarse, coarse_rows):
+                np.testing.assert_allclose(rows[k, a - start:b - start], full[ch, a:b],
                                            rtol=0, atol=1e-13 * scale)
-            column += b - a
-        assert [len(row) for row in coarse_rows] == [column] * 4
+            cols = max(cols, b - start)
+        assert [rows.shape for rows in coarse_rows] == [(len(runs), cols)] * 4
 
     def test_coarse_crossing_outside_the_windows_is_dropped(self):
         # Loud noise on a coarse channel crosses the cutoff in the full-length
@@ -557,6 +614,71 @@ class TestFilterAndScan:
         assert 25_000 <= a - coarse_margins(scenario, FS)[2] and b <= 50_000
         d = front.offsets[1]
         assert not front.windows[1, 1, a - d:b - d].any()
+
+    def test_huge_coarse_sample_loses_no_later_ping(self):
+        # One sample of 1e9 on coarse channel 5, 50 samples after ping 2's
+        # onset, crosses there and nowhere else: each burst window is
+        # scanned with a running sum of its own, so the later windows of
+        # that channel do not carry it. All 8 pings report, and only ping
+        # 2's onset on that channel moves, to the sample.
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        scenario = dataclasses.replace(quick, record_duration=0.4)
+        recording = render_scene(scenario)
+        front = front_end(recording, scenario)
+        assert len(front.runs) == 8 and scenario.array.coarse_channels[1] == 5
+        channels = recording.channels.copy()
+        spike = front.runs[2][0] + 50
+        channels[5, spike] = 1e9
+        spiked = MultiChannelRecording(sample_rate=FS, channels=channels)
+        moved = front_end(spiked, scenario).onsets
+        assert moved[5][2] == spike
+        moved[5][2] = front.onsets[5][2]
+        assert moved == front.onsets
+        reports = list(run_localization(scenario, recording=spiked))
+        assert [r.ping_index for r in reports] == list(range(8))
+        assert all(r.error is None for r in reports)
+
+    def test_late_coarse_crossing_found_by_a_second_pass(self, three_pings, dsp_calls):
+        # Coarse channel 5, the hydrophone farthest from the pinger, at 5% of
+        # its level crosses about 400 samples after the reference onset:
+        # past the travel-time bound, where the first pass stops. A second
+        # filter call and one more scan, of that channel's windows only,
+        # find it where the window's own full-width scan does, and every
+        # ping localizes as at full level.
+        scenario, recording = three_pings
+        channels = recording.channels.copy()
+        channels[5] *= np.float32(0.05)
+        quiet = MultiChannelRecording(sample_rate=FS, channels=channels)
+        dsp_calls.clear()
+        front = front_end(quiet, scenario)
+        assert dsp_calls == ["filter_signal", "detect_ping", "filter_signal", "filter_signal",
+                             *["detect_ping"] * 4, "filter_signal", "detect_ping"]
+        lag = coarse_margins(scenario, FS)[0] - int(round(dsp.RMS_WINDOW * FS))
+        assert len(front.runs) == 3
+        assert all(onset > first + lag for onset, (first, _) in zip(front.onsets[5], front.runs))
+        assert front.onsets == window_onsets(scenario, quiet, front.runs, front.cutoff)
+        reports = [list(run_localization(scenario, recording=rec)) for rec in (recording, quiet)]
+        assert all(r.error is None for r in reports[1]) and len(reports[1]) == 3
+        assert [r.azimuth for r in reports[1]] == pytest.approx([r.azimuth for r in reports[0]],
+                                                                abs=0.05)
+
+    @given(gains=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 1.0).map(lambda u: 10.0 ** u)),
+                          min_size=8, max_size=8),
+           labels=st.permutations(range(8)))
+    @settings(max_examples=30, deadline=None)
+    def test_onsets_equal_each_windows_own_scan(self, three_pings, gains, labels):
+        # Each hydrophone's channel scaled on its own, from silent to 10
+        # times its level, and the channels relabelled: every coarse onset,
+        # whichever pass finds it, is its burst window's own scan's.
+        scenario, recording = three_pings
+        array = HydrophoneArray(precise=scenario.array.precise, coarse=scenario.array.coarse,
+                                labels=tuple(labels))
+        scenario = dataclasses.replace(scenario, array=array)
+        channels = np.empty_like(recording.channels)
+        channels[list(labels)] = recording.channels * np.array(gains, dtype=np.float32)[:, None]
+        scaled = MultiChannelRecording(sample_rate=FS, channels=channels)
+        front = front_end(scaled, scenario)
+        assert front.onsets == window_onsets(scenario, scaled, front.runs, front.cutoff)
 
     def test_noiseless_render(self, std_scenario, std_recording):
         front, pings = self.check_searches(std_scenario, std_recording)
@@ -977,10 +1099,12 @@ class TestNoisyTrial:
                              ids=["noiseless", "20-dB"])
     def test_reference_is_filtered_and_scanned_once(self, dsp_calls, cell_index, snr_db):
         # The reference step (one filter call, one scan), then the burst
-        # windows of the other seven channels in one filter call, each
-        # coarse row scanned once. The reference row the trial scanned is
-        # reused, noisy or not.
+        # windows of the other three precise channels in one filter call,
+        # and the coarse channels' windows up to the travel-time bound in
+        # another, each coarse channel's rows scanned once: every onset is
+        # found by the bound. The reference row the trial scanned is reused,
+        # noisy or not.
         row = _run_trial(NOISY_GRID, cell_index, 0, 5.0, snr_db)
-        assert dsp_calls == ["filter_signal", "detect_ping", "filter_signal",
+        assert dsp_calls == ["filter_signal", "detect_ping", "filter_signal", "filter_signal",
                              *["detect_ping"] * 4]
         assert row["iters"] > 0

@@ -391,6 +391,18 @@ class TestAddNoise:
         out = add_noise(std_recording, NoiseSpec.silent(), seed=1)
         assert out is std_recording
 
+    def test_recording_without_samples_is_returned(self):
+        # Nothing to add noise to: the empty recording itself, though the
+        # default spec draws low-passed noise.
+        empty = self.zero_recording(channels=8, n=0)
+        assert NoiseSpec().lowfreq_amp > 0
+        assert add_noise(empty, NoiseSpec(), seed=1) is empty
+
+    def test_out_of_band_cutoff_raises_without_samples(self):
+        spec = NoiseSpec(lowfreq_amp=0.05, lowfreq_cutoff=FS / 2)
+        with pytest.raises(ValueError, match="lowfreq_cutoff"):
+            add_noise(self.zero_recording(channels=8, n=0), spec, seed=1)
+
     def test_white_sigma_estimate(self):
         rec = self.zero_recording(channels=2, n=1_000_000)
         out = add_noise(rec, NoiseSpec(white_sigma=0.1, interferer_amp=0.0,
