@@ -13,17 +13,21 @@ therefore crosses early. A ping is a run of reference crossings with room
 for one analysis window after its first; runs split where two are far
 enough apart that the pings' burst windows do not overlap. That scan alone
 decides what a ping is, runs once per recording (``scan_reference``), and
-is passed to the rest of the front end (``filter_and_scan``). Every other
-channel is filtered, each window from zero state, and the coarse ones
-scanned, only in the burst windows, each window with a running sum of its
-own. Each ping's coarse onsets are picked there once, the first crossing
-in its own window, so a coarse crossing far from every reference burst, or
-later than the array's travel time allows, is not seen. A coarse window is
-read first only up to that travel time past the ping's first reference
-crossing, where its onset lies unless the channel hears the burst faintly;
-only a window without a crossing by then is read again to its end. The
-window search reads the one record of all this in place (``FrontEnd``),
-which keeps only the reference channel at full length.
+is passed to the rest of the front end (``filter_and_scan``). It filters
+the reference channel in chunks on a helper thread while the caller carries
+the running sum over each finished chunk, bit for bit the one-pass filter
+and scan (``filter_signal``, ``detect_ping``); on one usable CPU, or for a
+row of one chunk, it starts no thread. Every other channel is filtered,
+each window from zero state, and the coarse ones scanned, only in the burst
+windows, each window with a running sum of its own. Each ping's coarse
+onsets are picked there once, the first crossing in its own window, so a
+coarse crossing far from every reference burst, or later than the array's
+travel time allows, is not seen. A coarse window is read first only up to
+that travel time past the ping's first reference crossing, where its onset
+lies unless the channel hears the burst faintly; only a window without a
+crossing by then is read again to its end. The window search reads the one
+record of all this in place (``FrontEnd``), which keeps only the reference
+channel at full length.
 
 Channel labels are read only in the front end: a ``TdoaSet`` is in quad
 order, its six precise-quad pairs in ``PAIRS`` order.
@@ -32,9 +36,13 @@ order, its six precise-quad pairs in ``PAIRS`` order.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import itertools
 import math
+import os
+import queue
+import threading
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -221,8 +229,8 @@ def _filter_to_silence(sos: np.ndarray, rows: np.ndarray, out: np.ndarray,
     row's span (first to last nonzero sample) right-aligned in one buffer;
     the zero state stays exactly zero through the padding, as through a
     row's own leading zeros. Then zero-input chunks, counted from each row's
-    own last nonzero sample, run over the rows whose state is not yet quiet,
-    so no row decays into subnormal floats."""
+    own last nonzero sample, run over the rows whose state is not yet quiet
+    (``_quiet_tail``)."""
     n = out.shape[1]
     nonzero = rows != 0
     keep = np.flatnonzero(nonzero.any(axis=1))
@@ -240,15 +248,26 @@ def _filter_to_silence(sos: np.ndarray, rows: np.ndarray, out: np.ndarray,
     for j, k in enumerate(keep):
         np.multiply(spans[j, pad[j]:], gain, out=out[k, start[j]:stop[j]], casting="same_kind")
 
+    _quiet_tail(sos, out, keep, stop, zi, gain)
+
+
+def _quiet_tail(sos: np.ndarray, out: np.ndarray, rows: np.ndarray, stop: np.ndarray,
+                zi: np.ndarray, gain: float) -> None:
+    """Write ``gain`` times the zero-input response of ``sos`` from section
+    state ``zi`` (sections, len(rows), 2) into each of ``out``'s ``rows``
+    from its ``stop`` on, in _TAIL_CHUNK steps, until the row's end or until
+    its state is below the quiet level (``_quiet_level``), so no row decays
+    into subnormal floats. ``out`` holds zeros past each cut."""
+    n = out.shape[1]
     quiet = _quiet_level(out.dtype, gain)
-    silence = np.zeros((keep.size, _TAIL_CHUNK))
+    silence = np.zeros((rows.size, _TAIL_CHUNK))
     while True:
         live = (stop < n) & (np.abs(zi).max(axis=(0, 2)) >= quiet)
         if not live.any():
             return
-        keep, stop, zi = keep[live], stop[live], zi[:, live]
-        tail, zi = sps.sosfilt(sos, silence[:keep.size], zi=zi)
-        for j, k in enumerate(keep):
+        rows, stop, zi = rows[live], stop[live], zi[:, live]
+        tail, zi = sps.sosfilt(sos, silence[:rows.size], zi=zi)
+        for j, k in enumerate(rows):
             step = min(_TAIL_CHUNK, n - stop[j])
             np.multiply(tail[j, :step], gain, out=out[k, stop[j]:stop[j] + step],
                         casting="same_kind")
@@ -267,21 +286,41 @@ def _quiet_level(dtype: np.dtype, gain: float) -> float:
 
 def _moving_mean_square(samples: np.ndarray, window: int) -> np.ndarray:
     """Trailing mean square over the last ``window`` samples along the last
-    axis (shorter at the start), each row with its own cumulative sum."""
-    ms = np.square(np.asarray(samples, dtype=float))
-    n = ms.shape[-1]
-    csum = np.empty(ms.shape[:-1] + (n + 1,))
-    csum[..., 0] = 0.0
-    np.cumsum(ms, axis=-1, out=csum[..., 1:])
-    # The mean square overwrites the squares: over the first ``window``
-    # samples of a row the count ramps up, after them it is ``window``.
-    ramp = min(window, n)
-    np.divide(csum[..., 1:ramp + 1], np.arange(1, ramp + 1), out=ms[..., :ramp])
+    axis (shorter at the start), each row with its own cumulative sum:
+    ``_extend_mean_square`` over the whole row."""
+    samples = np.asarray(samples)
+    n = samples.shape[-1]
+    csum = np.zeros(samples.shape[:-1] + (n + 1,))
+    ms = np.empty(samples.shape[:-1] + (n,))
+    _extend_mean_square(samples, csum, ms, 0, n, window)
+    return ms
+
+
+def _extend_mean_square(samples: np.ndarray, csum: np.ndarray, ms: np.ndarray, lo: int, hi: int,
+                        window: int) -> None:
+    """Carry the running sum over columns [lo, hi) of ``samples``: csum[...,
+    i] is the sum of the first i squares along the last axis, known up to
+    lo, and ms[..., i] the trailing mean square over the last ``window``
+    samples up to i. The squares go into csum, the sum so far is added to
+    the first, and one in-place np.cumsum, whose additions run in order,
+    finishes them: the same additions in the same order as one cumulative
+    sum over the whole row, so the spans a row is carried over in leave no
+    trace."""
+    if hi <= lo:
+        return
+    run = csum[..., lo + 1:hi + 1]
+    np.square(samples[..., lo:hi], out=run, dtype=float)
+    run[..., 0] += csum[..., lo]
+    np.cumsum(run, axis=-1, out=run)
+    # Over the first ``window`` samples of a row the count ramps up, after
+    # them it is ``window``.
+    ramp = min(max(window, lo), hi)
+    np.divide(csum[..., lo + 1:ramp + 1], np.arange(lo + 1, ramp + 1), out=ms[..., lo:ramp])
     # The squares are >= 0, so the cumulative sum never decreases (fl(a + b)
     # >= a for b >= 0) and no window difference is negative.
-    steady = np.subtract(csum[..., ramp + 1:], csum[..., 1:n - ramp + 1], out=ms[..., ramp:])
+    steady = np.subtract(csum[..., ramp + 1:hi + 1], csum[..., ramp + 1 - window:hi + 1 - window],
+                         out=ms[..., ramp:hi])
     steady /= window
-    return ms
 
 
 def _median_root(ms: np.ndarray) -> float:
@@ -328,15 +367,22 @@ def detect_ping(samples: np.ndarray, fs: float,
     trailing mean square over RMS_WINDOW exceeds ``cutoff``, and that
     cutoff. ``samples`` is one channel, or rows of windows scanned along the
     last axis, each with its own running sum (``_moving_mean_square``).
-    With ``cutoff`` None it is the one channel's own: the largest mean
-    square whose root is at most ONSET_THRESHOLD times the noise floor, the
-    median moving RMS of the whole channel (``_median_root``,
-    ``_square_cutoff``, so no square root is taken per sample). Meant to run
-    once per channel and recording. The mean square is trailing, so the
-    crossings of a row's prefix are the whole row's, cut at its length."""
-    if np.size(samples) == 0:
+    With ``cutoff`` None it is the one channel's own (``_crossings``). The
+    front end runs it once per coarse channel and pass over that channel's
+    burst windows; the reference channel's scan is ``scan_reference``'s own,
+    by the same rules. The mean square is trailing, so the crossings of a
+    row's prefix are the whole row's, cut at its length."""
+    return _crossings(_moving_mean_square(samples, _rms_window(fs)), cutoff)
+
+
+def _crossings(ms: np.ndarray, cutoff: float | None) -> tuple[np.ndarray, float]:
+    """(crossings, cutoff) of the mean squares ``ms`` as ``detect_ping``
+    returns them. A cutoff of None is the largest mean square whose root is
+    at most ONSET_THRESHOLD times the noise floor, the median moving RMS of
+    the whole channel (``_median_root``, ``_square_cutoff``, so no square
+    root is taken per sample); NaN without samples."""
+    if ms.size == 0:
         return np.empty(0, dtype=np.intp), math.nan if cutoff is None else cutoff
-    ms = _moving_mean_square(samples, _rms_window(fs))
     if cutoff is None:
         cutoff = _square_cutoff(ONSET_THRESHOLD * _median_root(ms))
     return np.flatnonzero(ms > cutoff), cutoff
@@ -447,20 +493,25 @@ def scan_reference(recording: MultiChannelRecording, sos: np.ndarray, array: Hyd
     """The front end's reference step, run once per recording and passed to
     ``filter_and_scan``: filters the reference (first precise) channel over
     the whole recording and scans it, which sets the mean-square cutoff.
-    Returns (row, cutoff, runs): the filtered row, that cutoff, and its
-    crossings split into runs [first, last], one per ping, where two are at
-    least before + reach apart (``_burst_margins``), so that two pings' burst
-    windows never overlap. A crossing in the first ``_settle_samples(sos)``
-    plus RMS_WINDOW samples is dropped: the filter starts from zero state,
-    and a DC offset's step rings there. So is a run cut off by the end, with
-    no room for one analysis window (first + window > samples); only the
-    last can be one, as reach spans a window. If ``timing`` is a dict it
-    gets the milliseconds spent filtering ("filter") and scanning ("onset")."""
+    Returns (row, cutoff, runs): the filtered row, byte for byte
+    ``filter_signal``'s, that cutoff and the crossings, both exactly
+    ``detect_ping``'s of the row, and the crossings split into runs [first,
+    last], one per ping, where two are at least before + reach apart
+    (``_burst_margins``), so that two pings' burst windows never overlap.
+    The filter and the running sum overlap (``_reference_mean_square``).
+
+    A crossing in the first ``_settle_samples(sos)`` plus RMS_WINDOW samples
+    is dropped: the filter starts from zero state, and a DC offset's step
+    rings there. So is a run cut off by the end, with no room for one
+    analysis window (first + window > samples); only the last can be one, as
+    reach spans a window. If ``timing`` is a dict it gets the milliseconds
+    until the last filtered chunk was in hand ("filter") and the rest
+    ("onset")."""
     fs = recording.sample_rate
     t_start = time.perf_counter()
-    row = filter_signal(sos, recording.channels[array.precise_channels[0]])
-    t_scan = time.perf_counter()
-    crossings, cutoff = detect_ping(row, fs)
+    row, ms, t_scan = _reference_mean_square(sos, recording.channels[array.precise_channels[0]],
+                                             _rms_window(fs))
+    crossings, cutoff = _crossings(ms, None)
     crossings = crossings[np.searchsorted(crossings, _settle_samples(sos) + _rms_window(fs)):]
     gap = sum(_burst_margins(array, sound_speed, fs))
     runs = [(int(run[0]), int(run[-1]))
@@ -470,6 +521,119 @@ def scan_reference(recording: MultiChannelRecording, sos: np.ndarray, array: Hyd
         timing["filter"] = (t_scan - t_start) * 1e3
         timing["onset"] = (time.perf_counter() - t_scan) * 1e3
     return row, cutoff, runs
+
+
+# The reference row is filtered in chunks of this many samples on a helper
+# thread while the caller carries the running sum over each finished one.
+_REFERENCE_CHUNK = 65_536
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _reference_mean_square(sos: np.ndarray, samples: np.ndarray, window: int
+                           ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(row, ms, t): ``filter_signal(sos, samples)`` of one channel, its
+    ``_moving_mean_square`` over ``window``, both bit for bit, and the
+    ``time.perf_counter()`` at which the last filtered chunk was in hand.
+    A two-stage pipeline over _REFERENCE_CHUNK-sample chunks: a helper
+    thread filters (``_filter_chunks``) while the caller carries the running
+    sum over each chunk it has finished (``_extend_mean_square``). A row of
+    one chunk, and on one usable CPU every row, is one chunk, filtered and
+    summed in the caller alone."""
+    n = samples.shape[-1]
+    chunk = _REFERENCE_CHUNK if _usable_cpus() > 1 else max(n, 1)
+    span = _filter_span(samples)
+    # The caller makes every full-length buffer: one made on the helper
+    # thread would stay resident in that thread's malloc arena. A channel
+    # filtered whole in one chunk is sosfilt's output itself.
+    row = None if span == (0, n) and 0 < n <= chunk else np.zeros(n)
+    csum = np.zeros(n + 1)
+    ms = np.empty(n)
+    chunks = _filter_chunks(sos, samples, span, chunk, row)
+    done = 0
+    with contextlib.nullcontext(chunks) if n <= chunk else _on_helper_thread(chunks) as ends:
+        for end, row in ends:
+            t_filtered = time.perf_counter()
+            _extend_mean_square(row, csum, ms, done, end, window)
+            done = end
+    return row, ms, t_filtered
+
+
+def _filter_span(samples: np.ndarray) -> tuple[int, int]:
+    """[lo, hi): the samples of one channel that ``filter_signal`` filters,
+    all of a channel that ends in a nonzero sample, else its first to last
+    nonzero sample ((n, n) for none)."""
+    n = samples.shape[-1]
+    if n and samples[-1] != 0:
+        return 0, n
+    nonzero = samples != 0
+    if not nonzero.any():
+        return n, n
+    return int(np.argmax(nonzero)), n - int(np.argmax(nonzero[::-1]))
+
+
+def _filter_chunks(sos: np.ndarray, samples: np.ndarray, span: tuple[int, int], chunk: int,
+                   row: np.ndarray | None):
+    """``filter_signal(sos, samples)`` of one channel, byte for byte, by its
+    rules: its ``span`` (``_filter_span``) is filtered from zero state in
+    ``chunk``-sample pieces, each carrying the section state on, and a span
+    that ends before the channel goes on over its quiet tail
+    (``_quiet_tail``), with zeros elsewhere. The pieces are written into
+    ``row`` (zeros, float64); None stands for a channel filtered whole in
+    one piece, which is the row. Yields (end, row) after each piece, the row
+    final up to ``end``, last its length. It may run on a helper thread, so
+    it calls no public name of this module: a tracer that wraps those takes
+    their calls to nest on one thread."""
+    n = samples.shape[-1]
+    lo, hi = span
+    zi = np.zeros((len(sos), 2))
+    for a in range(lo, hi, chunk):
+        b = min(a + chunk, hi)
+        piece, zi = sps.sosfilt(sos, samples[a:b], zi=zi)
+        if row is None:
+            row = piece
+        else:
+            row[a:b] = piece
+        yield b, row
+    if hi < n:
+        _quiet_tail(sos, row[None], np.zeros(1, dtype=np.intp), np.array([hi]), zi[:, None], 1.0)
+    yield n, row
+
+
+@contextlib.contextmanager
+def _on_helper_thread(items):
+    """Run the iterator ``items`` on a helper thread; the block gets an
+    iterator over what it yields, in order, which raises what it raises.
+    The helper is joined on leaving the block, so it never outlives the
+    block, even when the block fails."""
+    queue_ = queue.SimpleQueue()
+
+    def produce():
+        try:
+            for item in items:
+                queue_.put(item)
+        except BaseException as exc:  # re-raised in the block by consume()
+            queue_.put(exc)
+        queue_.put(None)
+
+    def consume():
+        for item in iter(queue_.get, None):
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+
+    helper = threading.Thread(target=produce, name="pingerloc-reference-filter", daemon=True)
+    helper.start()
+    try:
+        yield consume()
+    finally:
+        helper.join()
 
 
 def filter_and_scan(recording: MultiChannelRecording, sos: np.ndarray, array: HydrophoneArray,

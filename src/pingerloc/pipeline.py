@@ -339,14 +339,15 @@ def _trial_scenario(position: Vec3) -> Scenario:
 def _localize_trial(clean: MultiChannelRecording, scenario: Scenario, trial: int,
                     radius: float, snr_db: float | None, noise_seed: int) -> PingOutcome:
     """The first ping of ``clean`` plus white noise calibrated to ``snr_db``
-    (none for None) through the localizer's chain. The rows up to the
-    reference (first precise) channel get their noise first: ``add_noise``
-    draws the channels in order from one generator, so theirs equals the
-    first rows of the whole recording's. The reference step
-    (``dsp.scan_reference``) runs once, on them. Only with a run are the
-    other channels drawn (so only then can their overflow fail the trial),
-    and the whole noisy recording goes through ``dsp.filter_and_scan`` with
-    that step's first run; without one, that reads no other channel."""
+    (none for None) through the localizer's chain. One generator draws the
+    noise of the rows up to the reference (first precise) channel first and
+    then, only if the reference step (``dsp.scan_reference``, run once, on
+    those rows) found a run, the noise of the other rows (so only then can
+    their overflow fail the trial): ``add_noise`` draws the channels in
+    order, so every row's noise is the whole recording's. With a run the
+    two blocks, stacked (``clean`` itself without noise), go through
+    ``dsp.filter_and_scan`` with that step's first run; without one, that
+    reads no other channel."""
     fs = clean.sample_rate
     noise = NoiseSpec.silent()
     if snr_db is not None:
@@ -354,10 +355,11 @@ def _localize_trial(clean: MultiChannelRecording, scenario: Scenario, trial: int
         sigma = white_sigma_for_snr(measure_burst_rms(clean, scenario), snr_db,
                                     fe.analog_band_low, fe.analog_band_high, fs)
         noise = NoiseSpec(white_sigma=sigma, interferer_amp=0.0, lowfreq_amp=0.0)
+    rng = np.random.default_rng(noise_seed)
 
-    def noisy(recording: MultiChannelRecording) -> MultiChannelRecording:
+    def noisy(rows: np.ndarray) -> MultiChannelRecording:
         try:
-            return simulator.add_noise(recording, noise, noise_seed)
+            return simulator.add_noise(MultiChannelRecording(fs, rows), noise, rng)
         except ValueError as exc:
             raise ValueError(f"trial {trial} at {radius:g} m and {snr_db:g} dB SNR: "
                              f"{exc}") from None
@@ -365,10 +367,12 @@ def _localize_trial(clean: MultiChannelRecording, scenario: Scenario, trial: int
     sos = _front_end_sos(scenario, fs)
     array, sound_speed = scenario.array, scenario.sound_speed
     ref = array.precise_channels[0]
-    head = noisy(MultiChannelRecording(sample_rate=fs, channels=clean.channels[:ref + 1]))
+    head = noisy(clean.channels[:ref + 1])
     row, cutoff, runs = dsp.scan_reference(head, sos, array, sound_speed)
-    front = dsp.filter_and_scan(noisy(clean) if runs else head, sos, array, sound_speed,
-                                (row, cutoff, runs[:1]))
+    if runs:
+        head = clean if noise.is_silent() else MultiChannelRecording(
+            fs, np.vstack((head.channels, noisy(clean.channels[ref + 1:]).channels)))
+    front = dsp.filter_and_scan(head, sos, array, sound_speed, (row, cutoff, runs[:1]))
     return next(localize_ping(front, scenario))
 
 

@@ -95,17 +95,21 @@ def render_scene(scenario: Scenario) -> MultiChannelRecording:
     return add_noise(clean, scenario.noise, scenario.seed)
 
 
-def add_noise(recording: MultiChannelRecording, noise: NoiseSpec, seed: int) -> MultiChannelRecording:
+def add_noise(recording: MultiChannelRecording, noise: NoiseSpec,
+              seed: int | np.random.Generator) -> MultiChannelRecording:
     """New recording with per-channel noise added: white Gaussian, a
     narrowband interferer with a per-channel random phase, and low-passed
-    white noise rescaled to RMS lowfreq_amp. Deterministic given the seed.
-    A silent spec, or a recording without samples, returns ``recording``
-    itself, which is read-only. A low-pass cutoff outside (0, Nyquist)
-    raises ValueError, with or without samples.
+    white noise rescaled to RMS lowfreq_amp. ``seed`` is a seed or a
+    Generator (``np.random.default_rng`` takes either, and returns a
+    Generator as it is); the noise is deterministic given it. A silent
+    spec, or a recording without samples, returns ``recording`` itself,
+    which is read-only, and draws nothing. A low-pass cutoff outside (0,
+    Nyquist) raises ValueError, with or without samples.
 
     One generator draws each channel's noise in turn, so the noise of a
     recording's first k rows is the first k rows of its whole noise:
-    ``add_noise`` on those rows alone gives the same samples."""
+    ``add_noise`` on those rows alone gives the same samples, and on the
+    other rows, with the Generator it left, the rest."""
     fs = recording.sample_rate
     n = recording.samples_per_channel
     if noise.lowfreq_amp > 0 and not 0 < noise.lowfreq_cutoff < fs / 2:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 from datetime import timedelta
 from pathlib import Path
 
@@ -434,7 +436,7 @@ class TestScanReference:
         first = prefix
         second = first + 1 + 2 * gap
         found = np.array([0, prefix - 1, first, first + 2, first + 1 + gap, second, second + 1])
-        monkeypatch.setattr(dsp, "detect_ping", lambda row, fs: (found, 0.5))
+        monkeypatch.setattr(dsp, "_crossings", lambda ms, cutoff: (found, 0.5))
         for n, kept in ((second + win_len, 2), (second + win_len - 1, 1)):
             recording = MultiChannelRecording(sample_rate=FS,
                                               channels=np.zeros((8, n), dtype=np.float32))
@@ -472,6 +474,180 @@ class TestScanReference:
         split = [(int(run[0]), int(run[-1]))
                  for run in np.split(found, np.flatnonzero(np.diff(found) >= gap) + 1) if run.size]
         assert runs == split or (runs == split[:-1] and split[-1][0] + win_len > n)
+
+
+CHUNK = dsp._REFERENCE_CHUNK
+
+
+def reference_oracle(recording, cascade, array):
+    """The reference step as a full-length filter and one scan: the row
+    ``filter_signal`` gives, ``detect_ping``'s cutoff of it, and its
+    crossings past the settle prefix split into runs, each kept if it has
+    room for one analysis window."""
+    row = filter_signal(cascade, recording.channels[array.precise_channels[0]])
+    found, cutoff = detect_ping(row, FS)
+    found = found[found >= dsp._settle_samples(cascade) + dsp._rms_window(FS)]
+    gap = sum(dsp._burst_margins(array, SOUND_SPEED, FS))
+    win_len = int(round(WINDOW_DURATION * FS))
+    runs = [(int(run[0]), int(run[-1]))
+            for run in np.split(found, np.flatnonzero(np.diff(found) >= gap) + 1)
+            if run.size and run[0] + win_len <= len(row)]
+    return row, cutoff, runs
+
+
+def reference_recording(row, array):
+    """A recording whose reference channel is ``row``, the rows before it
+    silent."""
+    channels = np.zeros((array.precise_channels[0] + 1, len(row)), dtype=np.float32)
+    channels[-1] = row
+    return MultiChannelRecording(sample_rate=FS, channels=channels)
+
+
+class TestReferencePipeline:
+    """scan_reference filters the reference channel in chunks on a helper
+    thread while it carries the running sum over each finished chunk. Its
+    row, cutoff and runs must be the full-length filter's and scan's, byte
+    for byte, on one usable CPU (one chunk, no thread) and on two."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        """The quick scene's reference channel over 0.8 s (16 pings):
+        noisy, and rendered without noise, so that it ends in zeros."""
+        quick = load_scenario(CONFIGS / "scenario_quick.json")
+        scenario = dataclasses.replace(quick, record_duration=0.8)
+        ref = scenario.array.precise_channels[0]
+        silent = dataclasses.replace(scenario, noise=NoiseSpec.silent())
+        return scenario.array, {"noisy": render_scene(scenario).channels[ref],
+                                "noiseless": render_scene(silent).channels[ref]}
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([0, 1, 499, CHUNK - 1, CHUNK, CHUNK + 1])
+           | st.builds(lambda k, r: k * CHUNK + r, st.integers(2, 5), st.integers(1, CHUNK - 1)),
+           kind=st.sampled_from(["noisy", "noiseless", "padded", "spike"]),
+           where=st.floats(0.0, 1.0))
+    def test_equals_full_length_filter_and_scan(self, cascade, rows, n, kind, where):
+        # Rows of none to six chunks and a remainder, cut around the chunk
+        # length: noisy; ending in zeros, as a noiseless render does or a
+        # noisy one padded with zeros from ``where`` on; and noisy with one
+        # sample of 1e7 at ``where``.
+        array, source = rows
+        row = source["noiseless" if kind == "noiseless" else "noisy"][:n].copy()
+        at = int(where * n)
+        if kind == "padded":
+            row[at:] = 0.0
+        elif kind == "spike" and n:
+            row[min(at, n - 1)] = 1e7
+        recording = reference_recording(row, array)
+        expected_row, expected_cutoff, expected_runs = reference_oracle(recording, cascade, array)
+        for cpus in (1, 2):
+            timing = {}
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dsp, "_usable_cpus", lambda: cpus)
+                got_row, cutoff, runs = dsp.scan_reference(recording, cascade, array,
+                                                           SOUND_SPEED, timing)
+            assert got_row.dtype == np.float64
+            assert got_row.tobytes() == expected_row.tobytes(), cpus
+            assert np.array_equal(cutoff, expected_cutoff, equal_nan=True), cpus
+            assert runs == expected_runs, cpus
+            assert set(timing) == {"filter", "onset"} and min(timing.values()) >= 0.0
+
+    def test_one_chunk_or_one_cpu_starts_no_thread(self, cascade, rows, monkeypatch):
+        array, source = rows
+        monkeypatch.setattr(dsp, "_on_helper_thread", None)
+        for cpus, n in ((2, CHUNK), (1, len(source["noisy"]))):
+            monkeypatch.setattr(dsp, "_usable_cpus", lambda cpus=cpus: cpus)
+            recording = reference_recording(source["noisy"][:n], array)
+            assert dsp.scan_reference(recording, cascade, array, SOUND_SPEED)[0].size == n
+
+    def test_concurrent_calls_under_fast_thread_switching(self, cascade, rows, monkeypatch):
+        # Four callers at once, each with its helper, on two CPUs, with the
+        # interpreter switching threads every microsecond: every call's row,
+        # cutoff and runs are still the full-length filter's and scan's.
+        array, source = rows
+        recording = reference_recording(source["noisy"][:3 * CHUNK + 123], array)
+        expected_row, expected_cutoff, expected_runs = reference_oracle(recording, cascade, array)
+        monkeypatch.setattr(dsp, "_usable_cpus", lambda: 2)
+        results = []
+
+        def call():
+            for _ in range(3):
+                results.append(dsp.scan_reference(recording, cascade, array, SOUND_SPEED))
+
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call) for _ in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert threading.active_count() == before and len(results) == 12
+        for row, cutoff, runs in results:
+            assert row.tobytes() == expected_row.tobytes()
+            assert cutoff == expected_cutoff and runs == expected_runs
+
+    def fails_in_time(self, call):
+        """The exception ``call()`` raises, run on a thread of its own that
+        must end within 30 s; on return, no thread it started is left."""
+        before = threading.active_count()
+        raised = []
+
+        def run():
+            try:
+                call()
+            except Exception as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run)
+        caller.start()
+        caller.join(timeout=30.0)
+        assert not caller.is_alive()
+        assert threading.active_count() == before
+        [exc] = raised
+        return exc
+
+    def test_helper_failure_is_raised_in_the_caller(self, cascade, rows, monkeypatch):
+        # The helper's third sosfilt call fails: scan_reference raises that
+        # error, after the helper has ended.
+        array, source = rows
+        recording = reference_recording(source["noisy"][:4 * CHUNK], array)
+        monkeypatch.setattr(dsp, "_usable_cpus", lambda: 2)
+        calls, sosfilt = [], sps.sosfilt
+
+        def third_fails(*args, **kwargs):
+            calls.append(threading.current_thread().name)
+            if len(calls) == 3:
+                raise FloatingPointError("third sosfilt call")
+            return sosfilt(*args, **kwargs)
+
+        monkeypatch.setattr(sps, "sosfilt", third_fails)
+        exc = self.fails_in_time(
+            lambda: dsp.scan_reference(recording, cascade, array, SOUND_SPEED))
+        assert isinstance(exc, FloatingPointError) and str(exc) == "third sosfilt call"
+        assert len(calls) == 3 and len(set(calls)) == 1
+
+    def test_caller_failure_leaves_no_thread(self, cascade, rows, monkeypatch):
+        # The caller's running sum fails on its second chunk: scan_reference
+        # raises that error, and the helper is joined first.
+        array, source = rows
+        recording = reference_recording(source["noisy"][:4 * CHUNK], array)
+        monkeypatch.setattr(dsp, "_usable_cpus", lambda: 2)
+        calls, extend = [], dsp._extend_mean_square
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise FloatingPointError("second chunk")
+            return extend(*args)
+
+        monkeypatch.setattr(dsp, "_extend_mean_square", second_fails)
+        exc = self.fails_in_time(
+            lambda: dsp.scan_reference(recording, cascade, array, SOUND_SPEED))
+        assert isinstance(exc, FloatingPointError) and str(exc) == "second chunk"
+        assert len(calls) == 2
 
 
 class TestCoarseOnsets:

@@ -104,36 +104,43 @@ class TestRunLocalization:
             assert min(timing["guess"], timing["solve"]) > 0.0
 
     def test_onsets_detected_once_per_recording(self, monkeypatch):
-        # 16 repetitions of the quick scenario: one full-length scan of the
-        # reference channel and one scan of each coarse channel, over its 16
-        # burst windows as rows, each from its filter start only to the
-        # travel-time bound past its run's first crossing, serve every ping.
+        # 16 repetitions of the quick scenario: one reference step, which
+        # scans the full-length reference channel on its own, and one scan
+        # of each coarse channel, over its 16 burst windows as rows, each
+        # from its filter start only to the travel-time bound past its run's
+        # first crossing, serve every ping.
         quick = load_scenario(CONFIGS / "scenario_quick.json")
         interval = quick.pinger.repetition_interval
         scenario = dataclasses.replace(quick, record_duration=16 * interval)
-        calls = []
-        detect_ping = dsp.detect_ping
+        calls, references = [], []
+        detect_ping, scan_reference = dsp.detect_ping, dsp.scan_reference
 
         def counted(samples, *args, **kwargs):
             result = detect_ping(samples, *args, **kwargs)
             calls.append((np.shape(samples), result))
             return result
 
+        def counted_reference(*args, **kwargs):
+            references.append(scan_reference(*args, **kwargs))
+            return references[-1]
+
         monkeypatch.setattr(dsp, "detect_ping", counted)
+        monkeypatch.setattr(dsp, "scan_reference", counted_reference)
         reports = list(run_localization(scenario))
         assert [r.ping_index for r in reports] == list(range(16))
         n = int(round(16 * interval * scenario.sample_rate))
-        (ref_shape, (crossings, cutoff)), *coarse = calls
-        runs = reference_runs(scenario, FS, crossings)
+        [(row, cutoff, runs)] = references
+        crossings, own_cutoff = detect_ping(row, FS)
+        assert cutoff == own_cutoff and runs == reference_runs(scenario, FS, crossings)
         windows = burst_windows(scenario, FS, runs)
         before, _, prefix = coarse_margins(scenario, FS)
         lag = before - int(round(dsp.RMS_WINDOW * FS))
-        assert ref_shape == (n,) and len(windows) == 16 and 0 < windows[0][0] - prefix
+        assert row.shape == (n,) and len(windows) == 16 and 0 < windows[0][0] - prefix
         assert windows[-1][1] < n
         cols = {first + lag + 1 - (a - prefix) for (first, _), (a, _) in zip(runs, windows)}
         assert len(cols) == 1
-        assert [shape for shape, _ in coarse] == [(16, *cols)] * 4 and 16 * cols.pop() < n / 10
-        assert all(coarse_cutoff == cutoff for _, (_, coarse_cutoff) in coarse)
+        assert [shape for shape, _ in calls] == [(16, *cols)] * 4 and 16 * cols.pop() < n / 10
+        assert all(coarse_cutoff == cutoff for _, (_, coarse_cutoff) in calls)
 
     def test_deterministic_given_seed(self, std_scenario):
         runs = []
@@ -552,7 +559,7 @@ class TestFilterAndScan:
         with monkeypatch.context() as patch:
             patch.setattr(dsp, "detect_ping", keep_rows)
             front_end(recording, scenario)
-        _, *coarse_rows = scanned
+        coarse_rows = scanned
         expected, full = full_length_onsets(scenario, recording)
         coarse = scenario.array.coarse_channels
         scale = np.abs(full[list(coarse)]).max()
@@ -651,7 +658,7 @@ class TestFilterAndScan:
         quiet = MultiChannelRecording(sample_rate=FS, channels=channels)
         dsp_calls.clear()
         front = front_end(quiet, scenario)
-        assert dsp_calls == ["filter_signal", "detect_ping", "filter_signal", "filter_signal",
+        assert dsp_calls == ["scan_reference", "filter_signal", "filter_signal",
                              *["detect_ping"] * 4, "filter_signal", "detect_ping"]
         lag = coarse_margins(scenario, FS)[0] - int(round(dsp.RMS_WINDOW * FS))
         assert len(front.runs) == 3
@@ -1049,10 +1056,12 @@ def eight_channel_trial(clean, scenario, trial, radius, snr_db, noise_seed):
 
 @pytest.fixture()
 def dsp_calls(monkeypatch):
-    """The names of the dsp.filter_signal and dsp.detect_ping calls, in
-    order; the render binds its own filter_signal and is not counted."""
+    """The names of the dsp.scan_reference, dsp.filter_signal and
+    dsp.detect_ping calls, in order; the render binds its own filter_signal
+    and is not counted, and the reference step, which filters and scans the
+    reference channel itself, counts as one call."""
     calls = []
-    for name in ("filter_signal", "detect_ping"):
+    for name in ("scan_reference", "filter_signal", "detect_ping"):
         def counted(*args, _fn=getattr(dsp, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
@@ -1082,7 +1091,7 @@ class TestNoisyTrial:
             return add_noise(recording, noise, seed)
 
         monkeypatch.setattr(simulator, "add_noise", spy)
-        outcomes = {None: [], 20.0: [1, 8], 10.0: [1]}
+        outcomes = {None: [], 20.0: [1, 7], 10.0: [1]}
         cells = itertools.product(NOISY_GRID.ranges, NOISY_GRID.snr_db)
         for (cell_index, (radius, snr_db)), trial in itertools.product(
                 enumerate(cells), range(NOISY_GRID.trials)):
@@ -1091,20 +1100,22 @@ class TestNoisyTrial:
             assert noisy_rows == outcomes[snr_db], (radius, snr_db, trial)
 
     def test_reference_without_ping_is_one_filter_call_and_one_scan(self, dsp_calls):
+        # The reference step alone, which filters and scans the reference
+        # channel once, through neither public name.
         row = _run_trial(NOISY_GRID, 2, 0, 5.0, 10.0)
-        assert dsp_calls == ["filter_signal", "detect_ping"]
+        assert dsp_calls == ["scan_reference"]
         assert row["az_err_deg"] == FAILED_TRIAL_AZ_ERROR and row["octant_guess"] == ""
 
     @pytest.mark.parametrize("cell_index, snr_db", [(0, None), (1, 20.0)],
                              ids=["noiseless", "20-dB"])
     def test_reference_is_filtered_and_scanned_once(self, dsp_calls, cell_index, snr_db):
-        # The reference step (one filter call, one scan), then the burst
-        # windows of the other three precise channels in one filter call,
-        # and the coarse channels' windows up to the travel-time bound in
-        # another, each coarse channel's rows scanned once: every onset is
-        # found by the bound. The reference row the trial scanned is reused,
-        # noisy or not.
+        # The reference step (the reference channel filtered and scanned
+        # once), then the burst windows of the other three precise channels
+        # in one filter call, and the coarse channels' windows up to the
+        # travel-time bound in another, each coarse channel's rows scanned
+        # once: every onset is found by the bound. The reference row the
+        # trial scanned is reused, noisy or not.
         row = _run_trial(NOISY_GRID, cell_index, 0, 5.0, snr_db)
-        assert dsp_calls == ["filter_signal", "detect_ping", "filter_signal", "filter_signal",
+        assert dsp_calls == ["scan_reference", "filter_signal", "filter_signal",
                              *["detect_ping"] * 4]
         assert row["iters"] > 0
